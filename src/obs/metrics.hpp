@@ -78,7 +78,7 @@ struct MetricsSnapshot {
   std::vector<ConfigCost> per_config;     // indexed like the campaign's configs
   std::vector<std::string> config_ids;    // same indexing
   Histogram queue_depth;                  // queue length sampled at every pop
-  Histogram checkpoint_write_ns;          // latency of every snapshot write
+  Histogram checkpoint_write_ns;          // render + durable write, per checkpoint
   std::uint64_t checkpoint_writes = 0;
   std::uint64_t blocks_scheduled = 0;     // pushes observed by the queue
   std::uint64_t wall_ns = 0;              // begin() to snapshot time

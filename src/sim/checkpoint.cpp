@@ -474,6 +474,7 @@ CampaignRecorder::CampaignRecorder(const std::vector<CampaignConfig>& configs,
   options_.shard_count = std::max<std::uint32_t>(options_.shard_count, 1);
   spec_hash_ = campaign_fingerprint(campaign_name_, configs_);
   store_.resize(configs_.size());
+  fragments_.resize(configs_.size());
 }
 
 void CampaignRecorder::record_graph(std::size_t config, const std::string& graph_name,
@@ -483,6 +484,7 @@ void CampaignRecorder::record_graph(std::size_t config, const std::string& graph
   sc.graph_name = graph_name;
   sc.n = n;
   sc.has_graph = true;
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_trial_slot(std::size_t config, std::size_t slot,
@@ -496,6 +498,7 @@ void CampaignRecorder::record_trial_slot(std::size_t config, std::size_t slot,
   sc.phase = "trials";
   sc.slots[slot] = std::move(s);
   if (curves != nullptr) sc.slot_curves[slot] = std::move(c);
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_plan(std::size_t config,
@@ -505,6 +508,7 @@ void CampaignRecorder::record_plan(std::size_t config,
   sc.phase = "screen";
   sc.candidates = candidates;
   sc.has_candidates = true;
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_screen_slot(std::size_t config, std::uint32_t entrant,
@@ -512,7 +516,9 @@ void CampaignRecorder::record_screen_slot(std::size_t config, std::uint32_t entr
                                           const stats::RunningMoments& partial) {
   Json m = moments_to_json(partial.state());
   const std::scoped_lock lock(mutex_);
-  store_[config].screen[{entrant, slot}] = std::move(m);
+  StoredConfig& sc = store_[config];
+  sc.screen[{entrant, slot}] = std::move(m);
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_finalists(std::size_t config,
@@ -526,6 +532,7 @@ void CampaignRecorder::record_finalists(std::size_t config,
   sc.screen.clear();
   sc.candidates.clear();
   sc.has_candidates = false;
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_refine_slot(std::size_t config, std::uint32_t entrant,
@@ -533,7 +540,9 @@ void CampaignRecorder::record_refine_slot(std::size_t config, std::uint32_t entr
                                           const stats::StreamingSummary& partial) {
   Json s = summary_to_json(partial.state());
   const std::scoped_lock lock(mutex_);
-  store_[config].refine[{entrant, slot}] = std::move(s);
+  StoredConfig& sc = store_[config];
+  sc.refine[{entrant, slot}] = std::move(s);
+  sc.dirty = true;
 }
 
 void CampaignRecorder::record_done(std::size_t config, const CampaignResult& result) {
@@ -559,6 +568,7 @@ void CampaignRecorder::record_done(std::size_t config, const CampaignResult& res
   sc.finalists.clear();
   sc.has_candidates = false;
   sc.has_finalists = false;
+  sc.dirty = true;
 }
 
 bool CampaignRecorder::block_finished() {
@@ -578,8 +588,7 @@ bool CampaignRecorder::block_finished() {
   return stop;
 }
 
-Json CampaignRecorder::snapshot(bool finished) const {
-  const std::scoped_lock lock(mutex_);
+Json CampaignRecorder::snapshot_header(bool finished) const {
   Json doc = Json::object();
   doc.set("format", kSnapshotFormat);
   doc.set("version", kSnapshotVersion);
@@ -601,76 +610,118 @@ Json CampaignRecorder::snapshot(bool finished) const {
   // report_stale_snapshots). Loaders treat the key as optional, so
   // pre-existing snapshots (and the version number) stay valid.
   doc.set("written_at", static_cast<std::uint64_t>(std::time(nullptr)));
-  Json arr = Json::array();
-  for (std::size_t c = 0; c < store_.size(); ++c) {
-    const StoredConfig& sc = store_[c];
-    Json e = Json::object();
-    e.set("id", resolved_config_id(configs_[c], c));
-    e.set("phase", sc.phase);
-    if (sc.phase == "done") {
-      e.set("result", sc.result);
-      arr.push_back(std::move(e));
-      continue;
-    }
-    if (sc.has_graph) {
-      e.set("graph", sc.graph_name);
-      e.set("n", sc.n);
-    }
-    if (!sc.slots.empty()) {
-      Json slots = Json::array();
-      for (const auto& [slot, summary] : sc.slots) {
-        Json s = Json::object();
-        s.set("slot", static_cast<std::uint64_t>(slot));
-        s.set("summary", summary);
-        if (const auto it = sc.slot_curves.find(slot); it != sc.slot_curves.end()) {
-          s.set("curves", it->second);
-        }
-        slots.push_back(std::move(s));
-      }
-      e.set("slots", std::move(slots));
-    }
-    if (sc.has_candidates) e.set("candidates", ids_to_json(sc.candidates));
-    if (!sc.screen.empty()) {
-      Json screen = Json::array();
-      for (const auto& [key, moments] : sc.screen) {
-        Json s = Json::object();
-        s.set("entrant", static_cast<std::uint64_t>(key.first));
-        s.set("slot", static_cast<std::uint64_t>(key.second));
-        s.set("moments", moments);
-        screen.push_back(std::move(s));
-      }
-      e.set("screen", std::move(screen));
-    }
-    if (sc.has_finalists) e.set("finalists", ids_to_json(sc.finalists));
-    if (!sc.refine.empty()) {
-      Json refine = Json::array();
-      for (const auto& [key, summary] : sc.refine) {
-        Json s = Json::object();
-        s.set("entrant", static_cast<std::uint64_t>(key.first));
-        s.set("slot", static_cast<std::uint64_t>(key.second));
-        s.set("summary", summary);
-        refine.push_back(std::move(s));
-      }
-      e.set("refine", std::move(refine));
-    }
-    arr.push_back(std::move(e));
+  return doc;
+}
+
+Json CampaignRecorder::config_entry(std::size_t c) const {
+  const StoredConfig& sc = store_[c];
+  Json e = Json::object();
+  e.set("id", resolved_config_id(configs_[c], c));
+  e.set("phase", sc.phase);
+  if (sc.phase == "done") {
+    e.set("result", sc.result);
+    return e;
   }
+  if (sc.has_graph) {
+    e.set("graph", sc.graph_name);
+    e.set("n", sc.n);
+  }
+  if (!sc.slots.empty()) {
+    Json slots = Json::array();
+    for (const auto& [slot, summary] : sc.slots) {
+      Json s = Json::object();
+      s.set("slot", static_cast<std::uint64_t>(slot));
+      s.set("summary", summary);
+      if (const auto it = sc.slot_curves.find(slot); it != sc.slot_curves.end()) {
+        s.set("curves", it->second);
+      }
+      slots.push_back(std::move(s));
+    }
+    e.set("slots", std::move(slots));
+  }
+  if (sc.has_candidates) e.set("candidates", ids_to_json(sc.candidates));
+  if (!sc.screen.empty()) {
+    Json screen = Json::array();
+    for (const auto& [key, moments] : sc.screen) {
+      Json s = Json::object();
+      s.set("entrant", static_cast<std::uint64_t>(key.first));
+      s.set("slot", static_cast<std::uint64_t>(key.second));
+      s.set("moments", moments);
+      screen.push_back(std::move(s));
+    }
+    e.set("screen", std::move(screen));
+  }
+  if (sc.has_finalists) e.set("finalists", ids_to_json(sc.finalists));
+  if (!sc.refine.empty()) {
+    Json refine = Json::array();
+    for (const auto& [key, summary] : sc.refine) {
+      Json s = Json::object();
+      s.set("entrant", static_cast<std::uint64_t>(key.first));
+      s.set("slot", static_cast<std::uint64_t>(key.second));
+      s.set("summary", summary);
+      refine.push_back(std::move(s));
+    }
+    e.set("refine", std::move(refine));
+  }
+  return e;
+}
+
+Json CampaignRecorder::snapshot(bool finished) const {
+  const std::scoped_lock lock(mutex_);
+  Json doc = snapshot_header(finished);
+  Json arr = Json::array();
+  for (std::size_t c = 0; c < store_.size(); ++c) arr.push_back(config_entry(c));
   doc.set("configs", std::move(arr));
   return doc;
 }
 
-void CampaignRecorder::write_checkpoint(bool finished) const {
+void CampaignRecorder::write_checkpoint(bool finished) {
   const std::scoped_lock write_lock(write_mutex_);
-  const Json doc = snapshot(finished);
+  // The span covers the whole write: copying and rendering what changed,
+  // then the durable write (write + fsync + rename + dir fsync).
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t write_begin = tel != nullptr ? tel->now_ns() : 0;
+  Json header;
+  std::vector<std::pair<std::size_t, Json>> changed;
+  {
+    const std::scoped_lock lock(mutex_);
+    header = snapshot_header(finished);
+    for (std::size_t c = 0; c < store_.size(); ++c) {
+      if (!store_[c].dirty) continue;
+      changed.emplace_back(c, config_entry(c));
+      store_[c].dirty = false;
+    }
+  }
+  // Rendered outside mutex_, so workers keep recording meanwhile.
+  for (const auto& [c, entry] : changed) {
+    fragments_[c].clear();
+    entry.dump_to(fragments_[c], 2, 2);
+  }
+  // Splice the fragments into the header exactly as snapshot().dump(2)
+  // would lay out its trailing `"configs": [...]` member.
+  std::string text = header.dump(2);
+  std::size_t size = text.size() + 32;                               // framing
+  for (const std::string& f : fragments_) size += 4 + f.size() + 2;  // pad, ",\n"
+  text.reserve(size);
+  text.resize(text.size() - 2);  // the header's closing "\n}"
+  text += ",\n  \"configs\": ";
+  if (fragments_.empty()) {
+    text += "[]";
+  } else {
+    text += "[\n";
+    for (std::size_t c = 0; c < fragments_.size(); ++c) {
+      text.append(4, ' ');
+      text += fragments_[c];
+      text += c + 1 < fragments_.size() ? ",\n" : "\n";
+    }
+    text += "  ]";
+  }
+  text += "\n}\n";
   std::string error;
-  if (!write_file_atomic(options_.checkpoint_file, doc.dump(2) + "\n", error)) {
+  if (!write_file_atomic(options_.checkpoint_file, text, error)) {
     throw std::runtime_error("checkpoint: cannot write " + options_.checkpoint_file + ": " +
                              error);
   }
-  // Serialization happens above under the same lock, so this measures the
-  // durable-write path alone (write + fsync + rename + dir fsync).
   if (tel != nullptr) tel->on_checkpoint_write(write_begin, tel->now_ns());
 }
 
@@ -838,6 +889,7 @@ std::vector<CampaignRecorder::Restored> CampaignRecorder::load(const Json& doc) 
     }
   }
 
+  // Every loaded entry starts dirty, so the next write re-renders it.
   const std::scoped_lock lock(mutex_);
   store_ = std::move(loaded);
   blocks_done_ = h.blocks_done;

@@ -23,8 +23,9 @@
 //     unsharded run's.
 //
 // Bit-identity rests on two facts: accumulator serialization round-trips
-// exactly (stats/streaming.hpp state() / restore(), doubles rendered by the
-// exact shortest-round-trip formatter of sim/experiment.cpp), and partials
+// exactly (stats/streaming.hpp state() / restore(), doubles rendered by
+// sim/experiment.cpp's formatter, which widens `%.15g` to 16 and 17 digits
+// until the text parses back to the same double), and partials
 // are always folded in slot order, so a resumed or merged fold performs the
 // same merge sequence on bit-identical operands.
 #pragma once
@@ -232,14 +233,19 @@ class CampaignRecorder {
   [[nodiscard]] Json snapshot(bool finished) const;
 
   /// Writes snapshot(finished) to the options' checkpoint_file through the
-  /// durable atomic-rename path. Throws std::runtime_error on failure.
-  void write_checkpoint(bool finished) const;
+  /// durable atomic-rename path: the same bytes as snapshot(finished).dump(2)
+  /// plus a newline, but only configs recorded since the previous write are
+  /// re-rendered. Throws std::runtime_error on failure.
+  void write_checkpoint(bool finished);
 
   [[nodiscard]] std::uint64_t blocks_done() const;
 
  private:
   /// Mirror of one snapshot config entry; values are stored pre-serialized
-  /// (deterministically ordered maps) so snapshot() is a pure render.
+  /// (deterministically ordered maps), and config_entry() turns it into the
+  /// entry both snapshot() and write_checkpoint() emit. `dirty` is set by
+  /// every record_* call and by load(), and cleared when write_checkpoint()
+  /// re-renders the entry into its cached text fragment.
   struct StoredConfig {
     std::string phase = "pending";
     std::string graph_name;
@@ -257,7 +263,13 @@ class CampaignRecorder {
     bool has_finalists = false;
     std::map<std::pair<std::uint32_t, std::size_t>, Json> refine;
     Json result;  // is_object() once done
+    bool dirty = true;
   };
+
+  /// The snapshot document minus its `configs` array. Caller holds mutex_.
+  [[nodiscard]] Json snapshot_header(bool finished) const;
+  /// Config `c`'s `configs[]` entry. Caller holds mutex_.
+  [[nodiscard]] Json config_entry(std::size_t c) const;
 
   const std::vector<CampaignConfig>& configs_;
   CampaignOptions options_;
@@ -269,6 +281,9 @@ class CampaignRecorder {
   /// keep recording while a snapshot is on its way to disk.
   mutable std::mutex write_mutex_;
   std::vector<StoredConfig> store_;
+  /// Owned by write_mutex_: each config's entry as rendered by the last
+  /// write, at its depth in the document — configs[c] of dump(2).
+  std::vector<std::string> fragments_;
   std::uint64_t blocks_done_ = 0;    // total, including progress restored by load()
   std::uint64_t session_blocks_ = 0; // completed by this process (drives the
                                      // checkpoint cadence and the stop budget)

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -78,36 +79,44 @@ void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-/// Numbers print as integers when they are integers (the common case:
-/// node counts, trial counts, rounds), otherwise with the shortest
-/// precision that round-trips through strtod — dump/parse cycles of
-/// BENCH_*.json reports must reproduce values exactly.
-std::string format_number(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
+/// Numbers print as integers when they are integers below 1e15 (the
+/// common case: node counts, trial counts, rounds), otherwise as `%.15g`,
+/// widened to 16 and then 17 significant digits until the text parses back
+/// to the same double — dump/parse cycles of BENCH_*.json reports and
+/// checkpoints must reproduce values exactly. to_chars/from_chars produce
+/// and parse printf's digits without snprintf's or strtod's locale work.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan
+    out += "null";
+    return;
+  }
   char buf[40];
+  char* const last = buf + sizeof buf;
+  std::to_chars_result r{};
   if (v == std::floor(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
+    r = std::to_chars(buf, last, v, std::chars_format::fixed, 0);
+  } else {
+    for (int precision : {15, 16, 17}) {
+      r = std::to_chars(buf, last, v, std::chars_format::general, precision);
+      double back = 0.0;
+      if (std::from_chars(buf, r.ptr, back).ec == std::errc() && back == v) break;
+    }
   }
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
   const bool pretty = indent >= 0;
-  const std::string pad = pretty ? std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ') : "";
-  const std::string close_pad = pretty ? std::string(static_cast<std::size_t>(indent * depth), ' ') : "";
+  const std::size_t pad = pretty ? static_cast<std::size_t>(indent * (depth + 1)) : 0;
+  const std::size_t close_pad = pretty ? static_cast<std::size_t>(indent * depth) : 0;
   const char* nl = pretty ? "\n" : "";
   const char* kv_sep = pretty ? ": " : ":";
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: out += format_number(number_); break;
+    case Type::kNumber: append_number(out, number_); break;
     case Type::kString: append_escaped(out, string_); break;
     case Type::kArray: {
       if (elements_.empty()) {
@@ -117,12 +126,12 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       out += '[';
       out += nl;
       for (std::size_t i = 0; i < elements_.size(); ++i) {
-        out += pad;
+        out.append(pad, ' ');
         elements_[i].dump_to(out, indent, depth + 1);
         if (i + 1 < elements_.size()) out += ',';
         out += nl;
       }
-      out += close_pad;
+      out.append(close_pad, ' ');
       out += ']';
       break;
     }
@@ -134,14 +143,14 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       out += '{';
       out += nl;
       for (std::size_t i = 0; i < entries_.size(); ++i) {
-        out += pad;
+        out.append(pad, ' ');
         append_escaped(out, entries_[i].first);
         out += kv_sep;
         entries_[i].second.dump_to(out, indent, depth + 1);
         if (i + 1 < entries_.size()) out += ',';
         out += nl;
       }
-      out += close_pad;
+      out.append(close_pad, ' ');
       out += '}';
       break;
     }

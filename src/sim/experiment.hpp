@@ -94,14 +94,16 @@ class Json {
 
   /// Serializes; indent < 0 renders compact single-line JSON.
   [[nodiscard]] std::string dump(int indent = -1) const;
+  /// Appends this value rendered as it appears `depth` levels deep inside
+  /// a document dumped with `indent` (no leading pad, no trailing newline),
+  /// so a caller can splice pre-rendered parts into one document's bytes.
+  void dump_to(std::string& out, int indent, int depth) const;
 
   /// Parses a complete JSON document; nullopt on any syntax error or
   /// trailing garbage.
   [[nodiscard]] static std::optional<Json> parse(std::string_view text);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-
   Type type_;
   bool bool_ = false;
   double number_ = 0.0;

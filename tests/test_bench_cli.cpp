@@ -8,11 +8,19 @@
 
 #include <sys/wait.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/experiment.hpp"
 
@@ -51,6 +59,36 @@ std::string run_bench(const std::string& args, int* exit_code = nullptr) {
   return run_tool(RUMOR_BENCH_BINARY, args, exit_code);
 }
 
+/// The number formatter as it was written with snprintf and strtod, kept as
+/// the oracle that Json's to_chars/from_chars formatter must match byte for
+/// byte: integers below 1e15 as "%.0f", everything else as "%.15g" widened
+/// to 16 and then 17 digits until it parses back to the same double.
+std::string snprintf_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  for (int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Expects Json to render `v` exactly as the oracle does, and the text to
+/// parse back to the same bits.
+void expect_number_matches_oracle(double v) {
+  const std::string got = sim::Json(v).dump();
+  ASSERT_EQ(got, snprintf_number(v)) << std::hexfloat << v;
+  if (!std::isfinite(v)) return;
+  const auto back = sim::Json::parse(got);
+  ASSERT_TRUE(back.has_value()) << got;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(back->as_number()), std::bit_cast<std::uint64_t>(v))
+      << got;
+}
+
 }  // namespace
 
 // --- Json unit tests ---------------------------------------------------------
@@ -76,6 +114,55 @@ TEST(Json, DumpParseRoundTrip) {
     EXPECT_TRUE(parsed->find("ok")->as_bool());
     ASSERT_EQ(parsed->find("items")->size(), 3u);
     EXPECT_TRUE(parsed->find("items")->elements()[2].is_null());
+  }
+}
+
+TEST(Json, NumberFormatterGoldenStrings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, const char*> cases[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {42.0, "42"},
+      {-7.0, "-7"},
+      {0.1, "0.1"},
+      {1.0 / 3.0, "0.3333333333333333"},   // 16 digits
+      {0.1 + 0.2, "0.30000000000000004"},  // 17 digits
+      {1e-05, "1e-05"},
+      {0.0001234, "0.0001234"},
+      {9007199254740992.0, "9007199254740992"},  // 2^53
+      {1e15 - 0.5, "999999999999999.5"},
+      {999999999999999.0, "999999999999999"},
+      {1e15, "1e+15"},
+      {1e15 + 2, "1000000000000002"},
+      {5e-324, "4.94065645841247e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},  // 15 and 16 digits overflow
+      {std::numeric_limits<double>::quiet_NaN(), "null"},
+      {inf, "null"},
+      {-inf, "null"},
+  };
+  for (const auto& [v, want] : cases) {
+    EXPECT_EQ(sim::Json(v).dump(), want);
+    expect_number_matches_oracle(v);
+  }
+}
+
+TEST(Json, NumberFormatterMatchesSnprintfOracle) {
+  std::mt19937_64 gen(20160725);
+  // Random bit patterns cover every exponent, subnormals, NaNs and infinities.
+  for (int i = 0; i < (1 << 20); ++i) {
+    expect_number_matches_oracle(std::bit_cast<double>(gen()));
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  // Integers and short decimals, which random bits almost never produce:
+  // the "%.0f" branch, its 1e15 edge, and values that stop at 15 digits.
+  std::uniform_int_distribution<std::int64_t> mantissa(-(std::int64_t{1} << 53),
+                                                       std::int64_t{1} << 53);
+  std::uniform_int_distribution<int> scale(0, 20);
+  for (int i = 0; i < (1 << 17); ++i) {
+    const auto m = static_cast<double>(mantissa(gen));
+    expect_number_matches_oracle(m);
+    expect_number_matches_oracle(m / std::pow(10.0, scale(gen)));
+    if (testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -601,3 +601,160 @@ TEST(CampaignCheckpoint, FileGraphsFingerprintByContentNotPath) {
   EXPECT_NE(fingerprint_of(store_a), fingerprint_of(store_b));
   for (const fs::path& p : {store_a, store_a_copy, store_b}) fs::remove(p);
 }
+
+// --- The written file is the snapshot tree's rendering ------------------------
+//
+// write_checkpoint renders each configuration's entry once and re-renders
+// only the entries recorded since the previous write; the file must still
+// be exactly what Json::dump(2) makes of snapshot().
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file.good()) << "checkpoint file missing: " << path;
+  return {std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+}
+
+/// Expects the checkpoint file at `path` to hold `snapshot.dump(2)` plus a
+/// newline, with the wall-clock `written_at` stamp pinned to 0 on both sides.
+void expect_file_is_tree(const std::string& path, sim::Json snapshot) {
+  std::string text = read_file(path);
+  const std::string key = "\n  \"written_at\": ";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << path;
+  const std::size_t digits = at + key.size();
+  text.replace(digits, text.find(',', digits) - digits, "0");
+  snapshot.set("written_at", 0);
+  EXPECT_EQ(text, snapshot.dump(2) + "\n") << path;
+}
+
+/// Runs the campaign with a checkpoint file and expects the final write to
+/// equal the returned snapshot tree.
+sim::CampaignOutcome run_and_expect_file_is_tree(const std::vector<sim::CampaignConfig>& configs,
+                                                 sim::CampaignOptions options,
+                                                 const std::string& name,
+                                                 const sim::Json* resume = nullptr) {
+  options.checkpoint_file = testing::TempDir() + name;
+  std::remove(options.checkpoint_file.c_str());
+  auto outcome = sim::run_campaign_resumable(configs, options, "snap", resume);
+  expect_file_is_tree(options.checkpoint_file, outcome.snapshot);
+  std::remove(options.checkpoint_file.c_str());
+  return outcome;
+}
+
+std::set<std::string> phases_of(const sim::Json& snapshot) {
+  std::set<std::string> phases;
+  for (const sim::Json& e : snapshot.find("configs")->elements()) {
+    phases.insert(e.find("phase")->as_string());
+  }
+  return phases;
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, FileEqualsTreeWhenStoppedMidRun) {
+  auto options = snapshot_options(1);
+  options.checkpoint_every = 1;
+  options.stop_after_blocks = 5;
+  const auto outcome =
+      run_and_expect_file_is_tree(snapshot_configs(), options, "ck_tree_mid.json");
+  ASSERT_FALSE(outcome.complete);
+  const auto phases = phases_of(outcome.snapshot);
+  EXPECT_TRUE(phases.count("trials") == 1 && phases.count("done") == 1)
+      << "want a mix of 'trials' and 'done' entries";
+}
+
+TEST(CampaignCheckpoint, FileEqualsTreeInBothRacePhases) {
+  const std::vector<sim::CampaignConfig> race = {snapshot_configs()[2]};
+  std::set<std::string> seen;
+  for (std::uint64_t stop = 1; stop <= 24; ++stop) {
+    auto options = snapshot_options(1);
+    options.checkpoint_every = 1;
+    options.stop_after_blocks = stop;
+    const auto outcome = run_and_expect_file_is_tree(race, options, "ck_tree_race.json");
+    seen.insert(outcome.snapshot.find("configs")->elements()[0].find("phase")->as_string());
+    if (outcome.complete) break;
+  }
+  EXPECT_EQ(seen.count("screen"), 1u);
+  EXPECT_EQ(seen.count("refine"), 1u);
+}
+
+TEST(CampaignCheckpoint, FileEqualsTreeWithCurves) {
+  auto options = snapshot_options(1);
+  options.checkpoint_every = 1;
+  options.stop_after_blocks = 4;
+  const auto outcome =
+      run_and_expect_file_is_tree(curve_snapshot_configs(), options, "ck_tree_curves.json");
+  ASSERT_FALSE(outcome.complete);
+  EXPECT_NE(outcome.snapshot.dump().find("\"curves\""), std::string::npos);
+}
+
+TEST(CampaignShard, FileEqualsTreeForAShardPartial) {
+  auto options = snapshot_options(2);
+  options.checkpoint_every = 1;
+  options.shard_index = 2;
+  options.shard_count = 3;
+  const auto outcome =
+      run_and_expect_file_is_tree(snapshot_configs(), options, "ck_tree_shard.json");
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_TRUE(outcome.snapshot.find("finished")->as_bool());
+}
+
+TEST(CampaignCheckpoint, FileEqualsTreeAfterResume) {
+  const auto configs = snapshot_configs();
+  auto options = snapshot_options(1);
+  options.checkpoint_every = 1;
+  options.stop_after_blocks = 4;
+  const auto stopped = run_and_expect_file_is_tree(configs, options, "ck_tree_resume.json");
+  ASSERT_FALSE(stopped.complete);
+  // No periodic write before the end: the final write renders entries that
+  // only load() put there.
+  options.checkpoint_every = 0;
+  options.stop_after_blocks = 1;
+  (void)run_and_expect_file_is_tree(configs, options, "ck_tree_resume.json", &stopped.snapshot);
+  options.stop_after_blocks = 0;
+  const auto resumed =
+      run_and_expect_file_is_tree(configs, options, "ck_tree_resume.json", &stopped.snapshot);
+  EXPECT_TRUE(resumed.complete);
+}
+
+TEST(CampaignCheckpoint, SuccessiveWritesReRenderWhatChanged) {
+  const auto configs = snapshot_configs();
+  auto options = snapshot_options(1);
+  options.checkpoint_file = testing::TempDir() + "ck_tree_recorder.json";
+  sim::CampaignRecorder recorder(configs, options, "snap");
+  stats::StreamingSummary partial(
+      sim::summary_options_for(configs[0], options.sketch_capacity, options.reservoir_capacity));
+
+  partial.add(3.0, 0);
+  recorder.record_graph(0, "hypercube", 64);
+  recorder.record_trial_slot(0, 0, partial);
+  recorder.write_checkpoint(false);
+  expect_file_is_tree(options.checkpoint_file, recorder.snapshot(false));
+
+  // Between writes, config 0 gains a slot, config 1 builds its graph and
+  // the race enters its screen phase; a stale fragment would show the
+  // previous write's entries.
+  partial.add(5.0, 1);
+  recorder.record_trial_slot(0, 1, partial);
+  recorder.record_graph(1, "star", 96);
+  recorder.record_plan(2, {0, 5, 9});
+  recorder.write_checkpoint(false);
+  expect_file_is_tree(options.checkpoint_file, recorder.snapshot(false));
+
+  // Then config 0 finishes and the race picks its finalists.
+  recorder.record_done(0, sim::run_campaign(configs, options).front());
+  recorder.record_finalists(2, {5});
+  recorder.write_checkpoint(false);
+  expect_file_is_tree(options.checkpoint_file, recorder.snapshot(false));
+
+  // load() replaces every entry after fragments were cached.
+  auto stop_options = snapshot_options(1);
+  stop_options.stop_after_blocks = 6;
+  const auto stopped = sim::run_campaign_resumable(configs, stop_options, "snap");
+  (void)recorder.load(stopped.snapshot);
+  recorder.write_checkpoint(true);
+  expect_file_is_tree(options.checkpoint_file, recorder.snapshot(true));
+  std::remove(options.checkpoint_file.c_str());
+}
