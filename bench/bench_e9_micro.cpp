@@ -121,6 +121,15 @@ sim::Json run(const sim::ExperimentContext& ctx) {
         }));
     keep_alive(sink);
   }
+  {
+    // Pure CSR construction, no RNG: 114688 edges through GraphBuilder.
+    const std::uint64_t iters = scaled(100);
+    std::size_t sink = 0;
+    add("build_hypercube(d=14)", iters, time_ns_per_op(iters, [&](std::uint64_t k) {
+          for (std::uint64_t i = 0; i < k; ++i) sink += graph::hypercube(14).num_edges();
+        }));
+    keep_alive(sink);
+  }
   for (std::uint32_t dim : {10u, 14u}) {
     const auto g = graph::hypercube(dim);
     auto eng = rng::derive_stream(seed, 5);

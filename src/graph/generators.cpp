@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -278,7 +279,10 @@ bool try_configuration_model(NodeId n, std::uint32_t d, rng::Engine& eng, GraphB
   };
   // `seen` holds the keys of *good* edges only; a bad edge (self-loop, or a
   // duplicate whose key is owned by its first occurrence) contributes none.
-  std::set<std::uint64_t> seen;
+  // Only membership is ever asked, never iteration order, so a hash set
+  // leaves the RNG draws and the resulting edges unchanged.
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(2 * num_edges);
   std::vector<std::uint8_t> is_bad(num_edges, 0);
   std::vector<std::size_t> bad;
   for (std::size_t i = 0; i < num_edges; ++i) {

@@ -10,38 +10,43 @@ void GraphBuilder::add_edge(NodeId a, NodeId b) {
   edges_.push_back(Edge{a, b});
 }
 
-bool GraphBuilder::has_edge_slow(NodeId a, NodeId b) const noexcept {
-  for (const Edge& e : edges_) {
-    if ((e.a == a && e.b == b) || (e.a == b && e.b == a)) return true;
-  }
-  return false;
-}
-
 Graph GraphBuilder::build(std::string name) && {
-  // Expand to directed arcs, sort, dedupe, then prefix-sum into CSR.
-  std::vector<std::pair<NodeId, NodeId>> arcs;
-  arcs.reserve(edges_.size() * 2);
+  // Count degrees; after the inclusive prefix sum offsets[v] is the end of
+  // v's row.
+  const std::size_t n = num_nodes_;
+  std::vector<std::uint64_t> offsets(n + 1, 0);
   for (const Edge& e : edges_) {
-    arcs.emplace_back(e.a, e.b);
-    arcs.emplace_back(e.b, e.a);
+    ++offsets[e.a];
+    ++offsets[e.b];
   }
-  edges_.clear();
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  for (std::size_t v = 1; v < n; ++v) offsets[v] += offsets[v - 1];
+  if (n > 0) offsets[n] = offsets[n - 1];
 
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  for (const auto& [from, to] : arcs) {
-    (void)to;
-    ++offsets[static_cast<std::size_t>(from) + 1];
+  // Scatter both orientations, filling each row back to front; afterwards
+  // offsets[v] is the start of v's row again.
+  std::vector<NodeId> neighbors(edges_.size() * 2);
+  for (const Edge& e : edges_) {
+    neighbors[--offsets[e.a]] = e.b;
+    neighbors[--offsets[e.b]] = e.a;
   }
-  for (std::size_t v = 0; v < num_nodes_; ++v) offsets[v + 1] += offsets[v];
+  std::vector<Edge>().swap(edges_);
 
-  std::vector<NodeId> neighbors;
-  neighbors.reserve(arcs.size());
-  for (const auto& [from, to] : arcs) {
-    (void)from;
-    neighbors.push_back(to);
+  // Sort and dedupe each row in place, then slide it left to close the gaps
+  // that earlier rows' duplicates left (offsets[v + 1] is read before it is
+  // rewritten on the next iteration).
+  NodeId* const base = neighbors.data();
+  std::uint64_t write = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    NodeId* const first = base + offsets[v];
+    NodeId* const last = base + offsets[v + 1];
+    std::sort(first, last);
+    offsets[v] = write;
+    NodeId* const end = std::move(first, std::unique(first, last), base + write);
+    write = static_cast<std::uint64_t>(end - base);
   }
+  offsets[n] = write;
+  neighbors.resize(write);
+  neighbors.shrink_to_fit();
   return Graph(std::move(offsets), std::move(neighbors), std::move(name));
 }
 

@@ -71,12 +71,10 @@ class GraphBuilder {
   /// Precondition: a < num_nodes() && b < num_nodes().
   void add_edge(NodeId a, NodeId b);
 
-  /// Returns true if {a, b} was already added (linear in edges added so
-  /// far for the exact check is avoided — uses a sorted snapshot; intended
-  /// for generator-internal rejection loops on small candidate sets).
-  [[nodiscard]] bool has_edge_slow(NodeId a, NodeId b) const noexcept;
-
-  /// Freezes into an immutable Graph; the builder is left empty.
+  /// Freezes into an immutable Graph; the builder is left empty. A counting
+  /// sort by endpoint: O(n + m + sum_v deg(v) log deg(v)) time, and peak
+  /// memory is the added edge list plus offsets and a neighbor array of
+  /// two entries per added edge.
   [[nodiscard]] Graph build(std::string name) &&;
 
  private:
