@@ -29,12 +29,20 @@ NodeId seed_sources(NodeId source, const AsyncOptions& options,
   return count;
 }
 
+/// Membership test shared by exchange and the probes. Not a comparison
+/// with `now`: after a zero-length gap (the draw u == 1, or now + gap ==
+/// now) a node informed at the current instant, or the source at time 0,
+/// would look uninformed.
+bool informed(const std::vector<double>& informed_time, NodeId x) noexcept {
+  return informed_time[x] != kNeverTime;
+}
+
 /// Shared exchange rule: node v contacts node w at time `now`.
 /// Returns true if somebody new was informed.
 bool exchange(Mode mode, NodeId v, NodeId w, double now, std::vector<double>& informed_time,
               NodeId& informed_count) {
-  const bool v_in = informed_time[v] < now;
-  const bool w_in = informed_time[w] < now;
+  const bool v_in = informed(informed_time, v);
+  const bool w_in = informed(informed_time, w);
   if (v_in == w_in) return false;
   switch (mode) {
     case Mode::kPush:
@@ -76,8 +84,8 @@ AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
     const NodeId w = view != nullptr ? view->sample(v, eng) : g.random_neighbor(v, eng);
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+      probe_instant(*options.probe, options.mode, informed(result.informed_time, v),
+                    informed(result.informed_time, w), lost);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -115,8 +123,8 @@ AsyncResult run_per_node_clocks(const Graph& g, NodeId source, rng::Engine& eng,
     const NodeId w = g.random_neighbor(v, eng);
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+      probe_instant(*options.probe, options.mode, informed(result.informed_time, v),
+                    informed(result.informed_time, w), lost);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -164,8 +172,8 @@ AsyncResult run_per_edge_clocks(const Graph& g, NodeId source, rng::Engine& eng,
     clock.push(now + rng::exponential(eng, rate), tick.payload);
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+      probe_instant(*options.probe, options.mode, informed(result.informed_time, v),
+                    informed(result.informed_time, w), lost);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -213,8 +221,8 @@ AsyncResult run_per_edge_clocks_heap(const Graph& g, NodeId source, rng::Engine&
     clock.push(EdgeTick{now + rng::exponential(eng, rate), tick.v, tick.w, seq++});
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, result.informed_time[tick.v] < now,
-                    result.informed_time[tick.w] < now, lost);
+      probe_instant(*options.probe, options.mode, informed(result.informed_time, tick.v),
+                    informed(result.informed_time, tick.w), lost);
     }
     if (!lost) exchange(options.mode, tick.v, tick.w, now, result.informed_time, informed_count);
   }

@@ -126,8 +126,8 @@ AsyncForestRun run_async_with_forest(const Graph& g, NodeId source, rng::Engine&
     if (g.degree(v) == 0) continue;
     const NodeId w = g.random_neighbor(v, eng);
     if (options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss)) continue;
-    const bool v_in = run.result.informed_time[v] < now;
-    const bool w_in = run.result.informed_time[w] < now;
+    const bool v_in = run.result.informed_time[v] != kNeverTime;
+    const bool w_in = run.result.informed_time[w] != kNeverTime;
     if (v_in == w_in) continue;
     if (options.mode == Mode::kPush && !v_in) continue;
     if (options.mode == Mode::kPull && !w_in) continue;

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -1066,6 +1067,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
     for (auto& th : pool) th.join();
   }
   if (error) {
+    recorder.reset();  // stops the checkpoint writer before telemetry ends
     if (tel != nullptr) tel->end();
     std::rethrow_exception(error);
   }
@@ -1074,6 +1076,9 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   outcome.results = std::move(results);
   outcome.complete = !stopped.load(std::memory_order_relaxed);
   if (recorder != nullptr) {
+    // The periodic writer finishes (or rethrows its error) first, so the
+    // final write below is the last one to land.
+    recorder->drain_writes();
     outcome.blocks_done = recorder->blocks_done();
     outcome.snapshot = recorder->snapshot(outcome.complete);
     if (!options.checkpoint_file.empty()) recorder->write_checkpoint(outcome.complete);
@@ -1823,6 +1828,27 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
              "tests/test_streaming.cpp); CI bootstrapped from a bounded uniform reservoir.");
   report.set("build_info", build_info_json());
   return report;
+}
+
+std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
+                                   const std::string& campaign_name, unsigned threads) {
+  std::vector<Json> reports(results.size());
+  std::atomic<std::size_t> next{0};
+  auto render = [&] {
+    for (std::size_t i = next++; i < results.size(); i = next++) {
+      reports[i] = campaign_report(results[i], campaign_name);
+    }
+  };
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  // The calling thread renders too. get() rethrows a helper's exception;
+  // std::async futures wait for their thread on every path.
+  std::vector<std::future<void>> helpers;
+  for (std::size_t t = 1; t < std::min<std::size_t>(threads, results.size()); ++t) {
+    helpers.push_back(std::async(std::launch::async, render));
+  }
+  render();
+  for (std::future<void>& h : helpers) h.get();
+  return reports;
 }
 
 }  // namespace rumor::sim

@@ -186,8 +186,13 @@ struct CampaignOptions {
   std::uint32_t shard_index = 1;
   /// Total shards; 1 = unsharded (every block owned by this run).
   std::uint32_t shard_count = 1;
-  /// When non-empty, write a crash-safe snapshot here every
-  /// `checkpoint_every` completed blocks and once at the end.
+  /// When non-empty, write a crash-safe snapshot here: a periodic write is
+  /// requested every `checkpoint_every` completed blocks (0 = none) and
+  /// made by one background writer thread, so workers never wait on the
+  /// disk. Requests that arrive while a write is in flight coalesce into
+  /// one more write. A crash loses at most `checkpoint_every` blocks plus
+  /// those finished during the in-flight write. The final write, once the
+  /// pool joins, is synchronous and authoritative.
   std::string checkpoint_file;
   std::uint64_t checkpoint_every = 16;
   /// Testing/ops hook: stop scheduling after this many blocks completed by
@@ -320,5 +325,13 @@ struct CampaignSpec {
 /// { "experiment": "<campaign>/<id>", "params": {...}, "rows": [one row of
 /// summary statistics], "stats": {...}, "notes": ... }.
 [[nodiscard]] Json campaign_report(const CampaignResult& result, const std::string& campaign_name);
+
+/// campaign_report for every result, rendered on `threads` threads (0 =
+/// hardware concurrency) and returned in input order. Each report is a pure
+/// function of its result, so the output is the serial loop's, byte for
+/// byte, at any thread count.
+[[nodiscard]] std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
+                                                 const std::string& campaign_name,
+                                                 unsigned threads);
 
 }  // namespace rumor::sim

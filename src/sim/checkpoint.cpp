@@ -571,21 +571,61 @@ void CampaignRecorder::record_done(std::size_t config, const CampaignResult& res
   sc.dirty = true;
 }
 
+CampaignRecorder::~CampaignRecorder() { stop_writer(); }
+
 bool CampaignRecorder::block_finished() {
   bool write = false;
   bool stop = false;
   {
     const std::scoped_lock lock(mutex_);
+    if (write_error_) std::rethrow_exception(write_error_);
     ++blocks_done_;
     ++session_blocks_;
     stop = options_.stop_after_blocks != 0 && session_blocks_ >= options_.stop_after_blocks;
+    // The stop path skips the periodic write: run_campaign_resumable
+    // writes the final (authoritative) snapshot after the queue drains.
     write = !stop && !options_.checkpoint_file.empty() && options_.checkpoint_every != 0 &&
             session_blocks_ % options_.checkpoint_every == 0;
+    if (write) {
+      write_pending_ = true;
+      if (!writer_.joinable()) writer_ = std::thread([this] { writer_loop(); });
+    }
   }
-  // The stop path skips the periodic write: run_campaign_resumable writes
-  // the final (authoritative) snapshot after the queue drains.
-  if (write) write_checkpoint(false);
+  if (write) writer_cv_.notify_one();
   return stop;
+}
+
+void CampaignRecorder::writer_loop() {
+  for (;;) {
+    {
+      std::unique_lock lock(mutex_);
+      writer_cv_.wait(lock, [this] { return write_pending_ || writer_stop_; });
+      if (writer_stop_) return;
+      write_pending_ = false;
+    }
+    try {
+      write_checkpoint(false);
+    } catch (...) {
+      const std::scoped_lock lock(mutex_);
+      write_error_ = std::current_exception();
+      return;
+    }
+  }
+}
+
+void CampaignRecorder::stop_writer() noexcept {
+  {
+    const std::scoped_lock lock(mutex_);
+    writer_stop_ = true;
+  }
+  writer_cv_.notify_one();
+  if (writer_.joinable()) writer_.join();
+}
+
+void CampaignRecorder::drain_writes() {
+  stop_writer();
+  const std::scoped_lock lock(mutex_);
+  if (write_error_) std::rethrow_exception(write_error_);
 }
 
 Json CampaignRecorder::snapshot_header(bool finished) const {
@@ -1280,7 +1320,9 @@ int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
   }
 
   Json reports = Json::array();
-  for (const CampaignResult& r : results) reports.push_back(campaign_report(r, spec->name));
+  for (Json& report : campaign_reports(results, spec->name, 0)) {
+    reports.push_back(std::move(report));
+  }
   const std::string payload =
       (reports.size() == 1 ? reports.elements().front().dump(2) : reports.dump(2)) + "\n";
   if (!out_file.empty()) {

@@ -9,7 +9,8 @@
 // result. The same document serves three flows:
 //
 //   * checkpoint / resume — run_campaign_resumable writes snapshots
-//     periodically (atomic temp + fsync + rename); a resumed campaign
+//     periodically from a background writer thread, and once more at the
+//     end (atomic temp + fsync + rename); a resumed campaign
 //     re-runs only the missing blocks and produces a final report
 //     bit-identical to an uninterrupted run at any thread count;
 //   * sharding — `--shard i/k` partitions the block space by a stable hash
@@ -30,13 +31,16 @@
 // same merge sequence on bit-identical operands.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -199,6 +203,11 @@ class CampaignRecorder {
 
   CampaignRecorder(const std::vector<CampaignConfig>& configs, const CampaignOptions& options,
                    std::string campaign_name);
+  /// Stops the background writer (if it ever started) without rethrowing
+  /// its error; a write in flight finishes first, a pending one is dropped.
+  ~CampaignRecorder();
+  CampaignRecorder(const CampaignRecorder&) = delete;
+  CampaignRecorder& operator=(const CampaignRecorder&) = delete;
 
   /// Validates `snapshot` against the configs/options/name and adopts it as
   /// the starting state (subsequent snapshots re-emit the restored
@@ -222,11 +231,20 @@ class CampaignRecorder {
   void record_done(std::size_t config, const CampaignResult& result);
 
   /// Called by a worker after each completed block: advances the block
-  /// counter, writes a periodic checkpoint when one is due, and returns
-  /// true when the stop_after_blocks budget is exhausted (the caller then
-  /// drains the queue). Throws std::runtime_error if a checkpoint write
-  /// fails (a campaign that cannot persist progress should fail loudly).
+  /// counter and returns true when the stop_after_blocks budget is
+  /// exhausted (the caller then drains the queue). It never writes: when a
+  /// periodic checkpoint is due it flags one for the background writer
+  /// thread (started on the first due write) and returns at once. Throws
+  /// the writer's std::runtime_error, naming the file, once a background
+  /// write has failed (a campaign that cannot persist progress should fail
+  /// loudly).
   [[nodiscard]] bool block_finished();
+
+  /// Stops and joins the background writer, dropping a request it has not
+  /// started, and rethrows its write error if it had one. Called once the
+  /// workers are done and before the final write_checkpoint, which is
+  /// then the last write. A no-op when no periodic write was ever due.
+  void drain_writes();
 
   /// Serializes the full snapshot document. `finished` marks a snapshot
   /// whose owned work is complete — what merge requires of shard partials.
@@ -270,15 +288,21 @@ class CampaignRecorder {
   [[nodiscard]] Json snapshot_header(bool finished) const;
   /// Config `c`'s `configs[]` entry. Caller holds mutex_.
   [[nodiscard]] Json config_entry(std::size_t c) const;
+  /// The background writer: waits for a request, writes, repeats until
+  /// stopped or a write fails.
+  void writer_loop();
+  /// Asks the writer to stop and joins it. Leaves write_error_ in place.
+  void stop_writer() noexcept;
 
   const std::vector<CampaignConfig>& configs_;
   CampaignOptions options_;
   std::string campaign_name_;
   std::string spec_hash_;
   mutable std::mutex mutex_;
-  /// Serializes checkpoint writes: concurrent periodic writers would share
-  /// one pid-derived temp file and tear it. Separate from mutex_ so workers
-  /// keep recording while a snapshot is on its way to disk.
+  /// Serializes checkpoint writes (the writer thread's and direct calls):
+  /// concurrent writers would share one pid-derived temp file and tear it.
+  /// Separate from mutex_ so workers keep recording while a snapshot is on
+  /// its way to disk.
   mutable std::mutex write_mutex_;
   std::vector<StoredConfig> store_;
   /// Owned by write_mutex_: each config's entry as rendered by the last
@@ -287,6 +311,13 @@ class CampaignRecorder {
   std::uint64_t blocks_done_ = 0;    // total, including progress restored by load()
   std::uint64_t session_blocks_ = 0; // completed by this process (drives the
                                      // checkpoint cadence and the stop budget)
+  // Background writer state, owned by mutex_. write_pending_ collapses
+  // every request made while a write is in flight into one more write.
+  std::condition_variable writer_cv_;
+  bool write_pending_ = false;
+  bool writer_stop_ = false;
+  std::exception_ptr write_error_;
+  std::thread writer_;
 };
 
 }  // namespace rumor::sim

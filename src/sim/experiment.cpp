@@ -939,10 +939,11 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
           return 1;
         }
       }
+      std::vector<Json> rendered = campaign_reports(results, spec->name, opts.threads);
       Json reports = Json::array();
       for (std::size_t i = 0; i < results.size(); ++i) {
         const CampaignResult& r = results[i];
-        Json report = campaign_report(r, spec->name);
+        Json& report = rendered[i];
         if (telemetry_stats && telemetry_metrics.has_value()) {
           // Results are ordered like the spec's configs, which is exactly
           // the registry's per_config indexing.

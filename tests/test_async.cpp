@@ -3,9 +3,12 @@
 // relation E[time] = E[steps]/n, and the star-graph Theta(log n) law.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "core/async.hpp"
+#include "core/spread_probe.hpp"
 #include "dist/distributions.hpp"
 #include "graph/generators.hpp"
 #include "rng/rng.hpp"
@@ -27,6 +30,31 @@ core::AsyncResult run(const graph::Graph& g, graph::NodeId source, Mode mode, As
 }
 
 }  // namespace
+
+// Xoshiro256++ from the state {0, 1, 2, ~0} first outputs all ones, so the
+// first exponential gap is -log(1) = 0 and the first contact lands at
+// now == 0. The source (informed at 0) must still count as informed, so the
+// contact informs the other node at once, and the probe calls it useful.
+TEST(AsyncEngine, ZeroLengthGapSeesNodesInformedAtTheSameInstant) {
+  const auto g = graph::path(2);
+  rng::Engine probe_eng(std::array<std::uint64_t, 4>{0, 1, 2, ~0ull});
+  ASSERT_EQ(probe_eng.next(), ~0ull);
+  rng::Engine eng(std::array<std::uint64_t, 4>{0, 1, 2, ~0ull});
+  core::SpreadProbe probe;
+  core::AsyncOptions opts;
+  opts.mode = Mode::kPushPull;
+  opts.view = AsyncView::kGlobalClock;
+  opts.probe = &probe;
+  const auto r = core::run_async(g, 0, eng, opts);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.time, 0.0);
+  EXPECT_EQ(r.steps, 1u);
+  EXPECT_EQ(r.informed_time[0], 0.0);
+  EXPECT_EQ(r.informed_time[1], 0.0);
+  EXPECT_EQ(probe.contacts, 1u);
+  EXPECT_EQ(probe.useful(), 1u);
+  EXPECT_EQ(probe.wasted(), 0u);
+}
 
 TEST(AsyncEngine, TwoNodeGraphCompletes) {
   const auto g = graph::path(2);

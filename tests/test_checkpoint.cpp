@@ -6,6 +6,7 @@
 // rejecting every identity mismatch loudly instead of merging garbage.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -14,11 +15,13 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/graph_store.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
@@ -757,4 +760,93 @@ TEST(CampaignCheckpoint, SuccessiveWritesReRenderWhatChanged) {
   recorder.write_checkpoint(true);
   expect_file_is_tree(options.checkpoint_file, recorder.snapshot(true));
   std::remove(options.checkpoint_file.c_str());
+}
+
+// --- The background checkpoint writer ----------------------------------------
+//
+// Periodic writes run on a writer thread the recorder owns; workers only
+// flag them. A failed write must still fail the campaign, naming the file,
+// and no exit path may hang on or abandon the writer.
+
+TEST(CampaignCheckpoint, WriterErrorFailsTheCampaignNamingTheFile) {
+  auto options = snapshot_options(2);
+  options.checkpoint_every = 1;
+  options.checkpoint_file = testing::TempDir() + "no_such_dir/ck_writer.json";
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(snapshot_configs(), options, "snap"); },
+      options.checkpoint_file);
+}
+
+TEST(CampaignCheckpoint, WriterErrorSurfacesInBlockFinishedAndDrain) {
+  const auto configs = snapshot_configs();
+  auto options = snapshot_options(1);
+  options.checkpoint_every = 1;
+  options.checkpoint_file = testing::TempDir() + "no_such_dir/ck_recorder.json";
+  sim::CampaignRecorder recorder(configs, options, "snap");
+  // The first due write starts the writer; its failure reaches a later call.
+  bool threw = false;
+  for (int i = 0; i < 10000 && !threw; ++i) {
+    try {
+      (void)recorder.block_finished();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } catch (const std::runtime_error& e) {
+      threw = true;
+      EXPECT_NE(std::string(e.what()).find(options.checkpoint_file), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(threw);
+  expect_throws_with([&] { recorder.drain_writes(); }, options.checkpoint_file);
+}
+
+TEST(CampaignCheckpoint, EngineErrorWithAWritePendingUnwindsCleanly) {
+  // Two good configs request a write per block; the third one's source is
+  // out of range, so its first block throws inside a worker while the
+  // writer is busy or has a request queued.
+  auto configs = snapshot_configs();
+  configs.resize(2);
+  sim::CampaignConfig bad = configs[0];
+  bad.id = "bad_source";
+  bad.source = 1000;
+  configs.push_back(bad);
+  for (unsigned threads : {1u, 2u}) {
+    auto options = snapshot_options(threads);
+    options.checkpoint_every = 1;
+    options.checkpoint_file = testing::TempDir() + "ck_engine_error.json";
+    expect_throws_with([&] { (void)sim::run_campaign_resumable(configs, options, "snap"); },
+                       "out of range");
+    std::remove(options.checkpoint_file.c_str());
+  }
+}
+
+TEST(CampaignCheckpoint, WriterCountsEveryWriteAndTheFinalFileIsTheTree) {
+  for (unsigned threads : {1u, 3u}) {
+    obs::Telemetry tel;
+    auto options = snapshot_options(threads);
+    options.checkpoint_every = 1;
+    options.telemetry = &tel;
+    const auto outcome =
+        run_and_expect_file_is_tree(snapshot_configs(), options, "ck_writer_count.json");
+    EXPECT_TRUE(outcome.complete);
+    // Coalesced requests write less often than once per block, and the
+    // final synchronous write always lands.
+    const std::uint64_t writes = tel.snapshot().checkpoint_writes;
+    EXPECT_GE(writes, 1u) << threads;
+    EXPECT_LE(writes, outcome.blocks_done + 1) << threads;
+  }
+}
+
+TEST(CampaignReports, ParallelRenderingEqualsTheSerialLoop) {
+  const auto configs = snapshot_configs();
+  const auto results = sim::run_campaign(configs, snapshot_options(2));
+  std::vector<std::string> serial;
+  for (const auto& r : results) serial.push_back(sim::campaign_report(r, "snap").dump(2));
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const std::vector<sim::Json> reports = sim::campaign_reports(results, "snap", threads);
+    ASSERT_EQ(reports.size(), serial.size()) << threads;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      EXPECT_EQ(reports[i].dump(2), serial[i]) << "threads " << threads << ", report " << i;
+    }
+  }
+  EXPECT_TRUE(sim::campaign_reports({}, "snap", 4).empty());
 }
