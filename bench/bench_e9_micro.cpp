@@ -184,6 +184,20 @@ sim::Json run(const sim::ExperimentContext& ctx) {
       keep_alive(sink);
     }
   }
+  // The idle-tick case: from hub 0 the rumor waits ~256 time units for
+  // the hub-hub edge, so almost every global-clock tick changes nothing
+  // and this row is mostly the clock's per-tick cost.
+  {
+    const auto g = graph::double_star(1024);
+    auto eng = rng::derive_stream(seed, 13);
+    const std::uint64_t iters = scaled(20);
+    std::uint64_t sink = 0;
+    add("run_async/global_clock/double_star(1024)", iters,
+        time_ns_per_op(iters, [&](std::uint64_t k) {
+          for (std::uint64_t i = 0; i < k; ++i) sink += core::run_async(g, 0, eng).steps;
+        }));
+    keep_alive(sink);
+  }
   {
     const auto g = graph::hypercube(10);
     auto eng = rng::derive_stream(seed, 7);

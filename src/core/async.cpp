@@ -37,44 +37,63 @@ bool informed(const std::vector<double>& informed_time, NodeId x) noexcept {
   return informed_time[x] != kNeverTime;
 }
 
-/// Shared exchange rule: node v contacts node w at time `now`.
-/// Returns true if somebody new was informed.
-bool exchange(Mode mode, NodeId v, NodeId w, double now, std::vector<double>& informed_time,
-              NodeId& informed_count) {
+constexpr NodeId kNobody = static_cast<NodeId>(-1);
+
+/// The global clock folds its running product of uniforms below this
+/// (see run_global_clock).
+constexpr double kFoldBelow = 0x1p-960;
+
+/// Shared exchange rule: node v contacts node w. Returns the node the
+/// contact informs, or kNobody if it changes nothing.
+NodeId exchange_target(Mode mode, NodeId v, NodeId w,
+                       const std::vector<double>& informed_time) noexcept {
   const bool v_in = informed(informed_time, v);
   const bool w_in = informed(informed_time, w);
-  if (v_in == w_in) return false;
-  switch (mode) {
-    case Mode::kPush:
-      if (!v_in) return false;
-      break;
-    case Mode::kPull:
-      if (!w_in) return false;
-      break;
-    case Mode::kPushPull:
-      break;
-  }
-  NodeId target = v_in ? w : v;
+  if (v_in == w_in) return kNobody;
+  if (mode == Mode::kPush && !v_in) return kNobody;
+  if (mode == Mode::kPull && !w_in) return kNobody;
+  return v_in ? w : v;
+}
+
+/// Applies the exchange rule at time `now`, stamping the node it informs.
+void exchange(Mode mode, NodeId v, NodeId w, double now, std::vector<double>& informed_time,
+              NodeId& informed_count) {
+  const NodeId target = exchange_target(mode, v, w, informed_time);
+  if (target == kNobody) return;
   informed_time[target] = now;
   ++informed_count;
-  return true;
 }
 
 AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
-                             const AsyncOptions& options, std::uint64_t cap) {
+                             const AsyncOptions& options, std::uint64_t cap,
+                             const InformHook& on_inform) {
   const NodeId n = g.num_nodes();
   AsyncResult result;
   result.informed_time.assign(n, kNeverTime);
   NodeId informed_count = seed_sources(source, options, result.informed_time);
 
+  // Tick k comes -log(u_k)/n after tick k-1. Only informs, the dynamics
+  // view and the final time read the clock, and -sum log u_k equals
+  // -log prod u_k, so each tick multiplies its uniform into `prod` and
+  // `fold` pays one log for the whole run of ticks since the last fold.
+  // Folding once prod < 2^-960 keeps it normal: every u is >= 2^-53.
   double now = 0.0;
+  double prod = 1.0;
   std::uint64_t steps = 0;
   const double rate = static_cast<double>(n);
+  auto fold = [&] {
+    now -= std::log(prod) / rate;
+    prod = 1.0;
+  };
   dynamics::DynamicGraphView* const view = options.dynamics;
   while (informed_count < n && steps < cap) {
-    now += rng::exponential(eng, rate);
+    prod *= rng::uniform01_open_low(eng);
     ++steps;
-    if (view != nullptr) view->advance_time(now);  // churn epochs track the clock
+    if (prod < kFoldBelow) fold();
+    if (view != nullptr) {
+      fold();
+      view->advance_time(now);  // churn epochs track the clock
+    }
     const NodeId v = static_cast<NodeId>(rng::uniform_below(eng, n));
     const std::uint32_t deg = view != nullptr ? view->degree(v) : g.degree(v);
     if (deg == 0) {
@@ -87,8 +106,15 @@ AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
       probe_instant(*options.probe, options.mode, informed(result.informed_time, v),
                     informed(result.informed_time, w), lost);
     }
-    if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
+    if (lost) continue;
+    const NodeId target = exchange_target(options.mode, v, w, result.informed_time);
+    if (target == kNobody) continue;
+    fold();
+    result.informed_time[target] = now;
+    ++informed_count;
+    if (on_inform) on_inform(target == w ? v : w, target);
   }
+  fold();
   result.time = now;
   result.steps = steps;
   result.completed = (informed_count == n);
@@ -232,6 +258,10 @@ AsyncResult run_per_edge_clocks_heap(const Graph& g, NodeId source, rng::Engine&
   return result;
 }
 
+std::uint64_t step_cap(const Graph& g, const AsyncOptions& options) noexcept {
+  return options.max_ticks != 0 ? options.max_ticks : default_step_cap(g.num_nodes());
+}
+
 /// Shared dispatcher: run_async and run_async_reference differ only in the
 /// per-edge implementation, so the precondition guard and cap derivation
 /// cannot drift apart between the production engine and its oracle.
@@ -243,10 +273,9 @@ AsyncResult dispatch_async(const Graph& g, NodeId source, rng::Engine& eng,
   if (options.dynamics != nullptr && options.view != AsyncView::kGlobalClock) {
     throw std::runtime_error("run_async: dynamics overlays need the global-clock view");
   }
-  const std::uint64_t cap =
-      options.max_ticks != 0 ? options.max_ticks : default_step_cap(g.num_nodes());
+  const std::uint64_t cap = step_cap(g, options);
   switch (options.view) {
-    case AsyncView::kGlobalClock: return run_global_clock(g, source, eng, options, cap);
+    case AsyncView::kGlobalClock: return run_global_clock(g, source, eng, options, cap, {});
     case AsyncView::kPerNodeClocks: return run_per_node_clocks(g, source, eng, options, cap);
     case AsyncView::kPerEdgeClocks: return per_edge(g, source, eng, options, cap);
   }
@@ -269,6 +298,12 @@ AsyncResult run_async(const Graph& g, NodeId source, rng::Engine& eng,
 AsyncResult run_async_reference(const Graph& g, NodeId source, rng::Engine& eng,
                                 const AsyncOptions& options) {
   return dispatch_async(g, source, eng, options, &run_per_edge_clocks_heap);
+}
+
+AsyncResult run_async_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
+                                   const AsyncOptions& options, const InformHook& on_inform) {
+  assert(source < g.num_nodes());
+  return run_global_clock(g, source, eng, options, step_cap(g, options), on_inform);
 }
 
 }  // namespace rumor::core

@@ -13,7 +13,13 @@
 // The equivalence is the superposition/thinning property of Poisson
 // processes plus the memorylessness of the exponential distribution. The
 // global-clock view is the fastest (no priority queue) and is the default.
+// It draws one uniform u per tick but takes the log of the product of the
+// uniforms only when the clock is read (docs/ENGINES.md, "The async global
+// clock"): same draws and trajectory as summing -log(u)/n per tick, times
+// equal up to rounding.
 #pragma once
+
+#include <functional>
 
 #include "core/protocol.hpp"
 #include "core/spread_probe.hpp"
@@ -49,6 +55,18 @@ struct AsyncOptions : TrialOptions {
 /// (tests/test_fastpath.cpp), not for production use.
 [[nodiscard]] AsyncResult run_async_reference(const Graph& g, NodeId source, rng::Engine& eng,
                                               const AsyncOptions& options = {});
+
+/// Called once per inform, in inform order, after the target's time is
+/// stamped: `informer` passed the rumor to `target`.
+using InformHook = std::function<void(NodeId informer, NodeId target)>;
+
+/// The global-clock view of run_async (options.view is ignored) with an
+/// inform hook. Same draws and same result as run_async with
+/// AsyncView::kGlobalClock; the informing forest (informing_forest.hpp)
+/// records its parents through the hook.
+[[nodiscard]] AsyncResult run_async_global_clock(const Graph& g, NodeId source,
+                                                 rng::Engine& eng, const AsyncOptions& options,
+                                                 const InformHook& on_inform);
 
 /// Default step cap used when TrialOptions::max_ticks == 0.
 [[nodiscard]] std::uint64_t default_step_cap(NodeId n) noexcept;

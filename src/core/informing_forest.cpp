@@ -97,49 +97,11 @@ SyncForestRun run_sync_with_forest(const Graph& g, NodeId source, rng::Engine& e
 
 AsyncForestRun run_async_with_forest(const Graph& g, NodeId source, rng::Engine& eng,
                                      const AsyncOptions& options) {
-  // Global-clock view with informer bookkeeping (mirrors run_async's
-  // kGlobalClock path draw for draw).
-  const NodeId n = g.num_nodes();
-  assert(source < n);
-  const std::uint64_t cap =
-      options.max_ticks != 0 ? options.max_ticks : default_step_cap(n);
-
   AsyncForestRun run;
-  run.result.informed_time.assign(n, kNeverTime);
-  run.result.informed_time[source] = 0.0;
-  run.forest.parent.assign(n, kNoParent);
-  NodeId informed_count = 1;
-  for (NodeId extra : options.extra_sources) {
-    if (run.result.informed_time[extra] == kNeverTime) {
-      run.result.informed_time[extra] = 0.0;
-      ++informed_count;
-    }
-  }
-
-  double now = 0.0;
-  std::uint64_t steps = 0;
-  const double rate = static_cast<double>(n);
-  while (informed_count < n && steps < cap) {
-    now += rng::exponential(eng, rate);
-    ++steps;
-    const NodeId v = static_cast<NodeId>(rng::uniform_below(eng, n));
-    if (g.degree(v) == 0) continue;
-    const NodeId w = g.random_neighbor(v, eng);
-    if (options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss)) continue;
-    const bool v_in = run.result.informed_time[v] != kNeverTime;
-    const bool w_in = run.result.informed_time[w] != kNeverTime;
-    if (v_in == w_in) continue;
-    if (options.mode == Mode::kPush && !v_in) continue;
-    if (options.mode == Mode::kPull && !w_in) continue;
-    const NodeId target = v_in ? w : v;
-    const NodeId informer = v_in ? v : w;
-    run.result.informed_time[target] = now;
-    run.forest.parent[target] = informer;
-    ++informed_count;
-  }
-  run.result.time = now;
-  run.result.steps = steps;
-  run.result.completed = (informed_count == n);
+  run.forest.parent.assign(g.num_nodes(), kNoParent);
+  run.result = run_async_global_clock(
+      g, source, eng, options,
+      [&parent = run.forest.parent](NodeId informer, NodeId target) { parent[target] = informer; });
   run.forest.completed = run.result.completed;
   return run;
 }

@@ -49,6 +49,9 @@ struct SyncForestRun {
                                                  const SyncOptions& options = {});
 
 /// Runs the asynchronous protocol (global-clock view) recording informers.
+/// The returned AsyncResult matches run_async's global-clock view with the
+/// same engine state: it is run_async_global_clock with a parent-recording
+/// hook.
 struct AsyncForestRun {
   AsyncResult result;
   InformingForest forest;
