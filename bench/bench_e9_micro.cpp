@@ -141,6 +141,19 @@ sim::Json run(const sim::ExperimentContext& ctx) {
         }));
     keep_alive(sink);
   }
+  // The irregular scan (per-node CSR rows) on the graph where sync waits
+  // longest: from hub 0 the rumor crosses the hub-hub edge after ~256
+  // rounds of 1024 contacts.
+  {
+    const auto g = graph::double_star(1024);
+    auto eng = rng::derive_stream(seed, 14);
+    const std::uint64_t iters = scaled(20);
+    std::uint64_t sink = 0;
+    add("run_sync_pushpull/double_star(1024)", iters, time_ns_per_op(iters, [&](std::uint64_t k) {
+          for (std::uint64_t i = 0; i < k; ++i) sink += core::run_sync(g, 0, eng).rounds;
+        }));
+    keep_alive(sink);
+  }
   // The batch-lane sync engine against the run_sync rows above. One batch
   // is `lanes` trials, so the row reports ns per *trial* (batch time /
   // lanes): lanes=1 is the engine's fixed overhead, lanes=64 is the

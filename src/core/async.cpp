@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/event_queue.hpp"
+#include "core/scan_kind.hpp"
 #include "dynamics/churn.hpp"
 
 namespace rumor::core {
@@ -29,54 +30,67 @@ NodeId seed_sources(NodeId source, const AsyncOptions& options,
   return count;
 }
 
-/// Membership test shared by exchange and the probes. Not a comparison
-/// with `now`: after a zero-length gap (the draw u == 1, or now + gap ==
-/// now) a node informed at the current instant, or the source at time 0,
-/// would look uninformed.
+/// Membership test shared by exchange and the probes (the global-clock loop
+/// inlines it on its hoisted data pointer). Not a comparison with `now`:
+/// after a zero-length gap (the draw u == 1, or now + gap == now) a node
+/// informed at the current instant, or the source at time 0, would look
+/// uninformed.
 bool informed(const std::vector<double>& informed_time, NodeId x) noexcept {
   return informed_time[x] != kNeverTime;
 }
 
-constexpr NodeId kNobody = static_cast<NodeId>(-1);
-
 /// The global clock folds its running product of uniforms below this
-/// (see run_global_clock).
+/// (see global_clock_loop).
 constexpr double kFoldBelow = 0x1p-960;
 
-/// Shared exchange rule: node v contacts node w. Returns the node the
-/// contact informs, or kNobody if it changes nothing.
-NodeId exchange_target(Mode mode, NodeId v, NodeId w,
-                       const std::vector<double>& informed_time) noexcept {
-  const bool v_in = informed(informed_time, v);
-  const bool w_in = informed(informed_time, w);
-  if (v_in == w_in) return kNobody;
-  if (mode == Mode::kPush && !v_in) return kNobody;
-  if (mode == Mode::kPull && !w_in) return kNobody;
-  return v_in ? w : v;
-}
-
-/// Applies the exchange rule at time `now`, stamping the node it informs.
+/// The exchange rule of the per-node and per-edge views: node v contacts
+/// node w at time `now`; the uninformed endpoint learns the rumor if the
+/// mode carries it that way.
 void exchange(Mode mode, NodeId v, NodeId w, double now, std::vector<double>& informed_time,
               NodeId& informed_count) {
-  const NodeId target = exchange_target(mode, v, w, informed_time);
-  if (target == kNobody) return;
-  informed_time[target] = now;
+  const bool v_in = informed(informed_time, v);
+  const bool w_in = informed(informed_time, w);
+  if (v_in == w_in) return;
+  if (mode == Mode::kPush && !v_in) return;
+  if (mode == Mode::kPull && !w_in) return;
+  informed_time[v_in ? w : v] = now;
   ++informed_count;
 }
 
-AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
-                             const AsyncOptions& options, std::uint64_t cap,
-                             const InformHook& on_inform) {
+/// The global-clock tick loop, specialized per (mode, loss, scan kind,
+/// probe) like sync's run_rounds, so a tick tests none of them. Every
+/// specialization makes the same draws in the same order: the clock
+/// uniform u, the caller uniform_below(n), the callee draw (the CSR row,
+/// the flat stride `flat[v*d + uniform_below(d)]` on regular graphs, or
+/// the view), then bernoulli(loss) on every non-empty contact under loss.
+//
+// The clock: tick k comes -log(u_k)/n after tick k-1. Only informs, the
+// dynamics view and the final time read the clock, and -sum log u_k equals
+// -log prod u_k, so each tick multiplies its uniform into `prod` and `fold`
+// pays one log for the whole run of ticks since the last fold. Folding once
+// prod < 2^-960 keeps it normal: every u is >= 2^-53.
+//
+// The engine is copied into a local and written back at exit
+// (docs/ENGINES.md, "The two hot loops"); held by reference, its state
+// would round-trip through memory on every draw.
+template <Mode M, bool HasLoss, ScanKind K, bool HasProbe>
+AsyncResult global_clock_loop(const Graph& g, NodeId source, rng::Engine& caller_eng,
+                              const AsyncOptions& options, std::uint64_t cap,
+                              const InformHook& on_inform) {
   const NodeId n = g.num_nodes();
   AsyncResult result;
   result.informed_time.assign(n, kNeverTime);
   NodeId informed_count = seed_sources(source, options, result.informed_time);
+  double* const time = result.informed_time.data();
 
-  // Tick k comes -log(u_k)/n after tick k-1. Only informs, the dynamics
-  // view and the final time read the clock, and -sum log u_k equals
-  // -log prod u_k, so each tick multiplies its uniform into `prod` and
-  // `fold` pays one log for the whole run of ticks since the last fold.
-  // Folding once prod < 2^-960 keeps it normal: every u is >= 2^-53.
+  rng::Engine eng = caller_eng;
+  dynamics::DynamicGraphView* const view = options.dynamics;
+  SpreadProbe* const probe = options.probe;
+  const double loss = options.message_loss;
+  const std::uint32_t regular_degree = K == ScanKind::kRegular ? g.degree(0) : 0;
+  const NodeId* const flat_neighbors =
+      K == ScanKind::kRegular ? g.neighbors(0).data() : nullptr;
+
   double now = 0.0;
   double prod = 1.0;
   std::uint64_t steps = 0;
@@ -85,40 +99,62 @@ AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
     now -= std::log(prod) / rate;
     prod = 1.0;
   };
-  dynamics::DynamicGraphView* const view = options.dynamics;
   while (informed_count < n && steps < cap) {
     prod *= rng::uniform01_open_low(eng);
     ++steps;
     if (prod < kFoldBelow) fold();
-    if (view != nullptr) {
+    if constexpr (K == ScanKind::kView) {
       fold();
       view->advance_time(now);  // churn epochs track the clock
     }
     const NodeId v = static_cast<NodeId>(rng::uniform_below(eng, n));
-    const std::uint32_t deg = view != nullptr ? view->degree(v) : g.degree(v);
-    if (deg == 0) {
-      if (options.probe != nullptr) probe_empty_contact(*options.probe);
-      continue;
+    NodeId w;
+    if constexpr (K == ScanKind::kRegular) {
+      w = flat_neighbors[static_cast<std::size_t>(v) * regular_degree +
+                         rng::uniform_below(eng, regular_degree)];
+    } else {
+      const std::uint32_t deg = K == ScanKind::kView ? view->degree(v) : g.degree(v);
+      if (deg == 0) {
+        if constexpr (HasProbe) probe_empty_contact(*probe);
+        continue;
+      }
+      w = K == ScanKind::kView ? view->sample(v, eng) : g.random_neighbor(v, eng);
     }
-    const NodeId w = view != nullptr ? view->sample(v, eng) : g.random_neighbor(v, eng);
-    const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
-    if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, informed(result.informed_time, v),
-                    informed(result.informed_time, w), lost);
+    bool lost = false;
+    if constexpr (HasLoss) lost = rng::bernoulli(eng, loss);
+    const bool v_in = time[v] != kNeverTime;
+    const bool w_in = time[w] != kNeverTime;
+    if constexpr (HasProbe) probe_instant(*probe, M, v_in, w_in, lost);
+    if (lost || v_in == w_in) continue;
+    if constexpr (M == Mode::kPush) {
+      if (!v_in) continue;
+    } else if constexpr (M == Mode::kPull) {
+      if (!w_in) continue;
     }
-    if (lost) continue;
-    const NodeId target = exchange_target(options.mode, v, w, result.informed_time);
-    if (target == kNobody) continue;
+    const NodeId informer = v_in ? v : w;
+    const NodeId target = v_in ? w : v;
     fold();
-    result.informed_time[target] = now;
+    time[target] = now;
     ++informed_count;
-    if (on_inform) on_inform(target == w ? v : w, target);
+    if (on_inform) on_inform(informer, target);
   }
   fold();
   result.time = now;
   result.steps = steps;
   result.completed = (informed_count == n);
+  caller_eng = eng;
   return result;
+}
+
+AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
+                             const AsyncOptions& options, std::uint64_t cap,
+                             const InformHook& on_inform) {
+  return specialize(options.mode, options.message_loss > 0.0,
+                    choose_scan(g, options.dynamics != nullptr), options.probe != nullptr,
+                    [&]<Mode M, bool HasLoss, ScanKind K, bool HasProbe>() {
+                      return global_clock_loop<M, HasLoss, K, HasProbe>(g, source, eng, options,
+                                                                        cap, on_inform);
+                    });
 }
 
 AsyncResult run_per_node_clocks(const Graph& g, NodeId source, rng::Engine& eng,

@@ -16,7 +16,10 @@
 // It draws one uniform u per tick but takes the log of the product of the
 // uniforms only when the clock is read (docs/ENGINES.md, "The async global
 // clock"): same draws and trajectory as summing -log(u)/n per tick, times
-// equal up to rounding.
+// equal up to rounding. Its tick loop is specialized once per trial on
+// (mode, loss, scan kind, probe) and draws from a local copy of the engine,
+// written back on return (docs/ENGINES.md, "The two hot loops"): the
+// caller sees the same draws, results and final engine state.
 #pragma once
 
 #include <functional>

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/scan_kind.hpp"
 #include "core/sync.hpp"
 
 namespace rumor::core {
@@ -18,9 +19,12 @@ namespace {
 /// engines' 64-bit draws. Part of the engine's documented randomness-
 /// consumption model (docs/ENGINES.md) — NOT interchangeable with
 /// rng::uniform_below, which is exactly why batch_sync is held to
-/// distributional rather than bit-identical equality.
+/// distributional rather than bit-identical equality. Holds the engine by
+/// value, so its state stays in registers through the round loop (the
+/// loop's uint64_t word stores could otherwise alias it); the loop writes
+/// it back to the caller's engine at exit.
 struct HalfSource {
-  rng::Engine& eng;
+  rng::Engine eng;
   std::uint64_t word = 0;
   bool have_low = false;
 
@@ -36,8 +40,11 @@ struct HalfSource {
 };
 
 /// Lemire's unbiased bounded draw on 32-bit halves (the 64-bit original is
-/// rng::uniform_below). Bounds here are node degrees, always < 2^32.
-std::uint32_t uniform_below32(HalfSource& src, std::uint32_t bound) {
+/// rng::uniform_below). Bounds here are node degrees, always < 2^32. Forced
+/// inline: as an out-of-line call it takes the source's address, and the
+/// engine state goes back to memory on every draw.
+[[gnu::always_inline]] inline std::uint32_t uniform_below32(HalfSource& src,
+                                                            std::uint32_t bound) {
   std::uint64_t m = static_cast<std::uint64_t>(src.next32()) * bound;
   auto low = static_cast<std::uint32_t>(m);
   if (low < bound) {
@@ -77,11 +84,12 @@ std::uint32_t uniform_below32(HalfSource& src, std::uint32_t bound) {
 /// would fire (the same endpoint condition run_sync uses), at 2^-32 coin
 /// resolution — far below anything a distributional gate can resolve.
 template <Mode M, bool HasLoss, bool Regular>
-void run_lane_rounds(const Graph& g, HalfSource& src, std::uint64_t loss_threshold,
+void run_lane_rounds(const Graph& g, rng::Engine& eng, std::uint64_t loss_threshold,
                      std::uint64_t cap, std::vector<std::uint64_t>& informed,
                      std::vector<std::uint64_t>& pending,
                      std::array<NodeId, kMaxBatchLanes>& remaining, std::uint64_t& live,
                      BatchSyncResult& out) {
+  HalfSource src{eng};
   const NodeId n = g.num_nodes();
   const std::uint32_t regular_degree = Regular ? g.degree(0) : 0;
   const NodeId* const flat_neighbors = Regular ? g.neighbors(0).data() : nullptr;
@@ -194,27 +202,27 @@ void run_lane_rounds(const Graph& g, HalfSource& src, std::uint64_t loss_thresho
       } while (newly != 0);
     }
   }
+  eng = src.eng;
 }
 
 template <Mode M, bool HasLoss>
-void dispatch_scan(const Graph& g, HalfSource& src, std::uint64_t loss_threshold,
+void dispatch_scan(const Graph& g, rng::Engine& eng, std::uint64_t loss_threshold,
                    std::uint64_t cap, std::vector<std::uint64_t>& informed,
                    std::vector<std::uint64_t>& pending,
                    std::array<NodeId, kMaxBatchLanes>& remaining, std::uint64_t& live,
                    BatchSyncResult& out) {
-  // Same regularity condition as run_sync's fast path: one flat neighbor
-  // row, no per-node offset loads.
-  if (g.num_nodes() > 0 && g.degree(0) > 0 && g.is_regular()) {
-    run_lane_rounds<M, HasLoss, true>(g, src, loss_threshold, cap, informed, pending,
+  // run_sync's regular scan: one flat neighbor row, no per-node offsets.
+  if (choose_scan(g, false) == ScanKind::kRegular) {
+    run_lane_rounds<M, HasLoss, true>(g, eng, loss_threshold, cap, informed, pending,
                                       remaining, live, out);
   } else {
-    run_lane_rounds<M, HasLoss, false>(g, src, loss_threshold, cap, informed, pending,
+    run_lane_rounds<M, HasLoss, false>(g, eng, loss_threshold, cap, informed, pending,
                                        remaining, live, out);
   }
 }
 
 template <Mode M>
-void dispatch_loss(const Graph& g, HalfSource& src, double message_loss, std::uint64_t cap,
+void dispatch_loss(const Graph& g, rng::Engine& eng, double message_loss, std::uint64_t cap,
                    std::vector<std::uint64_t>& informed, std::vector<std::uint64_t>& pending,
                    std::array<NodeId, kMaxBatchLanes>& remaining, std::uint64_t& live,
                    BatchSyncResult& out) {
@@ -222,10 +230,10 @@ void dispatch_loss(const Graph& g, HalfSource& src, double message_loss, std::ui
   // loss == 1.0 endpoint maps to 2^32, above every 32-bit draw).
   const auto loss_threshold = static_cast<std::uint64_t>(message_loss * 4294967296.0);
   if (message_loss > 0.0) {
-    dispatch_scan<M, true>(g, src, loss_threshold, cap, informed, pending, remaining, live,
+    dispatch_scan<M, true>(g, eng, loss_threshold, cap, informed, pending, remaining, live,
                            out);
   } else {
-    dispatch_scan<M, false>(g, src, 0, cap, informed, pending, remaining, live, out);
+    dispatch_scan<M, false>(g, eng, 0, cap, informed, pending, remaining, live, out);
   }
 }
 
@@ -275,18 +283,17 @@ BatchSyncResult run_batch_sync(const Graph& g, NodeId source, rng::Engine& eng,
     return out;
   }
 
-  HalfSource src{eng};
   switch (options.mode) {
     case Mode::kPush:
-      dispatch_loss<Mode::kPush>(g, src, options.message_loss, cap, informed, pending,
+      dispatch_loss<Mode::kPush>(g, eng, options.message_loss, cap, informed, pending,
                                  remaining, live, out);
       break;
     case Mode::kPull:
-      dispatch_loss<Mode::kPull>(g, src, options.message_loss, cap, informed, pending,
+      dispatch_loss<Mode::kPull>(g, eng, options.message_loss, cap, informed, pending,
                                  remaining, live, out);
       break;
     case Mode::kPushPull:
-      dispatch_loss<Mode::kPushPull>(g, src, options.message_loss, cap, informed, pending,
+      dispatch_loss<Mode::kPushPull>(g, eng, options.message_loss, cap, informed, pending,
                                      remaining, live, out);
       break;
   }

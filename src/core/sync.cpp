@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/informed_set.hpp"
+#include "core/scan_kind.hpp"
 #include "dynamics/churn.hpp"
 
 namespace rumor::core {
@@ -31,23 +32,16 @@ NodeId seed_sources(NodeId source, const SyncOptions& options, SyncResult& resul
   return count;
 }
 
-/// How the round scan draws the contacted neighbor.
-enum class ScanKind : std::uint8_t {
-  kView,     // through a dynamics overlay (churn and/or weights)
-  kStatic,   // base CSR, per-node degree
-  kRegular,  // base CSR, uniform degree: one flat row stride, no offsets
-};
-
-/// The round loop, specialized per (mode, loss, scan kind) so the inner
-/// scan carries no per-node dispatch. Randomness consumption is identical
-/// to the reference scan below for every specialization: one neighbor draw
-/// per non-isolated node, plus one Bernoulli iff exactly one endpoint is
-/// informed and loss is configured — membership moved from the 64-bit stamp
-/// array into InformedSet words, which consumes nothing. The lossless
-/// variants are additionally branch-free past the neighbor draw: the
-/// exchange outcome is ORed into the pending word as a shifted 0/1 mask,
-/// so the mixing rounds (informed set near half full, where the exchange
-/// branch is unpredictable) pay no mispredictions.
+/// The round loop, specialized per (mode, loss, scan kind, probe) so the
+/// inner scan carries no per-node dispatch. Randomness consumption is
+/// identical to the reference scan below for every specialization: one
+/// neighbor draw per non-isolated node, plus one Bernoulli iff exactly one
+/// endpoint is informed and loss is configured — membership moved from the
+/// 64-bit stamp array into InformedSet words, which consumes nothing. The
+/// lossless variants are additionally branch-free past the neighbor draw:
+/// the exchange outcome is ORed into the pending word as a shifted 0/1
+/// mask, so the mixing rounds (informed set near half full, where the
+/// exchange branch is unpredictable) pay no mispredictions.
 //
 // Why the bitset sees exactly the reference's informed set: stamps written
 // during a round are always the round number r itself, so while round r is
@@ -57,9 +51,15 @@ enum class ScanKind : std::uint8_t {
 // round's targets (always the uninformed endpoint, so overlap with the
 // committed set is impossible), and the commit is a word-scan that stamps
 // each newly informed node once, exactly like the reference's dedup loop.
+//
+// The engine is copied into a local and written back at exit
+// (docs/ENGINES.md, "The two hot loops"): held by reference, its four
+// state words would be stored after every draw, since the uint64_t
+// pending-word stores may alias them.
 template <Mode M, bool HasLoss, ScanKind K, bool HasProbe>
-void run_rounds(const Graph& g, rng::Engine& eng, const SyncOptions& options,
+void run_rounds(const Graph& g, rng::Engine& caller_eng, const SyncOptions& options,
                 SyncResult& result, NodeId& informed_count, std::uint64_t cap) {
+  rng::Engine eng = caller_eng;
   const NodeId n = g.num_nodes();
   dynamics::DynamicGraphView* const view = options.dynamics;
   const double loss = options.message_loss;
@@ -150,32 +150,7 @@ void run_rounds(const Graph& g, rng::Engine& eng, const SyncOptions& options,
         informed.absorb_drain(pending, [&](NodeId u) { result.informed_round[u] = r; });
     result.rounds = r;
   }
-}
-
-template <Mode M, bool HasLoss, ScanKind K>
-void dispatch_probe(const Graph& g, rng::Engine& eng, const SyncOptions& options,
-                    SyncResult& result, NodeId& informed_count, std::uint64_t cap) {
-  options.probe != nullptr
-      ? run_rounds<M, HasLoss, K, true>(g, eng, options, result, informed_count, cap)
-      : run_rounds<M, HasLoss, K, false>(g, eng, options, result, informed_count, cap);
-}
-
-template <Mode M>
-void dispatch_loss_view(const Graph& g, rng::Engine& eng, const SyncOptions& options,
-                        SyncResult& result, NodeId& informed_count, std::uint64_t cap) {
-  const bool has_loss = options.message_loss > 0.0;
-  if (options.dynamics != nullptr) {
-    has_loss ? dispatch_probe<M, true, ScanKind::kView>(g, eng, options, result, informed_count, cap)
-             : dispatch_probe<M, false, ScanKind::kView>(g, eng, options, result, informed_count, cap);
-  } else if (g.num_nodes() > 0 && g.degree(0) > 0 && g.is_regular()) {
-    has_loss
-        ? dispatch_probe<M, true, ScanKind::kRegular>(g, eng, options, result, informed_count, cap)
-        : dispatch_probe<M, false, ScanKind::kRegular>(g, eng, options, result, informed_count, cap);
-  } else {
-    has_loss
-        ? dispatch_probe<M, true, ScanKind::kStatic>(g, eng, options, result, informed_count, cap)
-        : dispatch_probe<M, false, ScanKind::kStatic>(g, eng, options, result, informed_count, cap);
-  }
+  caller_eng = eng;
 }
 
 }  // namespace
@@ -192,17 +167,10 @@ SyncResult run_sync(const Graph& g, NodeId source, rng::Engine& eng,
   const std::uint64_t cap =
       options.max_ticks != 0 ? options.max_ticks : default_round_cap(n);
 
-  switch (options.mode) {
-    case Mode::kPush:
-      dispatch_loss_view<Mode::kPush>(g, eng, options, result, informed_count, cap);
-      break;
-    case Mode::kPull:
-      dispatch_loss_view<Mode::kPull>(g, eng, options, result, informed_count, cap);
-      break;
-    case Mode::kPushPull:
-      dispatch_loss_view<Mode::kPushPull>(g, eng, options, result, informed_count, cap);
-      break;
-  }
+  specialize(options.mode, options.message_loss > 0.0, choose_scan(g, options.dynamics != nullptr),
+             options.probe != nullptr, [&]<Mode M, bool HasLoss, ScanKind K, bool HasProbe>() {
+               run_rounds<M, HasLoss, K, HasProbe>(g, eng, options, result, informed_count, cap);
+             });
 
   result.completed = (informed_count == n);
   if (!result.completed) result.rounds = cap;

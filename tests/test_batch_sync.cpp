@@ -192,6 +192,43 @@ TEST(BatchSync, RoundCapMarksEveryLaneIncomplete) {
   EXPECT_EQ(result.total_rounds, 45u);
 }
 
+TEST(BatchSync, ConsumesTheCallersStreamAsPinned) {
+  // Two batches back to back on one engine, on a regular and an irregular
+  // graph, every mode, with and without loss. The FNV digest covers every
+  // lane's rounds and the caller's engine state after each batch, so it
+  // pins the draws and that the engine is handed back advanced. Recorded
+  // with the engine held by reference inside the batch engine.
+  auto gen = rng::derive_stream(77, 1);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::hypercube(6));
+  graphs.push_back(graph::erdos_renyi(96, 0.07, gen));
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto add = [&digest](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (x >> (8 * byte)) & 0xffu;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  std::uint64_t stream = 0;
+  for (const auto& g : graphs) {
+    for (core::Mode mode : {core::Mode::kPush, core::Mode::kPull, core::Mode::kPushPull}) {
+      for (double loss : {0.0, 0.2}) {
+        core::BatchSyncOptions options;
+        options.mode = mode;
+        options.message_loss = loss;
+        options.lanes = 16;
+        rng::Engine eng = rng::derive_stream(9003, stream++);
+        for (int batch = 0; batch < 2; ++batch) {
+          const auto result = core::run_batch_sync(g, 0, eng, options);
+          for (const std::uint64_t rounds : result.rounds) add(rounds);
+          for (const std::uint64_t word : eng.state()) add(word);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x33728c2c8310c98bULL) << std::hex << digest;
+}
+
 TEST(BatchSync, RejectsBadLaneCountsAndUnsupportedTelemetry) {
   const auto g = graph::complete(4);
   rng::Engine eng = rng::derive_stream(8, 0);
