@@ -12,7 +12,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -376,10 +375,6 @@ Block block_for_slot(std::size_t config, BlockKind kind, std::uint32_t entrant,
   return Block{config, kind, entrant, begin, std::min(begin + block_size, trials), slot};
 }
 
-std::size_t slot_count(std::uint64_t trials, std::uint64_t block_size) {
-  return static_cast<std::size_t>((trials + block_size - 1) / block_size);
-}
-
 }  // namespace
 
 CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t index) {
@@ -439,7 +434,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
     }
     recorder = std::make_unique<CampaignRecorder>(configs, options, campaign_name);
   }
-  std::vector<CampaignRecorder::Restored> restored(configs.size());
+  std::vector<CampaignRecorder::Entry> restored(configs.size());
   if (resume != nullptr) restored = recorder->load(*resume);
 
   auto summary_opts = [&](const CampaignConfig& cfg) {
@@ -545,8 +540,8 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           shard_of_block(r.id, 0, /*whole_config=*/true, shard_count) == shard ? 1 : 0;
       if (finalize_here[c] == 0) continue;
       ConfigState& st = states[c];
-      CampaignRecorder::Restored& rest = restored[c];
-      using Phase = CampaignRecorder::Restored::Phase;
+      CampaignRecorder::Entry& rest = restored[c];
+      using Phase = CampaignRecorder::Entry::Phase;
       switch (rest.phase) {
         case Phase::kPending:
         case Phase::kTrials:  // load() never reports kTrials for a race
@@ -558,15 +553,13 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           const std::size_t slots = slot_count(cfg.race.screen_trials, block_size);
           st.screen_partials.assign(count, {});
           for (auto& per : st.screen_partials) per.resize(slots);
-          std::set<std::pair<std::uint32_t, std::size_t>> have;
-          for (const auto& [entrant, slot, state] : rest.screen_slots) {
-            st.screen_partials[entrant][slot].restore(state);
-            have.emplace(entrant, slot);
+          for (const auto& [at, state] : rest.screen) {
+            st.screen_partials[at.first][at.second].restore(state);
           }
           std::vector<Block> missing;
           for (std::uint32_t i = 0; i < count; ++i) {
             for (std::size_t s = 0; s < slots; ++s) {
-              if (have.count({i, s}) == 0) {
+              if (rest.screen.count({i, s}) == 0) {
                 missing.push_back(block_for_slot(c, BlockKind::kScreen, i,
                                                  cfg.race.screen_trials, block_size, s));
               }
@@ -576,7 +569,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
             // Snapshot fell between the pass's last block and its hand-off:
             // re-run one restored block to re-trigger the fold (recording is
             // idempotent and re-running a block is bit-neutral).
-            const auto [i, s] = *have.rbegin();
+            const auto [i, s] = rest.screen.rbegin()->first;
             missing.push_back(
                 block_for_slot(c, BlockKind::kScreen, i, cfg.race.screen_trials, block_size, s));
           }
@@ -590,23 +583,21 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           const std::size_t slots = slot_count(final_trials, block_size);
           st.refine_partials.assign(count, {});
           for (auto& per : st.refine_partials) per.resize(slots);
-          std::set<std::pair<std::uint32_t, std::size_t>> have;
-          for (const auto& [entrant, slot, state] : rest.refine_slots) {
-            st.refine_partials[entrant][slot] =
+          for (const auto& [at, state] : rest.refine) {
+            st.refine_partials[at.first][at.second] =
                 stats::StreamingSummary::restored(summary_opts(cfg), state);
-            have.emplace(entrant, slot);
           }
           std::vector<Block> missing;
           for (std::uint32_t i = 0; i < count; ++i) {
             for (std::size_t s = 0; s < slots; ++s) {
-              if (have.count({i, s}) == 0) {
+              if (rest.refine.count({i, s}) == 0) {
                 missing.push_back(
                     block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
               }
             }
           }
           if (missing.empty()) {
-            const auto [i, s] = *have.rbegin();
+            const auto [i, s] = rest.refine.rbegin()->first;
             missing.push_back(block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
           }
           st.refine_left.store(missing.size(), std::memory_order_relaxed);
@@ -624,15 +615,15 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
       }
     } else {
       ConfigState& st = states[c];
-      CampaignRecorder::Restored& rest = restored[c];
-      using Phase = CampaignRecorder::Restored::Phase;
+      CampaignRecorder::Entry& rest = restored[c];
+      using Phase = CampaignRecorder::Entry::Phase;
       if (rest.phase == Phase::kDone) {
         r.graph_name = rest.graph_name;
         r.n = rest.n;
         r.summary = stats::StreamingSummary::restored(summary_opts(cfg), rest.summary);
-        if (cfg.curves.enabled) {
-          r.curves = stats::CurveAccumulator::restored(curve_opts(cfg), rest.curves);
-          r.contacts = rest.contacts;
+        if (rest.curves) {
+          r.curves = stats::CurveAccumulator::restored(curve_opts(cfg), rest.curves->state);
+          r.contacts = rest.curves->contacts;
         }
         continue;
       }
@@ -646,21 +637,20 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
         st.curve_partials.resize(slots);
         st.contact_partials.resize(slots);
       }
-      std::vector<char> done_slot(slots, 0);
-      for (const auto& [slot, state] : rest.trial_slots) {
-        st.partials[slot] = stats::StreamingSummary::restored(summary_opts(cfg), state);
-        done_slot[slot] = 1;
-      }
-      for (const auto& [slot, state, totals] : rest.curve_slots) {
-        st.curve_partials[slot] = stats::CurveAccumulator::restored(curve_opts(cfg), state);
-        st.contact_partials[slot] = totals;
+      for (const auto& [slot, part] : rest.slots) {
+        st.partials[slot] = stats::StreamingSummary::restored(summary_opts(cfg), part.summary);
+        if (part.curves) {
+          st.curve_partials[slot] =
+              stats::CurveAccumulator::restored(curve_opts(cfg), part.curves->state);
+          st.contact_partials[slot] = part.curves->contacts;
+        }
       }
       std::size_t owned = 0;
       std::vector<Block> missing;
       for (std::size_t s = 0; s < slots; ++s) {
         if (shard_of_block(r.id, s, /*whole_config=*/false, shard_count) != shard) continue;
         ++owned;
-        if (done_slot[s] == 0) {
+        if (rest.slots.count(s) == 0) {
           missing.push_back(block_for_slot(c, BlockKind::kTrials, 0, cfg.trials, cfg_block, s));
         }
       }
@@ -1077,11 +1067,11 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   outcome.complete = !stopped.load(std::memory_order_relaxed);
   if (recorder != nullptr) {
     // The periodic writer finishes (or rethrows its error) first, so the
-    // final write below is the last one to land.
+    // final write finish() makes is the last one to land; the snapshot
+    // document is built once, after it, from the typed store.
     recorder->drain_writes();
     outcome.blocks_done = recorder->blocks_done();
-    outcome.snapshot = recorder->snapshot(outcome.complete);
-    if (!options.checkpoint_file.empty()) recorder->write_checkpoint(outcome.complete);
+    outcome.snapshot = recorder->finish(outcome.complete);
   }
   if (tel != nullptr) tel->end();
   return outcome;

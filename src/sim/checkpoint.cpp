@@ -56,10 +56,6 @@ void put(std::string& out, double v) {
   out += '|';
 }
 
-std::size_t slot_count(std::uint64_t trials, std::uint64_t block_size) {
-  return static_cast<std::size_t>((trials + block_size - 1) / block_size);
-}
-
 }  // namespace
 
 std::string resolved_config_id(const CampaignConfig& cfg, std::size_t index) {
@@ -355,39 +351,42 @@ stats::ContactTotals totals_from_json(const Json& o, const std::string& ctx) {
   return t;
 }
 
+using Entry = CampaignRecorder::Entry;
+using Phase = Entry::Phase;
+
 /// One curve partial with its contact totals: the value of a slot entry's
 /// optional "curves" key, and of the done result's "curves" key.
-Json curves_to_json(const stats::CurveAccumulator::State& s, const stats::ContactTotals& t) {
+Json curves_to_json(const Entry::Curves& c) {
   Json moments = Json::array();
-  for (const auto& m : s.moments) moments.push_back(moments_to_json(m));
+  for (const auto& m : c.state.moments) moments.push_back(moments_to_json(m));
   Json sketches = Json::array();
-  for (const auto& q : s.sketches) sketches.push_back(sketch_to_json(q));
+  for (const auto& q : c.state.sketches) sketches.push_back(sketch_to_json(q));
   Json o = Json::object();
-  o.set("trials", s.trials);
-  o.set("max_len", s.max_len);
+  o.set("trials", c.state.trials);
+  o.set("max_len", c.state.max_len);
   o.set("moments", std::move(moments));
   o.set("sketches", std::move(sketches));
-  o.set("contacts", totals_to_json(t));
+  o.set("contacts", totals_to_json(c.contacts));
   return o;
 }
 
-stats::CurveAccumulator::State curve_state_from_json(const Json& o, std::size_t points,
-                                                     const std::string& ctx) {
-  stats::CurveAccumulator::State s;
-  s.trials = req_uint(o, "trials", ctx);
-  s.max_len = req_uint(o, "max_len", ctx);
+Entry::Curves curves_from_json(const Json& o, std::size_t points, const std::string& ctx) {
+  Entry::Curves c;
+  c.state.trials = req_uint(o, "trials", ctx);
+  c.state.max_len = req_uint(o, "max_len", ctx);
   for (const Json& m : req_array(o, "moments", ctx).elements()) {
-    s.moments.push_back(moments_from_json(m, ctx));
+    c.state.moments.push_back(moments_from_json(m, ctx));
   }
   for (const Json& q : req_array(o, "sketches", ctx).elements()) {
-    s.sketches.push_back(sketch_from_json(q, ctx));
+    c.state.sketches.push_back(sketch_from_json(q, ctx));
   }
-  if (s.moments.size() != points || s.sketches.size() != points) {
-    fail(ctx, "curve partial has grid length " + std::to_string(s.moments.size()) + "/" +
-                  std::to_string(s.sketches.size()) + ", the spec's curves.points is " +
+  if (c.state.moments.size() != points || c.state.sketches.size() != points) {
+    fail(ctx, "curve partial has grid length " + std::to_string(c.state.moments.size()) + "/" +
+                  std::to_string(c.state.sketches.size()) + ", the spec's curves.points is " +
                   std::to_string(points));
   }
-  return s;
+  c.contacts = totals_from_json(require(o, "contacts", ctx), ctx);
+  return c;
 }
 
 Json ids_to_json(const std::vector<graph::NodeId>& ids) {
@@ -409,6 +408,166 @@ std::vector<graph::NodeId> ids_from_json(const Json& arr, const char* what,
     out.push_back(static_cast<graph::NodeId>(v.as_number()));
   }
   return out;
+}
+
+constexpr const char* kPhaseNames[] = {"pending", "trials", "screen", "refine", "done"};
+
+/// A screen or refine block: {"entrant", "slot", <key>: value}.
+template <typename State, typename Encode>
+Json race_slots_to_json(const std::map<Entry::RaceSlot, State>& blocks, const char* key,
+                        Encode encode) {
+  Json arr = Json::array();
+  for (const auto& [at, state] : blocks) {
+    Json s = Json::object();
+    s.set("entrant", static_cast<std::uint64_t>(at.first));
+    s.set("slot", static_cast<std::uint64_t>(at.second));
+    s.set(key, encode(state));
+    arr.push_back(std::move(s));
+  }
+  return arr;
+}
+
+/// Reads a screen or refine block array into `out`, checking every
+/// (entrant, slot) against `entrants` x `slots` and for duplicates.
+template <typename State, typename Decode>
+void race_slots_from_json(const Json& e, const char* array, const char* key, std::size_t entrants,
+                          std::size_t slots, Decode decode, std::map<Entry::RaceSlot, State>& out,
+                          const std::string& ctx) {
+  for (const Json& s : opt_array(e, array, ctx)) {
+    const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ctx));
+    const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ctx));
+    const std::string where = std::string(array) + " block (entrant " + std::to_string(entrant) +
+                              ", slot " + std::to_string(slot) + ")";
+    if (entrant >= entrants || slot >= slots) fail(ctx, where + " out of range");
+    if (!out.emplace(std::make_pair(entrant, slot), decode(require(s, key, ctx), ctx)).second) {
+      fail(ctx, "duplicate " + where);
+    }
+  }
+}
+
+/// Config `id`'s `configs[]` entry: the one encoder of snapshot entries.
+Json entry_to_json(const std::string& id, const Entry& e) {
+  Json j = Json::object();
+  j.set("id", id);
+  j.set("phase", kPhaseNames[static_cast<std::size_t>(e.phase)]);
+  if (e.phase == Phase::kDone) {
+    Json r = Json::object();
+    r.set("graph", e.graph_name);
+    r.set("n", e.n);
+    r.set("source", static_cast<std::uint64_t>(e.source));
+    r.set("best_source", static_cast<std::uint64_t>(e.best_source));
+    r.set("best_mean", e.best_mean);
+    r.set("summary", summary_to_json(e.summary));
+    if (e.curves) r.set("curves", curves_to_json(*e.curves));
+    j.set("result", std::move(r));
+    return j;
+  }
+  if (e.has_graph) {
+    j.set("graph", e.graph_name);
+    j.set("n", e.n);
+  }
+  if (!e.slots.empty()) {
+    Json slots = Json::array();
+    for (const auto& [slot, part] : e.slots) {
+      Json s = Json::object();
+      s.set("slot", static_cast<std::uint64_t>(slot));
+      s.set("summary", summary_to_json(part.summary));
+      if (part.curves) s.set("curves", curves_to_json(*part.curves));
+      slots.push_back(std::move(s));
+    }
+    j.set("slots", std::move(slots));
+  }
+  if (e.phase == Phase::kScreen) j.set("candidates", ids_to_json(e.candidates));
+  if (!e.screen.empty()) j.set("screen", race_slots_to_json(e.screen, "moments", moments_to_json));
+  if (e.phase == Phase::kRefine) j.set("finalists", ids_to_json(e.finalists));
+  if (!e.refine.empty()) j.set("refine", race_slots_to_json(e.refine, "summary", summary_to_json));
+  return j;
+}
+
+/// The one decoder of snapshot entries, shared by load() and merge: reads
+/// configuration `cfg`'s entry and checks it against the spec — its id, a
+/// phase its source policy can be in, every block slot inside the config's
+/// slot grid at `block_size` and recorded once, and a curve partial on
+/// exactly the slots of a curves-enabled config.
+Entry entry_from_json(const Json& j, const CampaignConfig& cfg, const std::string& id,
+                      std::uint64_t block_size, const std::string& ctx) {
+  const std::string got = req_string(j, "id", ctx);
+  if (got != id) fail(ctx, "id mismatch (snapshot '" + got + "')");
+  const std::string phase = req_string(j, "phase", ctx);
+  const bool race = cfg.source_policy == SourcePolicy::kRace;
+  Entry e;
+  if (const Json* g = j.find("graph"); g != nullptr && g->is_string()) {
+    e.graph_name = g->as_string();
+    e.n = req_uint(j, "n", ctx);
+    e.has_graph = true;
+  }
+
+  if (phase == "pending") {
+    e.phase = Phase::kPending;
+  } else if (phase == "trials") {
+    if (race) fail(ctx, "race configuration cannot be in phase 'trials'");
+    e.phase = Phase::kTrials;
+    // Batch configs pin their slot grid to the lane width, matching the
+    // scheduler (one trial block = one lane batch).
+    const std::size_t slots = slot_count(cfg.trials, effective_block_size(cfg, block_size));
+    for (const Json& s : opt_array(j, "slots", ctx)) {
+      const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ctx));
+      if (slot >= slots) {
+        fail(ctx, "slot " + std::to_string(slot) + " out of range (config has " +
+                      std::to_string(slots) + " blocks)");
+      }
+      // Curve partials travel with their slot: a curves-enabled config
+      // must have one per recorded slot (and a curve-free config none),
+      // so resume never silently drops telemetry that was computed.
+      const Json* cv = s.find("curves");
+      if (cfg.curves.enabled && cv == nullptr) {
+        fail(ctx, "slot " + std::to_string(slot) +
+                      " has no curve partial but the spec enables curves");
+      }
+      if (!cfg.curves.enabled && cv != nullptr) {
+        fail(ctx, "slot " + std::to_string(slot) +
+                      " has a curve partial but the spec does not enable curves");
+      }
+      Entry::Slot part{summary_from_json(require(s, "summary", ctx), ctx), std::nullopt};
+      if (cv != nullptr) part.curves = curves_from_json(*cv, cfg.curves.points, ctx);
+      if (!e.slots.emplace(slot, std::move(part)).second) {
+        fail(ctx, "duplicate slot " + std::to_string(slot));
+      }
+    }
+  } else if (phase == "screen") {
+    if (!race) fail(ctx, "fixed-source configuration cannot be in phase 'screen'");
+    e.phase = Phase::kScreen;
+    e.candidates = ids_from_json(require(j, "candidates", ctx), "candidates", ctx);
+    if (e.candidates.empty()) fail(ctx, "'candidates' must be non-empty");
+    race_slots_from_json(j, "screen", "moments", e.candidates.size(),
+                         slot_count(cfg.race.screen_trials, block_size), moments_from_json,
+                         e.screen, ctx);
+  } else if (phase == "refine") {
+    if (!race) fail(ctx, "fixed-source configuration cannot be in phase 'refine'");
+    e.phase = Phase::kRefine;
+    e.finalists = ids_from_json(require(j, "finalists", ctx), "finalists", ctx);
+    if (e.finalists.empty()) fail(ctx, "'finalists' must be non-empty");
+    const std::uint64_t final_trials =
+        cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
+    race_slots_from_json(j, "refine", "summary", e.finalists.size(),
+                         slot_count(final_trials, block_size), summary_from_json, e.refine, ctx);
+  } else if (phase == "done") {
+    e.phase = Phase::kDone;
+    const Json& result = require(j, "result", ctx);
+    e.graph_name = req_string(result, "graph", ctx);
+    e.n = req_uint(result, "n", ctx);
+    e.has_graph = false;  // the result carries the graph identity
+    e.source = static_cast<graph::NodeId>(req_uint(result, "source", ctx));
+    e.best_source = static_cast<graph::NodeId>(req_uint(result, "best_source", ctx));
+    e.best_mean = req_number(result, "best_mean", ctx);
+    e.summary = summary_from_json(require(result, "summary", ctx), ctx);
+    if (cfg.curves.enabled) {
+      e.curves = curves_from_json(require(result, "curves", ctx), cfg.curves.points, ctx);
+    }
+  } else {
+    fail(ctx, "unknown phase '" + phase + "'");
+  }
+  return e;
 }
 
 /// One snapshot's validated header.
@@ -463,6 +622,18 @@ void check_spec_identity(const SnapshotHeader& h, const std::string& campaign_na
   }
 }
 
+/// The snapshot's `configs` array, which must hold one entry per
+/// configuration of the spec.
+const std::vector<Json>& config_entries(const Json& doc, std::size_t count,
+                                        const std::string& ctx) {
+  const Json& entries = req_array(doc, "configs", ctx);
+  if (entries.elements().size() != count) {
+    fail(ctx, "snapshot has " + std::to_string(entries.elements().size()) + " configs, spec has " +
+                  std::to_string(count));
+  }
+  return entries.elements();
+}
+
 }  // namespace
 
 // --- CampaignRecorder --------------------------------------------------------
@@ -474,101 +645,84 @@ CampaignRecorder::CampaignRecorder(const std::vector<CampaignConfig>& configs,
   options_.shard_count = std::max<std::uint32_t>(options_.shard_count, 1);
   spec_hash_ = campaign_fingerprint(campaign_name_, configs_);
   store_.resize(configs_.size());
+  dirty_.assign(configs_.size(), 1);
   fragments_.resize(configs_.size());
 }
 
 void CampaignRecorder::record_graph(std::size_t config, const std::string& graph_name,
                                     std::uint64_t n) {
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.graph_name = graph_name;
-  sc.n = n;
-  sc.has_graph = true;
-  sc.dirty = true;
+  Entry& e = store_[config];
+  e.graph_name = graph_name;
+  e.n = n;
+  e.has_graph = true;
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_trial_slot(std::size_t config, std::size_t slot,
                                          const stats::StreamingSummary& partial,
                                          const stats::CurveAccumulator* curves,
                                          const stats::ContactTotals* contacts) {
-  Json s = summary_to_json(partial.state());
-  Json c = curves != nullptr ? curves_to_json(curves->state(), *contacts) : Json();
+  Entry::Slot part{partial.state(), std::nullopt};
+  if (curves != nullptr) part.curves = Entry::Curves{curves->state(), *contacts};
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.phase = "trials";
-  sc.slots[slot] = std::move(s);
-  if (curves != nullptr) sc.slot_curves[slot] = std::move(c);
-  sc.dirty = true;
+  Entry& e = store_[config];
+  e.phase = Phase::kTrials;
+  e.slots.insert_or_assign(slot, std::move(part));
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_plan(std::size_t config,
                                    const std::vector<graph::NodeId>& candidates) {
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.phase = "screen";
-  sc.candidates = candidates;
-  sc.has_candidates = true;
-  sc.dirty = true;
+  Entry& e = store_[config];
+  e.phase = Phase::kScreen;
+  e.candidates = candidates;
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_screen_slot(std::size_t config, std::uint32_t entrant,
                                           std::size_t slot,
                                           const stats::RunningMoments& partial) {
-  Json m = moments_to_json(partial.state());
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.screen[{entrant, slot}] = std::move(m);
-  sc.dirty = true;
+  store_[config].screen.insert_or_assign({entrant, slot}, partial.state());
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_finalists(std::size_t config,
                                         const std::vector<graph::NodeId>& finalists) {
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.phase = "refine";
-  sc.finalists = finalists;
-  sc.has_finalists = true;
+  Entry& e = store_[config];
+  e.phase = Phase::kRefine;
+  e.finalists = finalists;
   // The screen pass is folded and gone; the snapshot drops it with it.
-  sc.screen.clear();
-  sc.candidates.clear();
-  sc.has_candidates = false;
-  sc.dirty = true;
+  e.screen.clear();
+  e.candidates.clear();
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_refine_slot(std::size_t config, std::uint32_t entrant,
                                           std::size_t slot,
                                           const stats::StreamingSummary& partial) {
-  Json s = summary_to_json(partial.state());
+  stats::StreamingSummary::State state = partial.state();
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.refine[{entrant, slot}] = std::move(s);
-  sc.dirty = true;
+  store_[config].refine.insert_or_assign({entrant, slot}, std::move(state));
+  dirty_[config] = 1;
 }
 
 void CampaignRecorder::record_done(std::size_t config, const CampaignResult& result) {
-  Json r = Json::object();
-  r.set("graph", result.graph_name);
-  r.set("n", result.n);
-  r.set("source", static_cast<std::uint64_t>(result.source));
-  r.set("best_source", static_cast<std::uint64_t>(result.best_source));
-  r.set("best_mean", result.best_mean);
-  r.set("summary", summary_to_json(result.summary.state()));
-  if (result.has_curves) {
-    r.set("curves", curves_to_json(result.curves.state(), result.contacts));
-  }
+  Entry done;
+  done.phase = Phase::kDone;
+  done.graph_name = result.graph_name;
+  done.n = result.n;
+  done.source = result.source;
+  done.best_source = result.best_source;
+  done.best_mean = result.best_mean;
+  done.summary = result.summary.state();
+  if (result.has_curves) done.curves = Entry::Curves{result.curves.state(), result.contacts};
   const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.phase = "done";
-  sc.result = std::move(r);
-  sc.slots.clear();
-  sc.slot_curves.clear();
-  sc.screen.clear();
-  sc.refine.clear();
-  sc.candidates.clear();
-  sc.finalists.clear();
-  sc.has_candidates = false;
-  sc.has_finalists = false;
-  sc.dirty = true;
+  store_[config] = std::move(done);
+  dirty_[config] = 1;
 }
 
 CampaignRecorder::~CampaignRecorder() { stop_writer(); }
@@ -653,89 +807,47 @@ Json CampaignRecorder::snapshot_header(bool finished) const {
   return doc;
 }
 
-Json CampaignRecorder::config_entry(std::size_t c) const {
-  const StoredConfig& sc = store_[c];
-  Json e = Json::object();
-  e.set("id", resolved_config_id(configs_[c], c));
-  e.set("phase", sc.phase);
-  if (sc.phase == "done") {
-    e.set("result", sc.result);
-    return e;
+Json CampaignRecorder::configs_json() const {
+  Json arr = Json::array();
+  for (std::size_t c = 0; c < store_.size(); ++c) {
+    arr.push_back(entry_to_json(resolved_config_id(configs_[c], c), store_[c]));
   }
-  if (sc.has_graph) {
-    e.set("graph", sc.graph_name);
-    e.set("n", sc.n);
-  }
-  if (!sc.slots.empty()) {
-    Json slots = Json::array();
-    for (const auto& [slot, summary] : sc.slots) {
-      Json s = Json::object();
-      s.set("slot", static_cast<std::uint64_t>(slot));
-      s.set("summary", summary);
-      if (const auto it = sc.slot_curves.find(slot); it != sc.slot_curves.end()) {
-        s.set("curves", it->second);
-      }
-      slots.push_back(std::move(s));
-    }
-    e.set("slots", std::move(slots));
-  }
-  if (sc.has_candidates) e.set("candidates", ids_to_json(sc.candidates));
-  if (!sc.screen.empty()) {
-    Json screen = Json::array();
-    for (const auto& [key, moments] : sc.screen) {
-      Json s = Json::object();
-      s.set("entrant", static_cast<std::uint64_t>(key.first));
-      s.set("slot", static_cast<std::uint64_t>(key.second));
-      s.set("moments", moments);
-      screen.push_back(std::move(s));
-    }
-    e.set("screen", std::move(screen));
-  }
-  if (sc.has_finalists) e.set("finalists", ids_to_json(sc.finalists));
-  if (!sc.refine.empty()) {
-    Json refine = Json::array();
-    for (const auto& [key, summary] : sc.refine) {
-      Json s = Json::object();
-      s.set("entrant", static_cast<std::uint64_t>(key.first));
-      s.set("slot", static_cast<std::uint64_t>(key.second));
-      s.set("summary", summary);
-      refine.push_back(std::move(s));
-    }
-    e.set("refine", std::move(refine));
-  }
-  return e;
+  return arr;
 }
 
 Json CampaignRecorder::snapshot(bool finished) const {
   const std::scoped_lock lock(mutex_);
   Json doc = snapshot_header(finished);
-  Json arr = Json::array();
-  for (std::size_t c = 0; c < store_.size(); ++c) arr.push_back(config_entry(c));
-  doc.set("configs", std::move(arr));
+  doc.set("configs", configs_json());
   return doc;
 }
 
 void CampaignRecorder::write_checkpoint(bool finished) {
   const std::scoped_lock write_lock(write_mutex_);
-  // The span covers the whole write: copying and rendering what changed,
-  // then the durable write (write + fsync + rename + dir fsync).
+  (void)write_locked(finished);
+}
+
+Json CampaignRecorder::write_locked(bool finished) {
+  // The span covers the whole write: copying what changed, encoding and
+  // rendering it, then the durable write (write + fsync + rename + dir
+  // fsync).
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t write_begin = tel != nullptr ? tel->now_ns() : 0;
   Json header;
-  std::vector<std::pair<std::size_t, Json>> changed;
+  std::vector<std::pair<std::size_t, Entry>> changed;
   {
     const std::scoped_lock lock(mutex_);
     header = snapshot_header(finished);
     for (std::size_t c = 0; c < store_.size(); ++c) {
-      if (!store_[c].dirty) continue;
-      changed.emplace_back(c, config_entry(c));
-      store_[c].dirty = false;
+      if (dirty_[c] == 0) continue;
+      changed.emplace_back(c, store_[c]);
+      dirty_[c] = 0;
     }
   }
-  // Rendered outside mutex_, so workers keep recording meanwhile.
+  // Encoded and rendered outside mutex_, so workers keep recording meanwhile.
   for (const auto& [c, entry] : changed) {
     fragments_[c].clear();
-    entry.dump_to(fragments_[c], 2, 2);
+    entry_to_json(resolved_config_id(configs_[c], c), entry).dump_to(fragments_[c], 2, 2);
   }
   // Splice the fragments into the header exactly as snapshot().dump(2)
   // would lay out its trailing `"configs": [...]` member.
@@ -763,6 +875,25 @@ void CampaignRecorder::write_checkpoint(bool finished) {
                              error);
   }
   if (tel != nullptr) tel->on_checkpoint_write(write_begin, tel->now_ns());
+  return header;
+}
+
+Json CampaignRecorder::finish(bool finished) {
+  const std::scoped_lock write_lock(write_mutex_);
+  Json doc;
+  if (!options_.checkpoint_file.empty()) {
+    doc = write_locked(finished);
+  } else {
+    const std::scoped_lock lock(mutex_);
+    doc = snapshot_header(finished);
+  }
+  // The cached text is dead weight from here on: free it before the
+  // document is built. A later write re-renders every entry.
+  std::vector<std::string>(configs_.size()).swap(fragments_);
+  const std::scoped_lock lock(mutex_);
+  dirty_.assign(configs_.size(), 1);
+  doc.set("configs", configs_json());
+  return doc;
 }
 
 std::uint64_t CampaignRecorder::blocks_done() const {
@@ -770,7 +901,7 @@ std::uint64_t CampaignRecorder::blocks_done() const {
   return blocks_done_;
 }
 
-std::vector<CampaignRecorder::Restored> CampaignRecorder::load(const Json& doc) {
+std::vector<CampaignRecorder::Entry> CampaignRecorder::load(const Json& doc) {
   const std::string ctx = "checkpoint";
   const SnapshotHeader h = parse_header(doc, ctx);
   check_spec_identity(h, campaign_name_, spec_hash_, ctx);
@@ -791,149 +922,20 @@ std::vector<CampaignRecorder::Restored> CampaignRecorder::load(const Json& doc) 
                   std::to_string(options_.shard_index) + "/" +
                   std::to_string(options_.shard_count));
   }
-  const Json& entries = req_array(doc, "configs", ctx);
-  if (entries.elements().size() != configs_.size()) {
-    fail(ctx, "snapshot has " + std::to_string(entries.elements().size()) + " configs, spec has " +
-                  std::to_string(configs_.size()));
-  }
-
-  std::vector<Restored> out(configs_.size());
-  std::vector<StoredConfig> loaded(configs_.size());
+  const std::vector<Json>& entries = config_entries(doc, configs_.size(), ctx);
+  std::vector<Entry> loaded;
+  loaded.reserve(configs_.size());
   for (std::size_t c = 0; c < configs_.size(); ++c) {
-    const CampaignConfig& cfg = configs_[c];
-    const Json& e = entries.elements()[c];
-    const std::string id = resolved_config_id(cfg, c);
-    const std::string ectx = ctx + ": configs[" + std::to_string(c) + "] ('" + id + "')";
-    if (req_string(e, "id", ectx) != id) {
-      fail(ectx, "id mismatch (snapshot '" + req_string(e, "id", ectx) + "')");
-    }
-    const std::string phase = req_string(e, "phase", ectx);
-    const bool race = cfg.source_policy == SourcePolicy::kRace;
-    Restored& r = out[c];
-    StoredConfig& sc = loaded[c];
-    sc.phase = phase;
-    if (const Json* g = e.find("graph"); g != nullptr && g->is_string()) {
-      sc.graph_name = g->as_string();
-      sc.n = req_uint(e, "n", ectx);
-      sc.has_graph = true;
-    }
-
-    if (phase == "pending") {
-      r.phase = Restored::Phase::kPending;
-    } else if (phase == "trials") {
-      if (race) fail(ectx, "race configuration cannot be in phase 'trials'");
-      r.phase = Restored::Phase::kTrials;
-      // Batch configs pin their slot grid to the lane width, matching the
-      // scheduler (one trial block = one lane batch).
-      const std::size_t slots =
-          slot_count(cfg.trials, effective_block_size(cfg, options_.block_size));
-      for (const Json& s : opt_array(e, "slots", ectx)) {
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (slot >= slots) {
-          fail(ectx, "slot " + std::to_string(slot) + " out of range (config has " +
-                         std::to_string(slots) + " blocks)");
-        }
-        if (!sc.slots.emplace(slot, require(s, "summary", ectx)).second) {
-          fail(ectx, "duplicate slot " + std::to_string(slot));
-        }
-        // Curve partials travel with their slot: a curves-enabled config
-        // must have one per recorded slot (and a curve-free config none),
-        // so resume never silently drops telemetry that was computed.
-        const Json* cv = s.find("curves");
-        if (cfg.curves.enabled) {
-          if (cv == nullptr) {
-            fail(ectx, "slot " + std::to_string(slot) +
-                           " has no curve partial but the spec enables curves");
-          }
-          sc.slot_curves[slot] = *cv;
-        } else if (cv != nullptr) {
-          fail(ectx, "slot " + std::to_string(slot) +
-                         " has a curve partial but the spec does not enable curves");
-        }
-      }
-      for (const auto& [slot, summary] : sc.slots) {
-        r.trial_slots.emplace_back(slot, summary_from_json(summary, ectx));
-      }
-      for (const auto& [slot, cv] : sc.slot_curves) {
-        r.curve_slots.emplace_back(slot, curve_state_from_json(cv, cfg.curves.points, ectx),
-                                   totals_from_json(require(cv, "contacts", ectx), ectx));
-      }
-    } else if (phase == "screen") {
-      if (!race) fail(ectx, "fixed-source configuration cannot be in phase 'screen'");
-      r.phase = Restored::Phase::kScreen;
-      r.candidates = ids_from_json(require(e, "candidates", ectx), "candidates", ectx);
-      if (r.candidates.empty()) fail(ectx, "'candidates' must be non-empty");
-      sc.candidates = r.candidates;
-      sc.has_candidates = true;
-      const std::size_t slots = slot_count(cfg.race.screen_trials, options_.block_size);
-      for (const Json& s : opt_array(e, "screen", ectx)) {
-        const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ectx));
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (entrant >= r.candidates.size() || slot >= slots) {
-          fail(ectx, "screen block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ") out of range");
-        }
-        if (!sc.screen.emplace(std::make_pair(entrant, slot), require(s, "moments", ectx))
-                 .second) {
-          fail(ectx, "duplicate screen block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ")");
-        }
-      }
-      for (const auto& [key, moments] : sc.screen) {
-        r.screen_slots.emplace_back(key.first, key.second, moments_from_json(moments, ectx));
-      }
-    } else if (phase == "refine") {
-      if (!race) fail(ectx, "fixed-source configuration cannot be in phase 'refine'");
-      r.phase = Restored::Phase::kRefine;
-      r.finalists = ids_from_json(require(e, "finalists", ectx), "finalists", ectx);
-      if (r.finalists.empty()) fail(ectx, "'finalists' must be non-empty");
-      sc.finalists = r.finalists;
-      sc.has_finalists = true;
-      const std::uint64_t final_trials =
-          cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-      const std::size_t slots = slot_count(final_trials, options_.block_size);
-      for (const Json& s : opt_array(e, "refine", ectx)) {
-        const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ectx));
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (entrant >= r.finalists.size() || slot >= slots) {
-          fail(ectx, "refine block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ") out of range");
-        }
-        if (!sc.refine.emplace(std::make_pair(entrant, slot), require(s, "summary", ectx))
-                 .second) {
-          fail(ectx, "duplicate refine block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ")");
-        }
-      }
-      for (const auto& [key, summary] : sc.refine) {
-        r.refine_slots.emplace_back(key.first, key.second, summary_from_json(summary, ectx));
-      }
-    } else if (phase == "done") {
-      r.phase = Restored::Phase::kDone;
-      const Json& result = require(e, "result", ectx);
-      r.graph_name = req_string(result, "graph", ectx);
-      r.n = req_uint(result, "n", ectx);
-      r.source = static_cast<graph::NodeId>(req_uint(result, "source", ectx));
-      r.best_source = static_cast<graph::NodeId>(req_uint(result, "best_source", ectx));
-      r.best_mean = req_number(result, "best_mean", ectx);
-      r.summary = summary_from_json(require(result, "summary", ectx), ectx);
-      if (cfg.curves.enabled) {
-        const Json& cv = require(result, "curves", ectx);
-        r.curves = curve_state_from_json(cv, cfg.curves.points, ectx);
-        r.contacts = totals_from_json(require(cv, "contacts", ectx), ectx);
-      }
-      sc.result = result;
-      sc.has_graph = false;  // the result carries the graph identity
-    } else {
-      fail(ectx, "unknown phase '" + phase + "'");
-    }
+    const std::string id = resolved_config_id(configs_[c], c);
+    loaded.push_back(entry_from_json(entries[c], configs_[c], id, options_.block_size,
+                                     ctx + ": configs[" + std::to_string(c) + "] ('" + id + "')"));
   }
-
   // Every loaded entry starts dirty, so the next write re-renders it.
   const std::scoped_lock lock(mutex_);
-  store_ = std::move(loaded);
+  store_ = loaded;
+  dirty_.assign(configs_.size(), 1);
   blocks_done_ = h.blocks_done;
-  return out;
+  return loaded;
 }
 
 // --- Merge -------------------------------------------------------------------
@@ -983,13 +985,10 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
   // already been reported as a duplicate of some other index.
 
   // Validate per-shard config arrays once up front.
+  std::vector<const std::vector<Json>*> shard_entries(k);
   for (std::uint32_t s = 0; s < k; ++s) {
-    const std::string ctx = "merge: shard " + std::to_string(s + 1);
-    const Json& entries = req_array(*by_shard[s], "configs", ctx);
-    if (entries.elements().size() != configs.size()) {
-      fail(ctx, "snapshot has " + std::to_string(entries.elements().size()) +
-                    " configs, spec has " + std::to_string(configs.size()));
-    }
+    shard_entries[s] = &config_entries(*by_shard[s], configs.size(),
+                                       "merge: shard " + std::to_string(s + 1));
   }
 
   std::vector<CampaignResult> results;
@@ -1001,58 +1000,52 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
     const stats::StreamingSummary::Options summary_options = summary_options_for(
         cfg, static_cast<std::size_t>(sketch_capacity),
         static_cast<std::size_t>(reservoir_capacity));
+    const stats::CurveAccumulator::Options curve_options =
+        curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity));
 
     std::uint32_t done_shard = 0;  // 1-based; 0 = none
-    const Json* done_result = nullptr;
-    // slot -> (shard, full slot entry: "summary" plus optional "curves")
-    std::map<std::size_t, std::pair<std::uint32_t, const Json*>> slots;
-    std::string graph_name;
-    std::uint64_t graph_n = 0;
+    Entry done;
+    // slot -> (shard, its partial)
+    std::map<std::size_t, std::pair<std::uint32_t, Entry::Slot>> slots;
     std::uint32_t graph_shard = 0;
 
     for (std::uint32_t s = 0; s < k; ++s) {
-      const Json& e = by_shard[s]->find("configs")->elements()[c];
-      const std::string id = req_string(e, "id", ctx);
-      if (id != r.id) {
-        fail(ctx, "shard " + std::to_string(s + 1) + " calls configs[" + std::to_string(c) +
-                      "] '" + id + "'");
+      const std::string shard = "shard " + std::to_string(s + 1);
+      Entry e = entry_from_json((*shard_entries[s])[c], cfg, r.id, block_size,
+                                ctx + " in " + shard);
+      switch (e.phase) {
+        case Phase::kPending:
+          continue;
+        case Phase::kDone:
+          if (done_shard != 0) {
+            fail(ctx, "final result recorded by both shard " + std::to_string(done_shard) +
+                          " and " + shard);
+          }
+          done_shard = s + 1;
+          done = std::move(e);
+          continue;
+        case Phase::kScreen:
+        case Phase::kRefine:
+          fail(ctx, shard + " left this config mid-race (phase '" +
+                        kPhaseNames[static_cast<std::size_t>(e.phase)] +
+                        "'); shard snapshots must be finished");
+        case Phase::kTrials:
+          break;
       }
-      const std::string phase = req_string(e, "phase", ctx);
-      if (phase == "pending") continue;
-      if (phase == "done") {
-        if (done_shard != 0) {
-          fail(ctx, "final result recorded by both shard " + std::to_string(done_shard) +
-                        " and shard " + std::to_string(s + 1));
-        }
-        done_shard = s + 1;
-        done_result = &require(e, "result", ctx);
-        continue;
-      }
-      if (phase != "trials") {
-        fail(ctx, "shard " + std::to_string(s + 1) + " left this config mid-race (phase '" +
-                      phase + "'); shard snapshots must be finished");
-      }
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        fail(ctx, "race configuration has trial blocks in shard " + std::to_string(s + 1) +
-                      " (races are owned wholesale by one shard)");
-      }
-      const std::string shard_graph = req_string(e, "graph", ctx);
-      const std::uint64_t shard_n = req_uint(e, "n", ctx);
+      if (!e.has_graph) fail(ctx + " in " + shard, "trial blocks without their graph");
       if (graph_shard == 0) {
-        graph_name = shard_graph;
-        graph_n = shard_n;
+        r.graph_name = e.graph_name;
+        r.n = e.n;
         graph_shard = s + 1;
-      } else if (shard_graph != graph_name || shard_n != graph_n) {
+      } else if (e.graph_name != r.graph_name || e.n != r.n) {
         fail(ctx, "graph metadata disagrees between shard " + std::to_string(graph_shard) +
-                      " and shard " + std::to_string(s + 1));
+                      " and " + shard);
       }
-      for (const Json& slot_entry : req_array(e, "slots", ctx).elements()) {
-        const std::size_t slot = static_cast<std::size_t>(req_uint(slot_entry, "slot", ctx));
-        (void)require(slot_entry, "summary", ctx);
-        const auto [it, inserted] = slots.emplace(slot, std::make_pair(s + 1, &slot_entry));
+      for (auto& [slot, part] : e.slots) {
+        const auto [it, inserted] = slots.try_emplace(slot, s + 1, std::move(part));
         if (!inserted) {
           fail(ctx, "slot " + std::to_string(slot) + " recorded by both shard " +
-                        std::to_string(it->second.first) + " and shard " + std::to_string(s + 1));
+                        std::to_string(it->second.first) + " and " + shard);
         }
       }
     }
@@ -1062,19 +1055,15 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
         fail(ctx, "shard " + std::to_string(done_shard) + " has the final result but shard " +
                       std::to_string(slots.begin()->second.first) + " also recorded block slots");
       }
-      r.graph_name = req_string(*done_result, "graph", ctx);
-      r.n = req_uint(*done_result, "n", ctx);
-      r.source = static_cast<graph::NodeId>(req_uint(*done_result, "source", ctx));
-      r.best_source = static_cast<graph::NodeId>(req_uint(*done_result, "best_source", ctx));
-      r.best_mean = req_number(*done_result, "best_mean", ctx);
-      r.summary = stats::StreamingSummary::restored(
-          summary_options, summary_from_json(require(*done_result, "summary", ctx), ctx));
-      if (cfg.curves.enabled) {
-        const Json& cv = require(*done_result, "curves", ctx);
-        r.curves = stats::CurveAccumulator::restored(
-            curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity)),
-            curve_state_from_json(cv, cfg.curves.points, ctx));
-        r.contacts = totals_from_json(require(cv, "contacts", ctx), ctx);
+      r.graph_name = std::move(done.graph_name);
+      r.n = done.n;
+      r.source = done.source;
+      r.best_source = done.best_source;
+      r.best_mean = done.best_mean;
+      r.summary = stats::StreamingSummary::restored(summary_options, done.summary);
+      if (done.curves) {
+        r.curves = stats::CurveAccumulator::restored(curve_options, done.curves->state);
+        r.contacts = done.curves->contacts;
       }
     } else {
       if (cfg.source_policy == SourcePolicy::kRace) {
@@ -1082,48 +1071,31 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
       }
       const std::size_t expected =
           slot_count(cfg.trials, effective_block_size(cfg, block_size));
-      for (std::size_t slot = 0; slot < expected; ++slot) {
-        if (slots.find(slot) == slots.end()) {
-          fail(ctx, "missing block slot " + std::to_string(slot) + " of " +
-                        std::to_string(expected) + " (coverage gap — were all " +
-                        std::to_string(k) + " shard files provided?)");
-        }
+      if (slots.size() != expected) {
+        std::size_t gap = 0;
+        while (slots.count(gap) != 0) ++gap;
+        fail(ctx, "missing block slot " + std::to_string(gap) + " of " +
+                      std::to_string(expected) + " (coverage gap — were all " +
+                      std::to_string(k) + " shard files provided?)");
       }
       // Fold in slot order, exactly like the scheduler's last-block fold, so
-      // the merged summary is bit-identical to the unsharded run's.
+      // the merged summary (and the curves, with the same restored
+      // construction options) is bit-identical to the unsharded run's.
       auto it = slots.begin();
-      stats::StreamingSummary total = stats::StreamingSummary::restored(
-          summary_options, summary_from_json(require(*it->second.second, "summary", ctx), ctx));
+      const Entry::Slot& first = it->second.second;
+      r.summary = stats::StreamingSummary::restored(summary_options, first.summary);
+      if (first.curves) {
+        r.curves = stats::CurveAccumulator::restored(curve_options, first.curves->state);
+        r.contacts = first.curves->contacts;
+      }
       for (++it; it != slots.end(); ++it) {
-        total.merge(stats::StreamingSummary::restored(
-            summary_options, summary_from_json(require(*it->second.second, "summary", ctx), ctx)));
-      }
-      r.summary = std::move(total);
-      if (cfg.curves.enabled) {
-        // Curve partials fold in the same slot order with the same restored
-        // construction options, so merged curves match the unsharded run's
-        // bit for bit.
-        const stats::CurveAccumulator::Options curve_options =
-            curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity));
-        auto restore_slot = [&](const Json& entry) {
-          const Json& cv = require(entry, "curves", ctx);
-          return std::make_pair(
-              stats::CurveAccumulator::restored(
-                  curve_options, curve_state_from_json(cv, cfg.curves.points, ctx)),
-              totals_from_json(require(cv, "contacts", ctx), ctx));
-        };
-        auto cit = slots.begin();
-        auto [curve_total, contact_total] = restore_slot(*cit->second.second);
-        for (++cit; cit != slots.end(); ++cit) {
-          auto [cpart, tpart] = restore_slot(*cit->second.second);
-          curve_total.merge(cpart);
-          contact_total.merge(tpart);
+        const Entry::Slot& part = it->second.second;
+        r.summary.merge(stats::StreamingSummary::restored(summary_options, part.summary));
+        if (part.curves) {
+          r.curves.merge(stats::CurveAccumulator::restored(curve_options, part.curves->state));
+          r.contacts.merge(part.curves->contacts);
         }
-        r.curves = std::move(curve_total);
-        r.contacts = contact_total;
       }
-      r.graph_name = graph_name;
-      r.n = graph_n;
     }
     results.push_back(std::move(r));
   }

@@ -41,7 +41,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -76,6 +75,13 @@ inline constexpr int kSnapshotVersion = 1;
 /// the spec left it empty.
 [[nodiscard]] std::string resolved_config_id(const CampaignConfig& cfg, std::size_t index);
 
+/// How many block slots `trials` trials fill at `block_size` (the last one
+/// may be short). One definition for the scheduler, resume and merge.
+[[nodiscard]] constexpr std::size_t slot_count(std::uint64_t trials,
+                                               std::uint64_t block_size) noexcept {
+  return static_cast<std::size_t>((trials + block_size - 1) / block_size);
+}
+
 /// What run_campaign_resumable returns beyond the plain result vector.
 struct CampaignOutcome {
   /// Ordered like the input configs. Configurations whose blocks this run
@@ -108,9 +114,11 @@ struct CampaignOutcome {
 /// std::runtime_error on: format/version mismatch, campaign name or spec
 /// hash mismatch, block size or capacity disagreement between snapshots,
 /// wrong shard count, duplicate or missing shard indices, an unfinished
-/// shard, a coverage gap (a block slot no shard recorded), or an overlap (a
-/// slot or race result recorded by two shards) — each error names the
-/// configuration and slot/shards involved.
+/// shard, an entry resume would refuse too (entries are read by the one
+/// decoder load() uses: a slot outside the config's block grid, a curve
+/// partial on a config without curves), a coverage gap (a block slot no
+/// shard recorded), or an overlap (a slot or race result recorded by two
+/// shards) — each error names the configuration and slot/shards involved.
 [[nodiscard]] std::vector<CampaignResult> merge_campaign_snapshots(
     const std::vector<CampaignConfig>& configs, const std::string& campaign_name,
     const std::vector<Json>& snapshots);
@@ -171,34 +179,51 @@ int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
 /// Internal to run_campaign_resumable — declared here only so the
 /// scheduler (campaign.cpp) and the snapshot codec (checkpoint.cpp) can
 /// share it; not part of the stable API surface.
+///
+/// The store is typed: one Entry per configuration holding the accumulator
+/// states themselves, so a worker's record_* call copies a State under the
+/// store mutex and never builds JSON. Only the checkpoint writer turns
+/// entries into JSON, and only the configs recorded since its previous
+/// write, outside the store mutex. Every snapshot entry is encoded and
+/// decoded by one codec pair in checkpoint.cpp, shared by the writes,
+/// load() and merge_campaign_snapshots.
 class CampaignRecorder {
  public:
-  /// One configuration's progress restored from a snapshot, in
-  /// scheduler-neutral form (the scheduler rebuilds its internal state and
-  /// re-enqueues only the missing blocks).
-  struct Restored {
+  /// One configuration's progress: the store's value type and what load()
+  /// hands the scheduler, which rebuilds its internal state from it and
+  /// re-enqueues only the missing blocks.
+  struct Entry {
     enum class Phase : std::uint8_t { kPending, kTrials, kScreen, kRefine, kDone };
+    /// A curve partial with its contact totals (curves-enabled configs).
+    struct Curves {
+      stats::CurveAccumulator::State state;
+      stats::ContactTotals contacts;
+    };
+    /// One trial block's partial; every slot of a curves-enabled config
+    /// carries its curve partial, no slot of another config does.
+    struct Slot {
+      stats::StreamingSummary::State summary;
+      std::optional<Curves> curves;
+    };
+    using RaceSlot = std::pair<std::uint32_t, std::size_t>;  // (entrant, slot)
+
     Phase phase = Phase::kPending;
-    std::vector<std::pair<std::size_t, stats::StreamingSummary::State>> trial_slots;
-    /// Parallel to trial_slots when the configuration has curves enabled:
-    /// every recorded slot carries its curve partial and contact totals.
-    std::vector<std::tuple<std::size_t, stats::CurveAccumulator::State, stats::ContactTotals>>
-        curve_slots;
-    std::vector<graph::NodeId> candidates;
-    std::vector<std::tuple<std::uint32_t, std::size_t, stats::RunningMoments::State>> screen_slots;
-    std::vector<graph::NodeId> finalists;
-    std::vector<std::tuple<std::uint32_t, std::size_t, stats::StreamingSummary::State>>
-        refine_slots;
-    // Phase::kDone only:
+    /// The built graph's identity: recorded once the graph is built, and
+    /// part of the final result at kDone.
+    bool has_graph = false;
     std::string graph_name;
     std::uint64_t n = 0;
+    std::map<std::size_t, Slot> slots;                               // kTrials
+    std::vector<graph::NodeId> candidates;                           // kScreen
+    std::map<RaceSlot, stats::RunningMoments::State> screen;         // kScreen
+    std::vector<graph::NodeId> finalists;                            // kRefine
+    std::map<RaceSlot, stats::StreamingSummary::State> refine;       // kRefine
+    // kDone only: the final result.
     graph::NodeId source = 0;
     graph::NodeId best_source = 0;
     double best_mean = 0.0;
     stats::StreamingSummary::State summary;
-    /// Phase::kDone with curves enabled only.
-    stats::CurveAccumulator::State curves;
-    stats::ContactTotals contacts;
+    std::optional<Curves> curves;
   };
 
   CampaignRecorder(const std::vector<CampaignConfig>& configs, const CampaignOptions& options,
@@ -213,10 +238,10 @@ class CampaignRecorder {
   /// the starting state (subsequent snapshots re-emit the restored
   /// progress). Returns per-config restored progress, indexed like configs.
   /// Throws std::runtime_error naming the first mismatch.
-  [[nodiscard]] std::vector<Restored> load(const Json& snapshot);
+  [[nodiscard]] std::vector<Entry> load(const Json& snapshot);
 
-  // Worker-side recording. All thread-safe; each call serializes the
-  // partial's exact state under the store mutex.
+  // Worker-side recording. All thread-safe; each call copies the partial's
+  // exact state into the store under the store mutex.
   void record_graph(std::size_t config, const std::string& graph_name, std::uint64_t n);
   void record_trial_slot(std::size_t config, std::size_t slot,
                          const stats::StreamingSummary& partial,
@@ -242,8 +267,8 @@ class CampaignRecorder {
 
   /// Stops and joins the background writer, dropping a request it has not
   /// started, and rethrows its write error if it had one. Called once the
-  /// workers are done and before the final write_checkpoint, which is
-  /// then the last write. A no-op when no periodic write was ever due.
+  /// workers are done and before finish(), whose write is then the last.
+  /// A no-op when no periodic write was ever due.
   void drain_writes();
 
   /// Serializes the full snapshot document. `finished` marks a snapshot
@@ -253,41 +278,26 @@ class CampaignRecorder {
   /// Writes snapshot(finished) to the options' checkpoint_file through the
   /// durable atomic-rename path: the same bytes as snapshot(finished).dump(2)
   /// plus a newline, but only configs recorded since the previous write are
-  /// re-rendered. Throws std::runtime_error on failure.
+  /// turned into JSON and re-rendered. Throws std::runtime_error on failure.
   void write_checkpoint(bool finished);
+
+  /// Ends a recorded run, after drain_writes(): makes the final write when
+  /// the options name a checkpoint file, releases the rendered text the
+  /// writes cached, and only then builds the final snapshot document, once,
+  /// under the header that write used — so the file and the returned
+  /// document are the same bytes, written_at included.
+  [[nodiscard]] Json finish(bool finished);
 
   [[nodiscard]] std::uint64_t blocks_done() const;
 
  private:
-  /// Mirror of one snapshot config entry; values are stored pre-serialized
-  /// (deterministically ordered maps), and config_entry() turns it into the
-  /// entry both snapshot() and write_checkpoint() emit. `dirty` is set by
-  /// every record_* call and by load(), and cleared when write_checkpoint()
-  /// re-renders the entry into its cached text fragment.
-  struct StoredConfig {
-    std::string phase = "pending";
-    std::string graph_name;
-    std::uint64_t n = 0;
-    bool has_graph = false;
-    std::map<std::size_t, Json> slots;
-    /// Curve partial per slot (curves-enabled configs only): pre-serialized
-    /// curve state with its contact totals, emitted as the slot entry's
-    /// optional "curves" key.
-    std::map<std::size_t, Json> slot_curves;
-    std::vector<graph::NodeId> candidates;
-    bool has_candidates = false;
-    std::map<std::pair<std::uint32_t, std::size_t>, Json> screen;
-    std::vector<graph::NodeId> finalists;
-    bool has_finalists = false;
-    std::map<std::pair<std::uint32_t, std::size_t>, Json> refine;
-    Json result;  // is_object() once done
-    bool dirty = true;
-  };
-
   /// The snapshot document minus its `configs` array. Caller holds mutex_.
   [[nodiscard]] Json snapshot_header(bool finished) const;
-  /// Config `c`'s `configs[]` entry. Caller holds mutex_.
-  [[nodiscard]] Json config_entry(std::size_t c) const;
+  /// The `configs` array, encoded from the whole store. Caller holds mutex_.
+  [[nodiscard]] Json configs_json() const;
+  /// Writes the snapshot, re-rendering only the dirty entries, and returns
+  /// the header it wrote. Caller holds write_mutex_.
+  Json write_locked(bool finished);
   /// The background writer: waits for a request, writes, repeats until
   /// stopped or a write fails.
   void writer_loop();
@@ -304,7 +314,10 @@ class CampaignRecorder {
   /// Separate from mutex_ so workers keep recording while a snapshot is on
   /// its way to disk.
   mutable std::mutex write_mutex_;
-  std::vector<StoredConfig> store_;
+  std::vector<Entry> store_;
+  /// Per config: recorded (by a record_* call or load()) since the last
+  /// write re-rendered its fragment.
+  std::vector<char> dirty_;
   /// Owned by write_mutex_: each config's entry as rendered by the last
   /// write, at its depth in the document — configs[c] of dump(2).
   std::vector<std::string> fragments_;

@@ -542,6 +542,52 @@ TEST(CampaignShard, MergeRejectsBadShardSets) {
         },
         "finished");
   }
+  // Tampered slot entries of a config split across the shards: one beyond
+  // the config's slot grid, and a curve partial on a config without curves.
+  // Merge must refuse both as resume does, naming the shard and the slot.
+  std::size_t shard = 0;
+  std::size_t config = 0;
+  for (; shard < snapshots.size(); ++shard) {
+    const auto& entries = snapshots[shard].find("configs")->elements();
+    for (config = 0; config < entries.size(); ++config) {
+      if (entries[config].find("phase")->as_string() == "trials") break;
+    }
+    if (config < entries.size()) break;
+  }
+  ASSERT_LT(shard, snapshots.size()) << "no config is split across the two shards";
+  const std::string where = "shard " + std::to_string(shard + 1) + ": slot ";
+  auto tamper = [&](auto&& edit_slot) {
+    auto bad = snapshots;
+    sim::Json entries = sim::Json::array();
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      sim::Json entry = bad[shard].find("configs")->elements()[c];
+      if (c == config) {
+        sim::Json slots = *entry.find("slots");
+        sim::Json slot = slots.elements().front();
+        edit_slot(slot);
+        slots.push_back(std::move(slot));
+        entry.set("slots", std::move(slots));
+      }
+      entries.push_back(std::move(entry));
+    }
+    bad[shard].set("configs", std::move(entries));
+    return bad;
+  };
+  const auto beyond = tamper([](sim::Json& slot) { slot.set("slot", 99); });
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", beyond); },
+                     where + "99 out of range");
+  const auto first_slot = static_cast<std::uint64_t>(snapshots[shard]
+                                                          .find("configs")
+                                                          ->elements()[config]
+                                                          .find("slots")
+                                                          ->elements()
+                                                          .front()
+                                                          .find("slot")
+                                                          ->as_number());
+  const auto curved = tamper([](sim::Json& slot) { slot.set("curves", sim::Json::object()); });
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", curved); },
+                     where + std::to_string(first_slot) +
+                         " has a curve partial but the spec does not enable curves");
 }
 
 TEST(CampaignShard, ShardedRunsResumeToo) {
@@ -619,21 +665,27 @@ std::string read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
 }
 
+/// Checkpoint text with the wall-clock `written_at` stamp pinned to 0.
+std::string pin_written_at(std::string text) {
+  const std::string key = "\n  \"written_at\": ";
+  const std::size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << text.substr(0, 400);
+  if (at == std::string::npos) return text;
+  const std::size_t digits = at + key.size();
+  text.replace(digits, text.find(',', digits) - digits, "0");
+  return text;
+}
+
 /// Expects the checkpoint file at `path` to hold `snapshot.dump(2)` plus a
 /// newline, with the wall-clock `written_at` stamp pinned to 0 on both sides.
 void expect_file_is_tree(const std::string& path, sim::Json snapshot) {
-  std::string text = read_file(path);
-  const std::string key = "\n  \"written_at\": ";
-  const std::size_t at = text.find(key);
-  ASSERT_NE(at, std::string::npos) << path;
-  const std::size_t digits = at + key.size();
-  text.replace(digits, text.find(',', digits) - digits, "0");
   snapshot.set("written_at", 0);
-  EXPECT_EQ(text, snapshot.dump(2) + "\n") << path;
+  EXPECT_EQ(pin_written_at(read_file(path)), snapshot.dump(2) + "\n") << path;
 }
 
 /// Runs the campaign with a checkpoint file and expects the final write to
-/// equal the returned snapshot tree.
+/// equal the returned snapshot tree byte for byte: the two share one
+/// header, so not even `written_at` may differ.
 sim::CampaignOutcome run_and_expect_file_is_tree(const std::vector<sim::CampaignConfig>& configs,
                                                  sim::CampaignOptions options,
                                                  const std::string& name,
@@ -641,7 +693,8 @@ sim::CampaignOutcome run_and_expect_file_is_tree(const std::vector<sim::Campaign
   options.checkpoint_file = testing::TempDir() + name;
   std::remove(options.checkpoint_file.c_str());
   auto outcome = sim::run_campaign_resumable(configs, options, "snap", resume);
-  expect_file_is_tree(options.checkpoint_file, outcome.snapshot);
+  EXPECT_EQ(read_file(options.checkpoint_file), outcome.snapshot.dump(2) + "\n")
+      << options.checkpoint_file;
   std::remove(options.checkpoint_file.c_str());
   return outcome;
 }
@@ -760,6 +813,63 @@ TEST(CampaignCheckpoint, SuccessiveWritesReRenderWhatChanged) {
   recorder.write_checkpoint(true);
   expect_file_is_tree(options.checkpoint_file, recorder.snapshot(true));
   std::remove(options.checkpoint_file.c_str());
+}
+
+TEST(CampaignShard, OneOfOneShardSnapshotIsItsCheckpointFile) {
+  // What a 1/1 shard prints is the document its final write put on disk,
+  // written_at included: the final write and the snapshot share one header.
+  auto options = snapshot_options(2);
+  options.checkpoint_every = 1;
+  options.shard_index = 1;
+  options.shard_count = 1;
+  options.checkpoint_file = testing::TempDir() + "ck_shard11.json";
+  for (const std::uint64_t stop : {std::uint64_t{3}, std::uint64_t{0}}) {
+    options.stop_after_blocks = stop;
+    std::remove(options.checkpoint_file.c_str());
+    const auto outcome = sim::run_campaign_resumable(snapshot_configs(), options, "snap");
+    EXPECT_EQ(outcome.complete, stop == 0);
+    EXPECT_EQ(read_file(options.checkpoint_file), outcome.snapshot.dump(2) + "\n") << stop;
+  }
+  std::remove(options.checkpoint_file.c_str());
+}
+
+TEST(CampaignCheckpoint, LoadThenWriteGivesTheLoadedFileBackInEveryPhase) {
+  // Campaigns stopped at every block budget leave files with configs in
+  // every phase (with and without curves). Loading one into a fresh
+  // recorder and writing it again must give the loaded bytes back
+  // (written_at aside): the typed store holds everything the file says.
+  const std::string path = testing::TempDir() + "ck_round_trip.json";
+  const std::string back = testing::TempDir() + "ck_round_trip_back.json";
+  std::set<std::string> seen;
+  bool curves_mid_run = false;
+  for (const auto& configs : {snapshot_configs(), curve_snapshot_configs()}) {
+    for (std::uint64_t stop = 1;; ++stop) {
+      auto options = snapshot_options(1);
+      options.checkpoint_file = path;
+      options.stop_after_blocks = stop;
+      std::remove(path.c_str());
+      const auto outcome = sim::run_campaign_resumable(configs, options, "snap");
+      const auto phases = phases_of(outcome.snapshot);
+      seen.insert(phases.begin(), phases.end());
+      curves_mid_run |= configs[0].curves.enabled && phases.count("trials") != 0;
+
+      const std::string text = read_file(path);
+      const auto doc = sim::Json::parse(text);
+      ASSERT_TRUE(doc.has_value()) << path;
+      options.checkpoint_file = back;
+      sim::CampaignRecorder recorder(configs, options, "snap");
+      (void)recorder.load(*doc);
+      recorder.write_checkpoint(outcome.complete);
+      EXPECT_EQ(pin_written_at(read_file(back)), pin_written_at(text)) << "stop " << stop;
+      if (outcome.complete) break;
+    }
+  }
+  for (const char* phase : {"pending", "trials", "screen", "refine", "done"}) {
+    EXPECT_EQ(seen.count(phase), 1u) << phase;
+  }
+  EXPECT_TRUE(curves_mid_run);
+  std::remove(path.c_str());
+  std::remove(back.c_str());
 }
 
 // --- The background checkpoint writer ----------------------------------------
