@@ -63,11 +63,28 @@ enum class AsyncView : std::uint8_t {
   kPerEdgeClocks,
 };
 
+[[nodiscard]] constexpr const char* async_view_name(AsyncView v) noexcept {
+  switch (v) {
+    case AsyncView::kGlobalClock: return "global-clock";
+    case AsyncView::kPerNodeClocks: return "per-node";
+    case AsyncView::kPerEdgeClocks: return "per-edge";
+  }
+  return "?";
+}
+
 /// Which auxiliary process run_aux executes (aux_process.hpp).
 enum class AuxKind : std::uint8_t {
   kPpx,  // Definition 5 (with the deg/2 forced-pull rule)
   kPpy,  // Definition 7 (plain aggregate pull probability)
 };
+
+[[nodiscard]] constexpr const char* aux_kind_name(AuxKind k) noexcept {
+  switch (k) {
+    case AuxKind::kPpx: return "ppx";
+    case AuxKind::kPpy: return "ppy";
+  }
+  return "?";
+}
 
 /// The per-trial knobs shared across engines. Every per-engine options
 /// struct (SyncOptions, AsyncOptions, AuxOptions, QuasirandomOptions,

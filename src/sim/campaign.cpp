@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <concepts>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -12,7 +13,9 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -458,74 +461,12 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
     const CampaignConfig& cfg = configs[c];
     results[c] = campaign_result_skeleton(cfg, c);
     CampaignResult& r = results[c];
-    if (!cfg.dynamics.is_static()) {
-      // Validate here (not in run_one, where a worker thread would race to
-      // report it) so API callers get the same guarantees the spec parser
-      // enforces. The engines only support dynamics where the contact
-      // sequence is drawn against the live adjacency.
-      if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has dynamics but engine '" + engine_name(cfg.engine) +
-                                 "' (dynamics needs sync or async)");
-      }
-      if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has dynamics but a non-global-clock async view");
-      }
-      const dynamics::ChurnParams& churn = cfg.dynamics.churn;
-      const bool churn_probs_ok =
-          churn.model != dynamics::ChurnModel::kMarkov ||
-          (churn.birth >= 0.0 && churn.birth <= 1.0 && churn.death >= 0.0 && churn.death <= 1.0);
-      const bool rewire_ok = churn.model != dynamics::ChurnModel::kRewire ||
-                             (churn.rewire >= 0.0 && churn.rewire <= 1.0);
-      if (!churn_probs_ok || !rewire_ok || churn.period == 0 ||
-          cfg.dynamics.weights.alpha <= 0.0) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has out-of-range dynamics parameters");
-      }
-    }
-    if (cfg.engine == EngineKind::kBatchSync) {
-      // Same guarantees the spec parser enforces, for API callers handing
-      // in configs directly: the batch engine has no per-trial telemetry or
-      // per-source stream family, so races, curves, and dynamics are out.
-      if (cfg.lanes == 0 || cfg.lanes > core::kMaxBatchLanes) {
-        throw std::runtime_error("campaign: configuration '" + r.id + "' has lanes " +
-                                 std::to_string(cfg.lanes) + " outside 1.." +
-                                 std::to_string(core::kMaxBatchLanes));
-      }
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' races sources but engine 'batch_sync' batches trials "
-                                 "per stream (use engine 'sync' for races)");
-      }
-    }
-    if (cfg.curves.enabled) {
-      // Same guarantees the spec parser enforces, for API callers handing
-      // in configs directly.
-      if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' requests curves but engine '" + engine_name(cfg.engine) +
-                                 "' has no per-trial contact structure");
-      }
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' requests curves with a raced source (curves need a fixed "
-                                 "source)");
-      }
-      if (cfg.curves.points == 0) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has curves.points == 0");
-      }
-      if (cfg.engine == EngineKind::kAsync && !(cfg.curves.time_bucket > 0.0)) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has curves.time_bucket <= 0");
-      }
+    // Checked here, not on a worker thread that would race to report it;
+    // the spec parser applies the same rules.
+    if (const std::string error = check_config(cfg); !error.empty()) {
+      throw std::runtime_error("campaign: configuration '" + r.id + "': " + error);
     }
     if (cfg.source_policy == SourcePolicy::kRace) {
-      if (cfg.race.screen_trials == 0 || cfg.race.finalists == 0) {
-        throw std::runtime_error("campaign: race configuration '" + r.id +
-                                 "' needs screen_trials >= 1 and finalists >= 1");
-      }
       const std::uint64_t final_trials =
           cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
       const std::size_t cand_bound = cfg.race.max_candidates != 0
@@ -1098,65 +1039,320 @@ CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& config
   return run_campaign_impl(configs, options, campaign_name, resume, /*recording=*/true);
 }
 
-// --- Spec parsing ------------------------------------------------------------
+// --- Config rules and spec parsing -------------------------------------------
+
+std::string check_config(const CampaignConfig& cfg) {
+  const bool raced = cfg.source_policy == SourcePolicy::kRace;
+  const std::string engine = engine_name(cfg.engine);
+  if (!cfg.dynamics.is_static()) {
+    // The engines only support dynamics where the contact sequence is drawn
+    // against the live adjacency.
+    if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
+      return "'dynamics' needs engine 'sync' or 'async' (got '" + engine + "')";
+    }
+    if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
+      return "'dynamics' needs the global-clock async view";
+    }
+  }
+  if (cfg.engine == EngineKind::kBatchSync) {
+    // Races need run_one's per-source stream family; the batch engine
+    // interleaves up to 64 trials on one stream.
+    if (cfg.lanes == 0 || cfg.lanes > core::kMaxBatchLanes) {
+      return "key 'lanes' must be in 1.." + std::to_string(core::kMaxBatchLanes);
+    }
+    if (raced) return "engine 'batch_sync' needs a fixed source (not \"race\")";
+  }
+  if (cfg.curves.enabled) {
+    // Curves need a per-trial contact structure to classify and one fixed
+    // trial population per cell.
+    if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
+      return "'curves' is not supported for engine '" + engine + "'";
+    }
+    if (raced) return "'curves' needs a fixed source (not \"race\")";
+    if (cfg.curves.points == 0) return "curves: key 'points' must be >= 1";
+    if (!(cfg.curves.time_bucket > 0.0)) return "curves: key 'time_bucket' must be > 0";
+  }
+  if (cfg.race.screen_trials == 0) return "key 'screen_trials' must be >= 1";
+  if (cfg.race.finalists == 0) return "key 'finalists' must be >= 1";
+  auto in_unit = [](double x) { return x >= 0.0 && x <= 1.0; };
+  const dynamics::ChurnParams& churn = cfg.dynamics.churn;
+  if (!in_unit(churn.birth) || !in_unit(churn.death)) {
+    return "dynamics: keys 'birth' and 'death' must be in [0, 1]";
+  }
+  if (!in_unit(churn.rewire)) return "dynamics: key 'rewire_p' must be in [0, 1]";
+  if (churn.period == 0) return "dynamics: key 'period' must be >= 1";
+  if (!(cfg.dynamics.weights.alpha > 0.0)) return "dynamics: key 'weight_alpha' must be > 0";
+  if (!(cfg.message_loss >= 0.0 && cfg.message_loss < 1.0)) {
+    return "key 'message_loss' must be in [0, 1)";
+  }
+  if (!(cfg.hp_q >= 0.0 && cfg.hp_q < 1.0)) return "key 'hp_q' must be in [0, 1)";
+  if (!in_unit(cfg.graph.p)) return "key 'p' must be in [0, 1]";
+  if (!(cfg.graph.beta > 0.0 && cfg.graph.average_degree > 0.0)) {
+    return "keys 'beta' and 'average_degree' must be positive";
+  }
+  return {};
+}
 
 namespace {
 
-/// Returns the key's number if present; `fallback` when absent. Records an
-/// error when the key exists with a non-numeric value.
-double number_or(const Json& obj, const std::string& key, double fallback, std::string& error) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    error = "key '" + key + "' must be a number";
-    return fallback;
+/// One allowed key of a spec object. `parse` reads the key's value into its
+/// CampaignConfig field and returns "" or an error that names the key.
+struct KeyRow {
+  const char* key;
+  std::string (*parse)(std::string_view key, const Json& value, CampaignConfig& cfg);
+};
+
+/// The rows of one kind of object, in the order they apply. Where two keys
+/// write one field the later row wins: the flat race keys over the `race`
+/// block.
+using Table = std::initializer_list<std::span<const KeyRow>>;
+
+std::string must_be(std::string_view key, const std::string& what) {
+  return "key '" + std::string(key) + "' must be " + what;
+}
+
+std::string read(std::string_view key, const Json& v, double& out) {
+  if (!v.is_number()) return must_be(key, "a number");
+  out = v.as_number();
+  return {};
+}
+
+std::string read(std::string_view key, const Json& v, std::string& out) {
+  if (!v.is_string()) return must_be(key, "a string");
+  out = v.as_string();
+  return {};
+}
+
+/// An integer field: the value must be a whole number that fits the field's
+/// width. JSON numbers are doubles, so this is checked before the cast.
+template <std::unsigned_integral T>
+std::string read(std::string_view key, const Json& v, T& out) {
+  constexpr int kBits = std::numeric_limits<T>::digits;
+  const double x = v.is_number() ? v.as_number() : -1.0;
+  if (!(x >= 0.0 && x < std::ldexp(1.0, kBits) && x == std::floor(x))) {
+    return must_be(key, "a non-negative integer below 2^" + std::to_string(kBits));
   }
-  return v->as_number();
+  out = static_cast<T>(x);
+  return {};
 }
 
-/// Non-negative integer variant: rejects negatives and fractions before the
-/// value reaches an unsigned cast (where a negative double would be UB).
-std::uint64_t uint_or(const Json& obj, const std::string& key, std::uint64_t fallback,
-                      std::string& error) {
-  const double v = number_or(obj, key, static_cast<double>(fallback), error);
-  if (v < 0.0 || v != std::floor(v)) {
-    error = "key '" + key + "' must be a non-negative integer";
-    return fallback;
+/// An enum field, looked up by the names `name` gives enumerators 0, 1, ...
+/// (every name function answers "?" past the last one). With `empty_keeps`,
+/// "" leaves the inherited value in place.
+template <class E, class NameFn>
+std::string read_enum(std::string_view key, const Json& v, E& out, NameFn name,
+                      bool empty_keeps = false) {
+  if (!v.is_string()) return must_be(key, "a string");
+  const std::string& s = v.as_string();
+  if (s.empty() && empty_keeps) return {};
+  std::string names;
+  for (int i = 0; std::string_view(name(static_cast<E>(i))) != "?"; ++i) {
+    if (s == name(static_cast<E>(i))) {
+      out = static_cast<E>(i);
+      return {};
+    }
+    names += std::string(i == 0 ? "" : "/") + name(static_cast<E>(i));
   }
-  return static_cast<std::uint64_t>(v);
+  return must_be(key, "one of " + names + " (got '" + s + "')");
 }
 
-std::string string_or(const Json& obj, const std::string& key, const std::string& fallback,
-                      std::string& error) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) {
-    error = "key '" + key + "' must be a string";
-    return fallback;
+bool has_row(Table table, std::string_view key) {
+  for (std::span<const KeyRow> rows : table) {
+    for (const KeyRow& row : rows) {
+      if (key == row.key) return true;
+    }
   }
-  return v->as_string();
+  return false;
 }
 
-bool parse_engine(const std::string& s, EngineKind& out) {
-  if (s == "sync") out = EngineKind::kSync;
-  else if (s == "async") out = EngineKind::kAsync;
-  else if (s == "aux") out = EngineKind::kAux;
-  else if (s == "quasirandom") out = EngineKind::kQuasirandom;
-  else if (s == "batch_sync") out = EngineKind::kBatchSync;
-  else return false;
-  return true;
+/// Rejects every key of `obj` that neither `table` nor `also_allowed` has a
+/// row for, then applies the rows of `table` whose key is present, in
+/// table order. Returns the first error.
+std::string apply_rows(const Json& obj, Table table, CampaignConfig& cfg,
+                       Table also_allowed = {}) {
+  for (const auto& [key, value] : obj.entries()) {
+    if (!has_row(table, key) && !has_row(also_allowed, key)) {
+      return "unknown key '" + key + "'";
+    }
+  }
+  for (std::span<const KeyRow> rows : table) {
+    for (const KeyRow& row : rows) {
+      if (const Json* v = obj.find(row.key); v != nullptr) {
+        if (std::string error = row.parse(row.key, *v, cfg); !error.empty()) return error;
+      }
+    }
+  }
+  return {};
 }
 
-bool parse_mode(const std::string& s, core::Mode& out) {
-  if (s == "push") out = core::Mode::kPush;
-  else if (s == "pull") out = core::Mode::kPull;
-  else if (s == "push-pull") out = core::Mode::kPushPull;
-  else return false;
-  return true;
+/// A nested block: its own rows, with errors labelled by the block's key.
+std::string apply_block(std::string_view key, const Json& v, Table table, CampaignConfig& cfg) {
+  if (!v.is_object()) return must_be(key, "an object");
+  const std::string error = apply_rows(v, table, cfg);
+  return error.empty() ? error : std::string(key) + ": " + error;
 }
+
+/// Worst-source race tuning: the `race` block, and flat on a config.
+constexpr KeyRow kRaceRows[] = {
+    {"screen_trials",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.race.screen_trials); }},
+    {"finalists", [](auto key, auto& v, auto& c) { return read(key, v, c.race.finalists); }},
+    {"final_trials",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.race.final_trials); }},
+    {"max_candidates",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.race.max_candidates); }},
+};
+
+/// Generator parameters: in the graph object, and flat on a config.
+constexpr KeyRow kGeneratorRows[] = {
+    {"p", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.p); }},
+    {"degree", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.degree); }},
+    {"beta", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.beta); }},
+    {"average_degree",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.graph.average_degree); }},
+    {"graph_seed", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.graph_seed); }},
+};
+
+/// The `curves` block; its presence turns spread telemetry on.
+constexpr KeyRow kCurvesRows[] = {
+    {"points", [](auto key, auto& v, auto& c) { return read(key, v, c.curves.points); }},
+    {"time_bucket", [](auto key, auto& v, auto& c) { return read(key, v, c.curves.time_bucket); }},
+};
+
+/// The `dynamics` block: churn model and parameters, weight model and
+/// parameters. It merges over the defaults' block key by key.
+constexpr KeyRow kDynamicsRows[] = {
+    {"churn",
+     [](auto key, auto& v, auto& c) {
+       return read_enum(key, v, c.dynamics.churn.model, dynamics::churn_model_name, true);
+     }},
+    {"birth", [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.churn.birth); }},
+    {"death", [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.churn.death); }},
+    {"rewire_p",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.churn.rewire); }},
+    {"period", [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.churn.period); }},
+    {"weights",
+     [](auto key, auto& v, auto& c) {
+       return read_enum(key, v, c.dynamics.weights.model, dynamics::weight_model_name, true);
+     }},
+    {"weight_alpha",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.weights.alpha); }},
+    {"dynamics_seed", [](auto key, auto& v, auto& c) { return read(key, v, c.dynamics.seed); }},
+};
+
+/// The graph object's own keys (beside the generator rows).
+constexpr KeyRow kGraphRows[] = {
+    {"kind", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.family); }},
+    {"path", [](auto key, auto& v, auto& c) { return read(key, v, c.graph.path); }},
+};
+
+/// The engine object. `lanes` is the batch engine's lane width and, via
+/// effective_block_size, the cell's trial block size.
+constexpr KeyRow kEngineRows[] = {
+    {"kind", [](auto key, auto& v, auto& c) { return read_enum(key, v, c.engine, engine_name); }},
+    {"lanes", [](auto key, auto& v, auto& c) { return read(key, v, c.lanes); }},
+};
+
+/// "source": a node id (fixed policy), or the policy name "fixed" / "race".
+std::string read_source(std::string_view key, const Json& v, CampaignConfig& cfg) {
+  if (!v.is_string()) {
+    cfg.source_policy = SourcePolicy::kFixed;
+    return read(key, v, cfg.source);
+  }
+  for (const SourcePolicy policy : {SourcePolicy::kFixed, SourcePolicy::kRace}) {
+    if (v.as_string() == source_policy_name(policy)) {
+      cfg.source_policy = policy;
+      return {};
+    }
+  }
+  return must_be(key, "a node id, \"fixed\", or \"race\"");
+}
+
+/// "graph": a family name, or an object {"kind": <family> | "file", ...}
+/// carrying per-graph generator keys. Kind "file" instead takes "path" (a
+/// packed graph store, graph/graph_store.hpp) and no generator keys: the
+/// store knows its own shape.
+std::string read_graph(std::string_view key, const Json& v, CampaignConfig& cfg) {
+  if (v.is_string()) return read(key, v, cfg.graph.family);
+  if (!v.is_object()) return must_be(key, "a family name or an object with 'kind'");
+  std::string error = apply_rows(v, {kGraphRows, kGeneratorRows}, cfg);
+  const bool file = cfg.graph.family == "file";
+  if (error.empty() && cfg.graph.family.empty()) error = "missing required key 'kind'";
+  if (error.empty() && file && cfg.graph.path.empty()) {
+    error = "kind 'file' needs a non-empty 'path'";
+  }
+  if (error.empty() && !file && !cfg.graph.path.empty()) {
+    error = "key 'path' is only allowed with kind 'file'";
+  }
+  for (const KeyRow& row : kGeneratorRows) {
+    if (error.empty() && file && v.find(row.key) != nullptr) {
+      error = std::string("key '") + row.key +
+              "' is not allowed with kind 'file' (the store knows its own shape)";
+    }
+  }
+  return error.empty() ? error : std::string(key) + ": " + error;
+}
+
+/// "engine": a name, or an object {"kind": <name>, "lanes": ...}.
+std::string read_engine(std::string_view key, const Json& v, CampaignConfig& cfg) {
+  if (v.is_string()) return read_enum(key, v, cfg.engine, engine_name);
+  if (!v.is_object()) return must_be(key, "a name or a {\"kind\": ...} object");
+  std::string error = apply_rows(v, {kEngineRows}, cfg);
+  if (error.empty() && v.find("kind") == nullptr) error = "missing required key 'kind'";
+  if (error.empty() && v.find("lanes") != nullptr && cfg.engine != EngineKind::kBatchSync) {
+    error = "key 'lanes' is only allowed with kind 'batch_sync'";
+  }
+  return error.empty() ? error : std::string(key) + ": " + error;
+}
+
+/// The keys a config entry and `defaults` share.
+constexpr KeyRow kConfigRows[] = {
+    {"trials", [](auto key, auto& v, auto& c) { return read(key, v, c.trials); }},
+    {"seed", [](auto key, auto& v, auto& c) { return read(key, v, c.seed); }},
+    {"source", read_source},
+    {"race", [](auto key, auto& v, auto& c) { return apply_block(key, v, {kRaceRows}, c); }},
+    {"message_loss", [](auto key, auto& v, auto& c) { return read(key, v, c.message_loss); }},
+    {"dynamics",
+     [](auto key, auto& v, auto& c) { return apply_block(key, v, {kDynamicsRows}, c); }},
+    {"curves",
+     [](auto key, auto& v, auto& c) {
+       c.curves.enabled = true;
+       return apply_block(key, v, {kCurvesRows}, c);
+     }},
+    {"hp_q", [](auto key, auto& v, auto& c) { return read(key, v, c.hp_q); }},
+    {"reservoir_capacity",
+     [](auto key, auto& v, auto& c) { return read(key, v, c.reservoir_capacity); }},
+    {"view",
+     [](auto key, auto& v, auto& c) {
+       return read_enum(key, v, c.view, core::async_view_name, true);
+     }},
+    {"aux",
+     [](auto key, auto& v, auto& c) {
+       return read_enum(key, v, c.aux, core::aux_kind_name, true);
+     }},
+};
+
+/// Keys only a config entry has.
+constexpr KeyRow kEntryRows[] = {
+    {"id", [](auto key, auto& v, auto& c) { return read(key, v, c.id); }},
+    {"graph", read_graph},
+};
+
+/// Keys that may hold an array: each element is one cell, and an entry
+/// expands to the cross product of its arrays (n outermost, mode fastest).
+/// They apply per cell; an entry without the key takes the defaults' value.
+constexpr KeyRow kCellRows[] = {
+    {"n",
+     [](auto key, auto& v, auto& c) {
+       const std::string error = read(key, v, c.graph.n);
+       return error.empty() && c.graph.n < 2 ? must_be(key, "an integer >= 2") : error;
+     }},
+    {"engine", read_engine},
+    {"mode", [](auto key, auto& v, auto& c) { return read_enum(key, v, c.mode, core::mode_name); }},
+};
 
 /// Collects a scalar-or-array key as a vector of Json scalars (one-element
-/// vector for scalars; `fallback` when the key is absent).
+/// vector for scalars, empty when the key is absent).
 std::vector<const Json*> scalar_or_array(const Json& obj, const std::string& key) {
   std::vector<const Json*> out;
   const Json* v = obj.find(key);
@@ -1169,188 +1365,34 @@ std::vector<const Json*> scalar_or_array(const Json& obj, const std::string& key
   return out;
 }
 
-constexpr const char* kKnownKeys[] = {
-    "id",     "graph",  "n",    "p",       "degree", "beta",
-    "average_degree", "graph_seed", "engine", "mode", "view", "aux",
-    "source", "trials", "seed", "hp_q",    "reservoir_capacity",
-    "message_loss", "screen_trials", "finalists", "final_trials", "max_candidates",
-    "race", "dynamics", "curves",
-};
-
-template <std::size_t N>
-bool known_key(const std::string& key, const char* const (&keys)[N]) {
-  return std::find_if(std::begin(keys), std::end(keys),
-                      [&key](const char* k) { return key == k; }) != std::end(keys);
-}
-
-/// Prefixes `error` with the nested block's name, so "unknown key" and
-/// range errors inside `race`/`dynamics` name both the block and the key.
-void prefix_block_error(std::string& error, const char* block) {
-  if (!error.empty() && error.rfind(block, 0) != 0) {
-    error = std::string(block) + error;
-  }
-}
-
-/// The nested `race` tuning block; the flat top-level keys remain as
-/// aliases (parsed after this, so they win on conflict).
-void apply_race_block(const Json& obj, SourceRaceOptions& race, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("race");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'race' must be an object";
-    return;
-  }
-  static constexpr const char* kRaceKeys[] = {"screen_trials", "finalists", "final_trials",
-                                              "max_candidates"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kRaceKeys)) {
-      error = "race: unknown key '" + key + "'";
-      return;
-    }
-  }
-  race.screen_trials = uint_or(*block, "screen_trials", race.screen_trials, error);
-  race.finalists = static_cast<std::uint32_t>(uint_or(*block, "finalists", race.finalists, error));
-  race.final_trials = uint_or(*block, "final_trials", race.final_trials, error);
-  race.max_candidates =
-      static_cast<std::uint32_t>(uint_or(*block, "max_candidates", race.max_candidates, error));
-  prefix_block_error(error, "race: ");
-}
-
-/// The nested `curves` block (spread telemetry): its presence enables
-/// per-round/per-time informed-count curve and contact accounting for the
-/// cell. {"points": <grid length>, "time_bucket": <async bucket width>}.
-void apply_curves_block(const Json& obj, CurveSpec& curves, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("curves");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'curves' must be an object";
-    return;
-  }
-  static constexpr const char* kCurvesKeys[] = {"points", "time_bucket"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kCurvesKeys)) {
-      error = "curves: unknown key '" + key + "'";
-      return;
-    }
-  }
-  curves.enabled = true;
-  curves.points =
-      static_cast<std::uint32_t>(uint_or(*block, "points", curves.points, error));
-  if (curves.points == 0) error = "key 'points' must be >= 1";
-  curves.time_bucket = number_or(*block, "time_bucket", curves.time_bucket, error);
-  if (!(curves.time_bucket > 0.0)) error = "key 'time_bucket' must be > 0";
-  prefix_block_error(error, "curves: ");
-}
-
-/// The nested `dynamics` block: churn model + parameters and weight model
-/// + parameters. Merges over the defaults' block key by key.
-void apply_dynamics_block(const Json& obj, dynamics::DynamicsSpec& spec, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("dynamics");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'dynamics' must be an object";
-    return;
-  }
-  static constexpr const char* kDynamicsKeys[] = {"churn",  "birth",        "death",
-                                                  "rewire_p", "period",     "weights",
-                                                  "weight_alpha", "dynamics_seed"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kDynamicsKeys)) {
-      error = "dynamics: unknown key '" + key + "'";
-      return;
-    }
-  }
-  const std::string churn = string_or(*block, "churn", "", error);
-  if (churn == "none") spec.churn.model = dynamics::ChurnModel::kNone;
-  else if (churn == "markov") spec.churn.model = dynamics::ChurnModel::kMarkov;
-  else if (churn == "rewire") spec.churn.model = dynamics::ChurnModel::kRewire;
-  else if (!churn.empty()) error = "unknown churn model '" + churn + "'";
-  spec.churn.birth = number_or(*block, "birth", spec.churn.birth, error);
-  spec.churn.death = number_or(*block, "death", spec.churn.death, error);
-  if (spec.churn.birth < 0.0 || spec.churn.birth > 1.0 || spec.churn.death < 0.0 ||
-      spec.churn.death > 1.0) {
-    error = "keys 'birth' and 'death' must be in [0, 1]";
-  }
-  spec.churn.rewire = number_or(*block, "rewire_p", spec.churn.rewire, error);
-  if (spec.churn.rewire < 0.0 || spec.churn.rewire > 1.0) {
-    error = "key 'rewire_p' must be in [0, 1]";
-  }
-  spec.churn.period = uint_or(*block, "period", spec.churn.period, error);
-  if (spec.churn.period == 0) error = "key 'period' must be >= 1";
-  const std::string weights = string_or(*block, "weights", "", error);
-  if (weights == "none") spec.weights.model = dynamics::WeightModel::kNone;
-  else if (weights == "uniform") spec.weights.model = dynamics::WeightModel::kUniform;
-  else if (weights == "degree") spec.weights.model = dynamics::WeightModel::kDegree;
-  else if (weights == "heavy_tailed") spec.weights.model = dynamics::WeightModel::kHeavyTailed;
-  else if (!weights.empty()) error = "unknown weight model '" + weights + "'";
-  spec.weights.alpha = number_or(*block, "weight_alpha", spec.weights.alpha, error);
-  if (spec.weights.alpha <= 0.0) error = "key 'weight_alpha' must be > 0";
-  spec.seed = uint_or(*block, "dynamics_seed", spec.seed, error);
-  prefix_block_error(error, "dynamics: ");
-}
-
-/// The "graph" key: a family-name string, or an object
-/// {"kind": <family> | "file", ...} carrying per-graph parameter overrides.
-/// Kind "file" instead takes "path" (a packed graph store,
-/// graph/graph_store.hpp) and rejects generator parameters — the store
-/// knows its own shape.
-void apply_graph_key(const Json& obj, CampaignConfig& cfg, std::string& error) {
-  if (!error.empty()) return;
-  const Json* g = obj.find("graph");
-  if (g == nullptr) return;
-  if (g->is_string()) {
-    cfg.graph.family = g->as_string();
-    return;
-  }
-  if (!g->is_object()) {
-    error = "key 'graph' must be a family name or an object with 'kind'";
-    return;
-  }
-  static constexpr const char* kGraphKeys[] = {"kind", "path",           "p",
-                                               "degree", "beta", "average_degree",
-                                               "graph_seed"};
-  for (const auto& [key, value] : g->entries()) {
-    if (!known_key(key, kGraphKeys)) {
-      error = "graph: unknown key '" + key + "'";
-      return;
-    }
-  }
-  cfg.graph.family = string_or(*g, "kind", "", error);
-  if (cfg.graph.family.empty() && error.empty()) error = "missing required key 'kind'";
-  cfg.graph.path = string_or(*g, "path", "", error);
+/// The id of a cell whose entry gives none: graph, engine, mode, and what
+/// else sets the cell apart (lane width, race, churn and weight models).
+std::string derived_id(const CampaignConfig& cfg) {
+  std::string graph_tag = cfg.graph.family + "_n" + std::to_string(cfg.graph.n);
   if (cfg.graph.family == "file") {
-    if (cfg.graph.path.empty() && error.empty()) error = "kind 'file' needs a non-empty 'path'";
-    static constexpr const char* kGeneratorOnly[] = {"p", "degree", "beta", "average_degree",
-                                                     "graph_seed"};
-    for (const char* key : kGeneratorOnly) {
-      if (g->find(key) != nullptr && error.empty()) {
-        error = std::string("key '") + key +
-                "' is not allowed with kind 'file' (the store knows its own shape)";
-      }
+    // Tag by the store's file stem ("file-web" for "data/web.rgs"); two
+    // stores with one stem collide — give explicit ids.
+    std::string stem = cfg.graph.path;
+    if (const auto slash = stem.find_last_of("/\\"); slash != std::string::npos) {
+      stem = stem.substr(slash + 1);
     }
-  } else if (!cfg.graph.path.empty()) {
-    if (error.empty()) error = "key 'path' is only allowed with kind 'file'";
-  } else {
-    cfg.graph.p = number_or(*g, "p", cfg.graph.p, error);
-    if (cfg.graph.p < 0.0 || cfg.graph.p > 1.0) error = "key 'p' must be in [0, 1]";
-    cfg.graph.degree = static_cast<std::uint32_t>(uint_or(*g, "degree", cfg.graph.degree, error));
-    cfg.graph.beta = number_or(*g, "beta", cfg.graph.beta, error);
-    cfg.graph.average_degree = number_or(*g, "average_degree", cfg.graph.average_degree, error);
-    if (cfg.graph.beta <= 0.0 || cfg.graph.average_degree <= 0.0) {
-      error = "keys 'beta' and 'average_degree' must be positive";
+    if (const auto dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
+      stem.resize(dot);
     }
-    cfg.graph.graph_seed = uint_or(*g, "graph_seed", cfg.graph.graph_seed, error);
+    graph_tag = "file-" + stem;
   }
-  prefix_block_error(error, "graph: ");
+  std::string id = graph_tag + "_" + engine_name(cfg.engine) + "_" + core::mode_name(cfg.mode);
+  // Lane width is part of a batch cell's identity: two cells differing only
+  // in lanes run different block grids.
+  if (cfg.engine == EngineKind::kBatchSync) id += "_lanes" + std::to_string(cfg.lanes);
+  if (cfg.source_policy == SourcePolicy::kRace) id += "_race";
+  if (cfg.dynamics.churn.model != dynamics::ChurnModel::kNone) {
+    id += std::string("_") + dynamics::churn_model_name(cfg.dynamics.churn.model);
+  }
+  if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone) {
+    id += std::string("_w-") + dynamics::weight_model_name(cfg.dynamics.weights.model);
+  }
+  return id;
 }
 
 }  // namespace
@@ -1361,91 +1403,30 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
     spec.error = "campaign spec must be a JSON object";
     return spec;
   }
-  std::string error;
-  spec.name = string_or(doc, "name", "campaign", error);
+  spec.name = "campaign";
+  if (const Json* name = doc.find("name"); name != nullptr) {
+    spec.error = read("name", *name, spec.name);
+    if (!spec.error.empty()) return spec;
+  }
 
-  // Defaults applied to every config entry (each entry may override).
-  CampaignConfig proto;
+  // Defaults apply to every config entry (each entry may override). Their
+  // "engine" and "mode" must be names, resolved per cell like an entry's.
+  const Json no_defaults = Json::object();
   const Json* defaults = doc.find("defaults");
-  Json empty_defaults = Json::object();
-  if (defaults == nullptr) defaults = &empty_defaults;
+  if (defaults == nullptr) defaults = &no_defaults;
   if (!defaults->is_object()) {
     spec.error = "'defaults' must be an object";
     return spec;
   }
-
-  auto apply_scalars = [&error](const Json& obj, CampaignConfig& cfg) {
-    cfg.trials = uint_or(obj, "trials", cfg.trials, error);
-    cfg.seed = uint_or(obj, "seed", cfg.seed, error);
-    // "source" is a node id (fixed policy) or the policy string "race" /
-    // "fixed"; anything else is a spec error.
-    if (const Json* src = obj.find("source"); src != nullptr) {
-      if (src->is_number()) {
-        const double v = src->as_number();
-        if (v < 0.0 || v != std::floor(v)) {
-          error = "key 'source' must be a non-negative integer node id or \"race\"";
-        } else {
-          cfg.source = static_cast<graph::NodeId>(v);
-          cfg.source_policy = SourcePolicy::kFixed;
-        }
-      } else if (src->is_string() && src->as_string() == "race") {
-        cfg.source_policy = SourcePolicy::kRace;
-      } else if (src->is_string() && src->as_string() == "fixed") {
-        cfg.source_policy = SourcePolicy::kFixed;
-      } else {
-        error = "key 'source' must be a non-negative integer node id, \"fixed\", or \"race\"";
-      }
-    }
-    apply_race_block(obj, cfg.race, error);
-    cfg.race.screen_trials = uint_or(obj, "screen_trials", cfg.race.screen_trials, error);
-    if (cfg.race.screen_trials == 0) error = "key 'screen_trials' must be >= 1";
-    cfg.race.finalists = static_cast<std::uint32_t>(
-        uint_or(obj, "finalists", cfg.race.finalists, error));
-    if (cfg.race.finalists == 0) error = "key 'finalists' must be >= 1";
-    cfg.race.final_trials = uint_or(obj, "final_trials", cfg.race.final_trials, error);
-    cfg.race.max_candidates = static_cast<std::uint32_t>(
-        uint_or(obj, "max_candidates", cfg.race.max_candidates, error));
-    cfg.message_loss = number_or(obj, "message_loss", cfg.message_loss, error);
-    if (cfg.message_loss < 0.0 || cfg.message_loss >= 1.0) {
-      error = "key 'message_loss' must be in [0, 1)";
-    }
-    apply_dynamics_block(obj, cfg.dynamics, error);
-    apply_curves_block(obj, cfg.curves, error);
-    cfg.hp_q = number_or(obj, "hp_q", cfg.hp_q, error);
-    if (cfg.hp_q < 0.0 || cfg.hp_q >= 1.0) error = "key 'hp_q' must be in [0, 1)";
-    cfg.reservoir_capacity =
-        static_cast<std::size_t>(uint_or(obj, "reservoir_capacity", cfg.reservoir_capacity, error));
-    cfg.graph.p = number_or(obj, "p", cfg.graph.p, error);
-    if (cfg.graph.p < 0.0 || cfg.graph.p > 1.0) error = "key 'p' must be in [0, 1]";
-    cfg.graph.degree = static_cast<std::uint32_t>(uint_or(obj, "degree", cfg.graph.degree, error));
-    cfg.graph.beta = number_or(obj, "beta", cfg.graph.beta, error);
-    cfg.graph.average_degree = number_or(obj, "average_degree", cfg.graph.average_degree, error);
-    if (cfg.graph.beta <= 0.0 || cfg.graph.average_degree <= 0.0) {
-      error = "keys 'beta' and 'average_degree' must be positive";
-    }
-    cfg.graph.graph_seed = uint_or(obj, "graph_seed", cfg.graph.graph_seed, error);
-    const std::string view = string_or(obj, "view", "", error);
-    if (view == "per-node") cfg.view = core::AsyncView::kPerNodeClocks;
-    else if (view == "per-edge") cfg.view = core::AsyncView::kPerEdgeClocks;
-    else if (view == "global-clock") cfg.view = core::AsyncView::kGlobalClock;
-    else if (!view.empty()) error = "unknown async view '" + view + "'";
-    const std::string aux = string_or(obj, "aux", "", error);
-    if (aux == "ppx") cfg.aux = core::AuxKind::kPpx;
-    else if (aux == "ppy") cfg.aux = core::AuxKind::kPpy;
-    else if (!aux.empty()) error = "unknown aux kind '" + aux + "'";
-  };
-
-  // The same typo protection configs get: every defaults key must be known,
-  // and per-entry-only keys (id/graph/n) make no sense as shared values.
-  for (const auto& [key, value] : defaults->entries()) {
-    if (!known_key(key, kKnownKeys) || key == "id" || key == "graph" || key == "n") {
-      spec.error = "defaults: key '" + key + "' is not allowed here";
-      return spec;
-    }
+  const auto default_cell_rows = std::span(kCellRows).subspan(1);  // all but "n"
+  CampaignConfig proto;
+  std::string error =
+      apply_rows(*defaults, {kConfigRows, kRaceRows, kGeneratorRows}, proto, {default_cell_rows});
+  for (const KeyRow& row : default_cell_rows) {
+    const Json* v = defaults->find(row.key);
+    if (error.empty() && v != nullptr && !v->is_string()) error = must_be(row.key, "a string");
   }
-  apply_scalars(*defaults, proto);
-  const std::string default_engine = string_or(*defaults, "engine", "sync", error);
-  const std::string default_mode = string_or(*defaults, "mode", "push-pull", error);
+  if (error.empty()) error = check_config(proto);
   if (!error.empty()) {
     spec.error = "defaults: " + error;
     return spec;
@@ -1469,188 +1450,55 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
       spec.error = where + " must be an object";
       return spec;
     }
-    for (const auto& [key, value] : entry.entries()) {
-      if (!known_key(key, kKnownKeys)) {
-        spec.error = where + ": unknown key '" + key + "'";
-        return spec;
-      }
-    }
-
+    // Two passes: the flat keys are checked before the graph object may
+    // override them, as the defaults are before the entry overrides them.
     CampaignConfig base = proto;
-    apply_scalars(entry, base);
-    apply_graph_key(entry, base, error);
-    if (!error.empty()) {
-      spec.error = where + ": " + error;
-      return spec;
+    error = apply_rows(entry, {kConfigRows, kRaceRows, kGeneratorRows}, base,
+                       {kEntryRows, kCellRows});
+    if (error.empty()) error = check_config(base);
+    if (error.empty()) {
+      error = apply_rows(entry, {kEntryRows}, base,
+                         {kConfigRows, kRaceRows, kGeneratorRows, kCellRows});
     }
-    if (base.graph.family.empty()) {
-      spec.error = where + ": missing required key 'graph'";
-      return spec;
-    }
-    const bool file_graph = base.graph.family == "file";
-    const std::string explicit_id = string_or(entry, "id", "", error);
-    if (!error.empty()) {
-      spec.error = where + ": " + error;
-      return spec;
-    }
-
-    // "n", "engine", and "mode" may be arrays; expand their cross product.
+    if (error.empty() && base.graph.family.empty()) error = "missing required key 'graph'";
     // File-backed cells have no "n" (the store knows its own), so their
     // n-dimension is a single pass-through slot.
-    const auto ns = scalar_or_array(entry, "n");
-    const auto engines = scalar_or_array(entry, "engine");
-    const auto modes = scalar_or_array(entry, "mode");
-    if (file_graph && !ns.empty()) {
-      spec.error = where + ": key 'n' is not allowed with graph kind 'file' "
-                           "(the store knows its own node count)";
+    const bool file_graph = base.graph.family == "file";
+    std::vector<const Json*> values[std::size(kCellRows)];
+    for (std::size_t k = 0; k < std::size(kCellRows); ++k) {
+      values[k] = scalar_or_array(entry, kCellRows[k].key);
+      if (values[k].empty()) values[k] = scalar_or_array(*defaults, kCellRows[k].key);
+    }
+    if (error.empty() && file_graph && !values[0].empty()) {
+      error = "key 'n' is not allowed with graph kind 'file' (the store knows its own node count)";
+    }
+    if (error.empty() && !file_graph && values[0].empty()) error = "missing required key 'n'";
+    if (!error.empty()) {
+      spec.error = where + ": " + error;
       return spec;
     }
-    if (!file_graph && ns.empty()) {
-      spec.error = where + ": missing required key 'n'";
-      return spec;
-    }
-    for (std::size_t ni = 0; ni < std::max<std::size_t>(ns.size(), 1); ++ni) {
-      const Json* n_value = ns.empty() ? nullptr : ns[ni];
-      if (n_value != nullptr && (!n_value->is_number() || n_value->as_number() < 2.0)) {
-        spec.error = where + ": 'n' entries must be numbers >= 2";
-        return spec;
-      }
-      for (std::size_t ei = 0; ei < std::max<std::size_t>(engines.size(), 1); ++ei) {
-        for (std::size_t mi = 0; mi < std::max<std::size_t>(modes.size(), 1); ++mi) {
+    for (std::size_t ni = 0; ni < std::max<std::size_t>(values[0].size(), 1); ++ni) {
+      for (std::size_t ei = 0; ei < std::max<std::size_t>(values[1].size(), 1); ++ei) {
+        for (std::size_t mi = 0; mi < std::max<std::size_t>(values[2].size(), 1); ++mi) {
           CampaignConfig cfg = base;
-          if (n_value != nullptr) cfg.graph.n = static_cast<std::uint64_t>(n_value->as_number());
-          std::string engine_str = default_engine;
-          if (!engines.empty()) {
-            const Json& engine_value = *engines[ei];
-            if (engine_value.is_string()) {
-              engine_str = engine_value.as_string();
-            } else if (engine_value.is_object()) {
-              // Object form {"kind": ..., "lanes": ...}: lanes is the batch
-              // engine's lane width — and, via effective_block_size, the
-              // cell's trial block size — the only per-engine knob so far.
-              static constexpr const char* kEngineKeys[] = {"kind", "lanes"};
-              for (const auto& [key, value] : engine_value.entries()) {
-                if (!known_key(key, kEngineKeys)) {
-                  spec.error = where + ": engine: unknown key '" + key + "'";
-                  return spec;
-                }
-              }
-              std::string engine_error;
-              engine_str = string_or(engine_value, "kind", "", engine_error);
-              if (engine_str.empty() && engine_error.empty()) {
-                engine_error = "missing required key 'kind'";
-              }
-              const std::uint64_t lanes =
-                  uint_or(engine_value, "lanes", core::kMaxBatchLanes, engine_error);
-              if (engine_error.empty() && engine_value.find("lanes") != nullptr &&
-                  engine_str != "batch_sync") {
-                engine_error = "key 'lanes' is only allowed with kind 'batch_sync'";
-              }
-              if (engine_error.empty() && (lanes == 0 || lanes > core::kMaxBatchLanes)) {
-                engine_error =
-                    "key 'lanes' must be in 1.." + std::to_string(core::kMaxBatchLanes);
-              }
-              if (!engine_error.empty()) {
-                spec.error = where + ": engine: " + engine_error;
-                return spec;
-              }
-              cfg.lanes = static_cast<std::uint32_t>(lanes);
-            } else {
-              spec.error = where + ": 'engine' entries must be names or {\"kind\": ...} objects";
-              return spec;
-            }
+          const std::size_t pick[] = {ni, ei, mi};
+          for (std::size_t k = 0; k < std::size(kCellRows) && error.empty(); ++k) {
+            if (values[k].empty()) continue;
+            error = kCellRows[k].parse(kCellRows[k].key, *values[k][pick[k]], cfg);
           }
-          if (!parse_engine(engine_str, cfg.engine)) {
-            spec.error = where + ": unknown engine '" + engine_str + "'";
+          if (error.empty()) error = check_config(cfg);
+          if (!error.empty()) {
+            spec.error = where + ": " + error;
             return spec;
           }
-          std::string mode_str = default_mode;
-          if (!modes.empty()) {
-            if (!modes[mi]->is_string()) {
-              spec.error = where + ": 'mode' entries must be strings";
-              return spec;
-            }
-            mode_str = modes[mi]->as_string();
-          }
-          if (!parse_mode(mode_str, cfg.mode)) {
-            spec.error = where + ": unknown mode '" + mode_str + "'";
-            return spec;
-          }
-          if (!cfg.dynamics.is_static()) {
-            // The same guarantees run_campaign enforces, caught at parse
-            // time where the message can cite the spec entry.
-            if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
-              spec.error = where + ": 'dynamics' needs engine 'sync' or 'async' (got '" +
-                           engine_str + "')";
-              return spec;
-            }
-            if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
-              spec.error = where + ": 'dynamics' needs the global-clock async view";
-              return spec;
-            }
-          }
-          if (cfg.engine == EngineKind::kBatchSync &&
-              cfg.source_policy == SourcePolicy::kRace) {
-            // Races need run_one's per-source stream family; the batch
-            // engine interleaves 64 trials on one stream. Caught here so
-            // the message can cite the spec entry (run_campaign re-checks
-            // for API callers).
-            spec.error = where + ": engine 'batch_sync' needs a fixed source (not \"race\")";
-            return spec;
-          }
-          if (cfg.curves.enabled) {
-            // Curves need a per-trial contact structure to classify and one
-            // fixed trial population per cell; caught here so the message
-            // can cite the spec entry (run_campaign re-checks for API
-            // callers).
-            if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
-              spec.error = where + ": 'curves' is not supported for engine '" +
-                           std::string(engine_name(cfg.engine)) + "'";
-              return spec;
-            }
-            if (cfg.source_policy == SourcePolicy::kRace) {
-              spec.error = where + ": 'curves' needs a fixed source (not \"race\")";
-              return spec;
-            }
-          }
-          std::string id = explicit_id;
-          if (id.empty()) {
-            std::string graph_tag = cfg.graph.family + "_n" + std::to_string(cfg.graph.n);
-            if (file_graph) {
-              // Tag by the store's file stem ("file-web" for "data/web.rgs");
-              // two stores with one stem collide below — give explicit ids.
-              std::string stem = cfg.graph.path;
-              if (const auto slash = stem.find_last_of("/\\"); slash != std::string::npos) {
-                stem = stem.substr(slash + 1);
-              }
-              if (const auto dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
-                stem.resize(dot);
-              }
-              graph_tag = "file-" + stem;
-            }
-            id = graph_tag + "_" + engine_name(cfg.engine) + "_" + core::mode_name(cfg.mode);
-            // Lane width is part of a batch cell's identity: two cells
-            // differing only in lanes run different block grids.
-            if (cfg.engine == EngineKind::kBatchSync) {
-              id += "_lanes" + std::to_string(cfg.lanes);
-            }
-            if (cfg.source_policy == SourcePolicy::kRace) id += "_race";
-            if (cfg.dynamics.churn.model != dynamics::ChurnModel::kNone) {
-              id += std::string("_") + dynamics::churn_model_name(cfg.dynamics.churn.model);
-            }
-            if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone) {
-              id += std::string("_w-") + dynamics::weight_model_name(cfg.dynamics.weights.model);
-            }
-          }
-          const auto [first, inserted] = id_first.emplace(id, e);
+          if (cfg.id.empty()) cfg.id = derived_id(cfg);
+          const auto [first, inserted] = id_first.emplace(cfg.id, e);
           if (!inserted) {
-            spec.error = where + ": config id '" + id + "' collides with a cell of configs[" +
+            spec.error = where + ": config id '" + cfg.id + "' collides with a cell of configs[" +
                          std::to_string(first->second) + "]" +
-                         (explicit_id.empty() ? "; give the entries distinct explicit \"id\"s"
-                                              : "");
+                         (base.id.empty() ? "; give the entries distinct explicit \"id\"s" : "");
             return spec;
           }
-          cfg.id = id;
           spec.configs.push_back(std::move(cfg));
         }
       }

@@ -113,8 +113,8 @@ struct GraphSpec {
 /// byte-identical to a build that predates the feature. Curves require a
 /// fixed source (racing interleaves two trial populations whose curves
 /// would not be comparable) and a sync/async/quasirandom engine (the aux
-/// processes have no contact structure to classify); parse_campaign_spec
-/// rejects the invalid combinations with an error naming the key.
+/// processes have no contact structure to classify); check_config rejects
+/// the invalid combinations.
 struct CurveSpec {
   bool enabled = false;
   /// Grid length: point k is round k (sync/quasirandom) or time
@@ -263,6 +263,16 @@ struct CampaignResult {
 [[nodiscard]] std::vector<CampaignResult> run_campaign(const std::vector<CampaignConfig>& configs,
                                                        const CampaignOptions& options = {});
 
+/// The range and cross-field rules every configuration must satisfy: the
+/// engine against dynamics, races, and curves; batch lanes; race tuning;
+/// churn, weight, loss, hp_q, and generator parameter ranges. Returns "" or
+/// the first rule broken. The one copy of these rules: parse_campaign_spec
+/// applies it to `defaults`, to each entry before its graph object, and to
+/// every expanded cell (a value is checked where it is written);
+/// run_campaign to every configuration it is handed; and rumor_bench
+/// --curves after turning curves on.
+[[nodiscard]] std::string check_config(const CampaignConfig& cfg);
+
 /// The identification/metadata half of a CampaignResult, exactly as
 /// run_campaign initializes it before any trial runs (id, engine, mode,
 /// seed, resolved trials/hp_q/dynamics). Shared with the checkpoint/merge
@@ -310,9 +320,10 @@ struct CampaignResult {
 /// contact rates. A "curves" block ({"points", "time_bucket"}) enables
 /// spread telemetry — informed-count curves, phase decomposition, and
 /// contact accounting under the report's stats.curves — and requires a
-/// sync/async/quasirandom engine with a fixed source. Unknown keys inside
-/// the nested blocks are rejected with an error naming the key. See
-/// bench/README.md for the full reference.
+/// sync/async/quasirandom engine with a fixed source. Unknown keys, and
+/// integers that are fractional, negative, or too wide for their field, are
+/// rejected with an error naming the key; every expanded cell must then pass
+/// check_config. See bench/README.md for the full reference.
 struct CampaignSpec {
   std::string name;  // defaults to "campaign"
   std::vector<CampaignConfig> configs;

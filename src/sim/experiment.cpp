@@ -872,17 +872,11 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       // with --curves (the snapshot fingerprint covers the curve spec).
       for (std::size_t c = 0; c < spec->configs.size(); ++c) {
         CampaignConfig& cfg = spec->configs[c];
-        if (cfg.engine == EngineKind::kAux) {
-          err << "rumor_bench: --curves: configs[" << c
-              << "] uses engine 'aux', which has no contact structure\n";
-          return 2;
-        }
-        if (cfg.source_policy == SourcePolicy::kRace) {
-          err << "rumor_bench: --curves: configs[" << c
-              << "] uses source \"race\"; curves need a fixed source\n";
-          return 2;
-        }
         cfg.curves.enabled = true;
+        if (const std::string error = check_config(cfg); !error.empty()) {
+          err << "rumor_bench: --curves: configs[" << c << "]: " << error << "\n";
+          return 2;
+        }
       }
     }
 

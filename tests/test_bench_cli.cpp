@@ -452,8 +452,17 @@ TEST(BenchCli, CampaignRejectsBadSpecs) {
                                          R"({"configs": [{"graph": "star", "n": 32, "trails": 2}]})");
   run_bench("--campaign " + bad_key + " 2>/dev/null", &status);
   EXPECT_NE(status, 0);
+
+  // --curves applies the same config rules as the spec parser: a batch cell
+  // has no per-trial contact structure, so this is a bad spec (exit 2).
+  const std::string batch = write_spec("bench_cli_curves_batch.json", R"({"configs": [
+      {"graph": "star", "n": 32, "trials": 4, "engine": "batch_sync"}]})");
+  const std::string err = run_bench("--campaign " + batch + " --curves 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(err.find("configs[0]"), std::string::npos) << err;
   std::remove(malformed.c_str());
   std::remove(bad_key.c_str());
+  std::remove(batch.c_str());
 }
 
 TEST(BenchCli, CampaignConflictsWithExperimentSelection) {

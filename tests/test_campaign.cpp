@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "rng/rng.hpp"
 #include "sim/adversary.hpp"
 #include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/harness.hpp"
 
@@ -526,8 +529,135 @@ TEST(CampaignSpecParsing, RejectsNegativeAndFractionalCounts) {
                           R"({"configs": [{"graph": "star", "n": 64, "source": -1}]})",
                           R"({"configs": [{"graph": "star", "n": 64, "trials": 2.5}]})",
                           R"({"configs": [{"graph": "star", "n": 64, "hp_q": 1.5}]})",
-                          R"({"configs": [{"graph": "star", "n": 64, "p": -0.2}]})"}) {
+                          R"({"configs": [{"graph": "star", "n": 64, "p": -0.2}]})",
+                          // Integers must fit their field: no silent wrap or
+                          // out-of-range double-to-integer cast.
+                          R"({"configs": [{"graph": "star", "n": 64, "source": 4294967296}]})",
+                          R"({"configs": [{"graph": "star", "n": 64, "seed": 1e30}]})",
+                          R"({"configs": [{"graph": "star", "n": 64.7}]})",
+                          R"({"configs": [{"graph": "star", "n": 64,
+                                           "curves": {"points": 4294967297}}]})",
+                          R"({"configs": [{"graph": "star", "n": 64, "degree": 4294967300}]})"}) {
     EXPECT_FALSE(parse(bad).error.empty()) << bad;
+  }
+}
+
+TEST(CampaignSpecParsing, SpecParserAndRunCampaignRejectTheSameConfigs) {
+  // One copy of every config rule: each spec entry below fails to parse, and
+  // the same configuration handed to run_campaign directly throws with the
+  // same rule in its message.
+  const struct {
+    const char* keys;  // added to {"graph": "star", "n": 16, "trials": 4}
+    void (*apply)(sim::CampaignConfig&);
+  } cases[] = {
+      {R"("message_loss": 1.0)", [](sim::CampaignConfig& c) { c.message_loss = 1.0; }},
+      {R"("hp_q": 1.5)", [](sim::CampaignConfig& c) { c.hp_q = 1.5; }},
+      {R"("p": -0.2)", [](sim::CampaignConfig& c) { c.graph.p = -0.2; }},
+      {R"("beta": 0)", [](sim::CampaignConfig& c) { c.graph.beta = 0.0; }},
+      {R"("average_degree": -1)", [](sim::CampaignConfig& c) { c.graph.average_degree = -1.0; }},
+      {R"("source": "race", "screen_trials": 0)",
+       [](sim::CampaignConfig& c) {
+         c.source_policy = sim::SourcePolicy::kRace;
+         c.race.screen_trials = 0;
+       }},
+      {R"("source": "race", "race": {"finalists": 0})",
+       [](sim::CampaignConfig& c) {
+         c.source_policy = sim::SourcePolicy::kRace;
+         c.race.finalists = 0;
+       }},
+      {R"("dynamics": {"churn": "markov", "birth": 1.5})",
+       [](sim::CampaignConfig& c) {
+         c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+         c.dynamics.churn.birth = 1.5;
+       }},
+      {R"("dynamics": {"churn": "rewire", "rewire_p": -0.1})",
+       [](sim::CampaignConfig& c) {
+         c.dynamics.churn.model = dynamics::ChurnModel::kRewire;
+         c.dynamics.churn.rewire = -0.1;
+       }},
+      {R"("dynamics": {"churn": "markov", "period": 0})",
+       [](sim::CampaignConfig& c) {
+         c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+         c.dynamics.churn.period = 0;
+       }},
+      {R"("dynamics": {"weights": "heavy_tailed", "weight_alpha": 0})",
+       [](sim::CampaignConfig& c) {
+         c.dynamics.weights.model = dynamics::WeightModel::kHeavyTailed;
+         c.dynamics.weights.alpha = 0.0;
+       }},
+      {R"("engine": "aux", "dynamics": {"churn": "markov"})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kAux;
+         c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+       }},
+      {R"("engine": "quasirandom", "dynamics": {"weights": "uniform"})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kQuasirandom;
+         c.dynamics.weights.model = dynamics::WeightModel::kUniform;
+       }},
+      {R"("engine": "async", "view": "per-edge", "dynamics": {"churn": "rewire"})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kAsync;
+         c.view = core::AsyncView::kPerEdgeClocks;
+         c.dynamics.churn.model = dynamics::ChurnModel::kRewire;
+       }},
+      {R"("engine": {"kind": "batch_sync", "lanes": 65})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kBatchSync;
+         c.lanes = 65;
+       }},
+      {R"("engine": "batch_sync", "source": "race")",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kBatchSync;
+         c.source_policy = sim::SourcePolicy::kRace;
+       }},
+      {R"("engine": "aux", "curves": {})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kAux;
+         c.curves.enabled = true;
+       }},
+      {R"("engine": "batch_sync", "curves": {})",
+       [](sim::CampaignConfig& c) {
+         c.engine = sim::EngineKind::kBatchSync;
+         c.curves.enabled = true;
+       }},
+      {R"("source": "race", "curves": {})",
+       [](sim::CampaignConfig& c) {
+         c.source_policy = sim::SourcePolicy::kRace;
+         c.curves.enabled = true;
+       }},
+      {R"("curves": {"points": 0})",
+       [](sim::CampaignConfig& c) {
+         c.curves.enabled = true;
+         c.curves.points = 0;
+       }},
+      {R"("curves": {"time_bucket": 0})",
+       [](sim::CampaignConfig& c) {
+         c.curves.enabled = true;
+         c.curves.time_bucket = 0.0;
+       }},
+  };
+  for (const auto& c : cases) {
+    const auto spec =
+        parse(std::string(R"({"configs": [{"graph": "star", "n": 16, "trials": 4, )") + c.keys +
+              "}]}");
+    ASSERT_FALSE(spec.error.empty()) << c.keys;
+    const std::string prefix = "configs[0]: ";
+    ASSERT_EQ(spec.error.rfind(prefix, 0), 0u) << spec.error;
+    const std::string rule = spec.error.substr(prefix.size());
+
+    sim::CampaignConfig cfg;
+    cfg.id = "cell";
+    cfg.graph.family = "star";
+    cfg.graph.n = 16;
+    cfg.trials = 4;
+    c.apply(cfg);
+    try {
+      (void)sim::run_campaign({cfg}, {});
+      ADD_FAILURE() << "run_campaign accepted " << c.keys;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "campaign: configuration 'cell': " + rule) << c.keys;
+    }
   }
 }
 
@@ -537,9 +667,158 @@ TEST(CampaignSpecParsing, RejectsUnknownAndMisplacedDefaultsKeys) {
                          "configs": [{"graph": "star", "n": 64}]})").error.empty());
   EXPECT_FALSE(parse(R"({"defaults": {"graph": "star"},
                          "configs": [{"graph": "star", "n": 64}]})").error.empty());
+  // A default is checked even where every entry overrides it.
+  const auto bad_default = parse(R"({"defaults": {"hp_q": 1.5},
+                                     "configs": [{"graph": "star", "n": 64, "hp_q": 0.1}]})");
+  EXPECT_EQ(bad_default.error.rfind("defaults: ", 0), 0u) << bad_default.error;
   // A non-string id is an error on the entry it appears in.
   const auto spec = parse(R"({"configs": [{"graph": "star", "n": 64, "id": 7}]})");
   EXPECT_NE(spec.error.find("configs[0]"), std::string::npos) << spec.error;
+}
+
+TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
+  // campaign_fingerprint covers every CampaignConfig field, so a pinned
+  // fingerprint proves a spec still parses to the same configuration list.
+  // Re-pin only for a deliberate change in what a spec means.
+  auto read_file = [](const std::string& relative) {
+    std::ifstream file(std::string(RUMOR_SOURCE_DIR) + "/" + relative, std::ios::binary);
+    EXPECT_TRUE(file.good()) << relative;
+    std::ostringstream text;
+    text << file.rdbuf();
+    return text.str();
+  };
+  const struct {
+    std::string what;
+    std::string text;
+    const char* fingerprint;
+  } corpus[] = {
+      {"ci smoke", read_file("bench/ci_smoke_campaign.json"), "be567fac90f5d7c8"},
+      {"ci curves", read_file("bench/ci_curves_campaign.json"), "1c75bdff6990a43e"},
+      // perfbench/workloads.py at seed 1.
+      {"paper_sweep",
+       R"({"configs": [{"engine": ["sync", "async"], "graph": "hypercube", "n": 16384},
+          {"degree": 6, "engine": ["sync", "async"], "graph": "random_regular", "n": 16384},
+          {"engine": ["sync", "async"], "graph": "star", "n": 4096},
+          {"engine": ["sync", "async"], "graph": "double_star", "n": 1024},
+          {"engine": {"kind": "batch_sync", "lanes": 64}, "graph": "hypercube", "n": 16384,
+           "seed": 1561852070},
+          {"degree": 6, "engine": {"kind": "batch_sync", "lanes": 64}, "graph": "random_regular",
+           "n": 16384, "seed": 1561852070}],
+          "defaults": {"graph_seed": 360672369, "mode": "push-pull", "seed": 1921680141,
+                       "source": 0, "trials": 256},
+          "name": "paper_sweep"})",
+       "1cc189647da4c5bc"},
+      {"checkpointed_grid",
+       R"({"configs": [
+          {"engine": ["sync", "async"], "graph": "cycle", "mode": ["push", "pull", "push-pull"],
+           "n": [64, 81, 100, 121, 144, 169, 196, 225]},
+          {"engine": ["sync", "async"], "graph": "wheel", "mode": ["push", "pull", "push-pull"],
+           "n": [64, 81, 100, 121, 144, 169, 196, 225]},
+          {"engine": ["sync", "async"], "graph": "torus", "mode": ["push", "pull", "push-pull"],
+           "n": [64, 81, 100, 121, 144, 169, 196, 225]},
+          {"engine": ["sync", "async"], "graph": "tree", "mode": ["push", "pull", "push-pull"],
+           "n": [64, 81, 100, 121, 144, 169, 196, 225]},
+          {"degree": 4, "engine": ["sync", "async"], "graph": "random_regular",
+           "graph_seed": 908241220, "mode": ["push", "pull", "push-pull"],
+           "n": [64, 81, 100, 121, 144, 169, 196, 225]},
+          {"engine": ["sync", "async"], "graph": "erdos_renyi", "graph_seed": 908241220,
+           "mode": ["push", "pull", "push-pull"], "n": [64, 81, 100, 121, 144, 169, 196, 225],
+           "p": 0.1}],
+          "defaults": {"seed": 861003673, "source": 0, "trials": 64},
+          "name": "checkpointed_grid"})",
+       "1f1b32cfb286e1cd"},
+      {"defaults merge under entry overrides",
+       R"({"name": "merge",
+          "defaults": {"trials": 50, "seed": 9, "engine": "async", "mode": "push", "source": 3,
+                       "hp_q": 0.05, "message_loss": 0.1, "reservoir_capacity": 100,
+                       "view": "per-node"},
+          "configs": [{"graph": "star", "n": [16, 32]},
+                      {"graph": "cycle", "n": 20, "engine": "sync", "mode": ["pull", "push-pull"],
+                       "trials": 7, "seed": 2, "view": "global-clock"}]})",
+       "27241fac46ef432f"},
+      {"flat race keys",
+       R"({"configs": [{"graph": "star", "n": 64, "source": "race", "screen_trials": 6,
+                        "finalists": 3, "final_trials": 20, "max_candidates": 10}]})",
+       "b13098d0c6dc8961"},
+      {"flat race keys win over the race block",
+       R"({"defaults": {"race": {"screen_trials": 5, "finalists": 2}, "final_trials": 9},
+          "configs": [{"graph": "star", "n": 64, "source": "race", "screen_trials": 3,
+                       "race": {"screen_trials": 7, "max_candidates": 0}},
+                      {"graph": "wheel", "n": 30, "source": "race", "finalists": 5,
+                       "race": {"finalists": 1}}]})",
+       "e13352aff3a53fac"},
+      {"flat generator keys in defaults and entries",
+       R"({"defaults": {"degree": 4, "graph_seed": 11, "p": 0.2, "beta": 2.2,
+                        "average_degree": 5},
+          "configs": [{"graph": "random_regular", "n": 64},
+                      {"graph": "erdos_renyi", "n": 50, "p": 0.3}]})",
+       "2e7f13c617d19a2c"},
+      {"the graph object wins over flat generator keys",
+       R"({"configs": [
+          {"graph": {"kind": "random_regular", "degree": 8, "graph_seed": 5}, "n": 64,
+           "degree": 4, "graph_seed": 99},
+          {"graph": {"kind": "chung_lu", "beta": 2.1, "average_degree": 6}, "n": 500, "beta": 3},
+          {"graph": {"kind": "watts_strogatz", "p": 0.05}, "n": 100, "p": 0.5, "degree": 6}]})",
+       "775d5e710e1516f7"},
+      {"engine names and objects",
+       R"({"configs": [{"graph": "hypercube", "n": 64, "mode": ["push", "pull"],
+                        "engine": ["sync", {"kind": "batch_sync", "lanes": 8},
+                                   {"kind": "batch_sync"}, {"kind": "async"}]}]})",
+       "4a7ea3bf5e691d91"},
+      {"dynamics merged key by key",
+       R"({"defaults": {"dynamics": {"churn": "markov", "birth": 0.05, "death": 0.05,
+                                     "period": 2}},
+          "configs": [{"graph": "star", "n": 64},
+                      {"id": "override", "graph": "star", "n": 64,
+                       "dynamics": {"death": 0.5, "weights": "heavy_tailed",
+                                    "weight_alpha": 1.5, "dynamics_seed": 7}},
+                      {"graph": "cycle", "n": 32, "engine": "async",
+                       "dynamics": {"churn": "rewire", "rewire_p": 0.2, "weights": "degree"}},
+                      {"graph": "path", "n": 32,
+                       "dynamics": {"churn": "none", "weights": "uniform"}}]})",
+       "855eff330bf2be0c"},
+      {"curves",
+       R"({"configs": [{"graph": "hypercube", "n": 64, "engine": ["sync", "async", "quasirandom"],
+                        "curves": {"points": 96, "time_bucket": 0.25}},
+                       {"graph": "star", "n": 32, "curves": {}}]})",
+       "a19e147750abd11c"},
+      {"auto-derived and explicit ids",
+       R"({"name": "ids",
+          "configs": [{"graph": "star", "n": [8, 9], "engine": "aux", "aux": "ppy"},
+                      {"id": "explicit", "graph": "path", "n": 10},
+                      {"id": "", "graph": "torus", "n": 25, "source": "race"},
+                      {"graph": "hypercube", "n": 16, "dynamics": {"weights": "uniform"}}]})",
+       "36833aabdb89c8cd"},
+      {"source forms",
+       R"({"defaults": {"source": "race"},
+          "configs": [{"graph": "star", "n": 40, "source": "fixed"},
+                      {"graph": "star", "n": 41, "source": 5},
+                      {"graph": "star", "n": 42}]})",
+       "2ac29634a929c3f1"},
+      {"views, aux kinds, loss and hp_q",
+       R"({"configs": [{"graph": "complete", "n": 16, "engine": "async", "view": "per-edge",
+                        "message_loss": 0.3, "hp_q": 0.01},
+                       {"graph": "complete", "n": 17, "engine": "async", "view": "global-clock"},
+                       {"graph": "double_star", "n": 18, "engine": "aux", "aux": "ppx",
+                        "view": "per-node"}]})",
+       "4599b5f15b76d712"},
+      {"empty model names keep the inherited value",
+       R"({"defaults": {"view": "per-node", "aux": "ppy",
+                        "dynamics": {"churn": "markov", "weights": "uniform"}},
+          "configs": [{"graph": "star", "n": 64, "view": "", "aux": "",
+                       "dynamics": {"churn": "", "weights": ""}}]})",
+       "7c248b41df4aa4b3"},
+      {"integers at the edge of their field",
+       R"({"configs": [{"graph": "star", "n": 64, "trials": 1, "source": 4294967295,
+                        "seed": 9007199254740992, "graph_seed": 18446744073709549568,
+                        "degree": 4294967295, "max_candidates": 4294967295}]})",
+       "58dfbeae459552d4"},
+  };
+  for (const auto& c : corpus) {
+    const auto spec = parse(c.text);
+    ASSERT_TRUE(spec.error.empty()) << c.what << ": " << spec.error;
+    EXPECT_EQ(sim::campaign_fingerprint(spec.name, spec.configs), c.fingerprint) << c.what;
+  }
 }
 
 // --- Scale: a thousand configurations under fixed memory ---------------------
@@ -887,6 +1166,8 @@ TEST(CampaignSpecParsing, RejectsBadGraphObjects) {
        "only allowed with kind 'file'"},
       {R"({"configs": [{"graph": {"kind": "star", "bogus": 1}, "n": 8}]})", "bogus"},
       {R"({"configs": [{"graph": 7, "n": 8}]})", "must be a family name"},
+      // A flat generator key is checked even where the graph object wins.
+      {R"({"configs": [{"graph": {"kind": "erdos_renyi", "p": 0.1}, "n": 8, "p": 2}]})", "'p'"},
   };
   for (const auto& c : cases) {
     const auto spec = parse(c.text);
