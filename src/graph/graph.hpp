@@ -137,6 +137,17 @@ class Graph {
   /// Human-readable generator tag, e.g. "hypercube(d=10)".
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
+  /// The raw CSR arrays behind neighbors(): v's slice is
+  /// neighbors[offset(v), offset(v + 1)), with exactly one of offsets32 /
+  /// offsets64 non-null. For engines that fetch several nodes' rows at
+  /// once (core/trial_lanes.cpp); everything else uses neighbors().
+  struct Csr {
+    const std::uint32_t* offsets32;
+    const std::uint64_t* offsets64;
+    const NodeId* neighbors;
+  };
+  [[nodiscard]] Csr csr() const noexcept { return {offsets32_, offsets64_, neighbors_}; }
+
  private:
   friend class GraphBuilder;
   friend struct detail::GraphAccess;

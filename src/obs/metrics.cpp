@@ -28,6 +28,7 @@ void WorkerMetrics::merge(const WorkerMetrics& other) noexcept {
   trials_simulated += other.trials_simulated;
   sync_rounds += other.sync_rounds;
   async_events += other.async_events;
+  lane_trials += other.lane_trials;
   graph_builds += other.graph_builds;
   graph_frees += other.graph_frees;
   busy_ns += other.busy_ns;

@@ -8,8 +8,9 @@
 // Determinism contract (tested in tests/test_obs.cpp): the counters below
 // marked "exact" are integer totals of deterministic per-block quantities,
 // and integer addition commutes — so blocks_executed, trials_simulated,
-// graph_builds/graph_frees, and the engine round/event totals are identical
-// at any thread count for a fixed campaign. Durations (busy/idle,
+// graph_builds/graph_frees, the engine round/event totals and lane_trials
+// are identical at any thread count for a fixed campaign (lane_trials also
+// depends on the CPU: it stays 0 without AVX-512). Durations (busy/idle,
 // checkpoint latency) and queue-depth samples are wall-clock observations:
 // reported, never gated, and never allowed to feed back into scheduling.
 #pragma once
@@ -48,6 +49,7 @@ struct WorkerMetrics {
   std::uint64_t trials_simulated = 0;  // exact (screen + refine trials included)
   std::uint64_t sync_rounds = 0;       // exact: rounds of round-based engines
   std::uint64_t async_events = 0;      // exact: steps of the async engine
+  std::uint64_t lane_trials = 0;       // exact: trials run on trial lanes (core/trial_lanes.hpp)
   std::uint64_t graph_builds = 0;      // exact
   std::uint64_t graph_frees = 0;       // exact
   std::uint64_t busy_ns = 0;           // pop-to-finish time across blocks

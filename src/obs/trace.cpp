@@ -74,6 +74,8 @@ void append_worker_metrics(std::string& out, const WorkerMetrics& m) {
   append_uint(out, m.sync_rounds);
   out += ",\"async_events\":";
   append_uint(out, m.async_events);
+  out += ",\"lane_trials\":";
+  append_uint(out, m.lane_trials);
   out += ",\"graph_builds\":";
   append_uint(out, m.graph_builds);
   out += ",\"graph_frees\":";

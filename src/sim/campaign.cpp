@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "core/quasirandom.hpp"
+#include "core/trial_lanes.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
 #include "obs/telemetry.hpp"
@@ -134,6 +135,39 @@ void fold_probe(stats::ContactTotals& totals, const core::SpreadProbe& probe,
   totals.informed_total += informed;
 }
 
+/// The per-trial knobs every campaign trial of `cfg` shares; run_one adds
+/// the dynamics view and the probe a trial may need.
+core::TrialOptions trial_options(const CampaignConfig& cfg) {
+  core::TrialOptions options;
+  options.mode = cfg.mode;
+  options.message_loss = cfg.message_loss;
+  return options;
+}
+
+core::TrialExtras trial_extras(const CampaignConfig& cfg) {
+  core::TrialExtras extras;
+  extras.view = cfg.view;
+  extras.aux = cfg.aux;
+  return extras;
+}
+
+/// Fails the campaign on a capped trial, else adds the trial's ticks to
+/// `metrics`: events for the async engine, rounds for the others.
+void account_trial(const CampaignConfig& cfg, const core::TrialOutcome& outcome,
+                   obs::WorkerMetrics* metrics) {
+  if (!outcome.completed) {
+    throw std::runtime_error(std::string("campaign: engine '") + engine_name(cfg.engine) +
+                             "' hit its tick cap (disconnected or churned-out graph?)");
+  }
+  if (metrics != nullptr) {
+    if (cfg.engine == EngineKind::kAsync) {
+      metrics->async_events += outcome.ticks;
+    } else {
+      metrics->sync_rounds += outcome.ticks;
+    }
+  }
+}
+
 /// One execution of the configured protocol from `source`; the campaign
 /// analogue of the measure_* wrappers in harness.cpp. The trial engine is
 /// derive_stream(stream_seed, trial); a non-static dynamics spec adds a
@@ -150,13 +184,10 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
                const dynamics::NeighborAliasTable* shared_weighted,
                const std::vector<graph::Edge>* shared_edges, graph::NodeId source,
                std::uint64_t stream_seed, std::uint64_t trial, obs::WorkerMetrics* metrics,
-               std::vector<double>* curve_out = nullptr,
-               stats::ContactTotals* totals = nullptr) {
+               std::vector<double>* curve_out, stats::ContactTotals* totals) {
   rng::Engine eng = rng::derive_stream(stream_seed, trial);
   std::optional<dynamics::DynamicGraphView> view;
-  core::TrialOptions options;
-  options.mode = cfg.mode;
-  options.message_loss = cfg.message_loss;
+  core::TrialOptions options = trial_options(cfg);
   if (!cfg.dynamics.is_static()) {
     view.emplace(g, resolved_dynamics(cfg), shared_weighted, stream_seed, trial, shared_edges);
     options.dynamics = &*view;
@@ -170,21 +201,8 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
     options.record_history = true;  // round grids; the async engine reports times regardless
     options.probe = &probe;
   }
-  core::TrialExtras extras;
-  extras.view = cfg.view;
-  extras.aux = cfg.aux;
-  const auto outcome = core::run_trial(cfg.engine, g, source, eng, options, extras);
-  if (!outcome.completed) {
-    throw std::runtime_error(std::string("campaign: engine '") + engine_name(cfg.engine) +
-                             "' hit its tick cap (disconnected or churned-out graph?)");
-  }
-  if (metrics != nullptr) {
-    if (cfg.engine == EngineKind::kAsync) {
-      metrics->async_events += outcome.ticks;
-    } else {
-      metrics->sync_rounds += outcome.ticks;
-    }
-  }
+  const auto outcome = core::run_trial(cfg.engine, g, source, eng, options, trial_extras(cfg));
+  account_trial(cfg, outcome, metrics);
   if (curve_out != nullptr) {
     if (cfg.engine == EngineKind::kAsync) {
       const auto curve =
@@ -197,6 +215,44 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
     fold_probe(*totals, probe, outcome.ticks, g.num_nodes());
   }
   return outcome.value;
+}
+
+/// Runs trials [begin, end) of `cfg` from `source` — trial t on
+/// derive_stream(stream_seed, t) — and hands each value to add(value, t)
+/// in trial order. A block of at least core::kMinLaneTrials trials of a
+/// static, curve-free cell the trial lanes accept (core/trial_lanes.hpp)
+/// runs on the lanes, whose per-trial results are bit-identical to
+/// run_one's; every other block loops over run_one, passing `curve_out`
+/// and `totals` through.
+template <class Add>
+void run_block_trials(const CampaignConfig& cfg, const Graph& g,
+                      const dynamics::NeighborAliasTable* shared_weighted,
+                      const std::vector<graph::Edge>* shared_edges, graph::NodeId source,
+                      std::uint64_t stream_seed, std::uint64_t begin, std::uint64_t end,
+                      obs::WorkerMetrics* metrics, std::vector<double>* curve_out,
+                      stats::ContactTotals* totals, Add&& add) {
+  const core::TrialOptions options = trial_options(cfg);
+  const core::TrialExtras extras = trial_extras(cfg);
+  if (curve_out == nullptr && cfg.dynamics.is_static() && end - begin >= core::kMinLaneTrials &&
+      core::lanes_eligible(cfg.engine, options, extras)) {
+    std::vector<rng::Engine> engines;
+    engines.reserve(end - begin);
+    for (std::uint64_t t = begin; t < end; ++t) {
+      engines.push_back(rng::derive_stream(stream_seed, t));
+    }
+    const auto outcomes = core::run_trial_lanes(cfg.engine, g, source, engines, options, extras);
+    for (std::uint64_t t = begin; t < end; ++t) {
+      account_trial(cfg, outcomes[t - begin], metrics);
+      add(outcomes[t - begin].value, t);
+    }
+    if (metrics != nullptr) metrics->lane_trials += end - begin;
+    return;
+  }
+  for (std::uint64_t t = begin; t < end; ++t) {
+    add(run_one(cfg, g, shared_weighted, shared_edges, source, stream_seed, t, metrics, curve_out,
+                totals),
+        t);
+  }
 }
 
 /// The per-source stream family of the two-stage race (kept identical to
@@ -742,13 +798,13 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           }
           if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
         } else {
-          for (std::uint64_t t = block.begin; t < block.end; ++t) {
-            partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed,
-                                t, metrics, curves_on ? &curve : nullptr,
-                                curves_on ? &contact_partial : nullptr),
-                        t);
-            if (curves_on) curve_partial.add(curve);
-          }
+          run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed,
+                           block.begin, block.end, metrics, curves_on ? &curve : nullptr,
+                           curves_on ? &contact_partial : nullptr,
+                           [&](double value, std::uint64_t t) {
+                             partial.add(value, t);
+                             if (curves_on) curve_partial.add(curve);
+                           });
         }
         st.partials[block.slot] = std::move(partial);
         if (curves_on) {
@@ -828,10 +884,9 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
         const graph::NodeId u = st.candidates[block.entrant];
         stats::RunningMoments partial;
         const std::uint64_t stream_seed = cfg.seed + kSourceStride * u;
-        for (std::uint64_t t = block.begin; t < block.end; ++t) {
-          partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, t,
-                              metrics));
-        }
+        run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, block.begin,
+                         block.end, metrics, nullptr, nullptr,
+                         [&](double value, std::uint64_t) { partial.add(value); });
         st.screen_partials[block.entrant][block.slot] = partial;
         if (recorder != nullptr) {
           recorder->record_screen_slot(block.config, block.entrant, block.slot, partial);
@@ -877,11 +932,9 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
         const graph::NodeId u = st.finalists[block.entrant];
         stats::StreamingSummary partial(summary_opts(cfg));
         const std::uint64_t stream_seed = cfg.seed + 1 + kSourceStride * u;
-        for (std::uint64_t t = block.begin; t < block.end; ++t) {
-          partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, t,
-                              metrics),
-                      t);
-        }
+        run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, block.begin,
+                         block.end, metrics, nullptr, nullptr,
+                         [&](double value, std::uint64_t t) { partial.add(value, t); });
         st.refine_partials[block.entrant][block.slot] = std::move(partial);
         if (recorder != nullptr) {
           recorder->record_refine_slot(block.config, block.entrant, block.slot,
