@@ -53,6 +53,13 @@ struct Args {
   std::exit(2);
 }
 
+std::optional<core::Mode> parse_mode(const std::string& mode) {
+  if (mode == "push") return core::Mode::kPush;
+  if (mode == "pull") return core::Mode::kPull;
+  if (mode == "pushpull") return core::Mode::kPushPull;
+  return std::nullopt;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -94,6 +101,14 @@ Args parse(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       usage_and_exit(argv[0]);
     }
+  }
+  if (args.trials == 0) {
+    std::fprintf(stderr, "--trials must be a positive integer\n");
+    usage_and_exit(argv[0]);
+  }
+  if (!parse_mode(args.mode)) {
+    std::fprintf(stderr, "unknown mode: %s\n", args.mode.c_str());
+    usage_and_exit(argv[0]);
   }
   return args;
 }
@@ -147,12 +162,6 @@ std::optional<graph::Graph> build_graph(const Args& args) {
   return std::nullopt;
 }
 
-core::Mode parse_mode(const std::string& mode) {
-  if (mode == "push") return core::Mode::kPush;
-  if (mode == "pull") return core::Mode::kPull;
-  return core::Mode::kPushPull;
-}
-
 void report(const char* model, const graph::Graph& g, const Args& args,
             const sim::SpreadingTimeSample& sample, sim::Table& table) {
   const auto ci = sample.mean_ci();
@@ -197,7 +206,7 @@ int main(int argc, char** argv) {
               args.mode.c_str(), args.source, static_cast<unsigned long long>(args.trials),
               static_cast<unsigned long long>(args.seed), args.loss);
 
-  const core::Mode mode = parse_mode(args.mode);
+  const core::Mode mode = *parse_mode(args.mode);
   sim::TrialConfig config;
   config.trials = args.trials;
   config.seed = args.seed;

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "core/quasirandom.hpp"
@@ -270,33 +271,26 @@ enum class BlockKind : std::uint8_t { kTrials, kPlan, kScreen, kRefine };
 
 /// Trace span names per block kind (string literals: TraceSpan stores the
 /// pointer) and the short phase labels the progress heartbeat shows.
-constexpr const char* block_span_name(BlockKind k) noexcept {
-  switch (k) {
-    case BlockKind::kTrials: return "block:trials";
-    case BlockKind::kPlan: return "block:plan";
-    case BlockKind::kScreen: return "block:screen";
-    case BlockKind::kRefine: return "block:refine";
-  }
-  return "block";
-}
+struct BlockNames {
+  const char* span;
+  const char* phase;
+};
+constexpr BlockNames kBlockNames[] = {{"block:trials", "trials"},
+                                      {"block:plan", "plan"},
+                                      {"block:screen", "screen"},
+                                      {"block:refine", "refine"}};
 
-constexpr const char* block_phase_name(BlockKind k) noexcept {
-  switch (k) {
-    case BlockKind::kTrials: return "trials";
-    case BlockKind::kPlan: return "plan";
-    case BlockKind::kScreen: return "screen";
-    case BlockKind::kRefine: return "refine";
-  }
-  return "?";
+constexpr const BlockNames& block_names(BlockKind k) noexcept {
+  return kBlockNames[static_cast<std::size_t>(k)];
 }
 
 struct Block {
   std::size_t config = 0;   // index into `configs`
   BlockKind kind = BlockKind::kTrials;
-  std::uint32_t entrant = 0;  // candidate (kScreen) / finalist (kRefine) index
+  std::uint32_t entrant = 0;  // index into its pass's entrants
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::size_t slot = 0;     // block ordinal within its (config, phase, entrant)
+  std::size_t slot = 0;     // block ordinal within its (config, pass, entrant)
 };
 
 /// Degree-stratified candidate list: sort nodes by degree and take every
@@ -321,38 +315,6 @@ std::vector<graph::NodeId> candidate_sources(const Graph& g, std::uint32_t max_c
   }
   return picked;
 }
-
-/// Mutable per-configuration scheduling state. Partials are indexed by
-/// block slot and merged in slot order by whichever worker finishes the
-/// last block of a pass — a fixed-order reduction tree, so the final
-/// summary does not depend on completion order or thread count.
-struct ConfigState {
-  std::once_flag build_once;
-  std::shared_ptr<const Graph> graph;
-  /// Static-weights fast path: one alias sampler per configuration, built
-  /// alongside the graph and shared (read-only) by every trial. Null when
-  /// the config is unweighted or churned (churn overlays build their own
-  /// per-epoch tables).
-  std::shared_ptr<const dynamics::NeighborAliasTable> weighted;
-  /// Churn configs: the base edge list, extracted once per configuration
-  /// and shared read-only by every trial's overlay view.
-  std::shared_ptr<const std::vector<graph::Edge>> edges;
-  // Fixed-source pass (also the refine pass reuses refine_* below).
-  std::vector<stats::StreamingSummary> partials;
-  /// Spread telemetry (cfg.curves.enabled only): per-slot curve and
-  /// contact partials, parallel to `partials` and folded in the same slot
-  /// order by the same last-block worker.
-  std::vector<stats::CurveAccumulator> curve_partials;
-  std::vector<stats::ContactTotals> contact_partials;
-  std::atomic<std::uint64_t> blocks_left{0};
-  // Race state, populated by the kPlan block.
-  std::vector<graph::NodeId> candidates;
-  std::vector<std::vector<stats::RunningMoments>> screen_partials;  // [candidate][slot]
-  std::atomic<std::uint64_t> screen_left{0};
-  std::vector<graph::NodeId> finalists;
-  std::vector<std::vector<stats::StreamingSummary>> refine_partials;  // [finalist][slot]
-  std::atomic<std::uint64_t> refine_left{0};
-};
 
 /// The shared work queue. Unlike a fixed block list with an atomic cursor,
 /// race configurations *append* blocks while the campaign runs (screen
@@ -417,22 +379,109 @@ class BlockQueue {
   obs::Telemetry* tel_;  // borrowed; hooks called under mutex_
 };
 
-/// Splits `trials` into block_size'd slots appended as (kind, entrant)
-/// blocks for `config`.
-void plan_blocks(std::vector<Block>& out, std::size_t config, BlockKind kind,
-                 std::uint32_t entrant, std::uint64_t trials, std::uint64_t block_size) {
-  std::size_t slot = 0;
-  for (std::uint64_t begin = 0; begin < trials; begin += block_size) {
-    out.push_back(Block{config, kind, entrant, begin, std::min(begin + block_size, trials), slot++});
-  }
+/// Trials per finalist in the race's refine pass.
+std::uint64_t refine_trials(const CampaignConfig& cfg) noexcept {
+  return cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
 }
 
-/// One specific slot's block (resume re-enqueues only the missing slots).
-Block block_for_slot(std::size_t config, BlockKind kind, std::uint32_t entrant,
-                     std::uint64_t trials, std::uint64_t block_size, std::size_t slot) {
-  const std::uint64_t begin = static_cast<std::uint64_t>(slot) * block_size;
-  return Block{config, kind, entrant, begin, std::min(begin + block_size, trials), slot};
-}
+/// One pass of a configuration: `trials` trials per entrant, split into
+/// (entrant, slot) blocks. Each block's partial lands in its slot, and the
+/// worker that lands the pass's last block folds every entrant's slots in
+/// slot order and hands off — a fixed-order reduction tree, so the fold
+/// does not depend on completion order or thread count. The fixed-source
+/// trials pass has one entrant (the configured source), the race's screen
+/// pass one per candidate and its refine pass one per finalist.
+template <class Partial>
+struct Pass {
+  std::vector<graph::NodeId> entrants;
+  std::vector<std::vector<Partial>> slots;  // [entrant][slot]
+  std::atomic<std::uint64_t> left{0};       // blocks still to land
+
+  /// Sizes the slot vectors and returns every block of the pass, entrant
+  /// by entrant in slot order; the countdown starts at their number.
+  std::vector<Block> plan(std::size_t config, BlockKind kind, std::uint64_t trials,
+                          std::uint64_t block_size) {
+    const std::size_t count = slot_count(trials, block_size);
+    slots.assign(entrants.size(), {});
+    std::vector<Block> blocks;
+    for (std::uint32_t i = 0; i < entrants.size(); ++i) {
+      slots[i].resize(count);
+      for (std::size_t s = 0; s < count; ++s) {
+        const std::uint64_t begin = s * block_size;
+        blocks.push_back(Block{config, kind, i, begin, std::min(begin + block_size, trials), s});
+      }
+    }
+    left.store(blocks.size(), std::memory_order_relaxed);
+    return blocks;
+  }
+
+  /// Restores the partials a snapshot recorded (`recorded` is keyed like
+  /// its entry: by slot, or by (entrant, slot)), appends the `planned`
+  /// blocks still to run to `out` and restarts the countdown at their
+  /// number, which it returns. When nothing is left of a pass this run
+  /// folds, the snapshot fell between the last block and its hand-off: the
+  /// last block runs again to re-trigger the fold (recording is idempotent
+  /// and re-running a block is bit-neutral).
+  template <class Recorded, class Restore>
+  std::size_t resume(const std::vector<Block>& planned, bool folds_here, const Recorded& recorded,
+                     Restore&& restore, std::vector<Block>& out) {
+    using Key = typename Recorded::key_type;
+    const std::size_t before = out.size();
+    for (const Block& b : planned) {
+      Key key{};
+      if constexpr (std::is_same_v<Key, std::size_t>) {
+        key = b.slot;
+      } else {
+        key = Key{b.entrant, b.slot};
+      }
+      if (const auto it = recorded.find(key); it != recorded.end()) {
+        slots[b.entrant][b.slot] = restore(it->second);
+      } else {
+        out.push_back(b);
+      }
+    }
+    if (out.size() == before && folds_here) out.push_back(planned.back());
+    left.store(out.size() - before, std::memory_order_relaxed);
+    return out.size() - before;
+  }
+
+  /// Lands a finished block's partial in its slot and hands it to
+  /// `record`; true on the worker that landed the pass's last block.
+  template <class Record>
+  bool land(const Block& block, Partial partial, Record&& record) {
+    Partial& slot = slots[block.entrant][block.slot];
+    slot = std::move(partial);
+    record(slot);
+    return left.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+
+  /// Entrant i's slots folded in slot order (consumes them).
+  Partial fold(std::size_t i) { return fold_slots(slots[i]); }
+
+  void release() {
+    slots.clear();
+    slots.shrink_to_fit();
+    entrants.clear();
+    entrants.shrink_to_fit();
+  }
+};
+
+/// Mutable per-configuration scheduling state.
+struct ConfigState {
+  std::once_flag build_once;
+  std::shared_ptr<const Graph> graph;
+  /// Static-weights fast path: one alias sampler per configuration, built
+  /// alongside the graph and shared (read-only) by every trial. Null when
+  /// the config is unweighted or churned (churn overlays build their own
+  /// per-epoch tables).
+  std::shared_ptr<const dynamics::NeighborAliasTable> weighted;
+  /// Churn configs: the base edge list, extracted once per configuration
+  /// and shared read-only by every trial's overlay view.
+  std::shared_ptr<const std::vector<graph::Edge>> edges;
+  Pass<TrialPartial> trials;           // fixed source: one entrant, cfg.source
+  Pass<stats::RunningMoments> screen;  // race: one entrant per candidate
+  Pass<TrialPartial> refine;           // race: one entrant per finalist
+};
 
 }  // namespace
 
@@ -449,12 +498,8 @@ CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t i
   r.source = cfg.source;
   r.source_policy = cfg.source_policy;
   r.dynamics = resolved_dynamics(cfg);
-  const std::uint64_t measured_trials =
-      cfg.source_policy == SourcePolicy::kRace && cfg.race.final_trials != 0
-          ? cfg.race.final_trials
-          : cfg.trials;
-  r.trials = measured_trials;
-  r.hp_q = cfg.hp_q > 0.0 ? cfg.hp_q : 1.0 / static_cast<double>(measured_trials);
+  r.trials = cfg.source_policy == SourcePolicy::kRace ? refine_trials(cfg) : cfg.trials;
+  r.hp_q = cfg.hp_q > 0.0 ? cfg.hp_q : 1.0 / static_cast<double>(r.trials);
   r.has_curves = cfg.curves.enabled;
   r.curves_spec = cfg.curves;
   return r;
@@ -462,21 +507,401 @@ CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t i
 
 namespace {
 
-/// The scheduler core behind run_campaign and run_campaign_resumable.
-/// `recording` switches on the snapshot layer (checkpoints, shards,
-/// resume); without it the scheduler is the original zero-overhead path.
+/// One scheduler run: every configuration's state and result, the shared
+/// queue, and one handler per block kind. Handlers land partials in their
+/// slots, and every cross-pass hand-off happens on the worker that lands a
+/// pass's last block — a deterministic reduction no matter which threads
+/// ran which blocks.
+class CampaignRun {
+ public:
+  /// `recorder` is null unless the run records snapshots; `tel` may be null.
+  CampaignRun(const std::vector<CampaignConfig>& configs, const CampaignOptions& options,
+              CampaignRecorder* recorder, obs::Telemetry* tel)
+      : configs_(configs),
+        options_(options),
+        block_size_(std::max<std::uint64_t>(options.block_size, 1)),
+        shard_count_(std::max<std::uint32_t>(options.shard_count, 1)),
+        shard_(options.shard_index - 1),
+        recorder_(recorder),
+        states_(configs.size()),
+        finalize_here_(configs.size(), 1),
+        queue_(tel) {
+    results_.reserve(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      results_.push_back(campaign_result_skeleton(configs[c], c));
+      // Checked here, not on a worker thread that would race to report it;
+      // the spec parser applies the same rules.
+      if (const std::string error = check_config(configs[c]); !error.empty()) {
+        throw std::runtime_error("campaign: configuration '" + results_[c].id + "': " + error);
+      }
+    }
+  }
+
+  /// Sets configuration `c` up from its restored progress `rest`: a done
+  /// result, or the pass state and first blocks (appended to `initial`).
+  /// Returns an upper bound on the blocks it can still schedule, for the
+  /// worker-count heuristic (race passes expand lazily).
+  std::size_t setup(std::size_t c, CampaignRecorder::Entry& rest, std::vector<Block>& initial);
+
+  /// Runs one block: builds its configuration's graph on first use, then
+  /// hands the block to its kind's handler.
+  void process(const Block& block, obs::WorkerSink* sink);
+
+  BlockQueue& queue() noexcept { return queue_; }
+  std::vector<CampaignResult>& results() noexcept { return results_; }
+
+ private:
+  void build_graph_once(std::size_t c, obs::WorkerSink* sink);
+  void on_trials(const Block& block, const Graph& g, obs::WorkerSink* sink);
+  void on_plan(const Block& block, const Graph& g);
+  void on_screen(const Block& block, const Graph& g, obs::WorkerSink* sink);
+  void on_refine(const Block& block, const Graph& g, obs::WorkerSink* sink);
+  /// Ends a configuration's fold: its graph identity, the merge span since
+  /// `merge_begin`, and its done entry.
+  void publish(std::size_t c, const Graph& g, obs::WorkerSink* sink, std::uint64_t merge_begin);
+  /// Frees a configuration whose last owned block has landed: its graph
+  /// and every pass's state. From here on it occupies only its result.
+  void release(std::size_t c, obs::WorkerSink* sink);
+
+  const std::vector<CampaignConfig>& configs_;
+  const CampaignOptions& options_;
+  const std::uint64_t block_size_;
+  const std::uint32_t shard_count_;
+  const std::uint32_t shard_;  // 0-based
+  CampaignRecorder* const recorder_;
+  std::vector<ConfigState> states_;
+  std::vector<CampaignResult> results_;
+  // finalize_here_[c]: this run folds the configuration's partials into its
+  // final result (it owns every block). A sharded run leaves foreign or
+  // split configurations to merge_campaign_snapshots.
+  std::vector<char> finalize_here_;
+  BlockQueue queue_;
+  // Shared read-only graph cache for file-backed configs: every config
+  // naming the same packed store shares one mmap for the whole campaign (the
+  // OS page cache extends the sharing across --shard processes), so N cells
+  // over one giant graph materialize it once — graph_builds records 1, not N.
+  std::mutex file_graph_mutex_;
+  std::map<std::string, std::shared_ptr<const Graph>> file_graphs_;
+};
+
+std::size_t CampaignRun::setup(std::size_t c, CampaignRecorder::Entry& rest,
+                               std::vector<Block>& initial) {
+  using Phase = CampaignRecorder::Entry::Phase;
+  const CampaignConfig& cfg = configs_[c];
+  ConfigState& st = states_[c];
+  CampaignResult& r = results_[c];
+  const std::size_t sketch = options_.sketch_capacity;
+  const std::size_t reservoir = options_.reservoir_capacity;
+  if (cfg.source_policy == SourcePolicy::kRace) {
+    const std::size_t candidates =
+        cfg.race.max_candidates != 0
+            ? cfg.race.max_candidates
+            : (cfg.prebuilt != nullptr ? cfg.prebuilt->num_nodes() : cfg.graph.n);
+    const std::size_t bound = 1 + candidates * (cfg.race.screen_trials / block_size_ + 1) +
+                              cfg.race.finalists * (refine_trials(cfg) / block_size_ + 1);
+    // Races are owned wholesale by one shard, so the screen/refine
+    // successors of the plan block always stay with their owner.
+    finalize_here_[c] =
+        shard_of_block(r.id, 0, /*whole_config=*/true, shard_count_) == shard_ ? 1 : 0;
+    if (finalize_here_[c] == 0) return bound;
+    switch (rest.phase) {
+      case Phase::kPending:
+      case Phase::kTrials:  // load() never reports kTrials for a race
+        initial.push_back(Block{c, BlockKind::kPlan, 0, 0, 0, 0});
+        break;
+      case Phase::kScreen:
+        st.screen.entrants = std::move(rest.candidates);
+        st.screen.resume(st.screen.plan(c, BlockKind::kScreen, cfg.race.screen_trials, block_size_),
+                         true, rest.screen,
+                         [](const stats::RunningMoments::State& state) {
+                           stats::RunningMoments m;
+                           m.restore(state);
+                           return m;
+                         },
+                         initial);
+        break;
+      case Phase::kRefine:
+        st.refine.entrants = std::move(rest.finalists);
+        st.refine.resume(st.refine.plan(c, BlockKind::kRefine, refine_trials(cfg), block_size_),
+                         true, rest.refine,
+                         [&](const stats::StreamingSummary::State& state) {
+                           return TrialPartial::restored(cfg, sketch, reservoir, state, {});
+                         },
+                         initial);
+        break;
+      case Phase::kDone:
+        restore_result(r, rest, cfg, sketch, reservoir);
+        break;
+    }
+    return bound;
+  }
+  if (rest.phase == Phase::kDone) {
+    restore_result(r, rest, cfg, sketch, reservoir);
+    return 0;
+  }
+  // Batch configs pin the slot grid to the lane width (a trial block IS
+  // one lane batch), so slot boundaries stay a pure function of the
+  // config — never of --block-size — and checkpoints stay addressable.
+  st.trials.entrants = {cfg.source};
+  std::vector<Block> owned =
+      st.trials.plan(c, BlockKind::kTrials, cfg.trials, effective_block_size(cfg, block_size_));
+  const std::size_t slots = owned.size();
+  std::erase_if(owned, [&](const Block& b) {
+    return shard_of_block(r.id, b.slot, /*whole_config=*/false, shard_count_) != shard_;
+  });
+  finalize_here_[c] = owned.size() == slots ? 1 : 0;
+  return st.trials.resume(owned, finalize_here_[c] != 0, rest.slots,
+                          [&](const CampaignRecorder::Entry::Slot& part) {
+                            return TrialPartial::restored(cfg, sketch, reservoir, part.summary,
+                                                          part.curves);
+                          },
+                          initial);
+}
+
+void CampaignRun::build_graph_once(std::size_t c, obs::WorkerSink* sink) {
+  const CampaignConfig& cfg = configs_[c];
+  ConfigState& st = states_[c];
+  // Lazy one-shot graph construction on whichever worker gets there
+  // first; prebuilt graphs are shared as-is. call_once re-runs on a later
+  // caller if the builder throws, but the error capture in the worker loop
+  // drains the queue before that matters.
+  std::call_once(st.build_once, [&] {
+    const std::uint64_t build_begin = sink != nullptr ? sink->now_ns() : 0;
+    bool opened_store = false;
+    if (cfg.prebuilt != nullptr) {
+      st.graph = cfg.prebuilt;
+    } else if (cfg.graph.family == "file") {
+      // Open under the cache lock: a concurrent config wanting the same
+      // store waits for the first mapping instead of opening its own.
+      const std::lock_guard<std::mutex> lock(file_graph_mutex_);
+      auto it = file_graphs_.find(cfg.graph.path);
+      if (it == file_graphs_.end()) {
+        auto g = std::make_shared<const Graph>(graph::open_graph_store(cfg.graph.path));
+        it = file_graphs_.emplace(cfg.graph.path, std::move(g)).first;
+        opened_store = true;
+      }
+      st.graph = it->second;
+    } else {
+      st.graph = std::make_shared<const Graph>(build_graph(cfg.graph, cfg.seed));
+    }
+    // Snapshot the built graph's identity: merge needs it to assemble
+    // results for configurations whose blocks were split across shards.
+    if (recorder_ != nullptr) recorder_->record_graph(c, st.graph->name(), st.graph->num_nodes());
+    if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone &&
+        cfg.dynamics.churn.model == dynamics::ChurnModel::kNone) {
+      const dynamics::DynamicsSpec spec = resolved_dynamics(cfg);
+      auto sampler = std::make_shared<dynamics::NeighborAliasTable>();
+      sampler->build(dynamics::csr_offsets(*st.graph),
+                     dynamics::make_edge_weights(*st.graph, spec.weights, spec.seed));
+      st.weighted = std::move(sampler);
+    }
+    if (cfg.dynamics.churn.model != dynamics::ChurnModel::kNone) {
+      st.edges =
+          std::make_shared<const std::vector<graph::Edge>>(dynamics::base_edge_list(*st.graph));
+    }
+    if (sink != nullptr) {
+      // File-backed configs that hit the cache did not materialize
+      // anything: graph_builds counts mappings/constructions, so N cells
+      // sharing one store contribute exactly one build.
+      if (cfg.graph.family != "file" || opened_store) sink->metrics.graph_builds += 1;
+      sink->span("graph:build", build_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
+    }
+  });
+}
+
+void CampaignRun::process(const Block& block, obs::WorkerSink* sink) {
+  build_graph_once(block.config, sink);
+  const Graph& g = *states_[block.config].graph;
+  switch (block.kind) {
+    case BlockKind::kTrials: on_trials(block, g, sink); break;
+    case BlockKind::kPlan: on_plan(block, g); break;
+    case BlockKind::kScreen: on_screen(block, g, sink); break;
+    case BlockKind::kRefine: on_refine(block, g, sink); break;
+  }
+}
+
+void CampaignRun::on_trials(const Block& block, const Graph& g, obs::WorkerSink* sink) {
+  const CampaignConfig& cfg = configs_[block.config];
+  ConfigState& st = states_[block.config];
+  obs::WorkerMetrics* const metrics = sink != nullptr ? &sink->metrics : nullptr;
+  // The engines only assert() this precondition, which compiles out in
+  // Release — and spec-driven sources are user input, so check it here.
+  if (cfg.source >= g.num_nodes()) {
+    throw std::runtime_error("campaign: configuration '" + results_[block.config].id +
+                             "' source " + std::to_string(cfg.source) +
+                             " is out of range for " + g.name());
+  }
+  TrialPartial partial(cfg, options_.sketch_capacity, options_.reservoir_capacity);
+  if (cfg.engine == EngineKind::kBatchSync) {
+    // One block = one lane batch on one shared engine, seeded by the
+    // block's first trial index — the batch analogue of run_one's
+    // derive_stream(seed, t) identity. effective_block_size pinned the
+    // slot grid to cfg.lanes, so lane l of this block is trial
+    // block.begin + l under every thread count, shard split, and resume.
+    core::BatchSyncOptions batch_options;
+    batch_options.mode = cfg.mode;
+    batch_options.message_loss = cfg.message_loss;
+    batch_options.lanes = static_cast<std::uint32_t>(block.end - block.begin);
+    rng::Engine eng = rng::derive_stream(cfg.seed, block.begin);
+    const core::BatchSyncResult batch = core::run_batch_sync(g, cfg.source, eng, batch_options);
+    if (!batch.completed) {
+      throw std::runtime_error(
+          "campaign: engine 'batch_sync' hit its round cap (disconnected graph?)");
+    }
+    for (std::uint32_t l = 0; l < batch.lanes; ++l) {
+      partial.summary.add(static_cast<double>(batch.rounds[l]), block.begin + l);
+    }
+    if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
+  } else {
+    const bool curves_on = partial.curves.has_value();
+    std::vector<double> curve;
+    run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed, block.begin,
+                     block.end, metrics, curves_on ? &curve : nullptr,
+                     curves_on ? &partial.contacts : nullptr, [&](double value, std::uint64_t t) {
+                       partial.summary.add(value, t);
+                       if (curves_on) partial.curves->add(curve);
+                     });
+  }
+  const bool last = st.trials.land(block, std::move(partial), [&](const TrialPartial& p) {
+    if (recorder_ != nullptr) {
+      recorder_->record_trial_slot(block.config, block.slot, p.summary,
+                                   p.curves ? &*p.curves : nullptr, &p.contacts);
+    }
+  });
+  if (!last) return;
+  // Last owned block: fold in slot order when this run owns every slot.
+  if (finalize_here_[block.config] != 0) {
+    const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
+    st.trials.fold(0).move_into(results_[block.config]);
+    publish(block.config, g, sink, merge_begin);
+  }
+  release(block.config, sink);
+}
+
+void CampaignRun::on_plan(const Block& block, const Graph& g) {
+  const CampaignConfig& cfg = configs_[block.config];
+  Pass<stats::RunningMoments>& screen = states_[block.config].screen;
+  screen.entrants = candidate_sources(g, cfg.race.max_candidates);
+  std::vector<Block> blocks =
+      screen.plan(block.config, BlockKind::kScreen, cfg.race.screen_trials, block_size_);
+  // Recorded before the screen blocks can run, so no snapshot ever holds
+  // screen partials without the candidate list they index.
+  if (recorder_ != nullptr) recorder_->record_plan(block.config, screen.entrants);
+  queue_.push(std::move(blocks));
+}
+
+void CampaignRun::on_screen(const Block& block, const Graph& g, obs::WorkerSink* sink) {
+  const CampaignConfig& cfg = configs_[block.config];
+  ConfigState& st = states_[block.config];
+  const graph::NodeId u = st.screen.entrants[block.entrant];
+  stats::RunningMoments partial;
+  run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, cfg.seed + kSourceStride * u,
+                   block.begin, block.end, sink != nullptr ? &sink->metrics : nullptr, nullptr,
+                   nullptr, [&](double value, std::uint64_t) { partial.add(value); });
+  const bool last = st.screen.land(block, partial, [&](const stats::RunningMoments& p) {
+    if (recorder_ != nullptr) {
+      recorder_->record_screen_slot(block.config, block.entrant, block.slot, p);
+    }
+  });
+  if (!last) return;
+  // Screening complete: rank candidates by mean (descending, node id as
+  // the deterministic tie-break) and enqueue the refine pass for the
+  // leaders.
+  std::vector<std::pair<double, graph::NodeId>> screened;
+  screened.reserve(st.screen.entrants.size());
+  for (std::size_t i = 0; i < st.screen.entrants.size(); ++i) {
+    screened.emplace_back(st.screen.fold(i).mean(), st.screen.entrants[i]);
+  }
+  st.screen.release();
+  std::sort(screened.begin(), screened.end(), std::greater<>());
+  screened.resize(std::min<std::size_t>(cfg.race.finalists, screened.size()));
+  st.refine.entrants.clear();
+  for (const auto& leader : screened) st.refine.entrants.push_back(leader.second);
+  std::vector<Block> blocks =
+      st.refine.plan(block.config, BlockKind::kRefine, refine_trials(cfg), block_size_);
+  // As with record_plan: finalists land in the snapshot before any refine
+  // partial can reference them.
+  if (recorder_ != nullptr) recorder_->record_finalists(block.config, st.refine.entrants);
+  queue_.push(std::move(blocks));
+}
+
+void CampaignRun::on_refine(const Block& block, const Graph& g, obs::WorkerSink* sink) {
+  const CampaignConfig& cfg = configs_[block.config];
+  ConfigState& st = states_[block.config];
+  const graph::NodeId u = st.refine.entrants[block.entrant];
+  TrialPartial partial(cfg, options_.sketch_capacity, options_.reservoir_capacity);
+  run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, cfg.seed + 1 + kSourceStride * u,
+                   block.begin, block.end, sink != nullptr ? &sink->metrics : nullptr, nullptr,
+                   nullptr, [&](double value, std::uint64_t t) { partial.summary.add(value, t); });
+  const bool last = st.refine.land(block, std::move(partial), [&](const TrialPartial& p) {
+    if (recorder_ != nullptr) {
+      recorder_->record_refine_slot(block.config, block.entrant, block.slot, p.summary);
+    }
+  });
+  if (!last) return;
+  // Refinement complete: keep the worst finalist's full summary as the
+  // configuration's result (first-seen wins ties, matching the historical
+  // adversary scan) and the best finalist's mean beside it.
+  const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
+  CampaignResult& r = results_[block.config];
+  for (std::size_t i = 0; i < st.refine.entrants.size(); ++i) {
+    stats::StreamingSummary total = std::move(st.refine.fold(i).summary);
+    const double mean = total.mean();
+    if (i == 0 || mean > r.summary.mean()) {
+      r.source = st.refine.entrants[i];
+      r.summary = std::move(total);
+    }
+    if (i == 0 || mean < r.best_mean) {
+      r.best_source = st.refine.entrants[i];
+      r.best_mean = mean;
+    }
+  }
+  publish(block.config, g, sink, merge_begin);
+  release(block.config, sink);
+}
+
+void CampaignRun::publish(std::size_t c, const Graph& g, obs::WorkerSink* sink,
+                          std::uint64_t merge_begin) {
+  CampaignResult& r = results_[c];
+  r.graph_name = g.name();
+  r.n = g.num_nodes();
+  if (sink != nullptr) {
+    sink->span("merge", merge_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
+  }
+  if (recorder_ != nullptr) recorder_->record_done(c, r);
+}
+
+void CampaignRun::release(std::size_t c, obs::WorkerSink* sink) {
+  const CampaignConfig& cfg = configs_[c];
+  ConfigState& st = states_[c];
+  st.trials.release();
+  st.screen.release();
+  st.refine.release();
+  st.graph.reset();
+  st.weighted.reset();
+  st.edges.reset();
+  // File-backed graphs are not freed here: the campaign's shared cache
+  // keeps the one mapping alive until the run ends, so only per-config
+  // owned graphs count as frees.
+  if (sink != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
+    sink->metrics.graph_frees += 1;
+  }
+}
+
+/// The scheduler behind run_campaign and run_campaign_resumable: setup,
+/// then workers draining the shared queue until it is empty, stopped, or
+/// failed. `recording` switches on the snapshot layer (checkpoints,
+/// shards, resume); without it the scheduler is the original
+/// zero-overhead path.
 CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
                                   const CampaignOptions& options,
                                   const std::string& campaign_name, const Json* resume,
                                   bool recording) {
-  const std::uint64_t block_size = std::max<std::uint64_t>(options.block_size, 1);
   const std::uint32_t shard_count = std::max<std::uint32_t>(options.shard_count, 1);
   if (options.shard_index < 1 || options.shard_index > shard_count) {
     throw std::runtime_error("campaign: shard index " + std::to_string(options.shard_index) +
                              " out of range 1.." + std::to_string(shard_count));
   }
-  const std::uint32_t shard = options.shard_index - 1;  // 0-based internally
-
   std::unique_ptr<CampaignRecorder> recorder;
   if (recording) {
     // Snapshots address configurations by id, so recorded campaigns need
@@ -496,529 +921,60 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   std::vector<CampaignRecorder::Entry> restored(configs.size());
   if (resume != nullptr) restored = recorder->load(*resume);
 
-  auto summary_opts = [&](const CampaignConfig& cfg) {
-    return summary_options_for(cfg, options.sketch_capacity, options.reservoir_capacity);
-  };
-  auto curve_opts = [&](const CampaignConfig& cfg) {
-    return curve_options_for(cfg, options.sketch_capacity);
-  };
-
-  std::vector<Block> initial;
-  std::vector<ConfigState> states(configs.size());
-  std::vector<CampaignResult> results(configs.size());
-  // finalize_here[c]: this run folds the configuration's partials into its
-  // final result (it owns every block). A sharded run leaves foreign or
-  // split configurations to merge_campaign_snapshots.
-  std::vector<char> finalize_here(configs.size(), 1);
-  // For the worker-count heuristic only: a generous upper bound on how many
-  // blocks the campaign can ever schedule (race passes expand lazily).
-  std::size_t block_estimate = 0;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    const CampaignConfig& cfg = configs[c];
-    results[c] = campaign_result_skeleton(cfg, c);
-    CampaignResult& r = results[c];
-    // Checked here, not on a worker thread that would race to report it;
-    // the spec parser applies the same rules.
-    if (const std::string error = check_config(cfg); !error.empty()) {
-      throw std::runtime_error("campaign: configuration '" + r.id + "': " + error);
-    }
-    if (cfg.source_policy == SourcePolicy::kRace) {
-      const std::uint64_t final_trials =
-          cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-      const std::size_t cand_bound = cfg.race.max_candidates != 0
-                                         ? cfg.race.max_candidates
-                                         : (cfg.prebuilt != nullptr ? cfg.prebuilt->num_nodes()
-                                                                    : cfg.graph.n);
-      block_estimate += 1 + cand_bound * (cfg.race.screen_trials / block_size + 1) +
-                        cfg.race.finalists * (final_trials / block_size + 1);
-      // Races are owned wholesale by one shard, so the screen/refine
-      // successors of the plan block always stay with their owner.
-      finalize_here[c] =
-          shard_of_block(r.id, 0, /*whole_config=*/true, shard_count) == shard ? 1 : 0;
-      if (finalize_here[c] == 0) continue;
-      ConfigState& st = states[c];
-      CampaignRecorder::Entry& rest = restored[c];
-      using Phase = CampaignRecorder::Entry::Phase;
-      switch (rest.phase) {
-        case Phase::kPending:
-        case Phase::kTrials:  // load() never reports kTrials for a race
-          initial.push_back(Block{c, BlockKind::kPlan, 0, 0, 0, 0});
-          break;
-        case Phase::kScreen: {
-          st.candidates = std::move(rest.candidates);
-          const auto count = static_cast<std::uint32_t>(st.candidates.size());
-          const std::size_t slots = slot_count(cfg.race.screen_trials, block_size);
-          st.screen_partials.assign(count, {});
-          for (auto& per : st.screen_partials) per.resize(slots);
-          for (const auto& [at, state] : rest.screen) {
-            st.screen_partials[at.first][at.second].restore(state);
-          }
-          std::vector<Block> missing;
-          for (std::uint32_t i = 0; i < count; ++i) {
-            for (std::size_t s = 0; s < slots; ++s) {
-              if (rest.screen.count({i, s}) == 0) {
-                missing.push_back(block_for_slot(c, BlockKind::kScreen, i,
-                                                 cfg.race.screen_trials, block_size, s));
-              }
-            }
-          }
-          if (missing.empty()) {
-            // Snapshot fell between the pass's last block and its hand-off:
-            // re-run one restored block to re-trigger the fold (recording is
-            // idempotent and re-running a block is bit-neutral).
-            const auto [i, s] = rest.screen.rbegin()->first;
-            missing.push_back(
-                block_for_slot(c, BlockKind::kScreen, i, cfg.race.screen_trials, block_size, s));
-          }
-          st.screen_left.store(missing.size(), std::memory_order_relaxed);
-          initial.insert(initial.end(), missing.begin(), missing.end());
-          break;
-        }
-        case Phase::kRefine: {
-          st.finalists = std::move(rest.finalists);
-          const auto count = static_cast<std::uint32_t>(st.finalists.size());
-          const std::size_t slots = slot_count(final_trials, block_size);
-          st.refine_partials.assign(count, {});
-          for (auto& per : st.refine_partials) per.resize(slots);
-          for (const auto& [at, state] : rest.refine) {
-            st.refine_partials[at.first][at.second] =
-                stats::StreamingSummary::restored(summary_opts(cfg), state);
-          }
-          std::vector<Block> missing;
-          for (std::uint32_t i = 0; i < count; ++i) {
-            for (std::size_t s = 0; s < slots; ++s) {
-              if (rest.refine.count({i, s}) == 0) {
-                missing.push_back(
-                    block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
-              }
-            }
-          }
-          if (missing.empty()) {
-            const auto [i, s] = rest.refine.rbegin()->first;
-            missing.push_back(block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
-          }
-          st.refine_left.store(missing.size(), std::memory_order_relaxed);
-          initial.insert(initial.end(), missing.begin(), missing.end());
-          break;
-        }
-        case Phase::kDone:
-          r.graph_name = rest.graph_name;
-          r.n = rest.n;
-          r.source = rest.source;
-          r.best_source = rest.best_source;
-          r.best_mean = rest.best_mean;
-          r.summary = stats::StreamingSummary::restored(summary_opts(cfg), rest.summary);
-          break;
-      }
-    } else {
-      ConfigState& st = states[c];
-      CampaignRecorder::Entry& rest = restored[c];
-      using Phase = CampaignRecorder::Entry::Phase;
-      if (rest.phase == Phase::kDone) {
-        r.graph_name = rest.graph_name;
-        r.n = rest.n;
-        r.summary = stats::StreamingSummary::restored(summary_opts(cfg), rest.summary);
-        if (rest.curves) {
-          r.curves = stats::CurveAccumulator::restored(curve_opts(cfg), rest.curves->state);
-          r.contacts = rest.curves->contacts;
-        }
-        continue;
-      }
-      // Batch configs pin the slot grid to the lane width (a trial block IS
-      // one lane batch), so slot boundaries stay a pure function of the
-      // config — never of --block-size — and checkpoints stay addressable.
-      const std::uint64_t cfg_block = effective_block_size(cfg, block_size);
-      const std::size_t slots = slot_count(cfg.trials, cfg_block);
-      st.partials.resize(slots);
-      if (cfg.curves.enabled) {
-        st.curve_partials.resize(slots);
-        st.contact_partials.resize(slots);
-      }
-      for (const auto& [slot, part] : rest.slots) {
-        st.partials[slot] = stats::StreamingSummary::restored(summary_opts(cfg), part.summary);
-        if (part.curves) {
-          st.curve_partials[slot] =
-              stats::CurveAccumulator::restored(curve_opts(cfg), part.curves->state);
-          st.contact_partials[slot] = part.curves->contacts;
-        }
-      }
-      std::size_t owned = 0;
-      std::vector<Block> missing;
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (shard_of_block(r.id, s, /*whole_config=*/false, shard_count) != shard) continue;
-        ++owned;
-        if (rest.slots.count(s) == 0) {
-          missing.push_back(block_for_slot(c, BlockKind::kTrials, 0, cfg.trials, cfg_block, s));
-        }
-      }
-      finalize_here[c] = owned == slots ? 1 : 0;
-      if (finalize_here[c] != 0 && missing.empty()) {
-        // Every block was restored but the snapshot predates the final fold:
-        // re-run the highest slot to re-trigger it (bit-neutral).
-        missing.push_back(
-            block_for_slot(c, BlockKind::kTrials, 0, cfg.trials, cfg_block, slots - 1));
-      }
-      st.blocks_left.store(missing.size(), std::memory_order_relaxed);
-      block_estimate += missing.size();
-      initial.insert(initial.end(), missing.begin(), missing.end());
-    }
-  }
-
-  unsigned workers = options.threads != 0 ? options.threads : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, block_estimate));
-
   // Telemetry is strictly observational: every hook below sits behind an
   // `if (tel)` (or a sink pointer), so a null sink is the exact pre-existing
   // code path and attached telemetry never influences scheduling decisions.
   obs::Telemetry* const tel = options.telemetry;
+  CampaignRun run(configs, options, recorder.get(), tel);
+  std::vector<Block> initial;
+  std::size_t block_estimate = 0;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    block_estimate += run.setup(c, restored[c], initial);
+  }
+  restored.clear();
+
+  unsigned workers = options.threads != 0 ? options.threads : std::thread::hardware_concurrency();
+  if (workers == 0) workers = 1;
+  workers = static_cast<unsigned>(std::min<std::size_t>(workers, block_estimate));
   if (tel != nullptr) {
     std::vector<std::string> ids;
-    ids.reserve(results.size());
-    for (const CampaignResult& r : results) ids.push_back(r.id);
+    ids.reserve(configs.size());
+    for (const CampaignResult& r : run.results()) ids.push_back(r.id);
     tel->begin(std::move(ids), std::max(workers, 1u),
                options.telemetry_label.empty() ? campaign_name : options.telemetry_label);
   }
+  run.queue().push(std::move(initial));
 
-  BlockQueue queue(tel);
   std::exception_ptr error;
   std::mutex error_mutex;
-
-  auto resolved_final_trials = [](const CampaignConfig& cfg) {
-    return cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-  };
-
-  // Shared read-only graph cache for file-backed configs: every config
-  // naming the same packed store shares one mmap for the whole campaign (the
-  // OS page cache extends the sharing across --shard processes), so N cells
-  // over one giant graph materialize it once — graph_builds records 1, not N.
-  std::mutex file_graph_mutex;
-  std::map<std::string, std::shared_ptr<const Graph>> file_graphs;
-
-  auto build_graph_once = [&](std::size_t c, obs::WorkerSink* sink) {
-    const CampaignConfig& cfg = configs[c];
-    ConfigState& st = states[c];
-    // Lazy one-shot graph construction on whichever worker gets there
-    // first; prebuilt graphs are shared as-is. call_once re-runs on a later
-    // caller if the builder throws, but the error capture below drains the
-    // queue before that matters.
-    std::call_once(st.build_once, [&] {
-      const std::uint64_t build_begin = sink != nullptr ? sink->now_ns() : 0;
-      bool opened_store = false;
-      if (cfg.prebuilt != nullptr) {
-        st.graph = cfg.prebuilt;
-      } else if (cfg.graph.family == "file") {
-        // Open under the cache lock: a concurrent config wanting the same
-        // store waits for the first mapping instead of opening its own.
-        const std::lock_guard<std::mutex> lock(file_graph_mutex);
-        auto it = file_graphs.find(cfg.graph.path);
-        if (it == file_graphs.end()) {
-          auto g = std::make_shared<const Graph>(graph::open_graph_store(cfg.graph.path));
-          it = file_graphs.emplace(cfg.graph.path, std::move(g)).first;
-          opened_store = true;
-        }
-        st.graph = it->second;
-      } else {
-        st.graph = std::make_shared<const Graph>(build_graph(cfg.graph, cfg.seed));
-      }
-      // Snapshot the built graph's identity: merge needs it to assemble
-      // results for configurations whose blocks were split across shards.
-      if (recorder != nullptr) recorder->record_graph(c, st.graph->name(), st.graph->num_nodes());
-      if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone &&
-          cfg.dynamics.churn.model == dynamics::ChurnModel::kNone) {
-        const dynamics::DynamicsSpec spec = resolved_dynamics(cfg);
-        auto sampler = std::make_shared<dynamics::NeighborAliasTable>();
-        sampler->build(dynamics::csr_offsets(*st.graph),
-                       dynamics::make_edge_weights(*st.graph, spec.weights, spec.seed));
-        st.weighted = std::move(sampler);
-      }
-      if (cfg.dynamics.churn.model != dynamics::ChurnModel::kNone) {
-        st.edges = std::make_shared<const std::vector<graph::Edge>>(
-            dynamics::base_edge_list(*st.graph));
-      }
-      if (sink != nullptr) {
-        // File-backed configs that hit the cache did not materialize
-        // anything: graph_builds counts mappings/constructions, so N cells
-        // sharing one store contribute exactly one build (the issue's
-        // "materialized once, not N times" acceptance check).
-        if (cfg.graph.family != "file" || opened_store) sink->metrics.graph_builds += 1;
-        sink->span("graph:build", build_begin, sink->now_ns(),
-                   static_cast<std::uint32_t>(c));
-      }
-    });
-  };
-
-  // Block bodies. Each may push successor blocks onto the queue; partials
-  // always land in their slot, and every cross-pass hand-off happens on the
-  // worker that decrements the pass counter to zero — a deterministic
-  // reduction no matter which threads ran which blocks.
-  auto process_block = [&](const Block& block, obs::WorkerSink* sink) {
-    const CampaignConfig& cfg = configs[block.config];
-    ConfigState& st = states[block.config];
-    CampaignResult& r = results[block.config];
-    obs::WorkerMetrics* const metrics = sink != nullptr ? &sink->metrics : nullptr;
-    build_graph_once(block.config, sink);
-    const Graph& g = *st.graph;
-
-    switch (block.kind) {
-      case BlockKind::kTrials: {
-        // The engines only assert() this precondition, which compiles out in
-        // Release — and spec-driven sources are user input, so check it here.
-        if (cfg.source >= g.num_nodes()) {
-          throw std::runtime_error("campaign: configuration '" + r.id + "' source " +
-                                   std::to_string(cfg.source) + " is out of range for " +
-                                   g.name());
-        }
-        const bool curves_on = cfg.curves.enabled;
-        stats::StreamingSummary partial(summary_opts(cfg));
-        stats::CurveAccumulator curve_partial(curves_on ? curve_opts(cfg)
-                                                        : stats::CurveAccumulator::Options{});
-        stats::ContactTotals contact_partial;
-        std::vector<double> curve;
-        if (cfg.engine == EngineKind::kBatchSync) {
-          // One block = one lane batch on one shared engine, seeded by the
-          // block's first trial index — the batch analogue of run_one's
-          // derive_stream(seed, t) identity. effective_block_size pinned
-          // the slot grid to cfg.lanes, so lane l of this block is trial
-          // block.begin + l under every thread count, shard split, and
-          // resume.
-          core::BatchSyncOptions batch_options;
-          batch_options.mode = cfg.mode;
-          batch_options.message_loss = cfg.message_loss;
-          batch_options.lanes = static_cast<std::uint32_t>(block.end - block.begin);
-          rng::Engine eng = rng::derive_stream(cfg.seed, block.begin);
-          const core::BatchSyncResult batch = core::run_batch_sync(g, cfg.source, eng,
-                                                                   batch_options);
-          if (!batch.completed) {
-            throw std::runtime_error(
-                "campaign: engine 'batch_sync' hit its round cap (disconnected graph?)");
-          }
-          for (std::uint32_t l = 0; l < batch.lanes; ++l) {
-            partial.add(static_cast<double>(batch.rounds[l]), block.begin + l);
-          }
-          if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
-        } else {
-          run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed,
-                           block.begin, block.end, metrics, curves_on ? &curve : nullptr,
-                           curves_on ? &contact_partial : nullptr,
-                           [&](double value, std::uint64_t t) {
-                             partial.add(value, t);
-                             if (curves_on) curve_partial.add(curve);
-                           });
-        }
-        st.partials[block.slot] = std::move(partial);
-        if (curves_on) {
-          st.curve_partials[block.slot] = std::move(curve_partial);
-          st.contact_partials[block.slot] = contact_partial;
-        }
-        if (recorder != nullptr) {
-          recorder->record_trial_slot(block.config, block.slot, st.partials[block.slot],
-                                      curves_on ? &st.curve_partials[block.slot] : nullptr,
-                                      curves_on ? &st.contact_partials[block.slot] : nullptr);
-        }
-        if (st.blocks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last owned block of this configuration: fold partials in slot
-          // order (when this run owns every slot) and release the graph and
-          // per-block state — from here on the configuration occupies only
-          // its constant-size summary.
-          if (finalize_here[block.config] != 0) {
-            const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
-            stats::StreamingSummary total = std::move(st.partials.front());
-            for (std::size_t s = 1; s < st.partials.size(); ++s) total.merge(st.partials[s]);
-            if (curves_on) {
-              stats::CurveAccumulator curve_total = std::move(st.curve_partials.front());
-              stats::ContactTotals contact_total = st.contact_partials.front();
-              for (std::size_t s = 1; s < st.curve_partials.size(); ++s) {
-                curve_total.merge(st.curve_partials[s]);
-                contact_total.merge(st.contact_partials[s]);
-              }
-              r.curves = std::move(curve_total);
-              r.contacts = contact_total;
-            }
-            r.graph_name = g.name();
-            r.n = g.num_nodes();
-            r.summary = std::move(total);
-            if (sink != nullptr) {
-              sink->span("merge", merge_begin, sink->now_ns(),
-                         static_cast<std::uint32_t>(block.config));
-            }
-            if (recorder != nullptr) recorder->record_done(block.config, r);
-          }
-          st.partials.clear();
-          st.partials.shrink_to_fit();
-          st.curve_partials.clear();
-          st.curve_partials.shrink_to_fit();
-          st.contact_partials.clear();
-          st.contact_partials.shrink_to_fit();
-          st.graph.reset();
-          st.weighted.reset();
-          st.edges.reset();
-          // File-backed graphs are not freed here: the campaign's shared
-          // cache keeps the one mapping alive until the run ends, so only
-          // per-config owned graphs count as frees.
-          if (metrics != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
-            metrics->graph_frees += 1;
-          }
-        }
-        break;
-      }
-      case BlockKind::kPlan: {
-        st.candidates = candidate_sources(g, cfg.race.max_candidates);
-        const std::uint32_t count = static_cast<std::uint32_t>(st.candidates.size());
-        st.screen_partials.assign(count, {});
-        std::vector<Block> screen;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::size_t before = screen.size();
-          plan_blocks(screen, block.config, BlockKind::kScreen, i, cfg.race.screen_trials,
-                      block_size);
-          st.screen_partials[i].resize(screen.size() - before);
-        }
-        // Recorded before the screen blocks can run, so no snapshot ever
-        // holds screen partials without the candidate list they index.
-        if (recorder != nullptr) recorder->record_plan(block.config, st.candidates);
-        st.screen_left.store(screen.size(), std::memory_order_relaxed);
-        queue.push(std::move(screen));
-        break;
-      }
-      case BlockKind::kScreen: {
-        const graph::NodeId u = st.candidates[block.entrant];
-        stats::RunningMoments partial;
-        const std::uint64_t stream_seed = cfg.seed + kSourceStride * u;
-        run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, block.begin,
-                         block.end, metrics, nullptr, nullptr,
-                         [&](double value, std::uint64_t) { partial.add(value); });
-        st.screen_partials[block.entrant][block.slot] = partial;
-        if (recorder != nullptr) {
-          recorder->record_screen_slot(block.config, block.entrant, block.slot, partial);
-        }
-        if (st.screen_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Screening complete: rank candidates by mean (descending, node id
-          // as the deterministic tie-break) and enqueue the refine pass for
-          // the leaders.
-          std::vector<std::pair<double, graph::NodeId>> screened;
-          screened.reserve(st.candidates.size());
-          for (std::size_t i = 0; i < st.candidates.size(); ++i) {
-            stats::RunningMoments total = st.screen_partials[i].front();
-            for (std::size_t s = 1; s < st.screen_partials[i].size(); ++s) {
-              total.merge(st.screen_partials[i][s]);
-            }
-            screened.emplace_back(total.mean(), st.candidates[i]);
-          }
-          std::sort(screened.begin(), screened.end(), std::greater<>());
-          const std::uint32_t finalists = std::min<std::uint32_t>(
-              cfg.race.finalists, static_cast<std::uint32_t>(screened.size()));
-          st.finalists.clear();
-          for (std::uint32_t i = 0; i < finalists; ++i) st.finalists.push_back(screened[i].second);
-          st.screen_partials.clear();
-          st.screen_partials.shrink_to_fit();
-
-          const std::uint64_t final_trials = resolved_final_trials(cfg);
-          st.refine_partials.assign(finalists, {});
-          std::vector<Block> refine;
-          for (std::uint32_t i = 0; i < finalists; ++i) {
-            const std::size_t before = refine.size();
-            plan_blocks(refine, block.config, BlockKind::kRefine, i, final_trials, block_size);
-            st.refine_partials[i].resize(refine.size() - before);
-          }
-          // As with record_plan: finalists land in the snapshot before any
-          // refine partial can reference them.
-          if (recorder != nullptr) recorder->record_finalists(block.config, st.finalists);
-          st.refine_left.store(refine.size(), std::memory_order_relaxed);
-          queue.push(std::move(refine));
-        }
-        break;
-      }
-      case BlockKind::kRefine: {
-        const graph::NodeId u = st.finalists[block.entrant];
-        stats::StreamingSummary partial(summary_opts(cfg));
-        const std::uint64_t stream_seed = cfg.seed + 1 + kSourceStride * u;
-        run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, block.begin,
-                         block.end, metrics, nullptr, nullptr,
-                         [&](double value, std::uint64_t t) { partial.add(value, t); });
-        st.refine_partials[block.entrant][block.slot] = std::move(partial);
-        if (recorder != nullptr) {
-          recorder->record_refine_slot(block.config, block.entrant, block.slot,
-                                       st.refine_partials[block.entrant][block.slot]);
-        }
-        if (st.refine_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Refinement complete: fold each finalist in slot order, keep the
-          // worst finalist's full summary as the configuration's result
-          // (first-seen wins ties, matching the historical adversary scan).
-          const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
-          bool first = true;
-          for (std::size_t i = 0; i < st.finalists.size(); ++i) {
-            stats::StreamingSummary total = std::move(st.refine_partials[i].front());
-            for (std::size_t s = 1; s < st.refine_partials[i].size(); ++s) {
-              total.merge(st.refine_partials[i][s]);
-            }
-            const double mean = total.mean();
-            if (first || mean > r.summary.mean()) {
-              r.source = st.finalists[i];
-              r.summary = std::move(total);
-            }
-            if (first || mean < r.best_mean) {
-              r.best_source = st.finalists[i];
-              r.best_mean = mean;
-            }
-            first = false;
-          }
-          r.graph_name = g.name();
-          r.n = g.num_nodes();
-          if (sink != nullptr) {
-            sink->span("merge", merge_begin, sink->now_ns(),
-                       static_cast<std::uint32_t>(block.config));
-          }
-          if (recorder != nullptr) recorder->record_done(block.config, r);
-          st.refine_partials.clear();
-          st.refine_partials.shrink_to_fit();
-          st.finalists.clear();
-          st.candidates.clear();
-          st.graph.reset();
-          st.weighted.reset();
-          st.edges.reset();
-          // File-backed graphs are not freed here: the campaign's shared
-          // cache keeps the one mapping alive until the run ends, so only
-          // per-config owned graphs count as frees.
-          if (metrics != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
-            metrics->graph_frees += 1;
-          }
-        }
-        break;
-      }
-    }
-  };
-
-  queue.push(std::move(initial));
-
   std::atomic<bool> stopped{false};
-
   auto worker = [&](unsigned wid) {
     obs::WorkerSink* const sink = tel != nullptr ? &tel->sink(wid) : nullptr;
     std::uint64_t wait_begin = sink != nullptr ? sink->now_ns() : 0;
     Block block;
-    while (queue.pop(block)) {
+    while (run.queue().pop(block)) {
       const std::uint64_t started = sink != nullptr ? sink->now_ns() : 0;
       if (sink != nullptr) sink->metrics.idle_ns += started - wait_begin;
-      if (tel != nullptr) tel->set_phase(block_phase_name(block.kind));
+      if (tel != nullptr) tel->set_phase(block_names(block.kind).phase);
       bool ok = false;
       try {
-        process_block(block, sink);
+        run.process(block, sink);
         ok = true;
         if (recorder != nullptr && recorder->block_finished()) {
           // stop_after_blocks budget exhausted: drain the queue; in-flight
           // blocks still finish and record, so the final checkpoint below
           // loses nothing that was computed.
           stopped.store(true, std::memory_order_relaxed);
-          queue.abort();
+          run.queue().abort();
         }
       } catch (...) {
         {
           const std::scoped_lock lock(error_mutex);
           if (!error) error = std::current_exception();
         }
-        queue.abort();
+        run.queue().abort();
       }
-      queue.finish_one();
+      run.queue().finish_one();
       if (sink != nullptr) {
         const std::uint64_t finished = sink->now_ns();
         sink->metrics.busy_ns += finished - started;
@@ -1031,7 +987,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           cost.blocks += 1;
           cost.trials += block.end - block.begin;
           cost.busy_ns += finished - started;
-          sink->span(block_span_name(block.kind), started, finished,
+          sink->span(block_names(block.kind).span, started, finished,
                      static_cast<std::uint32_t>(block.config),
                      static_cast<std::int64_t>(block.slot));
         }
@@ -1057,7 +1013,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   }
 
   CampaignOutcome outcome;
-  outcome.results = std::move(results);
+  outcome.results = std::move(run.results());
   outcome.complete = !stopped.load(std::memory_order_relaxed);
   if (recorder != nullptr) {
     // The periodic writer finishes (or rethrows its error) first, so the
@@ -1562,6 +1518,84 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
 
 // --- Reporting ---------------------------------------------------------------
 
+namespace {
+
+/// A report's stats.curves object: mean/band informed-count curves on the
+/// config's grid, the derived phase decomposition, and exact contact
+/// totals.
+Json curves_json(const CampaignResult& result) {
+  const stats::CurveAccumulator& c = result.curves;
+  const bool time_grid = result.engine == "async";
+  const double step = time_grid ? result.curves_spec.time_bucket : 1.0;
+  Json curves = Json::object();
+  curves.set("grid", time_grid ? "time" : "rounds");
+  curves.set("time_bucket", time_grid ? Json(result.curves_spec.time_bucket) : Json());
+  curves.set("points", static_cast<std::uint64_t>(c.points()));
+  curves.set("trials", c.trials());
+  curves.set("max_len", c.max_len());
+  // Fixed-source cells start with exactly one informed node; the
+  // conservation check needs the count explicit.
+  curves.set("sources", 1);
+  Json mean = Json::array();
+  Json stddev = Json::array();
+  Json p10 = Json::array();
+  Json p50 = Json::array();
+  Json p90 = Json::array();
+  for (std::size_t k = 0; k < c.points(); ++k) {
+    mean.push_back(c.mean_at(k));
+    stddev.push_back(c.stddev_at(k));
+    p10.push_back(c.quantile_at(k, 0.10));
+    p50.push_back(c.quantile_at(k, 0.50));
+    p90.push_back(c.quantile_at(k, 0.90));
+  }
+  curves.set("mean", std::move(mean));
+  curves.set("stddev", std::move(stddev));
+  curves.set("p10", std::move(p10));
+  curves.set("p50", std::move(p50));
+  curves.set("p90", std::move(p90));
+  // Phase decomposition of the mean curve: startup until 10% informed,
+  // exponential growth until 90%, shrink until everyone (n - 0.5 guards
+  // against float fuzz in the mean of integer counts). A threshold the
+  // grid never reaches renders as null — the curve was cut short.
+  const double nn = static_cast<double>(result.n);
+  auto first_reach = [&](double threshold) -> Json {
+    for (std::size_t k = 0; k < c.points(); ++k) {
+      if (c.mean_at(k) >= threshold) return Json(static_cast<double>(k) * step);
+    }
+    return Json();
+  };
+  const Json startup_end = first_reach(0.1 * nn);
+  const Json growth_end = first_reach(0.9 * nn);
+  const Json spread_end = first_reach(nn - 0.5);
+  Json phases = Json::object();
+  phases.set("startup_end", startup_end);
+  phases.set("growth_end", growth_end);
+  phases.set("spread_end", spread_end);
+  phases.set("startup_duration", startup_end);
+  phases.set("growth_duration",
+             !startup_end.is_null() && !growth_end.is_null()
+                 ? Json(growth_end.as_number() - startup_end.as_number())
+                 : Json());
+  phases.set("shrink_duration", !growth_end.is_null() && !spread_end.is_null()
+                                    ? Json(spread_end.as_number() - growth_end.as_number())
+                                    : Json());
+  curves.set("phases", std::move(phases));
+  const stats::ContactTotals& t = result.contacts;
+  Json contacts = Json::object();
+  contacts.set("contacts", t.contacts);
+  contacts.set("useful_push", t.useful_push);
+  contacts.set("useful_pull", t.useful_pull);
+  contacts.set("wasted_push", t.wasted_push);
+  contacts.set("wasted_pull", t.wasted_pull);
+  contacts.set("empty_contacts", t.empty_contacts);
+  contacts.set("ticks", t.ticks);
+  contacts.set("informed_total", t.informed_total);
+  curves.set("contacts", std::move(contacts));
+  return curves;
+}
+
+}  // namespace
+
 Json campaign_report(const CampaignResult& result, const std::string& campaign_name) {
   const stats::StreamingSummary& s = result.summary;
   Json report = Json::object();
@@ -1638,78 +1672,9 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
     stats.set("best_mean", result.best_mean);
   }
   if (result.has_curves) {
-    // Spread telemetry: mean/band informed-count curves on the config's
-    // grid, the derived phase decomposition, and exact contact totals. Only
-    // present when the config enabled curves, so plain reports keep their
-    // exact pre-existing key set.
-    const stats::CurveAccumulator& c = result.curves;
-    const bool time_grid = result.engine == "async";
-    const double step = time_grid ? result.curves_spec.time_bucket : 1.0;
-    Json curves = Json::object();
-    curves.set("grid", time_grid ? "time" : "rounds");
-    curves.set("time_bucket", time_grid ? Json(result.curves_spec.time_bucket) : Json());
-    curves.set("points", static_cast<std::uint64_t>(c.points()));
-    curves.set("trials", c.trials());
-    curves.set("max_len", c.max_len());
-    // Fixed-source cells start with exactly one informed node; the
-    // conservation check needs the count explicit.
-    curves.set("sources", 1);
-    Json mean = Json::array();
-    Json stddev = Json::array();
-    Json p10 = Json::array();
-    Json p50 = Json::array();
-    Json p90 = Json::array();
-    for (std::size_t k = 0; k < c.points(); ++k) {
-      mean.push_back(c.mean_at(k));
-      stddev.push_back(c.stddev_at(k));
-      p10.push_back(c.quantile_at(k, 0.10));
-      p50.push_back(c.quantile_at(k, 0.50));
-      p90.push_back(c.quantile_at(k, 0.90));
-    }
-    curves.set("mean", std::move(mean));
-    curves.set("stddev", std::move(stddev));
-    curves.set("p10", std::move(p10));
-    curves.set("p50", std::move(p50));
-    curves.set("p90", std::move(p90));
-    // Phase decomposition of the mean curve: startup until 10% informed,
-    // exponential growth until 90%, shrink until everyone (n - 0.5 guards
-    // against float fuzz in the mean of integer counts). A threshold the
-    // grid never reaches renders as null — the curve was cut short.
-    const double nn = static_cast<double>(result.n);
-    auto first_reach = [&](double threshold) -> Json {
-      for (std::size_t k = 0; k < c.points(); ++k) {
-        if (c.mean_at(k) >= threshold) return Json(static_cast<double>(k) * step);
-      }
-      return Json();
-    };
-    const Json startup_end = first_reach(0.1 * nn);
-    const Json growth_end = first_reach(0.9 * nn);
-    const Json spread_end = first_reach(nn - 0.5);
-    Json phases = Json::object();
-    phases.set("startup_end", startup_end);
-    phases.set("growth_end", growth_end);
-    phases.set("spread_end", spread_end);
-    phases.set("startup_duration", startup_end);
-    phases.set("growth_duration",
-               !startup_end.is_null() && !growth_end.is_null()
-                   ? Json(growth_end.as_number() - startup_end.as_number())
-                   : Json());
-    phases.set("shrink_duration", !growth_end.is_null() && !spread_end.is_null()
-                                      ? Json(spread_end.as_number() - growth_end.as_number())
-                                      : Json());
-    curves.set("phases", std::move(phases));
-    const stats::ContactTotals& t = result.contacts;
-    Json contacts = Json::object();
-    contacts.set("contacts", t.contacts);
-    contacts.set("useful_push", t.useful_push);
-    contacts.set("useful_pull", t.useful_pull);
-    contacts.set("wasted_push", t.wasted_push);
-    contacts.set("wasted_pull", t.wasted_pull);
-    contacts.set("empty_contacts", t.empty_contacts);
-    contacts.set("ticks", t.ticks);
-    contacts.set("informed_total", t.informed_total);
-    curves.set("contacts", std::move(contacts));
-    stats.set("curves", std::move(curves));
+    // Only present when the config enabled curves, so plain reports keep
+    // their exact pre-existing key set.
+    stats.set("curves", curves_json(result));
   }
   report.set("stats", std::move(stats));
 

@@ -15,8 +15,9 @@
 // Determinism contract (the harness's guarantee, extended): trial t of a
 // configuration with root seed s always runs on rng::derive_stream(s, t),
 // so per-trial results are bit-identical regardless of thread count, block
-// size, or interleaving. Block partials are merged in block-index order, so
-// the full summary is additionally bit-identical across thread counts at a
+// size, or interleaving. Block partials are folded in slot order (one fold,
+// sim/checkpoint.hpp's fold_slots, shared with resume and merge), so the
+// full summary is additionally bit-identical across thread counts at a
 // fixed block size; across block sizes, moments/quantiles agree to sketch
 // tolerance, and reservoir *contents* (bottom-k priority sampling) are
 // bit-identical always. Verified in tests/test_campaign.cpp.
@@ -46,9 +47,8 @@ namespace rumor::sim {
 
 class Json;  // experiment.hpp
 
-/// Which protocol engine a configuration runs. The enum (and its names)
-/// moved to core/trial.hpp with the unified run_trial dispatch; the
-/// aliases keep the campaign's historical spelling working.
+/// Which protocol engine a configuration runs: core/trial.hpp's enum and
+/// names (the run_trial dispatch), under the campaign's spelling.
 using EngineKind = core::EngineKind;
 using core::engine_name;
 
@@ -67,8 +67,8 @@ enum class SourcePolicy : std::uint8_t { kFixed, kRace };
   return p == SourcePolicy::kRace ? "race" : "fixed";
 }
 
-/// Tuning for SourcePolicy::kRace (mirrors WorstSourceOptions, which
-/// sim/adversary.hpp now implements on top of this).
+/// Tuning for SourcePolicy::kRace (sim/adversary.hpp's WorstSourceOptions
+/// maps onto it).
 struct SourceRaceOptions {
   /// Trials per candidate in the screening pass.
   std::uint64_t screen_trials = 10;
@@ -109,8 +109,8 @@ struct GraphSpec {
 
 /// Spread-telemetry request for one configuration (the campaign face of
 /// core::SpreadProbe + stats::CurveAccumulator). Off by default: with
-/// enabled == false the trial path passes no probe and campaign output is
-/// byte-identical to a build that predates the feature. Curves require a
+/// enabled == false the trial path passes no probe and reports carry no
+/// curve keys. Curves require a
 /// fixed source (racing interleaves two trial populations whose curves
 /// would not be comparable) and a sync/async/quasirandom engine (the aux
 /// processes have no contact structure to classify); check_config rejects

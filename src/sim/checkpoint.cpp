@@ -901,6 +901,56 @@ std::uint64_t CampaignRecorder::blocks_done() const {
   return blocks_done_;
 }
 
+// --- Partials and results shared by the scheduler and merge -----------------
+
+TrialPartial::TrialPartial(const CampaignConfig& cfg, std::size_t sketch_capacity,
+                           std::size_t reservoir_capacity)
+    : summary(summary_options_for(cfg, sketch_capacity, reservoir_capacity)) {
+  if (cfg.curves.enabled) curves.emplace(curve_options_for(cfg, sketch_capacity));
+}
+
+TrialPartial TrialPartial::restored(const CampaignConfig& cfg, std::size_t sketch_capacity,
+                                    std::size_t reservoir_capacity,
+                                    const stats::StreamingSummary::State& summary,
+                                    const std::optional<Entry::Curves>& curves) {
+  TrialPartial p;
+  p.summary = stats::StreamingSummary::restored(
+      summary_options_for(cfg, sketch_capacity, reservoir_capacity), summary);
+  if (curves) {
+    p.curves = stats::CurveAccumulator::restored(curve_options_for(cfg, sketch_capacity),
+                                                 curves->state);
+    p.contacts = curves->contacts;
+  }
+  return p;
+}
+
+void TrialPartial::merge(const TrialPartial& other) {
+  summary.merge(other.summary);
+  if (curves) {
+    curves->merge(*other.curves);
+    contacts.merge(other.contacts);
+  }
+}
+
+void TrialPartial::move_into(CampaignResult& r) && {
+  r.summary = std::move(summary);
+  if (curves) {
+    r.curves = std::move(*curves);
+    r.contacts = contacts;
+  }
+}
+
+void restore_result(CampaignResult& r, const Entry& done, const CampaignConfig& cfg,
+                    std::size_t sketch_capacity, std::size_t reservoir_capacity) {
+  r.graph_name = done.graph_name;
+  r.n = done.n;
+  r.source = done.source;
+  r.best_source = done.best_source;
+  r.best_mean = done.best_mean;
+  TrialPartial::restored(cfg, sketch_capacity, reservoir_capacity, done.summary, done.curves)
+      .move_into(r);
+}
+
 std::vector<CampaignRecorder::Entry> CampaignRecorder::load(const Json& doc) {
   const std::string ctx = "checkpoint";
   const SnapshotHeader h = parse_header(doc, ctx);
@@ -991,22 +1041,18 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
                                        "merge: shard " + std::to_string(s + 1));
   }
 
+  const auto sketch = static_cast<std::size_t>(sketch_capacity);
+  const auto reservoir = static_cast<std::size_t>(reservoir_capacity);
   std::vector<CampaignResult> results;
   results.reserve(configs.size());
   for (std::size_t c = 0; c < configs.size(); ++c) {
     const CampaignConfig& cfg = configs[c];
     CampaignResult r = campaign_result_skeleton(cfg, c);
     const std::string ctx = "merge: config '" + r.id + "'";
-    const stats::StreamingSummary::Options summary_options = summary_options_for(
-        cfg, static_cast<std::size_t>(sketch_capacity),
-        static_cast<std::size_t>(reservoir_capacity));
-    const stats::CurveAccumulator::Options curve_options =
-        curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity));
-
     std::uint32_t done_shard = 0;  // 1-based; 0 = none
     Entry done;
     // slot -> (shard, its partial)
-    std::map<std::size_t, std::pair<std::uint32_t, Entry::Slot>> slots;
+    std::map<std::size_t, std::pair<std::uint32_t, TrialPartial>> slots;
     std::uint32_t graph_shard = 0;
 
     for (std::uint32_t s = 0; s < k; ++s) {
@@ -1041,8 +1087,10 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
         fail(ctx, "graph metadata disagrees between shard " + std::to_string(graph_shard) +
                       " and " + shard);
       }
-      for (auto& [slot, part] : e.slots) {
-        const auto [it, inserted] = slots.try_emplace(slot, s + 1, std::move(part));
+      for (const auto& [slot, part] : e.slots) {
+        const auto [it, inserted] = slots.try_emplace(
+            slot, s + 1,
+            TrialPartial::restored(cfg, sketch, reservoir, part.summary, part.curves));
         if (!inserted) {
           fail(ctx, "slot " + std::to_string(slot) + " recorded by both shard " +
                         std::to_string(it->second.first) + " and " + shard);
@@ -1055,16 +1103,7 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
         fail(ctx, "shard " + std::to_string(done_shard) + " has the final result but shard " +
                       std::to_string(slots.begin()->second.first) + " also recorded block slots");
       }
-      r.graph_name = std::move(done.graph_name);
-      r.n = done.n;
-      r.source = done.source;
-      r.best_source = done.best_source;
-      r.best_mean = done.best_mean;
-      r.summary = stats::StreamingSummary::restored(summary_options, done.summary);
-      if (done.curves) {
-        r.curves = stats::CurveAccumulator::restored(curve_options, done.curves->state);
-        r.contacts = done.curves->contacts;
-      }
+      restore_result(r, done, cfg, sketch, reservoir);
     } else {
       if (cfg.source_policy == SourcePolicy::kRace) {
         fail(ctx, "no shard finished this race configuration (coverage gap)");
@@ -1078,24 +1117,12 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
                       std::to_string(expected) + " (coverage gap — were all " +
                       std::to_string(k) + " shard files provided?)");
       }
-      // Fold in slot order, exactly like the scheduler's last-block fold, so
-      // the merged summary (and the curves, with the same restored
-      // construction options) is bit-identical to the unsharded run's.
-      auto it = slots.begin();
-      const Entry::Slot& first = it->second.second;
-      r.summary = stats::StreamingSummary::restored(summary_options, first.summary);
-      if (first.curves) {
-        r.curves = stats::CurveAccumulator::restored(curve_options, first.curves->state);
-        r.contacts = first.curves->contacts;
-      }
-      for (++it; it != slots.end(); ++it) {
-        const Entry::Slot& part = it->second.second;
-        r.summary.merge(stats::StreamingSummary::restored(summary_options, part.summary));
-        if (part.curves) {
-          r.curves.merge(stats::CurveAccumulator::restored(curve_options, part.curves->state));
-          r.contacts.merge(part.curves->contacts);
-        }
-      }
+      // The scheduler's slot-order fold, on partials restored with its
+      // construction options: bit-identical to the unsharded run's.
+      std::vector<TrialPartial> parts;
+      parts.reserve(slots.size());
+      for (auto& [slot, owned] : slots) parts.push_back(std::move(owned.second));
+      fold_slots(parts).move_into(r);
     }
     results.push_back(std::move(r));
   }

@@ -11,8 +11,10 @@
 //   * checkpoint / resume — run_campaign_resumable writes snapshots
 //     periodically from a background writer thread, and once more at the
 //     end (atomic temp + fsync + rename); a resumed campaign
-//     re-runs only the missing blocks and produces a final report
-//     bit-identical to an uninterrupted run at any thread count;
+//     re-runs only the missing blocks (or, when a pass's every block was
+//     recorded but its hand-off was not, its last block, to re-trigger the
+//     fold) and produces a final report bit-identical to an uninterrupted
+//     run at any thread count;
 //   * sharding — `--shard i/k` partitions the block space by a stable hash
 //     of (config id, slot), independent of thread count and enqueue order
 //     (race configurations hash by config id alone, so every successor
@@ -24,11 +26,12 @@
 //     unsharded run's.
 //
 // Bit-identity rests on two facts: accumulator serialization round-trips
-// exactly (stats/streaming.hpp state() / restore(), doubles rendered by
+// exactly (stats/streaming.hpp state() / restored(), doubles rendered by
 // sim/experiment.cpp's formatter, which widens `%.15g` to 16 and 17 digits
 // until the text parses back to the same double), and partials
-// are always folded in slot order, so a resumed or merged fold performs the
-// same merge sequence on bit-identical operands.
+// are always folded in slot order by one fold (fold_slots below), so a
+// resumed or merged fold performs the same merge sequence on bit-identical
+// operands.
 #pragma once
 
 #include <condition_variable>
@@ -117,8 +120,10 @@ struct CampaignOutcome {
 /// shard, an entry resume would refuse too (entries are read by the one
 /// decoder load() uses: a slot outside the config's block grid, a curve
 /// partial on a config without curves), a coverage gap (a block slot no
-/// shard recorded), or an overlap (a slot or race result recorded by two
-/// shards) — each error names the configuration and slot/shards involved.
+/// shard recorded, or a race no shard finished), an overlap (a slot or race
+/// result recorded by two shards, or a final result beside another shard's
+/// slots), a race a finished shard left mid-way, or shards disagreeing on a
+/// graph — each error names the configuration and slot/shards involved.
 [[nodiscard]] std::vector<CampaignResult> merge_campaign_snapshots(
     const std::vector<CampaignConfig>& configs, const std::string& campaign_name,
     const std::vector<Json>& snapshots);
@@ -190,8 +195,8 @@ int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
 class CampaignRecorder {
  public:
   /// One configuration's progress: the store's value type and what load()
-  /// hands the scheduler, which rebuilds its internal state from it and
-  /// re-enqueues only the missing blocks.
+  /// hands the scheduler, which restores its passes' slots from it and
+  /// re-enqueues the missing blocks.
   struct Entry {
     enum class Phase : std::uint8_t { kPending, kTrials, kScreen, kRefine, kDone };
     /// A curve partial with its contact totals (curves-enabled configs).
@@ -332,5 +337,48 @@ class CampaignRecorder {
   std::exception_ptr write_error_;
   std::thread writer_;
 };
+
+/// One trial block's partial as a campaign holds it: the summary, plus the
+/// curve and contact partials of a curves-enabled configuration. Internal,
+/// like CampaignRecorder: the scheduler's trials and refine passes and
+/// merge_campaign_snapshots build, restore and fold partials through it.
+struct TrialPartial {
+  stats::StreamingSummary summary;
+  std::optional<stats::CurveAccumulator> curves;  // cfg.curves.enabled only
+  stats::ContactTotals contacts;
+
+  TrialPartial() = default;
+  /// An empty partial built with the options a campaign gives `cfg`
+  /// (summary_options_for, curve_options_for).
+  TrialPartial(const CampaignConfig& cfg, std::size_t sketch_capacity,
+               std::size_t reservoir_capacity);
+  /// A recorded partial, rebuilt with those same construction options.
+  [[nodiscard]] static TrialPartial restored(
+      const CampaignConfig& cfg, std::size_t sketch_capacity, std::size_t reservoir_capacity,
+      const stats::StreamingSummary::State& summary,
+      const std::optional<CampaignRecorder::Entry::Curves>& curves);
+
+  void merge(const TrialPartial& other);
+  /// Moves the summary, and the curves and contacts when present, into `r`.
+  void move_into(CampaignResult& r) &&;
+};
+
+/// Folds one entrant's slot partials in slot order: the first is moved,
+/// each later one merged into it. The one reduction behind every campaign
+/// pass and merge_campaign_snapshots, so a resumed or merged fold performs
+/// the scheduler's merge sequence on bit-identical operands.
+template <class Partial>
+[[nodiscard]] Partial fold_slots(std::vector<Partial>& slots) {
+  Partial total = std::move(slots.front());
+  for (std::size_t s = 1; s < slots.size(); ++s) total.merge(slots[s]);
+  return total;
+}
+
+/// Restores a finished configuration's `done` entry into `r`: graph
+/// identity, sources, best mean, summary and curves. Shared by resume and
+/// merge.
+void restore_result(CampaignResult& r, const CampaignRecorder::Entry& done,
+                    const CampaignConfig& cfg, std::size_t sketch_capacity,
+                    std::size_t reservoir_capacity);
 
 }  // namespace rumor::sim

@@ -10,7 +10,8 @@
 namespace rumor::sim {
 
 std::vector<double> run_trials(const TrialConfig& config, const TrialFn& fn) {
-  assert(config.trials > 0);
+  // Every caller summarizes the samples, which needs at least one.
+  if (config.trials == 0) throw std::invalid_argument("run_trials: trials must be >= 1");
   std::vector<double> results(config.trials, 0.0);
 
   unsigned workers = config.threads != 0 ? config.threads : std::thread::hardware_concurrency();

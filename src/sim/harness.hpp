@@ -52,7 +52,8 @@ struct TrialConfig {
 using TrialFn = std::function<double(std::uint64_t trial, rng::Engine& eng)>;
 
 /// Runs `config.trials` executions of `fn` in parallel; the result vector is
-/// ordered by trial index (deterministic given the seed).
+/// ordered by trial index (deterministic given the seed). Throws
+/// std::invalid_argument when config.trials == 0.
 [[nodiscard]] std::vector<double> run_trials(const TrialConfig& config, const TrialFn& fn);
 
 /// Samples of one protocol's spreading time plus derived estimates.

@@ -400,6 +400,26 @@ TEST(BatchCampaign, MatchesSyncCampaignDistribution) {
       dist::ks_gate(results[0].summary.reservoir().values(), results[1].summary.reservoir().values()));
 }
 
+TEST(BatchCampaign, DisconnectedPrebuiltGraphFailsWithTheRoundCapError) {
+  // Nodes 2 and 3 are unreachable from the source, so the lane batch runs
+  // to its round cap and the campaign must fail naming the engine.
+  graph::GraphBuilder builder(4);
+  builder.add_edge(0, 1);
+  builder.add_edge(2, 3);
+  const auto cfg = batch_config(shared(std::move(builder).build("split")), 8, 4);
+  for (const unsigned threads : {1u, 2u}) {
+    sim::CampaignOptions options;
+    options.threads = threads;
+    try {
+      (void)sim::run_campaign({cfg}, options);
+      ADD_FAILURE() << "expected the round-cap error at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "campaign: engine 'batch_sync' hit its round cap (disconnected graph?)");
+    }
+  }
+}
+
 TEST(BatchCampaign, StopAndResumeIsBitIdentical) {
   // Checkpoint loader and merger size their slot grids through
   // effective_block_size too; a stopped-and-resumed batch campaign must be

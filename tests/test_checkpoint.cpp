@@ -6,6 +6,7 @@
 // rejecting every identity mismatch loudly instead of merging garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "graph/graph.hpp"
 #include "graph/graph_store.hpp"
 #include "obs/telemetry.hpp"
+#include "rng/rng.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
@@ -943,6 +945,381 @@ TEST(CampaignCheckpoint, WriterCountsEveryWriteAndTheFinalFileIsTheTree) {
     const std::uint64_t writes = tel.snapshot().checkpoint_writes;
     EXPECT_GE(writes, 1u) << threads;
     EXPECT_LE(writes, outcome.blocks_done + 1) << threads;
+  }
+}
+
+// --- Resume at every pass boundary -------------------------------------------
+//
+// A crash right after a periodic write can leave a pass whose every slot is
+// recorded while its hand-off (the done entry, or the finalists) is not.
+// Resume must then re-run one block to re-trigger the fold and still match
+// the unbroken run bit for bit. A stopped campaign never leaves that state
+// (the hand-off runs inside the last block), so these tests build it: they
+// load a stopped snapshot into a recorder and record the missing slots with
+// partials computed the way the scheduler computes them.
+
+namespace {
+
+/// The race's per-source stream family: candidate u's screening trial t
+/// runs on derive_stream(seed + kSourceStride * u, t), its refinement trial
+/// on derive_stream(seed + 1 + kSourceStride * u, t).
+constexpr std::uint64_t kSourceStride = 0x9e3779b9ULL;
+
+/// Calls add(value, t) for trials [begin, end) of the static configuration
+/// `cfg` from `source`, trial t running on derive_stream(stream_seed, t).
+template <typename Add>
+void for_each_trial(const sim::CampaignConfig& cfg, graph::NodeId source,
+                    std::uint64_t stream_seed, std::uint64_t begin, std::uint64_t end, Add&& add) {
+  core::TrialOptions options;
+  options.mode = cfg.mode;
+  core::TrialExtras extras;
+  extras.view = cfg.view;
+  for (std::uint64_t t = begin; t < end; ++t) {
+    rng::Engine eng = rng::derive_stream(stream_seed, t);
+    const core::TrialOutcome outcome =
+        core::run_trial(cfg.engine, *cfg.prebuilt, source, eng, options, extras);
+    ASSERT_TRUE(outcome.completed);
+    add(outcome.value, t);
+  }
+}
+
+/// Calls record(slot, begin, end) for each block-size slot of `trials`.
+template <typename Record>
+void for_each_slot(std::uint64_t trials, std::uint64_t block_size, Record&& record) {
+  for (std::uint64_t begin = 0; begin < trials; begin += block_size) {
+    record(static_cast<std::size_t>(begin / block_size), begin,
+           std::min(begin + block_size, trials));
+  }
+}
+
+/// The first snapshot of a run (one thread by default) stopped after 1, 2,
+/// ... blocks whose configs[c] is in `phase`.
+sim::Json first_snapshot_in_phase(const std::vector<sim::CampaignConfig>& configs, std::size_t c,
+                                  const std::string& phase,
+                                  sim::CampaignOptions options = snapshot_options(1)) {
+  for (std::uint64_t stop = 1; stop < 200; ++stop) {
+    options.stop_after_blocks = stop;
+    const auto outcome = sim::run_campaign_resumable(configs, options, "snap");
+    if (outcome.complete) break;
+    const sim::Json& entry = outcome.snapshot.find("configs")->elements()[c];
+    if (entry.find("phase")->as_string() == phase) return outcome.snapshot;
+  }
+  ADD_FAILURE() << "no stopped snapshot has configs[" << c << "] in phase " << phase;
+  return sim::Json();
+}
+
+/// How many elements configs[c].`key` holds in `snapshot` (0 if absent).
+std::size_t entry_count(const sim::Json& snapshot, std::size_t c, const char* key) {
+  const sim::Json* items = snapshot.find("configs")->elements()[c].find(key);
+  return items == nullptr ? 0 : items->elements().size();
+}
+
+/// Resumes `snapshot` at 1 and 3 threads; each must equal the unbroken run.
+void expect_resumes_bit_identically(const std::vector<sim::CampaignConfig>& configs,
+                                    const sim::Json& snapshot) {
+  const auto baseline = sim::run_campaign(configs, snapshot_options(1));
+  for (const unsigned threads : {1u, 3u}) {
+    const auto resumed =
+        sim::run_campaign_resumable(configs, snapshot_options(threads), "snap", &snapshot);
+    ASSERT_TRUE(resumed.complete) << "threads " << threads;
+    expect_bitwise_equal(resumed.results, baseline);
+  }
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, ResumeRefoldsATrialsPassWhoseEverySlotIsRecorded) {
+  const auto configs = snapshot_configs();
+  const sim::CampaignConfig& cfg = configs[0];  // plain_hc: 24 trials, three slots
+  const auto options = snapshot_options(1);
+  sim::CampaignRecorder recorder(configs, options, "snap");
+  (void)recorder.load(first_snapshot_in_phase(configs, 0, "trials"));
+  for_each_slot(cfg.trials, options.block_size,
+                [&](std::size_t slot, std::uint64_t begin, std::uint64_t end) {
+                  stats::StreamingSummary partial(sim::summary_options_for(
+                      cfg, options.sketch_capacity, options.reservoir_capacity));
+                  for_each_trial(cfg, cfg.source, cfg.seed, begin, end,
+                                 [&](double value, std::uint64_t t) { partial.add(value, t); });
+                  recorder.record_trial_slot(0, slot, partial);
+                });
+  const sim::Json snapshot = recorder.snapshot(false);
+  ASSERT_EQ(snapshot.find("configs")->elements()[0].find("phase")->as_string(), "trials");
+  ASSERT_EQ(entry_count(snapshot, 0, "slots"), sim::slot_count(cfg.trials, options.block_size));
+  expect_resumes_bit_identically(configs, snapshot);
+}
+
+TEST(CampaignCheckpoint, ResumeRefoldsAScreenPassWhoseEverySlotIsRecorded) {
+  const auto configs = snapshot_configs();
+  const sim::CampaignConfig& cfg = configs[2];  // race_star
+  const auto options = snapshot_options(1);
+  sim::CampaignRecorder recorder(configs, options, "snap");
+  const auto entries = recorder.load(first_snapshot_in_phase(configs, 2, "screen"));
+  const std::vector<graph::NodeId>& candidates = entries[2].candidates;
+  for (std::uint32_t i = 0; i < candidates.size(); ++i) {
+    const graph::NodeId u = candidates[i];
+    for_each_slot(cfg.race.screen_trials, options.block_size,
+                  [&](std::size_t slot, std::uint64_t begin, std::uint64_t end) {
+                    stats::RunningMoments partial;
+                    for_each_trial(cfg, u, cfg.seed + kSourceStride * u, begin, end,
+                                   [&](double value, std::uint64_t) { partial.add(value); });
+                    recorder.record_screen_slot(2, i, slot, partial);
+                  });
+  }
+  const sim::Json snapshot = recorder.snapshot(false);
+  ASSERT_EQ(snapshot.find("configs")->elements()[2].find("phase")->as_string(), "screen");
+  ASSERT_EQ(entry_count(snapshot, 2, "screen"),
+            candidates.size() * sim::slot_count(cfg.race.screen_trials, options.block_size));
+  expect_resumes_bit_identically(configs, snapshot);
+}
+
+TEST(CampaignCheckpoint, ResumeRefoldsARefinePassWhoseEverySlotIsRecorded) {
+  const auto configs = snapshot_configs();
+  const sim::CampaignConfig& cfg = configs[2];  // race_star: final_trials = trials
+  const auto options = snapshot_options(1);
+  sim::CampaignRecorder recorder(configs, options, "snap");
+  const auto entries = recorder.load(first_snapshot_in_phase(configs, 2, "refine"));
+  const std::vector<graph::NodeId>& finalists = entries[2].finalists;
+  for (std::uint32_t i = 0; i < finalists.size(); ++i) {
+    const graph::NodeId u = finalists[i];
+    for_each_slot(cfg.trials, options.block_size,
+                  [&](std::size_t slot, std::uint64_t begin, std::uint64_t end) {
+                    stats::StreamingSummary partial(sim::summary_options_for(
+                        cfg, options.sketch_capacity, options.reservoir_capacity));
+                    for_each_trial(cfg, u, cfg.seed + 1 + kSourceStride * u, begin, end,
+                                   [&](double value, std::uint64_t t) { partial.add(value, t); });
+                    recorder.record_refine_slot(2, i, slot, partial);
+                  });
+  }
+  const sim::Json snapshot = recorder.snapshot(false);
+  ASSERT_EQ(snapshot.find("configs")->elements()[2].find("phase")->as_string(), "refine");
+  ASSERT_EQ(entry_count(snapshot, 2, "refine"),
+            finalists.size() * sim::slot_count(cfg.trials, options.block_size));
+  expect_resumes_bit_identically(configs, snapshot);
+}
+
+namespace {
+
+/// A race whose screen and refine passes each span three slots of 16 (more
+/// than twice the block size; full slots run on the trial lanes where the
+/// CPU has them, the short tails on the scalar loop), beside a plain cell.
+/// Every hypercube source has the same law, so the screen ranking is pure
+/// noise: any change to a slot's contribution reorders it.
+std::vector<sim::CampaignConfig> multi_slot_race_configs() {
+  static const auto kHypercube = shared(graph::hypercube(6));
+  sim::CampaignConfig race;
+  race.id = "race_hc";
+  race.prebuilt = kHypercube;
+  race.source_policy = sim::SourcePolicy::kRace;
+  race.race.screen_trials = 40;  // slots of 16, 16 and 8
+  race.race.finalists = 2;
+  race.race.final_trials = 36;  // slots of 16, 16 and 4
+  race.race.max_candidates = 8;
+  race.trials = 8;
+  race.seed = 507;
+  sim::CampaignConfig plain;
+  plain.id = "plain_hc";
+  plain.prebuilt = kHypercube;
+  plain.engine = sim::EngineKind::kAsync;
+  plain.trials = 40;
+  plain.seed = 508;
+  return {race, plain};
+}
+
+sim::CampaignOptions multi_slot_options(unsigned threads) {
+  auto options = snapshot_options(threads);
+  options.block_size = 16;
+  return options;
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, MultiSlotRacePassesResumeFromEveryStop) {
+  const auto configs = multi_slot_race_configs();
+  const auto baseline = sim::run_campaign(configs, multi_slot_options(1));
+  for (const unsigned threads : {2u, 8u}) {
+    expect_bitwise_equal(sim::run_campaign(configs, multi_slot_options(threads)), baseline);
+  }
+  const auto unbroken = sim::run_campaign_resumable(configs, multi_slot_options(1), "snap");
+  ASSERT_TRUE(unbroken.complete);
+  expect_bitwise_equal(unbroken.results, baseline);
+
+  std::set<std::string> race_phases;
+  for (std::uint64_t stop = 1; stop <= unbroken.blocks_done; ++stop) {
+    auto options = multi_slot_options(1);
+    options.stop_after_blocks = stop;
+    const auto stopped = sim::run_campaign_resumable(configs, options, "snap");
+    race_phases.insert(
+        stopped.snapshot.find("configs")->elements()[0].find("phase")->as_string());
+    const unsigned threads = 1 + static_cast<unsigned>(stop % 3);
+    const auto resumed = sim::run_campaign_resumable(configs, multi_slot_options(threads), "snap",
+                                                     &stopped.snapshot);
+    ASSERT_TRUE(resumed.complete) << "stop " << stop;
+    expect_bitwise_equal(resumed.results, baseline);
+  }
+  for (const char* phase : {"screen", "refine", "done"}) {
+    EXPECT_EQ(race_phases.count(phase), 1u) << phase;
+  }
+}
+
+TEST(CampaignCheckpoint, MultiSlotRaceMatchesAnIndependentSlotOrderFold) {
+  // The race recomputed outside the scheduler from its candidate list:
+  // each entrant's slot partials merged in slot order, the leaders by
+  // screen mean (descending, node id breaking ties) refined, and the worst
+  // and best finalist picked, first seen winning ties.
+  const auto configs = multi_slot_race_configs();
+  const sim::CampaignConfig& cfg = configs[0];
+  const auto options = multi_slot_options(1);
+  const sim::Json screening = first_snapshot_in_phase(configs, 0, "screen", options);
+  std::vector<std::pair<double, graph::NodeId>> screened;
+  for (const sim::Json& id : screening.find("configs")->elements()[0].find("candidates")->elements()) {
+    const auto u = static_cast<graph::NodeId>(id.as_number());
+    stats::RunningMoments total;
+    for_each_slot(cfg.race.screen_trials, options.block_size,
+                  [&](std::size_t slot, std::uint64_t begin, std::uint64_t end) {
+                    stats::RunningMoments partial;
+                    for_each_trial(cfg, u, cfg.seed + kSourceStride * u, begin, end,
+                                   [&](double value, std::uint64_t) { partial.add(value); });
+                    if (slot == 0) {
+                      total = partial;
+                    } else {
+                      total.merge(partial);
+                    }
+                  });
+    screened.emplace_back(total.mean(), u);
+  }
+  std::sort(screened.begin(), screened.end(), std::greater<>());
+  screened.resize(cfg.race.finalists);
+
+  sim::CampaignResult want = sim::campaign_result_skeleton(cfg, 0);
+  for (std::size_t i = 0; i < screened.size(); ++i) {
+    const graph::NodeId u = screened[i].second;
+    const auto summary_options =
+        sim::summary_options_for(cfg, options.sketch_capacity, options.reservoir_capacity);
+    stats::StreamingSummary total(summary_options);
+    for_each_slot(cfg.race.final_trials, options.block_size,
+                  [&](std::size_t slot, std::uint64_t begin, std::uint64_t end) {
+                    stats::StreamingSummary partial(summary_options);
+                    for_each_trial(cfg, u, cfg.seed + 1 + kSourceStride * u, begin, end,
+                                   [&](double value, std::uint64_t t) { partial.add(value, t); });
+                    if (slot == 0) {
+                      total = std::move(partial);
+                    } else {
+                      total.merge(partial);
+                    }
+                  });
+    const double mean = total.mean();
+    if (i == 0 || mean > want.summary.mean()) {
+      want.source = u;
+      want.summary = std::move(total);
+    }
+    if (i == 0 || mean < want.best_mean) {
+      want.best_source = u;
+      want.best_mean = mean;
+    }
+  }
+  const auto got = sim::run_campaign(configs, multi_slot_options(3));
+  want.graph_name = got[0].graph_name;
+  want.n = got[0].n;
+  expect_bitwise_equal({got[0]}, {want});
+}
+
+// --- Merge errors no other test reaches ----------------------------------------
+
+namespace {
+
+/// `snapshot` with its configs[c] entry passed through edit(entry).
+template <typename Edit>
+sim::Json with_entry(sim::Json snapshot, std::size_t c, Edit&& edit) {
+  sim::Json entries = sim::Json::array();
+  const auto& old = snapshot.find("configs")->elements();
+  for (std::size_t i = 0; i < old.size(); ++i) {
+    sim::Json entry = old[i];
+    if (i == c) edit(entry);
+    entries.push_back(std::move(entry));
+  }
+  snapshot.set("configs", std::move(entries));
+  return snapshot;
+}
+
+std::string phase_of(const sim::Json& snapshot, std::size_t c) {
+  return snapshot.find("configs")->elements()[c].find("phase")->as_string();
+}
+
+}  // namespace
+
+TEST(CampaignShard, MergeRejectsInconsistentShardEntries) {
+  const auto configs = snapshot_configs();
+  std::vector<sim::Json> shards;
+  for (std::uint32_t i = 1; i <= 2; ++i) {
+    auto options = snapshot_options(2);
+    options.shard_index = i;
+    options.shard_count = 2;
+    shards.push_back(sim::run_campaign_resumable(configs, options, "snap").snapshot);
+  }
+  auto merge_fails_with = [&](const std::vector<sim::Json>& set, const std::string& needle) {
+    expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", set); },
+                       needle);
+  };
+
+  // A config split across the shards: phase 'trials' in both.
+  std::size_t split = 0;
+  while (split < configs.size() && phase_of(shards[0], split) != "trials") ++split;
+  ASSERT_LT(split, configs.size()) << "no config is split across the two shards";
+  ASSERT_EQ(phase_of(shards[1], split), "trials");
+
+  // A slot no shard recorded: drop shard 1's first slot of the split config.
+  {
+    const sim::Json& slots = *shards[0].find("configs")->elements()[split].find("slots");
+    const auto dropped =
+        static_cast<std::uint64_t>(slots.elements().front().find("slot")->as_number());
+    auto bad = shards;
+    bad[0] = with_entry(shards[0], split, [](sim::Json& entry) {
+      sim::Json kept = sim::Json::array();
+      const auto& all = entry.find("slots")->elements();
+      for (std::size_t i = 1; i < all.size(); ++i) kept.push_back(all[i]);
+      entry.set("slots", std::move(kept));
+    });
+    merge_fails_with(bad, "missing block slot " + std::to_string(dropped) + " of " +
+                              std::to_string(sim::slot_count(configs[split].trials, 8)) +
+                              " (coverage gap");
+  }
+  // Shards disagreeing on the split config's graph.
+  {
+    auto bad = shards;
+    bad[1] = with_entry(shards[1], split, [](sim::Json& entry) { entry.set("graph", "other"); });
+    merge_fails_with(bad, "graph metadata disagrees between shard 1 and shard 2");
+  }
+  // One shard holding the final result while the other recorded slots.
+  {
+    const auto finished = sim::run_campaign_resumable(configs, snapshot_options(2), "snap");
+    const sim::Json done = finished.snapshot.find("configs")->elements()[split];
+    auto bad = shards;
+    bad[0] = with_entry(shards[0], split, [&](sim::Json& entry) { entry = done; });
+    merge_fails_with(bad, "shard 1 has the final result but shard 2 also recorded block slots");
+  }
+
+  // The race: done in exactly one shard, pending in the other.
+  const std::size_t race = 2;
+  const std::size_t owner = phase_of(shards[0], race) == "done" ? 0 : 1;
+  ASSERT_EQ(phase_of(shards[owner], race), "done");
+  {
+    auto bad = shards;
+    bad[owner] = with_entry(shards[owner], race, [](sim::Json& entry) {
+      sim::Json pending = sim::Json::object();
+      pending.set("id", entry.find("id")->as_string());
+      pending.set("phase", "pending");
+      entry = std::move(pending);
+    });
+    merge_fails_with(bad, "no shard finished this race configuration (coverage gap)");
+  }
+  // A finished shard may not hold a race mid-way, in either pass.
+  for (const std::string phase : {"screen", "refine"}) {
+    const sim::Json mid = first_snapshot_in_phase(configs, race, phase);
+    const sim::Json entry_mid = mid.find("configs")->elements()[race];
+    auto bad = shards;
+    bad[owner] = with_entry(shards[owner], race, [&](sim::Json& entry) { entry = entry_mid; });
+    merge_fails_with(bad, "shard " + std::to_string(owner + 1) +
+                              " left this config mid-race (phase '" + phase + "')");
   }
 }
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/generators.hpp"
 #include "sim/harness.hpp"
@@ -25,6 +26,25 @@ TEST(RunTrials, ResultsOrderedByTrialIndex) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i], static_cast<double>(i));
   }
+}
+
+TEST(RunTrials, ZeroTrialsIsRejected) {
+  // Checked at runtime, not by assert(): Release builds compile asserts out,
+  // and an empty sample has no statistics to summarize.
+  sim::TrialConfig config;
+  config.trials = 0;
+  bool called = false;
+  auto body = [&](std::uint64_t, rng::Engine&) {
+    called = true;
+    return 0.0;
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    config.threads = threads;
+    EXPECT_THROW((void)sim::run_trials(config, body), std::invalid_argument);
+  }
+  EXPECT_FALSE(called);
+  EXPECT_THROW((void)sim::measure_sync(graph::hypercube(3), 0, core::Mode::kPushPull, config),
+               std::invalid_argument);
 }
 
 TEST(RunTrials, SameSeedSameResultsAcrossThreadCounts) {
