@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
@@ -888,22 +889,25 @@ void CampaignRun::release(std::size_t c, obs::WorkerSink* sink) {
   }
 }
 
-/// The scheduler behind run_campaign and run_campaign_resumable: setup,
-/// then workers draining the shared queue until it is empty, stopped, or
-/// failed. `recording` switches on the snapshot layer (checkpoints,
-/// shards, resume); without it the scheduler is the original
-/// zero-overhead path.
+/// What run_campaign_impl records: nothing (the original zero-overhead
+/// path), the snapshot layer (checkpoints, shards, resume) without the
+/// final snapshot document, or the layer and the document.
+enum class Recording : std::uint8_t { kOff, kProgress, kSnapshot };
+
+/// The scheduler behind run_campaign, run_campaign_resumable and
+/// run_campaign_recorded: setup, then workers draining the shared queue
+/// until it is empty, stopped, or failed.
 CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
                                   const CampaignOptions& options,
                                   const std::string& campaign_name, const Json* resume,
-                                  bool recording) {
+                                  Recording recording) {
   const std::uint32_t shard_count = std::max<std::uint32_t>(options.shard_count, 1);
   if (options.shard_index < 1 || options.shard_index > shard_count) {
     throw std::runtime_error("campaign: shard index " + std::to_string(options.shard_index) +
                              " out of range 1.." + std::to_string(shard_count));
   }
   std::unique_ptr<CampaignRecorder> recorder;
-  if (recording) {
+  if (recording != Recording::kOff) {
     // Snapshots address configurations by id, so recorded campaigns need
     // unique ids (the spec parser already rejects collisions; this guards
     // API callers handing in configs directly).
@@ -1018,10 +1022,11 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   if (recorder != nullptr) {
     // The periodic writer finishes (or rethrows its error) first, so the
     // final write finish() makes is the last one to land; the snapshot
-    // document is built once, after it, from the typed store.
+    // document, when asked for, is built once, after it, from the typed
+    // store.
     recorder->drain_writes();
     outcome.blocks_done = recorder->blocks_done();
-    outcome.snapshot = recorder->finish(outcome.complete);
+    outcome.snapshot = recorder->finish(outcome.complete, recording == Recording::kSnapshot);
   }
   if (tel != nullptr) tel->end();
   return outcome;
@@ -1039,13 +1044,21 @@ std::vector<CampaignResult> run_campaign(const std::vector<CampaignConfig>& conf
   plain.checkpoint_file.clear();
   plain.stop_after_blocks = 0;
   return std::move(
-      run_campaign_impl(configs, plain, "campaign", nullptr, /*recording=*/false).results);
+      run_campaign_impl(configs, plain, "campaign", nullptr, Recording::kOff).results);
 }
 
 CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& configs,
                                        const CampaignOptions& options,
                                        const std::string& campaign_name, const Json* resume) {
-  return run_campaign_impl(configs, options, campaign_name, resume, /*recording=*/true);
+  return run_campaign_impl(configs, options, campaign_name, resume, Recording::kSnapshot);
+}
+
+CampaignOutcome run_campaign_recorded(const std::vector<CampaignConfig>& configs,
+                                      const CampaignOptions& options,
+                                      const std::string& campaign_name, const Json* resume,
+                                      bool snapshot) {
+  return run_campaign_impl(configs, options, campaign_name, resume,
+                           snapshot ? Recording::kSnapshot : Recording::kProgress);
 }
 
 // --- Config rules and spec parsing -------------------------------------------
@@ -1686,13 +1699,14 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
   return report;
 }
 
-std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
-                                   const std::string& campaign_name, unsigned threads) {
-  std::vector<Json> reports(results.size());
+void render_campaign_reports(const std::vector<CampaignResult>& results,
+                             const std::string& campaign_name, unsigned threads,
+                             const std::function<void(std::size_t, Json&)>& emit) {
   std::atomic<std::size_t> next{0};
   auto render = [&] {
     for (std::size_t i = next++; i < results.size(); i = next++) {
-      reports[i] = campaign_report(results[i], campaign_name);
+      Json report = campaign_report(results[i], campaign_name);
+      emit(i, report);
     }
   };
   if (threads == 0) threads = std::thread::hardware_concurrency();
@@ -1704,7 +1718,33 @@ std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
   }
   render();
   for (std::future<void>& h : helpers) h.get();
+}
+
+std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
+                                   const std::string& campaign_name, unsigned threads) {
+  std::vector<Json> reports(results.size());
+  render_campaign_reports(results, campaign_name, threads,
+                          [&](std::size_t i, Json& report) { reports[i] = std::move(report); });
   return reports;
+}
+
+int report_depth(std::size_t count) { return count == 1 ? 0 : 1; }
+
+std::vector<std::string_view> report_json_parts(const std::vector<std::string>& fragments) {
+  std::vector<std::string_view> parts;
+  if (fragments.size() == 1) {
+    parts = {fragments.front(), "\n"};
+  } else if (fragments.empty()) {
+    parts = {"[]\n"};
+  } else {
+    parts.reserve(2 * fragments.size() + 1);
+    for (const std::string& f : fragments) {
+      parts.emplace_back(parts.empty() ? "[\n  " : ",\n  ");
+      parts.emplace_back(f);
+    }
+    parts.emplace_back("\n]\n");
+  }
+  return parts;
 }
 
 }  // namespace rumor::sim

@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/async.hpp"
@@ -338,11 +340,30 @@ struct CampaignSpec {
 [[nodiscard]] Json campaign_report(const CampaignResult& result, const std::string& campaign_name);
 
 /// campaign_report for every result, rendered on `threads` threads (0 =
-/// hardware concurrency) and returned in input order. Each report is a pure
-/// function of its result, so the output is the serial loop's, byte for
-/// byte, at any thread count.
+/// hardware concurrency). `emit(i, report)` is called once per result, on
+/// the thread that rendered report i, so callers can decorate and dump the
+/// reports on the render threads too; calls for different i run
+/// concurrently. Each report is a pure function of its result, so what
+/// each call sees is the serial loop's report at any thread count.
+void render_campaign_reports(const std::vector<CampaignResult>& results,
+                             const std::string& campaign_name, unsigned threads,
+                             const std::function<void(std::size_t, Json&)>& emit);
+
+/// render_campaign_reports collected in input order.
 [[nodiscard]] std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
                                                  const std::string& campaign_name,
                                                  unsigned threads);
+
+/// The depth at which each of `count` reports is dumped (Json::dump_to with
+/// indent 2) for report_json_parts: 0 for one report, 1 for the others.
+[[nodiscard]] int report_depth(std::size_t count);
+
+/// The `--json` text of a campaign's reports, from each report's text
+/// dumped at report_depth: one report prints as its object, any other
+/// count as the array of them, both exactly as Json::dump(2) lays them out,
+/// plus a newline. Returned as consecutive parts viewing `fragments` and
+/// string literals, to be written in order without concatenating them.
+[[nodiscard]] std::vector<std::string_view> report_json_parts(
+    const std::vector<std::string>& fragments);
 
 }  // namespace rumor::sim

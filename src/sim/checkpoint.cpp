@@ -195,9 +195,18 @@ double req_number(const Json& obj, const char* key, const std::string& ctx) {
 std::uint64_t req_uint(const Json& obj, const char* key, const std::string& ctx) {
   const double v = req_number(obj, key, ctx);
   if (v < 0.0 || v != std::floor(v) || v > 9007199254740992.0) {
-    fail(ctx, std::string("key '") + key + "' must be a non-negative integer");
+    fail(ctx, std::string("key '") + key + "' must be a non-negative integer, got " +
+                  Json(v).dump());
   }
   return static_cast<std::uint64_t>(v);
+}
+
+std::uint32_t req_u32(const Json& obj, const char* key, const std::string& ctx) {
+  const std::uint64_t v = req_uint(obj, key, ctx);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    fail(ctx, std::string("key '") + key + "' must fit in 32 bits, got " + std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 std::string req_string(const Json& obj, const char* key, const std::string& ctx) {
@@ -601,8 +610,8 @@ SnapshotHeader parse_header(const Json& doc, const std::string& ctx) {
   h.block_size = req_uint(doc, "block_size", ctx);
   h.sketch_capacity = req_uint(doc, "sketch_capacity", ctx);
   h.reservoir_capacity = req_uint(doc, "reservoir_capacity", ctx);
-  h.shard_index = static_cast<std::uint32_t>(req_uint(doc, "shard_index", ctx));
-  h.shard_count = static_cast<std::uint32_t>(req_uint(doc, "shard_count", ctx));
+  h.shard_index = req_u32(doc, "shard_index", ctx);
+  h.shard_count = req_u32(doc, "shard_count", ctx);
   h.finished = req_bool(doc, "finished", ctx);
   h.blocks_done = req_uint(doc, "blocks_done", ctx);
   return h;
@@ -635,6 +644,11 @@ const std::vector<Json>& config_entries(const Json& doc, std::size_t count,
 }
 
 }  // namespace
+
+SnapshotLayout snapshot_layout(const Json& snapshot) {
+  const SnapshotHeader h = parse_header(snapshot, "checkpoint");
+  return {h.block_size, h.shard_index, h.shard_count};
+}
 
 // --- CampaignRecorder --------------------------------------------------------
 
@@ -849,28 +863,26 @@ Json CampaignRecorder::write_locked(bool finished) {
     fragments_[c].clear();
     entry_to_json(resolved_config_id(configs_[c], c), entry).dump_to(fragments_[c], 2, 2);
   }
-  // Splice the fragments into the header exactly as snapshot().dump(2)
-  // would lay out its trailing `"configs": [...]` member.
-  std::string text = header.dump(2);
-  std::size_t size = text.size() + 32;                               // framing
-  for (const std::string& f : fragments_) size += 4 + f.size() + 2;  // pad, ",\n"
-  text.reserve(size);
-  text.resize(text.size() - 2);  // the header's closing "\n}"
-  text += ",\n  \"configs\": ";
+  // Gather the header and the fragments exactly as snapshot().dump(2)
+  // would lay out its trailing `"configs": [...]` member, without
+  // concatenating them.
+  const std::string head = header.dump(2);
+  std::vector<std::string_view> parts;
+  parts.reserve(2 * fragments_.size() + 3);
+  parts.emplace_back(head.data(), head.size() - 2);  // less the closing "\n}"
   if (fragments_.empty()) {
-    text += "[]";
+    parts.emplace_back(",\n  \"configs\": []");
   } else {
-    text += "[\n";
+    parts.emplace_back(",\n  \"configs\": [\n    ");
     for (std::size_t c = 0; c < fragments_.size(); ++c) {
-      text.append(4, ' ');
-      text += fragments_[c];
-      text += c + 1 < fragments_.size() ? ",\n" : "\n";
+      if (c != 0) parts.emplace_back(",\n    ");
+      parts.emplace_back(fragments_[c]);
     }
-    text += "  ]";
+    parts.emplace_back("\n  ]");
   }
-  text += "\n}\n";
+  parts.emplace_back("\n}\n");
   std::string error;
-  if (!write_file_atomic(options_.checkpoint_file, text, error)) {
+  if (!write_file_atomic(options_.checkpoint_file, parts, error)) {
     throw std::runtime_error("checkpoint: cannot write " + options_.checkpoint_file + ": " +
                              error);
   }
@@ -878,15 +890,16 @@ Json CampaignRecorder::write_locked(bool finished) {
   return header;
 }
 
-Json CampaignRecorder::finish(bool finished) {
+Json CampaignRecorder::finish(bool finished, bool snapshot) {
   const std::scoped_lock write_lock(write_mutex_);
   Json doc;
   if (!options_.checkpoint_file.empty()) {
     doc = write_locked(finished);
-  } else {
+  } else if (snapshot) {
     const std::scoped_lock lock(mutex_);
     doc = snapshot_header(finished);
   }
+  if (!snapshot) return Json();
   // The cached text is dead weight from here on: free it before the
   // document is built. A later write re-renders every entry.
   std::vector<std::string>(configs_.size()).swap(fragments_);
@@ -1318,20 +1331,20 @@ int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
     return 1;
   }
 
-  Json reports = Json::array();
-  for (Json& report : campaign_reports(results, spec->name, 0)) {
-    reports.push_back(std::move(report));
-  }
-  const std::string payload =
-      (reports.size() == 1 ? reports.elements().front().dump(2) : reports.dump(2)) + "\n";
+  const int depth = report_depth(results.size());
+  std::vector<std::string> texts(results.size());
+  render_campaign_reports(results, spec->name, 0, [&](std::size_t i, const Json& report) {
+    report.dump_to(texts[i], 2, depth);
+  });
+  const std::vector<std::string_view> parts = report_json_parts(texts);
   if (!out_file.empty()) {
     std::string error;
-    if (!write_file_atomic(out_file, payload, error)) {
+    if (!write_file_atomic(out_file, parts, error)) {
       err << kProg << ": " << error << "\n";
       return 1;
     }
   } else {
-    out << payload;
+    for (const std::string_view part : parts) out << part;
   }
   return 0;
 }

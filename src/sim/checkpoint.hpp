@@ -95,8 +95,12 @@ struct CampaignOutcome {
   bool complete = true;
   /// Blocks completed by this run, including restored progress from resume.
   std::uint64_t blocks_done = 0;
-  /// The final snapshot document (checkpoint / shard partial); a null Json
-  /// when the run recorded nothing (no checkpoint, shard, stop, or resume).
+  /// The final snapshot document (checkpoint / shard partial), built after
+  /// the final write under its header, so it dumps to the checkpoint file's
+  /// bytes. run_campaign_resumable always fills it: perf_replay and the
+  /// checkpoint tests read it, and rumor_bench prints it for a shard. Null
+  /// from run_campaign_recorded without `snapshot`, which rumor_bench uses
+  /// when it prints reports, not the document.
   Json snapshot;
 };
 
@@ -111,6 +115,27 @@ struct CampaignOutcome {
                                                      const CampaignOptions& options,
                                                      const std::string& campaign_name,
                                                      const Json* resume = nullptr);
+
+/// run_campaign_resumable for rumor_bench's own use: the same run, the same
+/// writes, but CampaignOutcome::snapshot stays null unless `snapshot` is
+/// set, so a run whose reports are printed does not build a document
+/// nobody reads. Internal, like CampaignRecorder.
+[[nodiscard]] CampaignOutcome run_campaign_recorded(const std::vector<CampaignConfig>& configs,
+                                                    const CampaignOptions& options,
+                                                    const std::string& campaign_name,
+                                                    const Json* resume, bool snapshot);
+
+/// The block size and shard designator a snapshot's header records, which
+/// `--resume` adopts unless the flags are repeated. Read by the loader's
+/// checked header reader: format and version first, then every header key
+/// as a non-negative integer, and the shard fields as 32-bit values. Throws
+/// std::runtime_error naming the key and the file's value.
+struct SnapshotLayout {
+  std::uint64_t block_size = 0;
+  std::uint32_t shard_index = 1;
+  std::uint32_t shard_count = 1;
+};
+[[nodiscard]] SnapshotLayout snapshot_layout(const Json& snapshot);
 
 /// Folds k finished shard snapshots into the campaign's final results,
 /// bit-identical to the unsharded run. Validates before merging, throwing
@@ -287,11 +312,12 @@ class CampaignRecorder {
   void write_checkpoint(bool finished);
 
   /// Ends a recorded run, after drain_writes(): makes the final write when
-  /// the options name a checkpoint file, releases the rendered text the
-  /// writes cached, and only then builds the final snapshot document, once,
-  /// under the header that write used — so the file and the returned
-  /// document are the same bytes, written_at included.
-  [[nodiscard]] Json finish(bool finished);
+  /// the options name a checkpoint file. With `snapshot` it then releases
+  /// the rendered text the writes cached and builds the final snapshot
+  /// document, once, under the header that write used — so the file and the
+  /// returned document are the same bytes, written_at included. Without
+  /// `snapshot` it returns a null Json.
+  [[nodiscard]] Json finish(bool finished, bool snapshot);
 
   [[nodiscard]] std::uint64_t blocks_done() const;
 
@@ -301,7 +327,10 @@ class CampaignRecorder {
   /// The `configs` array, encoded from the whole store. Caller holds mutex_.
   [[nodiscard]] Json configs_json() const;
   /// Writes the snapshot, re-rendering only the dirty entries, and returns
-  /// the header it wrote. Caller holds write_mutex_.
+  /// the header it wrote. The file is gathered from the header's text, the
+  /// cached fragments and the separators between them (write_file_atomic's
+  /// parts form), so no copy of the whole document is made. Caller holds
+  /// write_mutex_.
   Json write_locked(bool finished);
   /// The background writer: waits for a request, writes, repeats until
   /// stopped or a write fails.

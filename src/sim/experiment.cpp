@@ -17,6 +17,8 @@
 #include <string>
 
 #include <fcntl.h>
+#include <limits.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "obs/build_info.hpp"
@@ -580,7 +582,7 @@ bool fsync_parent_dir(const std::string& path, std::string& error) {
 
 }  // namespace
 
-bool write_file_atomic(const std::string& path, const std::string& contents,
+bool write_file_atomic(const std::string& path, std::span<const std::string_view> parts,
                        std::string& error) {
   // The temp file is a *sibling* of the destination (same directory, hence
   // same filesystem) so the rename is atomic, and pid-unique so concurrent
@@ -598,14 +600,32 @@ bool write_file_atomic(const std::string& path, const std::string& contents,
     ::unlink(tmp.c_str());
     return false;
   };
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ::ssize_t n = ::write(fd, contents.data() + written, contents.size() - written);
+  // One writev per IOV_MAX parts; a short write resumes inside the part it
+  // stopped in.
+  std::vector<::iovec> iov;
+  iov.reserve(std::min<std::size_t>(parts.size(), IOV_MAX));
+  std::size_t next = 0;     // first part not yet in an iovec batch
+  std::size_t offset = 0;   // bytes of parts[next] already written
+  while (next < parts.size()) {
+    iov.clear();
+    for (std::size_t p = next; p < parts.size() && iov.size() < IOV_MAX; ++p) {
+      const std::size_t skip = p == next ? offset : 0;
+      if (parts[p].size() == skip) continue;
+      iov.push_back({const_cast<char*>(parts[p].data()) + skip, parts[p].size() - skip});
+    }
+    if (iov.empty()) break;
+    const ::ssize_t n = ::writev(fd, iov.data(), static_cast<int>(iov.size()));
     if (n < 0) {
       if (errno == EINTR) continue;
       return fail("short write to " + tmp + ": " + std::strerror(errno));
     }
-    written += static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (next < parts.size() && left >= parts[next].size() - offset) {
+      left -= parts[next].size() - offset;
+      offset = 0;
+      ++next;
+    }
+    offset += left;
   }
   // fsync before rename: otherwise a crash can leave the *renamed* file
   // empty (metadata ordered before data), which for a checkpoint is worse
@@ -622,6 +642,12 @@ bool write_file_atomic(const std::string& path, const std::string& contents,
     return false;
   }
   return fsync_parent_dir(path, error);
+}
+
+bool write_file_atomic(const std::string& path, const std::string& contents,
+                       std::string& error) {
+  const std::string_view whole = contents;
+  return write_file_atomic(path, std::span(&whole, 1), error);
 }
 
 int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
@@ -933,41 +959,39 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
           return 1;
         }
       }
-      std::vector<Json> rendered = campaign_reports(results, spec->name, opts.threads);
-      Json reports = Json::array();
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const CampaignResult& r = results[i];
-        Json& report = rendered[i];
+      // Each report is decorated and, for --json, dumped on the thread that
+      // rendered it; the texts are then spliced in order.
+      const int depth = report_depth(results.size());
+      std::vector<std::string> texts(json ? results.size() : 0);
+      std::vector<Json> human(json ? 0 : results.size());
+      render_campaign_reports(results, spec->name, opts.threads, [&](std::size_t i, Json& report) {
         if (telemetry_stats && telemetry_metrics.has_value()) {
           // Results are ordered like the spec's configs, which is exactly
           // the registry's per_config indexing.
           for (auto& [key, value] : report.mutable_entries()) {
             if (key != "stats" || !value.is_object()) continue;
             Json t = Json::object();
-            t.set("campaign_wall_ms",
-                  static_cast<double>(telemetry_metrics->wall_ns) / 1e6);
+            t.set("campaign_wall_ms", static_cast<double>(telemetry_metrics->wall_ns) / 1e6);
             if (i < telemetry_metrics->per_config.size()) {
               const obs::ConfigCost& cost = telemetry_metrics->per_config[i];
               t.set("blocks", cost.blocks);
               t.set("trials", cost.trials);
               t.set("busy_ms", static_cast<double>(cost.busy_ns) / 1e6);
             }
-            if (r.has_curves) t.set("engine_ticks", r.contacts.ticks);
+            if (results[i].has_curves) t.set("engine_ticks", results[i].contacts.ticks);
             value.set("telemetry", std::move(t));
           }
         }
         if (json) {
-          reports.push_back(std::move(report));
+          report.dump_to(texts[i], 2, depth);
         } else {
-          print_human(report, sink);
+          human[i] = std::move(report);
         }
-      }
+      });
       if (json) {
-        if (reports.size() == 1) {
-          sink << reports.elements().front().dump(2) << "\n";
-        } else {
-          sink << reports.dump(2) << "\n";
-        }
+        for (const std::string_view part : report_json_parts(texts)) sink << part;
+      } else {
+        for (const Json& report : human) print_human(report, sink);
       }
       return finish();
     };
@@ -1038,25 +1062,27 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       // A resume adopts the checkpoint's own block size and shard
       // assignment unless the flags are repeated explicitly (in which case
       // the loader validates that they match the snapshot).
-      if (!batch_explicit) {
-        if (const Json* v = resume_doc->find("block_size"); v != nullptr && v->is_number()) {
-          campaign_options.block_size = static_cast<std::uint64_t>(v->as_number());
+      try {
+        const SnapshotLayout layout = snapshot_layout(*resume_doc);
+        if (!batch_explicit) campaign_options.block_size = layout.block_size;
+        if (!shard_explicit) {
+          campaign_options.shard_index = layout.shard_index;
+          campaign_options.shard_count = layout.shard_count;
         }
-      }
-      if (!shard_explicit) {
-        if (const Json* v = resume_doc->find("shard_index"); v != nullptr && v->is_number()) {
-          campaign_options.shard_index = static_cast<std::uint32_t>(v->as_number());
-        }
-        if (const Json* v = resume_doc->find("shard_count"); v != nullptr && v->is_number()) {
-          campaign_options.shard_count = static_cast<std::uint32_t>(v->as_number());
-        }
+      } catch (const std::exception& e) {
+        err << "rumor_bench: campaign failed: " << e.what() << "\n";
+        return 1;
       }
     }
 
+    // A shard emits its partial snapshot, not a report; campaign_merge (or
+    // rumor_bench --merge) folds the partials into the final report. Only
+    // then is the snapshot document built.
+    const bool shard_output = campaign_options.shard_count > 1 || shard_explicit;
     CampaignOutcome outcome;
     try {
-      outcome = run_campaign_resumable(spec->configs, campaign_options, spec->name,
-                                       resume_doc ? &*resume_doc : nullptr);
+      outcome = run_campaign_recorded(spec->configs, campaign_options, spec->name,
+                                      resume_doc ? &*resume_doc : nullptr, shard_output);
     } catch (const std::exception& e) {
       err << "rumor_bench: campaign failed: " << e.what() << "\n";
       return 1;
@@ -1068,9 +1094,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
           << checkpoint_file << ")\n";
       return 3;
     }
-    if (campaign_options.shard_count > 1 || shard_explicit) {
-      // A shard emits its partial snapshot, not a report; campaign_merge
-      // (or rumor_bench --merge) folds the partials into the final report.
+    if (shard_output) {
       sink << outcome.snapshot.dump(2) << "\n";
       return finish();
     }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -222,6 +223,12 @@ inline constexpr std::uint64_t kReportSchemaVersion = 1;
 /// checkpoints, where a torn or vanished file would silently lose progress.
 [[nodiscard]] bool write_file_atomic(const std::string& path, const std::string& contents,
                                      std::string& error);
+/// The same durable write for a document given as consecutive `parts`: they
+/// are gathered by writev (IOV_MAX parts per call, resumed after a short
+/// write), so the caller never concatenates them. The file holds exactly
+/// the parts' bytes in order; empty parts are allowed.
+[[nodiscard]] bool write_file_atomic(const std::string& path,
+                                     std::span<const std::string_view> parts, std::string& error);
 
 /// The rumor_bench command line:
 ///   rumor_bench --list [--json]

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "rng/rng.hpp"
 
@@ -68,6 +71,62 @@ double spreading_time_quantile(std::span<const double> samples, double q) {
 
 namespace {
 
+/// Every resample of an n-sample bootstrap draws its indices from the same
+/// stream: resample r's i-th index is the (r·n + i)-th uniform_below(n)
+/// draw on derive_stream(seed, 0xb007). So every bootstrap with the same
+/// (seed, n, resamples) draws the same table, and campaign reports, which
+/// all bootstrap with one seed from reservoirs of a few sizes, draw it once.
+struct IndexTable {
+  std::uint64_t seed = 0;
+  std::size_t n = 0;
+  std::size_t resamples = 0;
+  std::vector<std::uint32_t> indices;  // resamples rows of n
+};
+
+/// The cache's bounds: a table is kept only up to the default reservoir
+/// cap's 400 × 512 indices, and at most kTableSlots tables are kept (the
+/// least recently used is dropped first).
+constexpr std::size_t kMaxTableIndices = 400 * 512;
+constexpr std::size_t kTableSlots = 4;
+
+/// The (seed, n, resamples) table, drawn on a miss outside the lock; null
+/// when it would exceed kMaxTableIndices.
+std::shared_ptr<const IndexTable> index_table(std::uint64_t seed, std::size_t n,
+                                              std::size_t resamples) {
+  if (resamples > kMaxTableIndices / n) return nullptr;
+  static std::mutex mutex;
+  static std::vector<std::shared_ptr<const IndexTable>> tables;  // most recent last
+  auto find = [&]() -> std::shared_ptr<const IndexTable> {
+    for (auto it = tables.begin(); it != tables.end(); ++it) {
+      const IndexTable& t = **it;
+      if (t.seed != seed || t.n != n || t.resamples != resamples) continue;
+      std::shared_ptr<const IndexTable> hit = *it;
+      tables.erase(it);
+      tables.push_back(hit);
+      return hit;
+    }
+    return nullptr;
+  };
+  {
+    const std::scoped_lock lock(mutex);
+    if (auto hit = find()) return hit;
+  }
+  auto table = std::make_shared<IndexTable>();
+  table->seed = seed;
+  table->n = n;
+  table->resamples = resamples;
+  table->indices.resize(resamples * n);
+  rng::Engine eng = rng::derive_stream(seed, 0xb007ULL);
+  for (std::uint32_t& k : table->indices) {
+    k = static_cast<std::uint32_t>(rng::uniform_below(eng, n));
+  }
+  const std::scoped_lock lock(mutex);
+  if (auto hit = find()) return hit;  // another thread drew it meanwhile
+  if (tables.size() == kTableSlots) tables.erase(tables.begin());
+  tables.push_back(table);
+  return table;
+}
+
 template <class Statistic>
 BootstrapInterval bootstrap_ci(std::span<const double> samples, double confidence,
                                std::size_t resamples, std::uint64_t seed, Statistic stat) {
@@ -78,13 +137,19 @@ BootstrapInterval bootstrap_ci(std::span<const double> samples, double confidenc
     return BootstrapInterval{nan, nan, nan};
   }
   assert(confidence > 0.0 && confidence < 1.0);
+  const std::size_t n = samples.size();
+  // A table too large to keep is drawn row by row from the same stream.
+  const std::shared_ptr<const IndexTable> table = index_table(seed, n, resamples);
   rng::Engine eng = rng::derive_stream(seed, 0xb007ULL);
-  std::vector<double> resample(samples.size());
+  std::vector<double> resample(n);
   std::vector<double> estimates;
   estimates.reserve(resamples);
   for (std::size_t r = 0; r < resamples; ++r) {
-    for (auto& x : resample) {
-      x = samples[static_cast<std::size_t>(rng::uniform_below(eng, samples.size()))];
+    if (table != nullptr) {
+      const std::uint32_t* row = table->indices.data() + r * n;
+      for (std::size_t i = 0; i < n; ++i) resample[i] = samples[row[i]];
+    } else {
+      for (auto& x : resample) x = samples[static_cast<std::size_t>(rng::uniform_below(eng, n))];
     }
     estimates.push_back(stat(std::span<const double>(resample)));
   }

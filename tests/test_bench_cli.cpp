@@ -22,6 +22,8 @@
 #include <string>
 #include <utility>
 
+#include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 namespace sim = rumor::sim;
@@ -791,4 +793,121 @@ TEST(BenchCliObservability, EveryReportCarriesBuildInfo) {
   for (const char* key : {"git_sha", "compiler", "compiler_version", "build_type", "flags"}) {
     ASSERT_NE(build->find(key), nullptr) << key;
   }
+}
+
+// --- Report text: the spliced --json output against the Json tree ------------
+
+namespace {
+
+/// The reports of `spec` built as one Json tree and dumped whole: one
+/// report as its object, more as the array of them. Run in-process at the
+/// CLI's default block size.
+std::string json_tree_rendering(const std::string& spec_path, unsigned threads) {
+  std::ostringstream err;
+  const auto spec = sim::load_campaign_spec_file(spec_path, 0, 0, 1, "test", err);
+  EXPECT_TRUE(spec.has_value()) << err.str();
+  if (!spec) return {};
+  sim::CampaignOptions options;
+  options.threads = threads;
+  options.block_size = 32;
+  const auto results = sim::run_campaign(spec->configs, options);
+  sim::Json reports = sim::Json::array();
+  for (const auto& r : results) reports.push_back(sim::campaign_report(r, spec->name));
+  return (reports.size() == 1 ? reports.elements().front().dump(2) : reports.dump(2)) + "\n";
+}
+
+}  // namespace
+
+TEST(ReportText, JsonOutputIsTheJsonTreeRendering) {
+  const std::string one = write_spec("report_text_one.json", R"({
+    "name": "one",
+    "configs": [{"graph": "star", "n": 32, "trials": 40, "seed": 5}]})");
+  const std::string many = write_checkpoint_spec("report_text_many.json");
+  const std::string trace = testing::TempDir() + "report_text_trace.json";
+  for (const auto& [spec, objects] : {std::pair{one, false}, std::pair{many, true}}) {
+    const std::string expected = json_tree_rendering(spec, 2);
+    int status = 0;
+    const std::string plain = run_bench("--campaign " + spec + " --json --threads 3", &status);
+    ASSERT_EQ(status, 0);
+    EXPECT_EQ(plain, expected) << spec;
+    // The telemetry block is added on the render threads before the dump;
+    // its timings differ run to run, so the oracle is the printed tree
+    // parsed back and dumped whole.
+    for (const std::string& flags :
+         {std::string(" --telemetry"), " --telemetry --trace " + trace}) {
+      const std::string out =
+          run_bench("--campaign " + spec + " --json --threads 3" + flags + " 2>/dev/null", &status);
+      ASSERT_EQ(status, 0) << flags;
+      const auto parsed = sim::Json::parse(out);
+      ASSERT_TRUE(parsed.has_value()) << out;
+      EXPECT_EQ(parsed->is_array(), objects) << spec << flags;
+      EXPECT_EQ(out, parsed->dump(2) + "\n") << spec << flags;
+      const sim::Json& first = parsed->is_array() ? parsed->elements().front() : *parsed;
+      EXPECT_NE(first.find("stats")->find("telemetry"), nullptr) << spec << flags;
+    }
+    // Human output keeps the reports in spec order at any thread count.
+    const std::string human1 = run_bench("--campaign " + spec + " --threads 1", &status);
+    ASSERT_EQ(status, 0);
+    EXPECT_EQ(run_bench("--campaign " + spec + " --threads 3", &status), human1) << spec;
+    EXPECT_FALSE(sim::Json::parse(human1).has_value());
+  }
+  for (const auto& p : {one, many, trace}) std::remove(p.c_str());
+}
+
+// --- --resume: adopting the snapshot header's numbers ------------------------
+
+TEST(ResumeHeader, RejectsNumbersOutsideTheirFieldNamingKeyAndValue) {
+  const std::string spec = write_checkpoint_spec("resume_header_spec.json");
+  const std::string ck = testing::TempDir() + "resume_header_ck.json";
+  const std::string edited = testing::TempDir() + "resume_header_edited.json";
+  const std::string plain = testing::TempDir() + "resume_header_plain.json";
+  const std::string resumed = testing::TempDir() + "resume_header_resumed.json";
+  for (const auto& p : {ck, edited, plain, resumed}) std::remove(p.c_str());
+  int status = 0;
+  run_bench("--campaign " + spec + " --json --batch 4 --out " + plain, &status);
+  ASSERT_EQ(status, 0);
+  run_bench("--campaign " + spec + " --json --batch 4 --checkpoint " + ck +
+                " --stop-after-blocks 3 2>/dev/null",
+            &status);
+  ASSERT_EQ(status, 3);
+  const auto doc = sim::Json::parse(read_file(ck));
+  ASSERT_TRUE(doc.has_value());
+
+  // Each value is read where --resume adopts it, before any work: negative,
+  // fractional, beyond the 2^53 a JSON number holds exactly, and beyond the
+  // field (2^32 + 1 for the 32-bit shard fields, 2^53 + 2 for the block
+  // size, which --batch accepts up to 2^53).
+  struct Bad {
+    const char* key;
+    double value;
+    const char* text;
+  };
+  const std::vector<Bad> cases = {
+      {"block_size", -1.0, "-1"},          {"block_size", 2.5, "2.5"},
+      {"block_size", 1e30, "1e+30"},       {"block_size", 9007199254740994.0, "9007199254740994"},
+      {"shard_index", -1.0, "-1"},         {"shard_index", 2.5, "2.5"},
+      {"shard_index", 1e30, "1e+30"},      {"shard_index", 4294967297.0, "4294967297"},
+      {"shard_count", -1.0, "-1"},         {"shard_count", 2.5, "2.5"},
+      {"shard_count", 1e30, "1e+30"},      {"shard_count", 4294967297.0, "4294967297"},
+  };
+  for (const Bad& bad : cases) {
+    sim::Json copy = *doc;
+    copy.set(bad.key, bad.value);
+    std::ofstream(edited, std::ios::trunc) << copy.dump(2) << "\n";
+    const std::string err =
+        run_bench("--campaign " + spec + " --json --resume " + edited + " 2>&1 >/dev/null",
+                  &status);
+    EXPECT_EQ(status, 1) << bad.key << " = " << bad.text << ": " << err;
+    EXPECT_NE(err.find(std::string("'") + bad.key + "'"), std::string::npos)
+        << bad.key << " = " << bad.text << ": " << err;
+    EXPECT_NE(err.find(std::string("got ") + bad.text), std::string::npos)
+        << bad.key << " = " << bad.text << ": " << err;
+  }
+
+  // The untouched checkpoint resumes with its own block size adopted and
+  // finishes with the straight run's bytes.
+  run_bench("--campaign " + spec + " --json --resume " + ck + " --out " + resumed, &status);
+  ASSERT_EQ(status, 0);
+  EXPECT_EQ(read_file(resumed), read_file(plain));
+  for (const auto& p : {spec, ck, edited, plain, resumed}) std::remove(p.c_str());
 }

@@ -6,16 +6,21 @@
 // rejecting every identity mismatch loudly instead of merging garbage.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1336,4 +1341,109 @@ TEST(CampaignReports, ParallelRenderingEqualsTheSerialLoop) {
     }
   }
   EXPECT_TRUE(sim::campaign_reports({}, "snap", 4).empty());
+}
+
+namespace {
+
+/// A fresh, empty directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Names of the `*.tmp.*` files left in `dir`.
+std::vector<std::string> temp_files(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) out.push_back(name);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(WriteFileAtomic, PartsFormWritesTheStringFormsBytes) {
+  const std::string dir = fresh_dir("wfa_parts");
+  // 0 parts, 1 part, empty parts among others, and more parts than one
+  // writev call takes (IOV_MAX is 1024 on Linux).
+  std::vector<std::vector<std::string>> docs;
+  docs.push_back({});
+  docs.push_back({"{\"a\": 1}\n"});
+  docs.push_back({"", "x", "", "", "yz", ""});
+  std::vector<std::string> many;
+  for (int i = 0; i < 3000; ++i) many.push_back(i % 7 == 0 ? "" : std::to_string(i) + ",");
+  docs.push_back(many);
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    std::string whole;
+    std::vector<std::string_view> parts;
+    for (const std::string& p : docs[d]) {
+      whole += p;
+      parts.emplace_back(p);
+    }
+    const std::string a = dir + "/string_" + std::to_string(d);
+    const std::string b = dir + "/parts_" + std::to_string(d);
+    std::string error;
+    ASSERT_TRUE(sim::write_file_atomic(a, whole, error)) << error;
+    ASSERT_TRUE(sim::write_file_atomic(b, parts, error)) << error;
+    EXPECT_EQ(slurp(a), whole) << "doc " << d;
+    EXPECT_EQ(slurp(b), whole) << "doc " << d << " (" << parts.size() << " parts)";
+  }
+  EXPECT_TRUE(temp_files(dir).empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteFileAtomic, OverwriteReplacesTheOldFile) {
+  const std::string dir = fresh_dir("wfa_overwrite");
+  const std::string path = dir + "/doc.json";
+  std::string error;
+  ASSERT_TRUE(sim::write_file_atomic(path, std::string(10000, 'a'), error)) << error;
+  const std::vector<std::string_view> parts = {"short", "", " doc\n"};
+  ASSERT_TRUE(sim::write_file_atomic(path, parts, error)) << error;
+  EXPECT_EQ(slurp(path), "short doc\n");
+  ASSERT_TRUE(sim::write_file_atomic(path, std::string("last"), error)) << error;
+  EXPECT_EQ(slurp(path), "last");
+  EXPECT_TRUE(temp_files(dir).empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteFileAtomic, FailuresNameTheTempPathAndLeaveNoTempFile) {
+  const std::string tmp_suffix = ".tmp." + std::to_string(::getpid());
+  const std::vector<std::string_view> parts = {"some ", "bytes"};
+  std::string error;
+
+  // A directory that does not exist: the temp file cannot be created.
+  const std::string missing = testing::TempDir() + "wfa_no_such_dir/doc.json";
+  EXPECT_FALSE(sim::write_file_atomic(missing, parts, error));
+  EXPECT_NE(error.find(missing + tmp_suffix), std::string::npos) << error;
+
+  // The destination is a directory: the temp file is written in full, then
+  // the rename fails, and the temp file goes with it.
+  const std::string dir = fresh_dir("wfa_rename");
+  const std::string blocked = dir + "/doc.json";
+  std::filesystem::create_directories(blocked + "/child");
+  EXPECT_FALSE(sim::write_file_atomic(blocked, parts, error));
+  EXPECT_NE(error.find(blocked + tmp_suffix), std::string::npos) << error;
+  EXPECT_TRUE(temp_files(dir).empty());
+
+  // A directory without write permission (not enforced for root, which
+  // skips this case).
+  const std::string locked = fresh_dir("wfa_locked");
+  ASSERT_EQ(::chmod(locked.c_str(), 0500), 0);
+  if (::access(locked.c_str(), W_OK) != 0) {
+    const std::string path = locked + "/doc.json";
+    EXPECT_FALSE(sim::write_file_atomic(path, std::string("bytes"), error));
+    EXPECT_NE(error.find(path + tmp_suffix), std::string::npos) << error;
+    EXPECT_TRUE(temp_files(locked).empty());
+  }
+  ::chmod(locked.c_str(), 0700);
+  std::filesystem::remove_all(locked);
+  std::filesystem::remove_all(dir);
 }

@@ -14,9 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/distributions.hpp"
@@ -356,4 +360,131 @@ TEST(StreamingEmptyState, StateRoundTripsBitExactlyThroughRestore) {
   const StreamingSummary empty_copy = StreamingSummary::restored(options, empty.state());
   expect_same_state(empty_copy.state(), empty.state());
   EXPECT_TRUE(std::isnan(empty_copy.median()));
+}
+
+namespace {
+
+/// The bootstrap's draw loop without an index table: every resample draws
+/// its indices afresh from derive_stream(seed, 0xb007). The oracle
+/// bootstrap_mean_ci and StreamingSummary::mean_ci must match bit for bit.
+stats::BootstrapInterval direct_mean_ci(std::span<const double> samples, double confidence,
+                                        std::size_t resamples, std::uint64_t seed) {
+  auto mean = [](std::span<const double> s) {
+    double sum = 0.0;
+    for (double x : s) sum += x;
+    return sum / static_cast<double>(s.size());
+  };
+  rng::Engine eng = rng::derive_stream(seed, 0xb007ULL);
+  std::vector<double> resample(samples.size());
+  std::vector<double> estimates;
+  for (std::size_t r = 0; r < resamples; ++r) {
+    for (auto& x : resample) {
+      x = samples[static_cast<std::size_t>(rng::uniform_below(eng, samples.size()))];
+    }
+    estimates.push_back(mean(resample));
+  }
+  std::sort(estimates.begin(), estimates.end());
+  const double alpha = (1.0 - confidence) / 2.0;
+  return {stats::quantile_sorted(estimates, alpha), mean(samples),
+          stats::quantile_sorted(estimates, 1.0 - alpha)};
+}
+
+bool bit_equal(const stats::BootstrapInterval& a, const stats::BootstrapInterval& b) {
+  return std::bit_cast<std::uint64_t>(a.lower) == std::bit_cast<std::uint64_t>(b.lower) &&
+         std::bit_cast<std::uint64_t>(a.point) == std::bit_cast<std::uint64_t>(b.point) &&
+         std::bit_cast<std::uint64_t>(a.upper) == std::bit_cast<std::uint64_t>(b.upper);
+}
+
+struct BootstrapCase {
+  std::size_t size;
+  std::size_t resamples;
+  std::uint64_t seed;
+};
+
+/// Sizes up to the default reservoir cap, where the index table is kept,
+/// and one past what a kept table may hold (1000 x 400 indices), which
+/// draws row by row; both seeds of each (size, resamples) back to back.
+std::vector<BootstrapCase> bootstrap_cases() {
+  std::vector<BootstrapCase> cases;
+  for (std::size_t size : {1, 2, 64, 256, 512, 1000}) {
+    for (std::size_t resamples : {1, 400}) {
+      for (std::uint64_t seed : {7u, 1234u}) cases.push_back({size, resamples, seed});
+    }
+  }
+  return cases;
+}
+
+std::string label(const BootstrapCase& c) {
+  return "size " + std::to_string(c.size) + ", resamples " + std::to_string(c.resamples) +
+         ", seed " + std::to_string(c.seed);
+}
+
+}  // namespace
+
+TEST(BootstrapTable, MeanCiEqualsTheDirectDrawLoopColdAndWarm) {
+  const std::vector<double> data = exponential_samples(1000, 77);
+  const std::vector<BootstrapCase> cases = bootstrap_cases();
+  // Three passes: the first meets every table cold, the second warm for
+  // the keys still kept, the third after the others were evicted.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const BootstrapCase& c : cases) {
+      const std::span<const double> samples(data.data(), c.size);
+      const auto expected = direct_mean_ci(samples, 0.95, c.resamples, c.seed);
+      EXPECT_TRUE(bit_equal(stats::bootstrap_mean_ci(samples, 0.95, c.resamples, c.seed),
+                            expected))
+          << label(c) << ", pass " << pass;
+      // Immediately again: a warm table.
+      EXPECT_TRUE(bit_equal(stats::bootstrap_mean_ci(samples, 0.95, c.resamples, c.seed),
+                            expected))
+          << label(c) << ", pass " << pass << " (repeat)";
+    }
+  }
+}
+
+TEST(BootstrapTable, StreamingSummaryMeanCiEqualsTheDirectDrawLoop) {
+  for (const BootstrapCase& c : bootstrap_cases()) {
+    if (c.size > 512) continue;  // the reservoir keeps every sample up to its cap
+    StreamingSummary summary;
+    std::vector<double> values = exponential_samples(c.size, 91 + c.size);
+    for (std::size_t i = 0; i < values.size(); ++i) summary.add(values[i], i);
+    std::sort(values.begin(), values.end());
+    const auto expected = direct_mean_ci(values, 0.95, c.resamples, c.seed);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      EXPECT_TRUE(bit_equal(summary.mean_ci(0.95, c.resamples, c.seed), expected))
+          << label(c) << ", repeat " << repeat;
+    }
+  }
+}
+
+TEST(BootstrapTable, FourThreadsAtOnceSeeTheDirectDrawLoop) {
+  const std::vector<double> data = exponential_samples(1000, 78);
+  const std::vector<BootstrapCase> cases = bootstrap_cases();
+  std::vector<stats::BootstrapInterval> expected;
+  for (const BootstrapCase& c : cases) {
+    expected.push_back(direct_mean_ci({data.data(), c.size}, 0.95, c.resamples, c.seed));
+  }
+  // Each thread walks the cases from its own offset, so tables are drawn,
+  // shared and evicted while others read them.
+  std::vector<std::vector<char>> ok(4, std::vector<char>(cases.size(), 0));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          const std::size_t i = (k + t * 5) % cases.size();
+          const BootstrapCase& c = cases[i];
+          const auto got = stats::bootstrap_mean_ci({data.data(), c.size}, 0.95, c.resamples,
+                                                    c.seed);
+          const bool before = round == 0 || ok[t][i] != 0;
+          ok[t][i] = static_cast<char>(before && bit_equal(got, expected[i]));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_NE(ok[t][i], 0) << "thread " << t << ": " << label(cases[i]);
+    }
+  }
 }
