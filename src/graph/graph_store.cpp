@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "json/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace rumor::graph {
@@ -174,39 +176,17 @@ Layout parse_header(const std::uint8_t* hdr, std::uint64_t file_size, const std:
   return lay;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
+/// The store's provenance: a compact JSON object naming the writer, the
+/// binary's build_info fields but its flags, and the optional source note.
 std::string make_provenance(const std::string& source) {
-  const obs::BuildInfo& bi = obs::build_info();
-  std::string prov = "{\"writer\":\"rumor graph_store v" + std::to_string(kGraphStoreVersion) +
-                     "\",\"git_sha\":\"" + json_escape(bi.git_sha) + "\",\"compiler\":\"" +
-                     json_escape(bi.compiler) + "\",\"compiler_version\":\"" +
-                     json_escape(bi.compiler_version) + "\",\"build_type\":\"" +
-                     json_escape(bi.build_type) + "\"";
-  if (!source.empty()) prov += ",\"source\":\"" + json_escape(source) + "\"";
-  prov += "}";
-  return prov;
+  json::Json prov = json::Json::object();
+  prov.set("writer", "rumor graph_store v" + std::to_string(kGraphStoreVersion));
+  json::Json build = obs::build_info_json();
+  for (auto& [key, value] : build.mutable_entries()) {
+    if (key != "flags") prov.set(key, std::move(value));
+  }
+  if (!source.empty()) prov.set("source", source);
+  return prov.dump();
 }
 
 }  // namespace

@@ -40,6 +40,17 @@ const BuildInfo& build_info() noexcept {
   return info;
 }
 
+json::Json build_info_json() {
+  const BuildInfo& bi = build_info();
+  json::Json info = json::Json::object();
+  info.set("git_sha", bi.git_sha);
+  info.set("compiler", bi.compiler);
+  info.set("compiler_version", bi.compiler_version);
+  info.set("build_type", bi.build_type);
+  info.set("flags", bi.flags);
+  return info;
+}
+
 std::string build_info_line(const std::string& program) {
   const BuildInfo& bi = build_info();
   return program + " " + bi.git_sha + " (" + bi.compiler + " " + bi.compiler_version + ", " +

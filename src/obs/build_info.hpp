@@ -12,6 +12,8 @@
 
 #include <string>
 
+#include "json/json.hpp"
+
 namespace rumor::obs {
 
 struct BuildInfo {
@@ -24,6 +26,12 @@ struct BuildInfo {
 
 /// The binary's build identity; every field non-null.
 [[nodiscard]] const BuildInfo& build_info() noexcept;
+
+/// build_info() as the JSON object every report embeds under "build_info"
+/// and the trace file under otherData: git sha, compiler + version, build
+/// type, flags. The one rendering of BuildInfo; the graph store's
+/// provenance takes its fields from it.
+[[nodiscard]] json::Json build_info_json();
 
 /// One human line for --version: "rumor_bench <sha> (<compiler>
 /// <version>, <build_type>)".

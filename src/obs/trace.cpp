@@ -2,31 +2,10 @@
 
 #include <cstdio>
 
+#include "json/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace rumor::obs {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_us_fixed(std::string& out, std::uint64_t ns) {
   char buf[32];
@@ -109,7 +88,7 @@ void append_metrics(std::string& out, const MetricsSnapshot& snap) {
   for (std::size_t c = 0; c < snap.per_config.size(); ++c) {
     if (c != 0) out += ',';
     out += "{\"id\":";
-    append_json_string(out, c < snap.config_ids.size() ? snap.config_ids[c] : "");
+    json::append_escaped(out, c < snap.config_ids.size() ? snap.config_ids[c] : "");
     out += ",\"blocks\":";
     append_uint(out, snap.per_config[c].blocks);
     out += ",\"trials\":";
@@ -124,7 +103,7 @@ void append_metrics(std::string& out, const MetricsSnapshot& snap) {
 void append_span_event(std::string& out, const TraceSpan& span, std::size_t tid,
                        const std::vector<std::string>* config_ids) {
   out += "{\"name\":";
-  append_json_string(out, span.name);
+  json::append_escaped(out, span.name);
   out += ",\"cat\":\"campaign\",\"ph\":\"X\",\"ts\":";
   append_us_fixed(out, span.begin_ns);
   out += ",\"dur\":";
@@ -135,7 +114,7 @@ void append_span_event(std::string& out, const TraceSpan& span, std::size_t tid,
   bool first = true;
   if (span.has_config && config_ids != nullptr && span.config < config_ids->size()) {
     out += "\"config\":";
-    append_json_string(out, (*config_ids)[span.config]);
+    json::append_escaped(out, (*config_ids)[span.config]);
     first = false;
   }
   if (span.slot >= 0) {
@@ -160,7 +139,7 @@ std::string render_chrome_trace(const TraceRenderInput& input) {
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     append_uint(out, tid);
     out += ",\"args\":{\"name\":";
-    append_json_string(out, input.lanes[tid].first);
+    json::append_escaped(out, input.lanes[tid].first);
     out += "}}";
   }
   for (std::size_t tid = 0; tid < input.lanes.size(); ++tid) {
@@ -169,23 +148,12 @@ std::string render_chrome_trace(const TraceRenderInput& input) {
       append_span_event(out, span, tid, input.config_ids);
     }
   }
-  // schema_version follows the report convention (sim/experiment.hpp,
-  // kReportSchemaVersion): additive fields keep the number, renames bump
-  // it, tools warn when a file is newer than they understand.
-  out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{\"schema_version\":1,\"campaign\":";
-  append_json_string(out, input.campaign);
-  const BuildInfo& bi = build_info();
-  out += ",\"build_info\":{\"git_sha\":";
-  append_json_string(out, bi.git_sha);
-  out += ",\"compiler\":";
-  append_json_string(out, bi.compiler);
-  out += ",\"compiler_version\":";
-  append_json_string(out, bi.compiler_version);
-  out += ",\"build_type\":";
-  append_json_string(out, bi.build_type);
-  out += ",\"flags\":";
-  append_json_string(out, bi.flags);
-  out += "}}";
+  json::Json other = json::Json::object();
+  other.set("schema_version", json::kReportSchemaVersion);
+  other.set("campaign", input.campaign);
+  other.set("build_info", build_info_json());
+  out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":";
+  other.dump_to(out, -1, 0);
   if (input.metrics != nullptr) {
     out += ",\n\"metrics\":";
     append_metrics(out, *input.metrics);

@@ -22,8 +22,10 @@
 // unknown top-level keys — and is what lets trace_report.py cross-check
 // span counts against the metrics registry exactly.
 //
-// This module renders JSON text directly (integers and fixed-point only):
-// it must not depend on sim::Json, which sits above it in the layering.
+// Spans and metrics are rendered as text directly (integers, fixed point,
+// and strings through the JSON layer's one escaper), so a trace of many
+// thousand spans never builds a Json tree; the otherData block is a Json
+// object (json/json.hpp), carrying build_info_json() verbatim.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +64,6 @@ struct TraceRenderInput {
 
 /// Renders the complete trace document (newline-terminated).
 [[nodiscard]] std::string render_chrome_trace(const TraceRenderInput& input);
-
-/// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
-void append_json_string(std::string& out, const std::string& s);
 
 /// Appends nanoseconds as fixed-point microseconds ("12.345").
 void append_us_fixed(std::string& out, std::uint64_t ns);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <concepts>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -25,6 +24,7 @@
 #include "core/trial_lanes.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
+#include "obs/build_info.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/rng.hpp"
 #include "sim/checkpoint.hpp"
@@ -1129,34 +1129,10 @@ struct KeyRow {
 /// block.
 using Table = std::initializer_list<std::span<const KeyRow>>;
 
-std::string must_be(std::string_view key, const std::string& what) {
-  return "key '" + std::string(key) + "' must be " + what;
-}
-
-std::string read(std::string_view key, const Json& v, double& out) {
-  if (!v.is_number()) return must_be(key, "a number");
-  out = v.as_number();
-  return {};
-}
-
-std::string read(std::string_view key, const Json& v, std::string& out) {
-  if (!v.is_string()) return must_be(key, "a string");
-  out = v.as_string();
-  return {};
-}
-
-/// An integer field: the value must be a whole number that fits the field's
-/// width. JSON numbers are doubles, so this is checked before the cast.
-template <std::unsigned_integral T>
-std::string read(std::string_view key, const Json& v, T& out) {
-  constexpr int kBits = std::numeric_limits<T>::digits;
-  const double x = v.is_number() ? v.as_number() : -1.0;
-  if (!(x >= 0.0 && x < std::ldexp(1.0, kBits) && x == std::floor(x))) {
-    return must_be(key, "a non-negative integer below 2^" + std::to_string(kBits));
-  }
-  out = static_cast<T>(x);
-  return {};
-}
+// The typed readers (json/json.hpp): a number, a string, or an unsigned
+// field checked against its width before the cast.
+using json::must_be;
+using json::read;
 
 /// An enum field, looked up by the names `name` gives enumerators 0, 1, ...
 /// (every name function answers "?" past the last one). With `empty_keeps`,
@@ -1593,17 +1569,7 @@ Json curves_json(const CampaignResult& result) {
                                     ? Json(spread_end.as_number() - growth_end.as_number())
                                     : Json());
   curves.set("phases", std::move(phases));
-  const stats::ContactTotals& t = result.contacts;
-  Json contacts = Json::object();
-  contacts.set("contacts", t.contacts);
-  contacts.set("useful_push", t.useful_push);
-  contacts.set("useful_pull", t.useful_pull);
-  contacts.set("wasted_push", t.wasted_push);
-  contacts.set("wasted_pull", t.wasted_pull);
-  contacts.set("empty_contacts", t.empty_contacts);
-  contacts.set("ticks", t.ticks);
-  contacts.set("informed_total", t.informed_total);
-  curves.set("contacts", std::move(contacts));
+  curves.set("contacts", result.contacts.to_json());
   return curves;
 }
 
@@ -1695,7 +1661,7 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
              "Streaming summary: mean/min/max exact (merged Welford moments); median/p95/"
              "hp_time from a mergeable quantile sketch (rank error bounds documented in "
              "tests/test_streaming.cpp); CI bootstrapped from a bounded uniform reservoir.");
-  report.set("build_info", build_info_json());
+  report.set("build_info", obs::build_info_json());
   return report;
 }
 

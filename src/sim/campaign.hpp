@@ -38,6 +38,7 @@
 #include "core/trial.hpp"
 #include "dynamics/churn.hpp"
 #include "graph/graph.hpp"
+#include "json/json.hpp"
 #include "stats/curves.hpp"
 #include "stats/streaming.hpp"
 
@@ -47,7 +48,7 @@ class Telemetry;  // obs/telemetry.hpp
 
 namespace rumor::sim {
 
-class Json;  // experiment.hpp
+using json::Json;
 
 /// Which protocol engine a configuration runs: core/trial.hpp's enum and
 /// names (the run_trial dispatch), under the campaign's spelling.

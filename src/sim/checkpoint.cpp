@@ -5,9 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -171,7 +168,7 @@ stats::CurveAccumulator::Options curve_options_for(const CampaignConfig& cfg,
   return options;
 }
 
-// --- Accumulator-state <-> JSON codecs ---------------------------------------
+// --- The snapshot entry codec ------------------------------------------------
 
 namespace {
 
@@ -179,185 +176,15 @@ namespace {
   throw std::runtime_error(ctx + ": " + what);
 }
 
-const Json& require(const Json& obj, const char* key, const std::string& ctx) {
-  if (!obj.is_object()) fail(ctx, "expected a JSON object");
-  const Json* v = obj.find(key);
-  if (v == nullptr) fail(ctx, std::string("missing key '") + key + "'");
-  return *v;
-}
-
-double req_number(const Json& obj, const char* key, const std::string& ctx) {
-  const Json& v = require(obj, key, ctx);
-  if (!v.is_number()) fail(ctx, std::string("key '") + key + "' must be a number");
-  return v.as_number();
-}
-
-std::uint64_t req_uint(const Json& obj, const char* key, const std::string& ctx) {
-  const double v = req_number(obj, key, ctx);
-  if (v < 0.0 || v != std::floor(v) || v > 9007199254740992.0) {
-    fail(ctx, std::string("key '") + key + "' must be a non-negative integer, got " +
-                  Json(v).dump());
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t req_u32(const Json& obj, const char* key, const std::string& ctx) {
-  const std::uint64_t v = req_uint(obj, key, ctx);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    fail(ctx, std::string("key '") + key + "' must fit in 32 bits, got " + std::to_string(v));
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::string req_string(const Json& obj, const char* key, const std::string& ctx) {
-  const Json& v = require(obj, key, ctx);
-  if (!v.is_string()) fail(ctx, std::string("key '") + key + "' must be a string");
-  return v.as_string();
-}
-
-bool req_bool(const Json& obj, const char* key, const std::string& ctx) {
-  const Json& v = require(obj, key, ctx);
-  if (v.type() != Json::Type::kBool) fail(ctx, std::string("key '") + key + "' must be a boolean");
-  return v.as_bool();
-}
-
-const Json& req_array(const Json& obj, const char* key, const std::string& ctx) {
-  const Json& v = require(obj, key, ctx);
-  if (!v.is_array()) fail(ctx, std::string("key '") + key + "' must be an array");
-  return v;
-}
+using json::get;
+using json::member;
 
 // A phase's partial-block array may be legally absent: a snapshot taken
 // between a phase transition and that phase's first completed block has
 // nothing to record yet.
 const std::vector<Json>& opt_array(const Json& obj, const char* key, const std::string& ctx) {
   static const std::vector<Json> empty;
-  const Json* v = obj.find(key);
-  if (v == nullptr) return empty;
-  if (!v->is_array()) fail(ctx, std::string("key '") + key + "' must be an array");
-  return v->elements();
-}
-
-Json moments_to_json(const stats::RunningMoments::State& s) {
-  Json o = Json::object();
-  o.set("count", s.count);
-  o.set("mean", s.mean);
-  o.set("m2", s.m2);
-  o.set("min", s.min);
-  o.set("max", s.max);
-  return o;
-}
-
-stats::RunningMoments::State moments_from_json(const Json& o, const std::string& ctx) {
-  stats::RunningMoments::State s;
-  s.count = req_uint(o, "count", ctx);
-  s.mean = req_number(o, "mean", ctx);
-  s.m2 = req_number(o, "m2", ctx);
-  s.min = req_number(o, "min", ctx);
-  s.max = req_number(o, "max", ctx);
-  return s;
-}
-
-Json sketch_to_json(const stats::QuantileSketch::State& s) {
-  Json levels = Json::array();
-  for (const auto& lvl : s.levels) {
-    Json items = Json::array();
-    for (const double x : lvl.items) items.push_back(x);
-    Json level = Json::object();
-    level.set("items", std::move(items));
-    level.set("keep_odd", lvl.keep_odd);
-    levels.push_back(std::move(level));
-  }
-  Json o = Json::object();
-  o.set("count", s.count);
-  o.set("levels", std::move(levels));
-  return o;
-}
-
-stats::QuantileSketch::State sketch_from_json(const Json& o, const std::string& ctx) {
-  stats::QuantileSketch::State s;
-  s.count = req_uint(o, "count", ctx);
-  for (const Json& level : req_array(o, "levels", ctx).elements()) {
-    stats::QuantileSketch::LevelState lvl;
-    for (const Json& item : req_array(level, "items", ctx).elements()) {
-      if (!item.is_number()) fail(ctx, "sketch items must be numbers");
-      lvl.items.push_back(item.as_number());
-    }
-    lvl.keep_odd = req_bool(level, "keep_odd", ctx);
-    s.levels.push_back(std::move(lvl));
-  }
-  return s;
-}
-
-Json reservoir_to_json(const stats::ReservoirSample::State& s) {
-  Json entries = Json::array();
-  for (const auto& [tag, value] : s.entries) {
-    Json pair = Json::array();
-    pair.push_back(tag);
-    pair.push_back(value);
-    entries.push_back(std::move(pair));
-  }
-  Json o = Json::object();
-  o.set("count", s.count);
-  o.set("entries", std::move(entries));
-  return o;
-}
-
-stats::ReservoirSample::State reservoir_from_json(const Json& o, const std::string& ctx) {
-  stats::ReservoirSample::State s;
-  s.count = req_uint(o, "count", ctx);
-  for (const Json& pair : req_array(o, "entries", ctx).elements()) {
-    if (!pair.is_array() || pair.elements().size() != 2 || !pair.elements()[0].is_number() ||
-        !pair.elements()[1].is_number()) {
-      fail(ctx, "reservoir entries must be [tag, value] number pairs");
-    }
-    const double tag = pair.elements()[0].as_number();
-    if (tag < 0.0 || tag != std::floor(tag)) fail(ctx, "reservoir tags must be non-negative integers");
-    s.entries.emplace_back(static_cast<std::uint64_t>(tag), pair.elements()[1].as_number());
-  }
-  return s;
-}
-
-Json summary_to_json(const stats::StreamingSummary::State& s) {
-  Json o = Json::object();
-  o.set("moments", moments_to_json(s.moments));
-  o.set("sketch", sketch_to_json(s.sketch));
-  o.set("reservoir", reservoir_to_json(s.reservoir));
-  return o;
-}
-
-stats::StreamingSummary::State summary_from_json(const Json& o, const std::string& ctx) {
-  stats::StreamingSummary::State s;
-  s.moments = moments_from_json(require(o, "moments", ctx), ctx);
-  s.sketch = sketch_from_json(require(o, "sketch", ctx), ctx);
-  s.reservoir = reservoir_from_json(require(o, "reservoir", ctx), ctx);
-  return s;
-}
-
-Json totals_to_json(const stats::ContactTotals& t) {
-  Json o = Json::object();
-  o.set("contacts", t.contacts);
-  o.set("useful_push", t.useful_push);
-  o.set("useful_pull", t.useful_pull);
-  o.set("wasted_push", t.wasted_push);
-  o.set("wasted_pull", t.wasted_pull);
-  o.set("empty_contacts", t.empty_contacts);
-  o.set("ticks", t.ticks);
-  o.set("informed_total", t.informed_total);
-  return o;
-}
-
-stats::ContactTotals totals_from_json(const Json& o, const std::string& ctx) {
-  stats::ContactTotals t;
-  t.contacts = req_uint(o, "contacts", ctx);
-  t.useful_push = req_uint(o, "useful_push", ctx);
-  t.useful_pull = req_uint(o, "useful_pull", ctx);
-  t.wasted_push = req_uint(o, "wasted_push", ctx);
-  t.wasted_pull = req_uint(o, "wasted_pull", ctx);
-  t.empty_contacts = req_uint(o, "empty_contacts", ctx);
-  t.ticks = req_uint(o, "ticks", ctx);
-  t.informed_total = req_uint(o, "informed_total", ctx);
-  return t;
+  return obj.find(key) == nullptr ? empty : json::array_member(obj, key, ctx);
 }
 
 using Entry = CampaignRecorder::Entry;
@@ -366,35 +193,20 @@ using Phase = Entry::Phase;
 /// One curve partial with its contact totals: the value of a slot entry's
 /// optional "curves" key, and of the done result's "curves" key.
 Json curves_to_json(const Entry::Curves& c) {
-  Json moments = Json::array();
-  for (const auto& m : c.state.moments) moments.push_back(moments_to_json(m));
-  Json sketches = Json::array();
-  for (const auto& q : c.state.sketches) sketches.push_back(sketch_to_json(q));
-  Json o = Json::object();
-  o.set("trials", c.state.trials);
-  o.set("max_len", c.state.max_len);
-  o.set("moments", std::move(moments));
-  o.set("sketches", std::move(sketches));
-  o.set("contacts", totals_to_json(c.contacts));
+  Json o = c.state.to_json();
+  o.set("contacts", c.contacts.to_json());
   return o;
 }
 
 Entry::Curves curves_from_json(const Json& o, std::size_t points, const std::string& ctx) {
   Entry::Curves c;
-  c.state.trials = req_uint(o, "trials", ctx);
-  c.state.max_len = req_uint(o, "max_len", ctx);
-  for (const Json& m : req_array(o, "moments", ctx).elements()) {
-    c.state.moments.push_back(moments_from_json(m, ctx));
-  }
-  for (const Json& q : req_array(o, "sketches", ctx).elements()) {
-    c.state.sketches.push_back(sketch_from_json(q, ctx));
-  }
+  c.state = stats::CurveAccumulator::State::from_json(o, ctx);
   if (c.state.moments.size() != points || c.state.sketches.size() != points) {
     fail(ctx, "curve partial has grid length " + std::to_string(c.state.moments.size()) + "/" +
                   std::to_string(c.state.sketches.size()) + ", the spec's curves.points is " +
                   std::to_string(points));
   }
-  c.contacts = totals_from_json(require(o, "contacts", ctx), ctx);
+  c.contacts = stats::ContactTotals::from_json(member(o, "contacts", ctx), ctx);
   return c;
 }
 
@@ -404,33 +216,29 @@ Json ids_to_json(const std::vector<graph::NodeId>& ids) {
   return arr;
 }
 
-std::vector<graph::NodeId> ids_from_json(const Json& arr, const char* what,
+/// `obj`'s array of node ids under `key`.
+std::vector<graph::NodeId> ids_from_json(const Json& obj, const char* key,
                                          const std::string& ctx) {
-  if (!arr.is_array()) fail(ctx, std::string("key '") + what + "' must be an array");
   std::vector<graph::NodeId> out;
-  out.reserve(arr.elements().size());
-  for (const Json& v : arr.elements()) {
-    if (!v.is_number() || v.as_number() < 0.0 || v.as_number() != std::floor(v.as_number()) ||
-        v.as_number() > static_cast<double>(std::numeric_limits<graph::NodeId>::max())) {
-      fail(ctx, std::string("'") + what + "' entries must be node ids");
+  for (const Json& v : json::array_member(obj, key, ctx)) {
+    if (!json::read(key, v, out.emplace_back()).empty()) {
+      fail(ctx, std::string("'") + key + "' entries must be node ids");
     }
-    out.push_back(static_cast<graph::NodeId>(v.as_number()));
   }
   return out;
 }
 
 constexpr const char* kPhaseNames[] = {"pending", "trials", "screen", "refine", "done"};
 
-/// A screen or refine block: {"entrant", "slot", <key>: value}.
-template <typename State, typename Encode>
-Json race_slots_to_json(const std::map<Entry::RaceSlot, State>& blocks, const char* key,
-                        Encode encode) {
+/// A screen or refine block: {"entrant", "slot", <key>: state}.
+template <typename State>
+Json race_slots_to_json(const std::map<Entry::RaceSlot, State>& blocks, const char* key) {
   Json arr = Json::array();
   for (const auto& [at, state] : blocks) {
     Json s = Json::object();
     s.set("entrant", static_cast<std::uint64_t>(at.first));
     s.set("slot", static_cast<std::uint64_t>(at.second));
-    s.set(key, encode(state));
+    s.set(key, state.to_json());
     arr.push_back(std::move(s));
   }
   return arr;
@@ -438,17 +246,18 @@ Json race_slots_to_json(const std::map<Entry::RaceSlot, State>& blocks, const ch
 
 /// Reads a screen or refine block array into `out`, checking every
 /// (entrant, slot) against `entrants` x `slots` and for duplicates.
-template <typename State, typename Decode>
+template <typename State>
 void race_slots_from_json(const Json& e, const char* array, const char* key, std::size_t entrants,
-                          std::size_t slots, Decode decode, std::map<Entry::RaceSlot, State>& out,
+                          std::size_t slots, std::map<Entry::RaceSlot, State>& out,
                           const std::string& ctx) {
   for (const Json& s : opt_array(e, array, ctx)) {
-    const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ctx));
-    const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ctx));
+    const auto entrant = get<std::uint32_t>(s, "entrant", ctx);
+    const auto slot = get<std::size_t>(s, "slot", ctx);
     const std::string where = std::string(array) + " block (entrant " + std::to_string(entrant) +
                               ", slot " + std::to_string(slot) + ")";
     if (entrant >= entrants || slot >= slots) fail(ctx, where + " out of range");
-    if (!out.emplace(std::make_pair(entrant, slot), decode(require(s, key, ctx), ctx)).second) {
+    if (!out.emplace(std::make_pair(entrant, slot), State::from_json(member(s, key, ctx), ctx))
+             .second) {
       fail(ctx, "duplicate " + where);
     }
   }
@@ -466,7 +275,7 @@ Json entry_to_json(const std::string& id, const Entry& e) {
     r.set("source", static_cast<std::uint64_t>(e.source));
     r.set("best_source", static_cast<std::uint64_t>(e.best_source));
     r.set("best_mean", e.best_mean);
-    r.set("summary", summary_to_json(e.summary));
+    r.set("summary", e.summary.to_json());
     if (e.curves) r.set("curves", curves_to_json(*e.curves));
     j.set("result", std::move(r));
     return j;
@@ -480,16 +289,16 @@ Json entry_to_json(const std::string& id, const Entry& e) {
     for (const auto& [slot, part] : e.slots) {
       Json s = Json::object();
       s.set("slot", static_cast<std::uint64_t>(slot));
-      s.set("summary", summary_to_json(part.summary));
+      s.set("summary", part.summary.to_json());
       if (part.curves) s.set("curves", curves_to_json(*part.curves));
       slots.push_back(std::move(s));
     }
     j.set("slots", std::move(slots));
   }
   if (e.phase == Phase::kScreen) j.set("candidates", ids_to_json(e.candidates));
-  if (!e.screen.empty()) j.set("screen", race_slots_to_json(e.screen, "moments", moments_to_json));
+  if (!e.screen.empty()) j.set("screen", race_slots_to_json(e.screen, "moments"));
   if (e.phase == Phase::kRefine) j.set("finalists", ids_to_json(e.finalists));
-  if (!e.refine.empty()) j.set("refine", race_slots_to_json(e.refine, "summary", summary_to_json));
+  if (!e.refine.empty()) j.set("refine", race_slots_to_json(e.refine, "summary"));
   return j;
 }
 
@@ -500,14 +309,14 @@ Json entry_to_json(const std::string& id, const Entry& e) {
 /// exactly the slots of a curves-enabled config.
 Entry entry_from_json(const Json& j, const CampaignConfig& cfg, const std::string& id,
                       std::uint64_t block_size, const std::string& ctx) {
-  const std::string got = req_string(j, "id", ctx);
+  const auto got = get<std::string>(j, "id", ctx);
   if (got != id) fail(ctx, "id mismatch (snapshot '" + got + "')");
-  const std::string phase = req_string(j, "phase", ctx);
+  const auto phase = get<std::string>(j, "phase", ctx);
   const bool race = cfg.source_policy == SourcePolicy::kRace;
   Entry e;
   if (const Json* g = j.find("graph"); g != nullptr && g->is_string()) {
     e.graph_name = g->as_string();
-    e.n = req_uint(j, "n", ctx);
+    e.n = get<std::uint64_t>(j, "n", ctx);
     e.has_graph = true;
   }
 
@@ -520,7 +329,7 @@ Entry entry_from_json(const Json& j, const CampaignConfig& cfg, const std::strin
     // scheduler (one trial block = one lane batch).
     const std::size_t slots = slot_count(cfg.trials, effective_block_size(cfg, block_size));
     for (const Json& s : opt_array(j, "slots", ctx)) {
-      const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ctx));
+      const auto slot = get<std::size_t>(s, "slot", ctx);
       if (slot >= slots) {
         fail(ctx, "slot " + std::to_string(slot) + " out of range (config has " +
                       std::to_string(slots) + " blocks)");
@@ -537,7 +346,8 @@ Entry entry_from_json(const Json& j, const CampaignConfig& cfg, const std::strin
         fail(ctx, "slot " + std::to_string(slot) +
                       " has a curve partial but the spec does not enable curves");
       }
-      Entry::Slot part{summary_from_json(require(s, "summary", ctx), ctx), std::nullopt};
+      Entry::Slot part{
+          stats::StreamingSummary::State::from_json(member(s, "summary", ctx), ctx), std::nullopt};
       if (cv != nullptr) part.curves = curves_from_json(*cv, cfg.curves.points, ctx);
       if (!e.slots.emplace(slot, std::move(part)).second) {
         fail(ctx, "duplicate slot " + std::to_string(slot));
@@ -546,32 +356,31 @@ Entry entry_from_json(const Json& j, const CampaignConfig& cfg, const std::strin
   } else if (phase == "screen") {
     if (!race) fail(ctx, "fixed-source configuration cannot be in phase 'screen'");
     e.phase = Phase::kScreen;
-    e.candidates = ids_from_json(require(j, "candidates", ctx), "candidates", ctx);
+    e.candidates = ids_from_json(j, "candidates", ctx);
     if (e.candidates.empty()) fail(ctx, "'candidates' must be non-empty");
     race_slots_from_json(j, "screen", "moments", e.candidates.size(),
-                         slot_count(cfg.race.screen_trials, block_size), moments_from_json,
-                         e.screen, ctx);
+                         slot_count(cfg.race.screen_trials, block_size), e.screen, ctx);
   } else if (phase == "refine") {
     if (!race) fail(ctx, "fixed-source configuration cannot be in phase 'refine'");
     e.phase = Phase::kRefine;
-    e.finalists = ids_from_json(require(j, "finalists", ctx), "finalists", ctx);
+    e.finalists = ids_from_json(j, "finalists", ctx);
     if (e.finalists.empty()) fail(ctx, "'finalists' must be non-empty");
     const std::uint64_t final_trials =
         cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
     race_slots_from_json(j, "refine", "summary", e.finalists.size(),
-                         slot_count(final_trials, block_size), summary_from_json, e.refine, ctx);
+                         slot_count(final_trials, block_size), e.refine, ctx);
   } else if (phase == "done") {
     e.phase = Phase::kDone;
-    const Json& result = require(j, "result", ctx);
-    e.graph_name = req_string(result, "graph", ctx);
-    e.n = req_uint(result, "n", ctx);
+    const Json& result = member(j, "result", ctx);
+    e.graph_name = get<std::string>(result, "graph", ctx);
+    e.n = get<std::uint64_t>(result, "n", ctx);
     e.has_graph = false;  // the result carries the graph identity
-    e.source = static_cast<graph::NodeId>(req_uint(result, "source", ctx));
-    e.best_source = static_cast<graph::NodeId>(req_uint(result, "best_source", ctx));
-    e.best_mean = req_number(result, "best_mean", ctx);
-    e.summary = summary_from_json(require(result, "summary", ctx), ctx);
+    e.source = get<graph::NodeId>(result, "source", ctx);
+    e.best_source = get<graph::NodeId>(result, "best_source", ctx);
+    e.best_mean = get<double>(result, "best_mean", ctx);
+    e.summary = stats::StreamingSummary::State::from_json(member(result, "summary", ctx), ctx);
     if (cfg.curves.enabled) {
-      e.curves = curves_from_json(require(result, "curves", ctx), cfg.curves.points, ctx);
+      e.curves = curves_from_json(member(result, "curves", ctx), cfg.curves.points, ctx);
     }
   } else {
     fail(ctx, "unknown phase '" + phase + "'");
@@ -594,26 +403,26 @@ struct SnapshotHeader {
 
 SnapshotHeader parse_header(const Json& doc, const std::string& ctx) {
   if (!doc.is_object()) fail(ctx, "document is not a JSON object");
-  const std::string format = req_string(doc, "format", ctx);
+  const auto format = get<std::string>(doc, "format", ctx);
   if (format != kSnapshotFormat) {
     fail(ctx, "not a campaign checkpoint (format '" + format + "', expected '" +
                   kSnapshotFormat + "')");
   }
-  const std::uint64_t version = req_uint(doc, "version", ctx);
+  const auto version = get<std::uint64_t>(doc, "version", ctx);
   if (version != static_cast<std::uint64_t>(kSnapshotVersion)) {
     fail(ctx, "unsupported checkpoint version " + std::to_string(version) + " (this build reads " +
                   std::to_string(kSnapshotVersion) + ")");
   }
   SnapshotHeader h;
-  h.campaign = req_string(doc, "campaign", ctx);
-  h.spec_hash = req_string(doc, "spec_hash", ctx);
-  h.block_size = req_uint(doc, "block_size", ctx);
-  h.sketch_capacity = req_uint(doc, "sketch_capacity", ctx);
-  h.reservoir_capacity = req_uint(doc, "reservoir_capacity", ctx);
-  h.shard_index = req_u32(doc, "shard_index", ctx);
-  h.shard_count = req_u32(doc, "shard_count", ctx);
-  h.finished = req_bool(doc, "finished", ctx);
-  h.blocks_done = req_uint(doc, "blocks_done", ctx);
+  h.campaign = get<std::string>(doc, "campaign", ctx);
+  h.spec_hash = get<std::string>(doc, "spec_hash", ctx);
+  h.block_size = get<std::uint64_t>(doc, "block_size", ctx);
+  h.sketch_capacity = get<std::uint64_t>(doc, "sketch_capacity", ctx);
+  h.reservoir_capacity = get<std::uint64_t>(doc, "reservoir_capacity", ctx);
+  h.shard_index = get<std::uint32_t>(doc, "shard_index", ctx);
+  h.shard_count = get<std::uint32_t>(doc, "shard_count", ctx);
+  h.finished = get<bool>(doc, "finished", ctx);
+  h.blocks_done = get<std::uint64_t>(doc, "blocks_done", ctx);
   return h;
 }
 
@@ -635,12 +444,12 @@ void check_spec_identity(const SnapshotHeader& h, const std::string& campaign_na
 /// configuration of the spec.
 const std::vector<Json>& config_entries(const Json& doc, std::size_t count,
                                         const std::string& ctx) {
-  const Json& entries = req_array(doc, "configs", ctx);
-  if (entries.elements().size() != count) {
-    fail(ctx, "snapshot has " + std::to_string(entries.elements().size()) + " configs, spec has " +
+  const std::vector<Json>& entries = json::array_member(doc, "configs", ctx);
+  if (entries.size() != count) {
+    fail(ctx, "snapshot has " + std::to_string(entries.size()) + " configs, spec has " +
                   std::to_string(count));
   }
-  return entries.elements();
+  return entries;
 }
 
 }  // namespace
@@ -1144,39 +953,12 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
 
 // --- File helpers and the merge CLI ------------------------------------------
 
-std::optional<Json> read_json_file(const std::string& path, const char* prog,
-                                   std::ostream& err) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    err << prog << ": cannot read " << path << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  auto doc = Json::parse(text.str());
-  if (!doc) {
-    err << prog << ": " << path << " is not valid JSON\n";
-    return std::nullopt;
-  }
-  return doc;
-}
-
 std::optional<CampaignSpec> load_campaign_spec_file(const std::string& path,
                                                     std::uint64_t trials_override,
                                                     std::uint64_t seed_override, unsigned scale,
                                                     const char* prog, std::ostream& err) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    err << prog << ": cannot read campaign spec " << path << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  const auto doc = Json::parse(text.str());
-  if (!doc) {
-    err << prog << ": " << path << " is not valid JSON\n";
-    return std::nullopt;
-  }
+  const auto doc = json::read_json_file(path, prog, err);
+  if (!doc) return std::nullopt;
   CampaignSpec spec = parse_campaign_spec(*doc);
   if (!spec.error.empty()) {
     err << prog << ": bad campaign spec: " << spec.error << "\n";
@@ -1317,7 +1099,7 @@ int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
   std::vector<Json> snapshots;
   snapshots.reserve(files.size());
   for (const std::string& f : files) {
-    auto doc = read_json_file(f, kProg, err);
+    auto doc = json::read_json_file(f, kProg, err);
     if (!doc) return 2;
     snapshots.push_back(std::move(*doc));
   }

@@ -26,9 +26,10 @@
 //     unsharded run's.
 //
 // Bit-identity rests on two facts: accumulator serialization round-trips
-// exactly (stats/streaming.hpp state() / restored(), doubles rendered by
-// sim/experiment.cpp's formatter, which widens `%.15g` to 16 and 17 digits
-// until the text parses back to the same double), and partials
+// exactly (stats/streaming.hpp state() / restored(), each State's JSON codec
+// beside it in src/stats, doubles rendered by json/json.cpp's formatter,
+// which widens `%.15g` to 16 and 17 digits until the text parses back to
+// the same double), and partials
 // are always folded in slot order by one fold (fold_slots below), so a
 // resumed or merged fold performs the same merge sequence on bit-identical
 // operands.
@@ -179,11 +180,6 @@ struct SnapshotLayout {
                                                                   std::uint64_t seed_override,
                                                                   unsigned scale, const char* prog,
                                                                   std::ostream& err);
-
-/// Reads and parses one JSON file; nullopt (with a `prog`-prefixed
-/// diagnostic on `err`) on a missing file or malformed document.
-[[nodiscard]] std::optional<Json> read_json_file(const std::string& path, const char* prog,
-                                                 std::ostream& err);
 
 /// Stale-shard advisory for merge flows: snapshots carry an optional
 /// `written_at` wall-clock stamp (unix seconds, recorded on every

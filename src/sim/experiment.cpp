@@ -1,10 +1,8 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -29,331 +27,6 @@
 #include "sim/table.hpp"
 
 namespace rumor::sim {
-
-// --- Json -------------------------------------------------------------------
-
-void Json::push_back(Json v) {
-  assert(type_ == Type::kArray);
-  elements_.push_back(std::move(v));
-}
-
-Json& Json::set(const std::string& key, Json value) {
-  assert(type_ == Type::kObject);
-  for (auto& [k, v] : entries_) {
-    if (k == key) {
-      v = std::move(value);
-      return *this;
-    }
-  }
-  entries_.emplace_back(key, std::move(value));
-  return *this;
-}
-
-const Json* Json::find(std::string_view key) const noexcept {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Numbers print as integers when they are integers below 1e15 (the
-/// common case: node counts, trial counts, rounds), otherwise as `%.15g`,
-/// widened to 16 and then 17 significant digits until the text parses back
-/// to the same double — dump/parse cycles of BENCH_*.json reports and
-/// checkpoints must reproduce values exactly. to_chars/from_chars produce
-/// and parse printf's digits without snprintf's or strtod's locale work.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan
-    out += "null";
-    return;
-  }
-  char buf[40];
-  char* const last = buf + sizeof buf;
-  std::to_chars_result r{};
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    r = std::to_chars(buf, last, v, std::chars_format::fixed, 0);
-  } else {
-    for (int precision : {15, 16, 17}) {
-      r = std::to_chars(buf, last, v, std::chars_format::general, precision);
-      double back = 0.0;
-      if (std::from_chars(buf, r.ptr, back).ec == std::errc() && back == v) break;
-    }
-  }
-  out.append(buf, r.ptr);
-}
-
-}  // namespace
-
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  const bool pretty = indent >= 0;
-  const std::size_t pad = pretty ? static_cast<std::size_t>(indent * (depth + 1)) : 0;
-  const std::size_t close_pad = pretty ? static_cast<std::size_t>(indent * depth) : 0;
-  const char* nl = pretty ? "\n" : "";
-  const char* kv_sep = pretty ? ": " : ":";
-  switch (type_) {
-    case Type::kNull: out += "null"; break;
-    case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: append_number(out, number_); break;
-    case Type::kString: append_escaped(out, string_); break;
-    case Type::kArray: {
-      if (elements_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      out += nl;
-      for (std::size_t i = 0; i < elements_.size(); ++i) {
-        out.append(pad, ' ');
-        elements_[i].dump_to(out, indent, depth + 1);
-        if (i + 1 < elements_.size()) out += ',';
-        out += nl;
-      }
-      out.append(close_pad, ' ');
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      if (entries_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      out += nl;
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        out.append(pad, ' ');
-        append_escaped(out, entries_[i].first);
-        out += kv_sep;
-        entries_[i].second.dump_to(out, indent, depth + 1);
-        if (i + 1 < entries_.size()) out += ',';
-        out += nl;
-      }
-      out.append(close_pad, ' ');
-      out += '}';
-      break;
-    }
-  }
-}
-
-std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
-}
-
-namespace {
-
-/// Recursive-descent JSON parser over a string_view cursor. Nesting depth
-/// is bounded so a truncated or hostile document ("[[[[...") yields the
-/// documented nullopt instead of overflowing the stack.
-class JsonParser {
- public:
-  static constexpr int kMaxDepth = 256;
-
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<Json> parse_document() {
-    auto v = parse_value();
-    if (!v) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<std::string> parse_string_body() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return std::nullopt;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return std::nullopt;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return std::nullopt;
-            }
-            // Reports only use ASCII; encode BMP code points as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: return std::nullopt;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<Json> parse_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    if (pos_ >= text_.size()) return std::nullopt;
-    if (depth_ >= kMaxDepth) return std::nullopt;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      auto s = parse_string_body();
-      if (!s) return std::nullopt;
-      return Json(std::move(*s));
-    }
-    if (consume_literal("true")) return Json(true);
-    if (consume_literal("false")) return Json(false);
-    if (consume_literal("null")) return Json();
-    return parse_number();
-  }
-
-  std::optional<Json> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return std::nullopt;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
-    return Json(v);
-  }
-
-  std::optional<Json> parse_array() {  // NOLINT(misc-no-recursion)
-    if (!consume('[')) return std::nullopt;
-    ++depth_;
-    Json arr = Json::array();
-    skip_ws();
-    if (consume(']')) {
-      --depth_;
-      return arr;
-    }
-    for (;;) {
-      auto v = parse_value();
-      if (!v) return std::nullopt;
-      arr.push_back(std::move(*v));
-      if (consume(',')) continue;
-      if (consume(']')) {
-        --depth_;
-        return arr;
-      }
-      return std::nullopt;
-    }
-  }
-
-  std::optional<Json> parse_object() {  // NOLINT(misc-no-recursion)
-    if (!consume('{')) return std::nullopt;
-    ++depth_;
-    Json obj = Json::object();
-    skip_ws();
-    if (consume('}')) {
-      --depth_;
-      return obj;
-    }
-    for (;;) {
-      skip_ws();
-      auto key = parse_string_body();
-      if (!key) return std::nullopt;
-      if (!consume(':')) return std::nullopt;
-      auto v = parse_value();
-      if (!v) return std::nullopt;
-      obj.set(*key, std::move(*v));
-      if (consume(',')) continue;
-      if (consume('}')) {
-        --depth_;
-        return obj;
-      }
-      return std::nullopt;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-std::optional<Json> Json::parse(std::string_view text) {
-  return JsonParser(text).parse_document();
-}
 
 // --- Registry ---------------------------------------------------------------
 
@@ -434,19 +107,8 @@ Json run_experiment(const ExperimentInfo& info, const ExperimentOptions& opts) {
   params.set("scale", opts.scale);
   report.set("params", params);
   for (auto& [key, value] : body.mutable_entries()) report.set(key, std::move(value));
-  report.set("build_info", build_info_json());
+  report.set("build_info", obs::build_info_json());
   return report;
-}
-
-Json build_info_json() {
-  const obs::BuildInfo& bi = obs::build_info();
-  Json info = Json::object();
-  info.set("git_sha", bi.git_sha);
-  info.set("compiler", bi.compiler);
-  info.set("compiler_version", bi.compiler_version);
-  info.set("build_type", bi.build_type);
-  info.set("flags", bi.flags);
-  return info;
 }
 
 namespace {
@@ -1009,7 +671,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       }
       std::vector<Json> snapshots;
       for (const std::string& f : names) {
-        auto doc = read_json_file(f, "rumor_bench", err);
+        auto doc = json::read_json_file(f, "rumor_bench", err);
         if (!doc) return 2;
         snapshots.push_back(std::move(*doc));
       }
@@ -1057,7 +719,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
 
     std::optional<Json> resume_doc;
     if (!resume_file.empty()) {
-      resume_doc = read_json_file(resume_file, "rumor_bench", err);
+      resume_doc = json::read_json_file(resume_file, "rumor_bench", err);
       if (!resume_doc) return 2;
       // A resume adopts the checkpoint's own block size and shard
       // assignment unless the flags are repeated explicitly (in which case

@@ -18,100 +18,21 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "json/json.hpp"
 #include "sim/harness.hpp"
 
 namespace rumor::sim {
 
-/// Minimal JSON document: ordered objects, arrays, numbers, strings,
-/// booleans, null. Supports both serialization (the bench driver's output)
-/// and parsing (validation and future BENCH_*.json consumers). Not a
-/// general-purpose JSON library — just enough for experiment reports.
-/// Numbers are IEEE doubles: integers above 2^53 lose precision, so the
-/// CLI rejects --seed/--trials values beyond that.
-class Json {
- public:
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Json() noexcept : type_(Type::kNull) {}
-  Json(bool b) noexcept : type_(Type::kBool), bool_(b) {}                    // NOLINT(google-explicit-constructor)
-  Json(double v) noexcept : type_(Type::kNumber), number_(v) {}              // NOLINT(google-explicit-constructor)
-  Json(int v) noexcept : Json(static_cast<double>(v)) {}                     // NOLINT(google-explicit-constructor)
-  Json(unsigned v) noexcept : Json(static_cast<double>(v)) {}                // NOLINT(google-explicit-constructor)
-  Json(std::uint64_t v) noexcept : Json(static_cast<double>(v)) {}           // NOLINT(google-explicit-constructor)
-  Json(std::int64_t v) noexcept : Json(static_cast<double>(v)) {}            // NOLINT(google-explicit-constructor)
-  Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}       // NOLINT(google-explicit-constructor)
-  Json(const char* s) : type_(Type::kString), string_(s) {}                  // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] static Json array() {
-    Json j;
-    j.type_ = Type::kArray;
-    return j;
-  }
-  [[nodiscard]] static Json object() {
-    Json j;
-    j.type_ = Type::kObject;
-    return j;
-  }
-
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_object() const noexcept { return type_ == Type::kObject; }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_number() const noexcept { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const noexcept { return type_ == Type::kString; }
-
-  [[nodiscard]] bool as_bool() const noexcept { return bool_; }
-  [[nodiscard]] double as_number() const noexcept { return number_; }
-  [[nodiscard]] const std::string& as_string() const noexcept { return string_; }
-
-  /// Array append. Precondition: is_array().
-  void push_back(Json v);
-  /// Object insert-or-assign, preserving first-insertion order.
-  /// Precondition: is_object(). Returns *this for chaining.
-  Json& set(const std::string& key, Json value);
-  /// Object lookup; nullptr when absent or not an object.
-  [[nodiscard]] const Json* find(std::string_view key) const noexcept;
-
-  /// Array elements / object entries (empty for scalar types).
-  [[nodiscard]] const std::vector<Json>& elements() const noexcept { return elements_; }
-  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& entries() const noexcept {
-    return entries_;
-  }
-  /// Mutable entries view, so callers can move values out of a document
-  /// they are consuming instead of deep-copying row arrays.
-  [[nodiscard]] std::vector<std::pair<std::string, Json>>& mutable_entries() noexcept {
-    return entries_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return type_ == Type::kObject ? entries_.size() : elements_.size();
-  }
-
-  /// Serializes; indent < 0 renders compact single-line JSON.
-  [[nodiscard]] std::string dump(int indent = -1) const;
-  /// Appends this value rendered as it appears `depth` levels deep inside
-  /// a document dumped with `indent` (no leading pad, no trailing newline),
-  /// so a caller can splice pre-rendered parts into one document's bytes.
-  void dump_to(std::string& out, int indent, int depth) const;
-
-  /// Parses a complete JSON document; nullopt on any syntax error or
-  /// trailing garbage.
-  [[nodiscard]] static std::optional<Json> parse(std::string_view text);
-
- private:
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> elements_;                         // kArray
-  std::vector<std::pair<std::string, Json>> entries_;  // kObject
-};
+/// The JSON layer (json/json.hpp), under the names the registry, the
+/// scheduler and their callers have always used.
+using json::Json;
+using json::kReportSchemaVersion;
 
 /// CLI-level knobs shared by every experiment. Zero means "use the
 /// experiment's registered default".
@@ -193,26 +114,10 @@ struct ExperimentRegistrar {
   }
 };
 
-/// Version of the JSON report layout rumor_bench emits (experiment reports
-/// and campaign reports alike) and of the campaign checkpoint snapshot's
-/// report-facing fields, stamped top-level as "schema_version". Bump it on
-/// renames/removals/semantic changes of existing keys; purely additive keys
-/// keep the number (consumers must ignore keys they do not know). The
-/// Python tools under tools/ warn on versions newer than they understand;
-/// documents without the key predate versioning and are read as version 1.
-/// Compatibility policy: bench/README.md, "Report schema versioning".
-inline constexpr std::uint64_t kReportSchemaVersion = 1;
-
 /// Runs one experiment end-to-end and returns the full report object:
 /// { "experiment": name, "schema_version": ..., "params": {...},
 ///   "rows": [...], ... }.
 [[nodiscard]] Json run_experiment(const ExperimentInfo& info, const ExperimentOptions& opts);
-
-/// The binary's build provenance (obs/build_info.hpp) as the JSON object
-/// every report embeds under "build_info": git sha, compiler + version,
-/// build type, flags. Constant for a given binary, so same-binary report
-/// comparisons (the CI byte-diff contracts) are unaffected.
-[[nodiscard]] Json build_info_json();
 
 /// Durably writes `contents` to `path`: a sibling temp file in the
 /// destination's directory is written, flushed, fsync'd, atomically renamed

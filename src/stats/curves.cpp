@@ -1,6 +1,7 @@
 #include "stats/curves.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace rumor::stats {
 
@@ -62,6 +63,63 @@ CurveAccumulator CurveAccumulator::restored(const Options& options, const State&
     acc.sketches_[k].restore(s.sketches[k]);
   }
   return acc;
+}
+
+// --- Checkpoint codecs ----------------------------------------------------------
+
+namespace {
+
+/// ContactTotals' fields in their JSON order: one table for both directions.
+constexpr std::pair<const char*, std::uint64_t ContactTotals::*> kTotalsFields[] = {
+    {"contacts", &ContactTotals::contacts},
+    {"useful_push", &ContactTotals::useful_push},
+    {"useful_pull", &ContactTotals::useful_pull},
+    {"wasted_push", &ContactTotals::wasted_push},
+    {"wasted_pull", &ContactTotals::wasted_pull},
+    {"empty_contacts", &ContactTotals::empty_contacts},
+    {"ticks", &ContactTotals::ticks},
+    {"informed_total", &ContactTotals::informed_total},
+};
+
+}  // namespace
+
+json::Json ContactTotals::to_json() const {
+  json::Json o = json::Json::object();
+  for (const auto& [key, field] : kTotalsFields) o.set(key, this->*field);
+  return o;
+}
+
+ContactTotals ContactTotals::from_json(const json::Json& o, const std::string& ctx) {
+  ContactTotals t;
+  for (const auto& [key, field] : kTotalsFields) t.*field = json::get<std::uint64_t>(o, key, ctx);
+  return t;
+}
+
+json::Json CurveAccumulator::State::to_json() const {
+  json::Json m = json::Json::array();
+  for (const RunningMoments::State& s : moments) m.push_back(s.to_json());
+  json::Json q = json::Json::array();
+  for (const QuantileSketch::State& s : sketches) q.push_back(s.to_json());
+  json::Json o = json::Json::object();
+  o.set("trials", trials);
+  o.set("max_len", max_len);
+  o.set("moments", std::move(m));
+  o.set("sketches", std::move(q));
+  return o;
+}
+
+CurveAccumulator::State CurveAccumulator::State::from_json(const json::Json& o,
+                                                           const std::string& ctx) {
+  State s;
+  s.trials = json::get<std::uint64_t>(o, "trials", ctx);
+  s.max_len = json::get<std::uint64_t>(o, "max_len", ctx);
+  for (const json::Json& m : json::array_member(o, "moments", ctx)) {
+    s.moments.push_back(RunningMoments::State::from_json(m, ctx));
+  }
+  for (const json::Json& q : json::array_member(o, "sketches", ctx)) {
+    s.sketches.push_back(QuantileSketch::State::from_json(q, ctx));
+  }
+  return s;
 }
 
 }  // namespace rumor::stats

@@ -21,8 +21,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "stats/streaming.hpp"
 #include "stats/summary.hpp"
 
@@ -55,6 +57,12 @@ struct ContactTotals {
     ticks += other.ticks;
     informed_total += other.informed_total;
   }
+
+  /// The one JSON rendering of the totals: the checkpoint's curve partials
+  /// and the report's stats.curves.contacts block. from_json() reads it back
+  /// and throws std::runtime_error("<ctx>: ...") naming the first bad key.
+  [[nodiscard]] json::Json to_json() const;
+  [[nodiscard]] static ContactTotals from_json(const json::Json& o, const std::string& ctx);
 };
 
 /// Streaming reduction of informed-count curves at a fixed grid: per grid
@@ -92,6 +100,12 @@ class CurveAccumulator {
     std::uint64_t max_len = 0;
     std::vector<RunningMoments::State> moments;
     std::vector<QuantileSketch::State> sketches;
+
+    /// The checkpoint codec: to_json() renders the state, from_json()
+    /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
+    /// naming the first key that is missing or out of range.
+    [[nodiscard]] json::Json to_json() const;
+    [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const;

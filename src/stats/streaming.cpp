@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "rng/rng.hpp"
 
@@ -263,6 +264,89 @@ BootstrapInterval StreamingSummary::mean_ci(double confidence, std::size_t resam
   std::vector<double> values = reservoir_.values();
   std::sort(values.begin(), values.end());
   return bootstrap_mean_ci(values, confidence, resamples, seed);
+}
+
+// --- Checkpoint codecs ----------------------------------------------------------
+
+json::Json QuantileSketch::State::to_json() const {
+  json::Json levels_json = json::Json::array();
+  for (const LevelState& lvl : levels) {
+    json::Json items = json::Json::array();
+    for (const double x : lvl.items) items.push_back(x);
+    json::Json level = json::Json::object();
+    level.set("items", std::move(items));
+    level.set("keep_odd", lvl.keep_odd);
+    levels_json.push_back(std::move(level));
+  }
+  json::Json o = json::Json::object();
+  o.set("count", count);
+  o.set("levels", std::move(levels_json));
+  return o;
+}
+
+QuantileSketch::State QuantileSketch::State::from_json(const json::Json& o,
+                                                       const std::string& ctx) {
+  State s;
+  s.count = json::get<std::uint64_t>(o, "count", ctx);
+  for (const json::Json& level : json::array_member(o, "levels", ctx)) {
+    LevelState lvl;
+    for (const json::Json& item : json::array_member(level, "items", ctx)) {
+      if (!item.is_number()) throw std::runtime_error(ctx + ": sketch items must be numbers");
+      lvl.items.push_back(item.as_number());
+    }
+    lvl.keep_odd = json::get<bool>(level, "keep_odd", ctx);
+    s.levels.push_back(std::move(lvl));
+  }
+  return s;
+}
+
+json::Json ReservoirSample::State::to_json() const {
+  json::Json pairs = json::Json::array();
+  for (const auto& [tag, value] : entries) {
+    json::Json pair = json::Json::array();
+    pair.push_back(tag);
+    pair.push_back(value);
+    pairs.push_back(std::move(pair));
+  }
+  json::Json o = json::Json::object();
+  o.set("count", count);
+  o.set("entries", std::move(pairs));
+  return o;
+}
+
+ReservoirSample::State ReservoirSample::State::from_json(const json::Json& o,
+                                                         const std::string& ctx) {
+  State s;
+  s.count = json::get<std::uint64_t>(o, "count", ctx);
+  for (const json::Json& pair : json::array_member(o, "entries", ctx)) {
+    const std::vector<json::Json>& tv = pair.elements();
+    if (!pair.is_array() || tv.size() != 2 || !tv[0].is_number() || !tv[1].is_number()) {
+      throw std::runtime_error(ctx + ": reservoir entries must be [tag, value] number pairs");
+    }
+    std::uint64_t tag = 0;
+    if (!json::read_uint("tag", tv[0], tag, std::numeric_limits<std::uint64_t>::max()).empty()) {
+      throw std::runtime_error(ctx + ": reservoir tags must be non-negative integers");
+    }
+    s.entries.emplace_back(tag, tv[1].as_number());
+  }
+  return s;
+}
+
+json::Json StreamingSummary::State::to_json() const {
+  json::Json o = json::Json::object();
+  o.set("moments", moments.to_json());
+  o.set("sketch", sketch.to_json());
+  o.set("reservoir", reservoir.to_json());
+  return o;
+}
+
+StreamingSummary::State StreamingSummary::State::from_json(const json::Json& o,
+                                                           const std::string& ctx) {
+  State s;
+  s.moments = RunningMoments::State::from_json(json::member(o, "moments", ctx), ctx);
+  s.sketch = QuantileSketch::State::from_json(json::member(o, "sketch", ctx), ctx);
+  s.reservoir = ReservoirSample::State::from_json(json::member(o, "reservoir", ctx), ctx);
+  return s;
 }
 
 }  // namespace rumor::stats

@@ -23,8 +23,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "json/json.hpp"
 #include "stats/summary.hpp"
 
 namespace rumor::stats {
@@ -82,6 +85,12 @@ class QuantileSketch {
   struct State {
     std::uint64_t count = 0;
     std::vector<LevelState> levels;
+
+    /// The checkpoint codec: to_json() renders the state, from_json()
+    /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
+    /// naming the first key that is missing or out of range.
+    [[nodiscard]] json::Json to_json() const;
+    [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const;
@@ -131,6 +140,12 @@ class ReservoirSample {
   struct State {
     std::uint64_t count = 0;
     std::vector<std::pair<std::uint64_t, double>> entries;
+
+    /// The checkpoint codec: to_json() renders the state, from_json()
+    /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
+    /// naming the first key that is missing or out of range.
+    [[nodiscard]] json::Json to_json() const;
+    [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const;
@@ -195,6 +210,12 @@ class StreamingSummary {
     RunningMoments::State moments;
     QuantileSketch::State sketch;
     ReservoirSample::State reservoir;
+
+    /// The checkpoint codec: to_json() renders the state, from_json()
+    /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
+    /// naming the first key that is missing or out of range.
+    [[nodiscard]] json::Json to_json() const;
+    [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const {

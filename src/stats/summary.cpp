@@ -12,6 +12,27 @@
 
 namespace rumor::stats {
 
+json::Json RunningMoments::State::to_json() const {
+  json::Json o = json::Json::object();
+  o.set("count", count);
+  o.set("mean", mean);
+  o.set("m2", m2);
+  o.set("min", min);
+  o.set("max", max);
+  return o;
+}
+
+RunningMoments::State RunningMoments::State::from_json(const json::Json& o,
+                                                       const std::string& ctx) {
+  State s;
+  s.count = json::get<std::uint64_t>(o, "count", ctx);
+  s.mean = json::get<double>(o, "mean", ctx);
+  s.m2 = json::get<double>(o, "m2", ctx);
+  s.min = json::get<double>(o, "min", ctx);
+  s.max = json::get<double>(o, "max", ctx);
+  return s;
+}
+
 double RunningMoments::stddev() const noexcept { return std::sqrt(variance()); }
 
 double RunningMoments::stderr_mean() const noexcept {

@@ -9,7 +9,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
+
+#include "json/json.hpp"
 
 namespace rumor::stats {
 
@@ -30,6 +33,12 @@ class RunningMoments {
     double m2 = 0.0;
     double min = 0.0;
     double max = 0.0;
+
+    /// The checkpoint codec: to_json() renders the state, from_json()
+    /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
+    /// naming the first key that is missing or out of range.
+    [[nodiscard]] json::Json to_json() const;
+    [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const noexcept { return {count_, mean_, m2_, min_, max_}; }

@@ -3,21 +3,15 @@
 // the e16/e17 dynamics and e18 empirical-graph extensions), run one by
 // name with CLI overrides,
 // and emit JSON that parses and carries the documented keys.
-// Also unit-tests the sim::Json document type the reports are built from.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
-#include <bit>
-#include <cfloat>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -61,150 +55,7 @@ std::string run_bench(const std::string& args, int* exit_code = nullptr) {
   return run_tool(RUMOR_BENCH_BINARY, args, exit_code);
 }
 
-/// The number formatter as it was written with snprintf and strtod, kept as
-/// the oracle that Json's to_chars/from_chars formatter must match byte for
-/// byte: integers below 1e15 as "%.0f", everything else as "%.15g" widened
-/// to 16 and then 17 digits until it parses back to the same double.
-std::string snprintf_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-/// Expects Json to render `v` exactly as the oracle does, and the text to
-/// parse back to the same bits.
-void expect_number_matches_oracle(double v) {
-  const std::string got = sim::Json(v).dump();
-  ASSERT_EQ(got, snprintf_number(v)) << std::hexfloat << v;
-  if (!std::isfinite(v)) return;
-  const auto back = sim::Json::parse(got);
-  ASSERT_TRUE(back.has_value()) << got;
-  ASSERT_EQ(std::bit_cast<std::uint64_t>(back->as_number()), std::bit_cast<std::uint64_t>(v))
-      << got;
-}
-
 }  // namespace
-
-// --- Json unit tests ---------------------------------------------------------
-
-TEST(Json, DumpParseRoundTrip) {
-  sim::Json obj = sim::Json::object();
-  obj.set("name", "e3_star");
-  obj.set("count", 42);
-  obj.set("ratio", 1.5);
-  obj.set("ok", true);
-  sim::Json arr = sim::Json::array();
-  arr.push_back(1);
-  arr.push_back("two");
-  arr.push_back(sim::Json());
-  obj.set("items", std::move(arr));
-
-  for (int indent : {-1, 2}) {
-    const auto parsed = sim::Json::parse(obj.dump(indent));
-    ASSERT_TRUE(parsed.has_value()) << "indent=" << indent;
-    EXPECT_EQ(parsed->find("name")->as_string(), "e3_star");
-    EXPECT_EQ(parsed->find("count")->as_number(), 42.0);
-    EXPECT_EQ(parsed->find("ratio")->as_number(), 1.5);
-    EXPECT_TRUE(parsed->find("ok")->as_bool());
-    ASSERT_EQ(parsed->find("items")->size(), 3u);
-    EXPECT_TRUE(parsed->find("items")->elements()[2].is_null());
-  }
-}
-
-TEST(Json, NumberFormatterGoldenStrings) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::pair<double, const char*> cases[] = {
-      {0.0, "0"},
-      {-0.0, "-0"},
-      {42.0, "42"},
-      {-7.0, "-7"},
-      {0.1, "0.1"},
-      {1.0 / 3.0, "0.3333333333333333"},   // 16 digits
-      {0.1 + 0.2, "0.30000000000000004"},  // 17 digits
-      {1e-05, "1e-05"},
-      {0.0001234, "0.0001234"},
-      {9007199254740992.0, "9007199254740992"},  // 2^53
-      {1e15 - 0.5, "999999999999999.5"},
-      {999999999999999.0, "999999999999999"},
-      {1e15, "1e+15"},
-      {1e15 + 2, "1000000000000002"},
-      {5e-324, "4.94065645841247e-324"},
-      {DBL_MAX, "1.7976931348623157e+308"},  // 15 and 16 digits overflow
-      {std::numeric_limits<double>::quiet_NaN(), "null"},
-      {inf, "null"},
-      {-inf, "null"},
-  };
-  for (const auto& [v, want] : cases) {
-    EXPECT_EQ(sim::Json(v).dump(), want);
-    expect_number_matches_oracle(v);
-  }
-}
-
-TEST(Json, NumberFormatterMatchesSnprintfOracle) {
-  std::mt19937_64 gen(20160725);
-  // Random bit patterns cover every exponent, subnormals, NaNs and infinities.
-  for (int i = 0; i < (1 << 20); ++i) {
-    expect_number_matches_oracle(std::bit_cast<double>(gen()));
-    if (testing::Test::HasFatalFailure()) return;
-  }
-  // Integers and short decimals, which random bits almost never produce:
-  // the "%.0f" branch, its 1e15 edge, and values that stop at 15 digits.
-  std::uniform_int_distribution<std::int64_t> mantissa(-(std::int64_t{1} << 53),
-                                                       std::int64_t{1} << 53);
-  std::uniform_int_distribution<int> scale(0, 20);
-  for (int i = 0; i < (1 << 17); ++i) {
-    const auto m = static_cast<double>(mantissa(gen));
-    expect_number_matches_oracle(m);
-    expect_number_matches_oracle(m / std::pow(10.0, scale(gen)));
-    if (testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(Json, ObjectPreservesInsertionOrder) {
-  sim::Json obj = sim::Json::object();
-  obj.set("zebra", 1);
-  obj.set("alpha", 2);
-  obj.set("zebra", 3);  // overwrite keeps the original slot
-  ASSERT_EQ(obj.entries().size(), 2u);
-  EXPECT_EQ(obj.entries()[0].first, "zebra");
-  EXPECT_EQ(obj.entries()[0].second.as_number(), 3.0);
-  EXPECT_EQ(obj.entries()[1].first, "alpha");
-}
-
-TEST(Json, EscapesStrings) {
-  sim::Json s = std::string("a\"b\\c\nd");
-  const auto parsed = sim::Json::parse(s.dump());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->as_string(), "a\"b\\c\nd");
-}
-
-TEST(Json, RejectsMalformedDocuments) {
-  EXPECT_FALSE(sim::Json::parse("{").has_value());
-  EXPECT_FALSE(sim::Json::parse("[1,]").has_value());
-  EXPECT_FALSE(sim::Json::parse("{\"a\" 1}").has_value());
-  EXPECT_FALSE(sim::Json::parse("42 garbage").has_value());
-  EXPECT_FALSE(sim::Json::parse("").has_value());
-}
-
-TEST(Json, RejectsPathologicallyDeepNesting) {
-  // A truncated/hostile "[[[[..." must return nullopt, not blow the stack.
-  const std::string deep(100000, '[');
-  EXPECT_FALSE(sim::Json::parse(deep).has_value());
-  // Reasonable nesting still parses.
-  std::string ok;
-  for (int i = 0; i < 50; ++i) ok += '[';
-  ok += '1';
-  for (int i = 0; i < 50; ++i) ok += ']';
-  EXPECT_TRUE(sim::Json::parse(ok).has_value());
-}
 
 // --- Registry smoke tests via the real binary --------------------------------
 
@@ -910,4 +761,101 @@ TEST(ResumeHeader, RejectsNumbersOutsideTheirFieldNamingKeyAndValue) {
   ASSERT_EQ(status, 0);
   EXPECT_EQ(read_file(resumed), read_file(plain));
   for (const auto& p : {spec, ck, edited, plain, resumed}) std::remove(p.c_str());
+}
+
+// --- --resume: entry ids are 32-bit, numbers finite --------------------------
+
+namespace {
+
+/// `text` with the first `"key": <integer>` raised by 2^32, and the raised
+/// value's text ("" when the key does not occur).
+std::pair<std::string, std::string> raise_by_2_32(const std::string& text, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return {text, ""};
+  const std::size_t begin = at + needle.size();
+  const std::size_t end = text.find_first_not_of("0123456789", begin);
+  const std::string raised =
+      std::to_string((std::uint64_t{1} << 32) + std::stoull(text.substr(begin, end - begin)));
+  return {text.substr(0, begin) + raised + text.substr(end), raised};
+}
+
+}  // namespace
+
+TEST(ResumeHeader, RejectsEntryIdsBeyond32BitsNamingKeyAndValue) {
+  // `source` and `best_source` are node ids and `entrant` a candidate index:
+  // all 32-bit. A 64-bit read cast down used to wrap 2^32 + 39 to 39 and
+  // resume as if nothing were wrong.
+  const std::string spec = write_checkpoint_spec("resume_ids_spec.json");
+  const std::string done = testing::TempDir() + "resume_ids_done.json";
+  const std::string mid = testing::TempDir() + "resume_ids_mid.json";
+  const std::string edited = testing::TempDir() + "resume_ids_edited.json";
+  for (const auto& p : {done, mid}) std::remove(p.c_str());
+  int status = 0;
+  run_bench("--campaign " + spec + " --json --batch 4 --threads 1 --checkpoint " + done +
+                " > /dev/null",
+            &status);
+  ASSERT_EQ(status, 0);
+  // The race config has recorded screen or refine blocks a few blocks in.
+  std::string race_text;
+  for (int blocks = 1; blocks <= 64 && race_text.empty(); ++blocks) {
+    std::remove(mid.c_str());
+    run_bench("--campaign " + spec + " --json --batch 4 --threads 1 --checkpoint " + mid +
+                  " --stop-after-blocks " + std::to_string(blocks) + " 2>/dev/null",
+              &status);
+    if (status != 3) break;
+    if (read_file(mid).find("\"entrant\": ") != std::string::npos) race_text = read_file(mid);
+  }
+  ASSERT_FALSE(race_text.empty()) << "no checkpoint with race blocks";
+
+  for (const auto& [key, text] : {std::pair{std::string("source"), read_file(done)},
+                                  std::pair{std::string("best_source"), read_file(done)},
+                                  std::pair{std::string("entrant"), race_text}}) {
+    const auto [bad, value] = raise_by_2_32(text, key);
+    ASSERT_FALSE(value.empty()) << key;
+    std::ofstream(edited, std::ios::trunc) << bad;
+    const std::string err =
+        run_bench("--campaign " + spec + " --json --resume " + edited + " 2>&1 >/dev/null",
+                  &status);
+    EXPECT_EQ(status, 1) << key << " = " << value << ": " << err;
+    EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << key << ": " << err;
+    EXPECT_NE(err.find("got " + value), std::string::npos) << key << ": " << err;
+  }
+  for (const auto& p : {spec, done, mid, edited}) std::remove(p.c_str());
+}
+
+TEST(ResumeHeader, RejectsNumbersThatAreNotFiniteDoubles) {
+  // 1e999 used to parse as inf and come back out as null: a spec ran with
+  // "time_bucket": null in its report, a checkpoint resumed into "mean": null.
+  const std::string spec = write_spec("nonfinite_spec.json", R"({
+    "name": "nonfinite",
+    "configs": [{"graph": "star", "n": 16, "trials": 4, "engine": "async",
+                 "curves": {"points": 4, "time_bucket": 1e999}}]})");
+  int status = 0;
+  std::string err = run_bench("--campaign " + spec + " --json 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 2) << err;
+  EXPECT_NE(err.find(spec + ": invalid JSON at byte "), std::string::npos) << err;
+  EXPECT_NE(err.find(": expected a finite double"), std::string::npos) << err;
+
+  const std::string ck_spec = write_checkpoint_spec("nonfinite_ck_spec.json");
+  const std::string ck = testing::TempDir() + "nonfinite_ck.json";
+  std::remove(ck.c_str());
+  run_bench("--campaign " + ck_spec + " --json --batch 4 --checkpoint " + ck +
+                " --stop-after-blocks 3 2>/dev/null",
+            &status);
+  ASSERT_EQ(status, 3);
+  std::string text = read_file(ck);
+  const std::size_t at = text.find("\"mean\": ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = at + 8;
+  text.replace(begin, text.find(',', begin) - begin, "1e999");
+  std::ofstream(ck, std::ios::trunc) << text;
+  err = run_bench("--campaign " + ck_spec + " --json --resume " + ck + " 2>&1 >/dev/null",
+                  &status);
+  EXPECT_EQ(status, 2) << err;
+  EXPECT_NE(err.find(ck + ": invalid JSON at byte " + std::to_string(begin) +
+                     ": expected a finite double"),
+            std::string::npos)
+      << err;
+  for (const auto& p : {spec, ck_spec, ck}) std::remove(p.c_str());
 }

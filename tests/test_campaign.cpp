@@ -334,6 +334,25 @@ TEST(CampaignCurves, ConservationHoldsExactlyAndReportCarriesCurves) {
   EXPECT_EQ(sim::campaign_report(off[0], "curves_unit").find("stats")->find("curves"), nullptr);
 }
 
+TEST(CampaignCurves, ReportContactsBlockBytesArePinned) {
+  // stats.curves.contacts as the report has always rendered it: the eight
+  // totals in one key order, compact here, for a sync and an async cell.
+  const std::string want[] = {
+      "{\"contacts\":11968,\"useful_push\":844,\"useful_pull\":668,\"wasted_push\":3934,"
+      "\"wasted_pull\":4084,\"empty_contacts\":6181,\"ticks\":187,\"informed_total\":1536}",
+      "{\"contacts\":8863,\"useful_push\":719,\"useful_pull\":793,\"wasted_push\":3262,"
+      "\"wasted_pull\":3262,\"empty_contacts\":4089,\"ticks\":8863,\"informed_total\":1536}",
+  };
+  auto configs = curve_configs(24);
+  configs.resize(2);
+  const auto results = sim::run_campaign(configs, {});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const sim::Json report = sim::campaign_report(results[i], "curves_unit");
+    EXPECT_EQ(report.find("stats")->find("curves")->find("contacts")->dump(), want[i])
+        << results[i].id;
+  }
+}
+
 TEST(CampaignCurves, RejectsAuxEnginesAndRacedSources) {
   sim::CampaignConfig aux;
   aux.id = "aux_curves";

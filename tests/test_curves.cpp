@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "stats/curves.hpp"
 
 using namespace rumor;
@@ -214,4 +216,60 @@ TEST(ContactTotalsTest, MergeIsExactFieldWiseAddition) {
   EXPECT_EQ(a.empty_contacts, 17u);
   EXPECT_EQ(a.ticks, 43u);
   EXPECT_EQ(a.informed_total, 35u);
+}
+
+// --- Checkpoint codecs -------------------------------------------------------
+
+namespace {
+
+/// Encode, render, parse, decode and encode again: both renderings must be
+/// the same text. Returns the decoded value for field-wise checks.
+template <class T>
+T through_json(const T& value) {
+  const std::string text = value.to_json().dump(2);
+  const auto doc = json::Json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  T back = T::from_json(doc.value_or(json::Json()), "codec");
+  EXPECT_EQ(back.to_json().dump(2), text);
+  return back;
+}
+
+}  // namespace
+
+TEST(ContactTotalsTest, CodecRoundTripsCountsUpTo2To53InOneKeyOrder) {
+  constexpr std::uint64_t kTwoTo53 = std::uint64_t{1} << 53;
+  const ContactTotals t{.contacts = kTwoTo53, .useful_push = 0, .useful_pull = 1,
+                        .wasted_push = kTwoTo53 - 1, .wasted_pull = 25, .empty_contacts = 15,
+                        .ticks = 40, .informed_total = 31};
+  EXPECT_EQ(t.to_json().dump(),
+            "{\"contacts\":9007199254740992,\"useful_push\":0,\"useful_pull\":1,"
+            "\"wasted_push\":9007199254740991,\"wasted_pull\":25,\"empty_contacts\":15,"
+            "\"ticks\":40,\"informed_total\":31}");
+  const ContactTotals back = through_json(t);
+  EXPECT_EQ(back.contacts, t.contacts);
+  EXPECT_EQ(back.useful_push, t.useful_push);
+  EXPECT_EQ(back.useful_pull, t.useful_pull);
+  EXPECT_EQ(back.wasted_push, t.wasted_push);
+  EXPECT_EQ(back.wasted_pull, t.wasted_pull);
+  EXPECT_EQ(back.empty_contacts, t.empty_contacts);
+  EXPECT_EQ(back.ticks, t.ticks);
+  EXPECT_EQ(back.informed_total, t.informed_total);
+  try {
+    (void)ContactTotals::from_json(*json::Json::parse(R"({"contacts": 1})"), "ctx");
+    FAIL() << "a partial object decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "ctx: missing key 'useful_push'");
+  }
+}
+
+TEST(CurveCodec, CurveStateRoundTripsBitExactly) {
+  const CurveAccumulator::Options options{.points = 6, .sketch_capacity = 8};
+  CurveAccumulator acc(options);
+  for (std::size_t i = 0; i < 40; ++i) acc.add(synthetic_curve(i, 24.0));
+  CurveAccumulator::State s = acc.state();
+  s.trials = std::uint64_t{1} << 53;
+  s.moments.push_back({std::uint64_t{1} << 53, -0.0, 4.9406564584124654e-324, -1.0, 1.0});
+  s.sketches.push_back({7, {{{-0.0, 1.7976931348623157e308}, true}}});
+  expect_same_state(through_json(s), s);
+  expect_same_state(through_json(CurveAccumulator::State{}), CurveAccumulator::State{});
 }

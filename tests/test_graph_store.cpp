@@ -5,12 +5,14 @@
 // byte/line, compact-id relabelling, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -19,6 +21,7 @@
 #include "graph/graph.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/io.hpp"
+#include "obs/build_info.hpp"
 #include "rng/rng.hpp"
 
 namespace graph = rumor::graph;
@@ -176,6 +179,34 @@ TEST(GraphStore, HeaderInfoMatchesPackedGraph) {
   EXPECT_NE(dump.find("RUMORCSR v1"), std::string::npos);
   EXPECT_NE(dump.find(g.name()), std::string::npos);
   EXPECT_NE(dump.find("32-bit"), std::string::npos);
+}
+
+TEST(GraphStore, ProvenanceBytesArePinned) {
+  // The provenance string as the packer has always written it: compact
+  // JSON, the writer, build_info's fields but its flags, then the note,
+  // escaped.
+  const rumor::obs::BuildInfo& bi = rumor::obs::build_info();
+  for (const char* field : {bi.git_sha, bi.compiler, bi.compiler_version, bi.build_type}) {
+    ASSERT_TRUE(std::all_of(field, field + std::char_traits<char>::length(field),
+                            [](char c) { return c >= 0x20 && c != '"' && c != '\\'; }))
+        << "the expected text below splices " << field << " verbatim";
+  }
+  const std::string head = std::string("{\"writer\":\"rumor graph_store v1\",\"git_sha\":\"") +
+                           bi.git_sha + "\",\"compiler\":\"" + bi.compiler +
+                           "\",\"compiler_version\":\"" + bi.compiler_version +
+                           "\",\"build_type\":\"" + bi.build_type + "\"";
+  const std::pair<std::string, std::string> cases[] = {
+      {"", head + "}"},
+      {"edges/web.txt", head + ",\"source\":\"edges/web.txt\"}"},
+      {"say \"hi\" \\ \n\t\r\x01\x1f\x7f\xc3\xa9",
+       head + ",\"source\":\"say \\\"hi\\\" \\\\ \\n\\t\\r\\u0001\\u001f\x7f\xc3\xa9\"}"},
+  };
+  const Graph g = graph::cycle(5);
+  for (const auto& [note, want] : cases) {
+    TempStore store("provenance");
+    graph::write_graph_store(g, store.path, note);
+    EXPECT_EQ(graph::read_graph_store_info(store.path).provenance, want) << note;
+  }
 }
 
 TEST(GraphStore, ChecksumStableAcrossRepacksAndDistinctAcrossGraphs) {

@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 
@@ -166,7 +167,7 @@ TEST(ObsBuildInfo, StampedIntoEveryReport) {
     EXPECT_FALSE(v->as_string().empty()) << key;
   }
   // build_info_json() (what rumor_bench stamps) matches the report's block.
-  EXPECT_EQ(build->dump(), sim::build_info_json().dump());
+  EXPECT_EQ(build->dump(), obs::build_info_json().dump());
 }
 
 // --- Progress meter ----------------------------------------------------------
@@ -377,6 +378,27 @@ TEST(ObsTrace, ValidJsonWithNestedMonotoneSpansCoveringEveryBlock) {
   const sim::Json* per_config = metrics->find("per_config");
   ASSERT_NE(per_config, nullptr);
   ASSERT_EQ(per_config->size(), configs.size());
+}
+
+TEST(ObsTrace, OtherDataBlockBytesArePinned) {
+  // A trace with no spans is the frame and the otherData block, as the
+  // renderer has always written them: schema_version, the campaign name
+  // escaped, and build_info's five fields in order.
+  const obs::BuildInfo& bi = obs::build_info();
+  for (const char* field : {bi.git_sha, bi.compiler, bi.compiler_version, bi.build_type, bi.flags}) {
+    ASSERT_TRUE(std::all_of(field, field + std::char_traits<char>::length(field),
+                            [](char c) { return c >= 0x20 && c != '"' && c != '\\'; }))
+        << "the expected text below splices " << field << " verbatim";
+  }
+  obs::TraceRenderInput input;
+  input.campaign = "grid \"q\"\t";
+  EXPECT_EQ(obs::render_chrome_trace(input),
+            std::string("{\"traceEvents\":[\n\n],\n\"displayTimeUnit\":\"ms\",\n") +
+                "\"otherData\":{\"schema_version\":1,\"campaign\":\"grid \\\"q\\\"\\t\"," +
+                "\"build_info\":{\"git_sha\":\"" + bi.git_sha + "\",\"compiler\":\"" +
+                bi.compiler + "\",\"compiler_version\":\"" + bi.compiler_version +
+                "\",\"build_type\":\"" + bi.build_type + "\",\"flags\":\"" + bi.flags +
+                "\"}}\n}\n");
 }
 
 TEST(ObsTrace, WriteTraceReportsIoFailure) {

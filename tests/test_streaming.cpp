@@ -15,15 +15,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/distributions.hpp"
+#include "json/json.hpp"
 #include "rng/rng.hpp"
 #include "stats/streaming.hpp"
 #include "stats/summary.hpp"
@@ -487,4 +490,93 @@ TEST(BootstrapTable, FourThreadsAtOnceSeeTheDirectDrawLoop) {
       EXPECT_NE(ok[t][i], 0) << "thread " << t << ": " << label(cases[i]);
     }
   }
+}
+
+// --- Checkpoint codecs -------------------------------------------------------
+
+namespace {
+
+/// Encode, render, parse, decode and encode again: both renderings must be
+/// the same text. Returns the decoded state for bitwise checks.
+template <class State>
+State through_json(const State& s) {
+  const std::string text = s.to_json().dump(2);
+  const auto doc = json::Json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  State back = State::from_json(doc.value_or(json::Json()), "codec");
+  EXPECT_EQ(back.to_json().dump(2), text);
+  return back;
+}
+
+constexpr std::uint64_t kTwoTo53 = std::uint64_t{1} << 53;
+constexpr double kSubnormal = 4.9406564584124654e-324;
+
+}  // namespace
+
+TEST(StreamingCodec, MomentsRoundTripTheExtremesBitExactly) {
+  const RunningMoments::State cases[] = {
+      {},
+      {kTwoTo53, -0.0, kSubnormal, -DBL_MAX, DBL_MAX},
+      {1, 0.0, 1.0 / 3.0, -kSubnormal, 0.1 + 0.2},
+  };
+  for (const RunningMoments::State& s : cases) {
+    const RunningMoments::State back = through_json(s);
+    EXPECT_EQ(back.count, s.count);
+    EXPECT_EQ(bits(back.mean), bits(s.mean));
+    EXPECT_EQ(bits(back.m2), bits(s.m2));
+    EXPECT_EQ(bits(back.min), bits(s.min));
+    EXPECT_EQ(bits(back.max), bits(s.max));
+  }
+}
+
+TEST(StreamingCodec, SketchReservoirAndSummaryRoundTripBitExactly) {
+  StreamingSummary::Options options;
+  options.sketch_capacity = 16;
+  options.reservoir_capacity = 8;
+  StreamingSummary summary(options);
+  const auto samples = exponential_samples(300, 5);
+  for (std::size_t i = 0; i < samples.size(); ++i) summary.add(samples[i], i);
+  StreamingSummary::State s = summary.state();
+  // The extremes a double and a count hold, beside the real state.
+  s.moments.count = kTwoTo53;
+  s.sketch.count = kTwoTo53;
+  s.sketch.levels.push_back({{-0.0, 0.0, kSubnormal, -DBL_MAX, DBL_MAX}, true});
+  s.reservoir.count = kTwoTo53;
+  s.reservoir.entries.emplace_back(kTwoTo53, -0.0);
+  s.reservoir.entries.emplace_back(kTwoTo53 - 1, kSubnormal);
+
+  expect_same_state(through_json(s), s);
+  const QuantileSketch::State sketch = through_json(s.sketch);
+  expect_same_state({s.moments, sketch, s.reservoir}, s);
+  const ReservoirSample::State reservoir = through_json(s.reservoir);
+  expect_same_state({s.moments, s.sketch, reservoir}, s);
+  expect_same_state(through_json(StreamingSummary::State{}), StreamingSummary::State{});
+}
+
+TEST(StreamingCodec, DecodersNameWhatIsWrong) {
+  auto what = [](const char* text) {
+    try {
+      (void)StreamingSummary::State::from_json(*json::Json::parse(text), "ctx");
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string ok_moments = R"("moments": {"count": 1, "mean": 1, "m2": 0, "min": 1, "max": 1})";
+  const std::string ok_sketch = R"("sketch": {"count": 1, "levels": [{"items": [1], "keep_odd": false}]})";
+  EXPECT_EQ(what(R"({"moments": {"count": 9007199254740994}})"),
+            "ctx: key 'count' must be a non-negative integer at most 9007199254740992, got "
+            "9007199254740994");
+  EXPECT_EQ(what(("{" + ok_moments + "}").c_str()), "ctx: missing key 'sketch'");
+  EXPECT_EQ(what(("{" + ok_moments + R"(, "sketch": {"count": 1, "levels": [{"items": ["x"]}]}})")
+                     .c_str()),
+            "ctx: sketch items must be numbers");
+  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_sketch +
+                  R"(, "reservoir": {"count": 1, "entries": [[1.5, 2]]}})")
+                     .c_str()),
+            "ctx: reservoir tags must be non-negative integers");
+  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_sketch +
+                  R"(, "reservoir": {"count": 1, "entries": [[1]]}})")
+                     .c_str()),
+            "ctx: reservoir entries must be [tag, value] number pairs");
 }
