@@ -1,9 +1,10 @@
 // Umbrella header for the rumor-spreading library.
 //
 // Pulls in the full public API: graphs and generators, the synchronous and
-// asynchronous protocol engines, the paper's auxiliary processes and
-// couplings, and the Monte-Carlo measurement harness lives in sim/harness.hpp
-// (not included here to keep core free of threading concerns).
+// asynchronous protocol engines, and the paper's auxiliary processes and
+// couplings. The Monte-Carlo measurement harness (sim/harness.hpp, one-config
+// campaigns over sim/campaign.hpp) is not included here, to keep core free of
+// threading concerns.
 #pragma once
 
 #include "core/async.hpp"              // IWYU pragma: export

@@ -3,10 +3,9 @@
 // Every protocol engine in this module measures the same thing — the spread
 // of one rumor from a source over a graph — but historically each exposed
 // its own options struct and call signature, so every scheduler
-// (sim/campaign.cpp, sim/harness.cpp) hand-switched over engine kinds and
-// re-copied the cross-engine knobs (mode, loss, probe, sources, dynamics,
-// caps) at each call site. This header is the single surface they route
-// through instead:
+// hand-switched over engine kinds and re-copied the cross-engine knobs
+// (mode, loss, probe, sources, dynamics, caps) at each call site. This
+// header is the single surface they route through instead:
 //
 //   * EngineKind       names every dispatchable engine;
 //   * TrialOptions     the shared per-trial knobs, embedded as the base of
@@ -166,7 +165,7 @@ struct TrialOutcome {
 /// batch engine's own execution order at its narrowest; fan-out to many
 /// lanes is the scheduler's job via run_batch_sync (batch_sync.hpp).
 /// Capped runs return completed == false; callers decide whether that is an
-/// error (the campaign and harness both throw with their own context).
+/// error (the campaign throws, naming the engine).
 [[nodiscard]] TrialOutcome run_trial(EngineKind kind, const Graph& g, NodeId source,
                                      rng::Engine& eng, const TrialOptions& options = {},
                                      const TrialExtras& extras = {});

@@ -1,7 +1,6 @@
 #include "sim/adversary.hpp"
 
 #include <cassert>
-#include <memory>
 
 #include "sim/campaign.hpp"
 
@@ -18,20 +17,13 @@ namespace {
 WorstSourceResult race(const Graph& g, EngineKind engine, core::Mode mode,
                        const WorstSourceOptions& options) {
   assert(g.num_nodes() >= 2);
-  CampaignConfig cfg;
-  cfg.id = "race";
-  // Non-owning alias: the campaign only reads the graph for the duration of
-  // the (synchronous) run_campaign call, which the caller's reference outlives.
-  cfg.prebuilt = std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g);
-  cfg.engine = engine;
-  cfg.mode = mode;
+  CampaignConfig cfg =
+      borrowed_config(g, "race", engine, mode, options.final_trials, options.seed);
   cfg.source_policy = SourcePolicy::kRace;
   cfg.race.screen_trials = options.screen_trials;
   cfg.race.finalists = options.finalists;
   cfg.race.final_trials = options.final_trials;
   cfg.race.max_candidates = options.max_candidates;
-  cfg.seed = options.seed;
-  cfg.trials = options.final_trials;
 
   const auto results = run_campaign({cfg}, {});
   const CampaignResult& r = results.front();

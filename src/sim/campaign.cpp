@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -29,6 +28,7 @@
 #include "rng/rng.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
+#include "sim/harness.hpp"
 
 namespace rumor::sim {
 
@@ -105,6 +105,23 @@ Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
     const double rewire = spec.p > 0.0 ? spec.p : 0.1;
     return graph::largest_component(graph::watts_strogatz(n, k, rewire, eng));
   }
+  // The structural "gap" families: each needs two clique nodes or hubs.
+  if ((f == "lollipop" && n < 4) || (f == "barbell" && n < 6) ||
+      (f == "chain_of_stars" && n < 3)) {
+    throw std::runtime_error("build_graph: '" + f + "' needs a larger n");
+  }
+  if (f == "lollipop") return graph::lollipop(n / 2, n - n / 2);
+  if (f == "barbell") return graph::barbell(n / 3, n - 2 * (n / 3));
+  if (f == "chain_of_stars") {
+    const auto k = static_cast<graph::NodeId>(std::lround(std::sqrt(static_cast<double>(n))));
+    return graph::chain_of_stars(k, k);
+  }
+  if (f == "bundle_chain") {
+    // e4's shape: width = len^2 / 4, so n is about len^3 / 4.
+    const auto len =
+        static_cast<graph::NodeId>(std::lround(std::cbrt(4.0 * static_cast<double>(n))));
+    return graph::bundle_chain(len, len * len / 4);
+  }
   throw std::runtime_error("build_graph: unknown graph family '" + f + "'");
 }
 
@@ -170,8 +187,7 @@ void account_trial(const CampaignConfig& cfg, const core::TrialOutcome& outcome,
   }
 }
 
-/// One execution of the configured protocol from `source`; the campaign
-/// analogue of the measure_* wrappers in harness.cpp. The trial engine is
+/// One execution of the configured protocol from `source`. The trial engine is
 /// derive_stream(stream_seed, trial); a non-static dynamics spec adds a
 /// per-trial overlay view whose churn streams derive from the same
 /// (stream_seed, trial) identity, so dynamic configurations keep the
@@ -485,6 +501,18 @@ struct ConfigState {
 };
 
 }  // namespace
+
+CampaignConfig borrowed_config(const Graph& g, std::string id, EngineKind engine,
+                               core::Mode mode, std::uint64_t trials, std::uint64_t seed) {
+  CampaignConfig cfg;
+  cfg.id = std::move(id);
+  cfg.prebuilt = std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g);
+  cfg.engine = engine;
+  cfg.mode = mode;
+  cfg.trials = trials;
+  cfg.seed = seed;
+  return cfg;
+}
 
 CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t index) {
   CampaignResult r;
@@ -1668,22 +1696,10 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
 void render_campaign_reports(const std::vector<CampaignResult>& results,
                              const std::string& campaign_name, unsigned threads,
                              const std::function<void(std::size_t, Json&)>& emit) {
-  std::atomic<std::size_t> next{0};
-  auto render = [&] {
-    for (std::size_t i = next++; i < results.size(); i = next++) {
-      Json report = campaign_report(results[i], campaign_name);
-      emit(i, report);
-    }
-  };
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  // The calling thread renders too. get() rethrows a helper's exception;
-  // std::async futures wait for their thread on every path.
-  std::vector<std::future<void>> helpers;
-  for (std::size_t t = 1; t < std::min<std::size_t>(threads, results.size()); ++t) {
-    helpers.push_back(std::async(std::launch::async, render));
-  }
-  render();
-  for (std::future<void>& h : helpers) h.get();
+  parallel_for(results.size(), threads, [&](std::uint64_t i) {
+    Json report = campaign_report(results[i], campaign_name);
+    emit(i, report);
+  });
 }
 
 std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,

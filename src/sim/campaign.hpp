@@ -1,10 +1,7 @@
 // rumor/sim: batched multi-graph trial scheduling with streaming statistics.
 //
 // The paper's claims are sweeps: spreading-time distributions across graph
-// families, sizes, protocol modes, and sources. run_trials (harness.hpp)
-// parallelizes *within* one configuration and materializes every sample, so
-// a sweep over thousands of configurations drains one thread pool after
-// another and holds all samples in memory. A campaign instead schedules the
+// families, sizes, protocol modes, and sources. A campaign schedules the
 // whole configuration set as one shared work queue of fixed-size *trial
 // blocks*, keeping every core busy across configuration boundaries, and
 // reduces each configuration to a constant-size stats::StreamingSummary as
@@ -12,15 +9,15 @@
 // block finishes, so memory is bounded by the number of in-flight
 // configurations, not by the campaign size.
 //
-// Determinism contract (the harness's guarantee, extended): trial t of a
-// configuration with root seed s always runs on rng::derive_stream(s, t),
-// so per-trial results are bit-identical regardless of thread count, block
-// size, or interleaving. Block partials are folded in slot order (one fold,
-// sim/checkpoint.hpp's fold_slots, shared with resume and merge), so the
-// full summary is additionally bit-identical across thread counts at a
-// fixed block size; across block sizes, moments/quantiles agree to sketch
-// tolerance, and reservoir *contents* (bottom-k priority sampling) are
-// bit-identical always. Verified in tests/test_campaign.cpp.
+// Determinism contract: trial t of a configuration with root seed s always
+// runs on rng::derive_stream(s, t), so per-trial results are bit-identical
+// regardless of thread count, block size, or interleaving. Block partials
+// are folded in slot order (one fold, sim/checkpoint.hpp's fold_slots,
+// shared with resume and merge), so the full summary is additionally
+// bit-identical across thread counts at a fixed block size; across block
+// sizes, moments/quantiles agree to sketch tolerance, and reservoir
+// *contents* (bottom-k priority sampling) are bit-identical always.
+// Verified in tests/test_campaign.cpp.
 #pragma once
 
 #include <cstdint>
@@ -171,6 +168,14 @@ struct CampaignConfig {
   /// slot order, so bit-identical across thread counts and resumable).
   CurveSpec curves;
 };
+
+/// A fixed-source configuration over a graph the caller owns: `prebuilt` is
+/// a non-owning alias of `g`, which must outlive the run_campaign call. The
+/// one setup behind the one-config wrappers (sim/harness.hpp's measure_*,
+/// sim/adversary.hpp's searches).
+[[nodiscard]] CampaignConfig borrowed_config(const graph::Graph& g, std::string id,
+                                             EngineKind engine, core::Mode mode,
+                                             std::uint64_t trials, std::uint64_t seed);
 
 struct CampaignOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().

@@ -7,51 +7,44 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/campaign.hpp"
+
 namespace rumor::sim {
+
+void parallel_for(std::uint64_t count, unsigned threads,
+                  const std::function<void(std::uint64_t)>& body) {
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  const auto workers = std::min<std::uint64_t>(std::max(threads, 1u), count);
+  std::atomic<std::uint64_t> next{0};
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  auto drain = [&] {
+    for (std::uint64_t i = next++; i < count; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::scoped_lock lock(error_mutex);
+        if (!error) error = std::current_exception();
+        next = count;  // hand out no further index
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (std::uint64_t t = 1; t < workers; ++t) helpers.emplace_back(drain);
+  drain();
+  for (std::thread& h : helpers) h.join();
+  if (error) std::rethrow_exception(error);
+}
 
 std::vector<double> run_trials(const TrialConfig& config, const TrialFn& fn) {
   // Every caller summarizes the samples, which needs at least one.
   if (config.trials == 0) throw std::invalid_argument("run_trials: trials must be >= 1");
   std::vector<double> results(config.trials, 0.0);
-
-  unsigned workers = config.threads != 0 ? config.threads : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  workers = static_cast<unsigned>(
-      std::min<std::uint64_t>(workers, config.trials));
-
-  if (workers == 1) {
-    for (std::uint64_t t = 0; t < config.trials; ++t) {
-      rng::Engine eng = rng::derive_stream(config.seed, t);
-      results[t] = fn(t, eng);
-    }
-    return results;
-  }
-
-  std::atomic<std::uint64_t> next{0};
-  // First exception thrown by any trial, rethrown on the caller's thread
-  // after the pool drains (letting it escape a worker would terminate).
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    for (;;) {
-      const std::uint64_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= config.trials) return;
-      try {
-        rng::Engine eng = rng::derive_stream(config.seed, t);
-        results[t] = fn(t, eng);
-      } catch (...) {
-        const std::scoped_lock lock(error_mutex);
-        if (!error) error = std::current_exception();
-        next.store(config.trials, std::memory_order_relaxed);  // drain fast
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  parallel_for(config.trials, config.threads, [&](std::uint64_t t) {
+    rng::Engine eng = rng::derive_stream(config.seed, t);
+    results[t] = fn(t, eng);
+  });
   return results;
 }
 
@@ -73,50 +66,44 @@ stats::BootstrapInterval SpreadingTimeSample::mean_ci(double confidence, std::si
   return stats::bootstrap_mean_ci(samples_, confidence, resamples, seed);
 }
 
-// The measure_* wrappers all route through core::run_trial — the same
-// dispatch the campaign scheduler uses — so an engine keeps exactly one
-// option-assembly path. Each keeps its historical engine-specific error
-// text (the cap name differs per engine).
 namespace {
 
-SpreadingTimeSample measure_trial(core::EngineKind kind, const Graph& g, NodeId source,
-                                  const TrialConfig& config, const core::TrialOptions& options,
-                                  const core::TrialExtras& extras, const char* cap_error) {
-  auto samples = run_trials(config, [&](std::uint64_t, rng::Engine& eng) {
-    const auto outcome = core::run_trial(kind, g, source, eng, options, extras);
-    if (!outcome.completed) throw std::runtime_error(cap_error);
-    return outcome.value;
-  });
-  return SpreadingTimeSample(std::move(samples));
+/// Runs `cfg` as a one-config campaign whose reservoir holds every trial, so
+/// the sample is exactly the per-trial values a serial run_trial loop on
+/// derive_stream(seed, t) yields.
+SpreadingTimeSample measure(CampaignConfig cfg, NodeId source, const TrialConfig& config) {
+  // The campaign refuses a 0-trial config with a runtime_error; the
+  // harness contract is invalid_argument.
+  if (config.trials == 0) throw std::invalid_argument("measure: trials must be >= 1");
+  cfg.source = source;
+  cfg.reservoir_capacity = config.trials;
+  CampaignOptions options;
+  options.threads = config.threads;
+  return SpreadingTimeSample(run_campaign({cfg}, options).front().summary.reservoir().values());
 }
 
 }  // namespace
 
 SpreadingTimeSample measure_sync(const Graph& g, NodeId source, core::Mode mode,
                                  const TrialConfig& config) {
-  core::TrialOptions options;
-  options.mode = mode;
-  return measure_trial(core::EngineKind::kSync, g, source, config, options, {},
-                       "run_sync: execution hit the round cap (disconnected graph?)");
+  return measure(borrowed_config(g, "sync", EngineKind::kSync, mode, config.trials, config.seed),
+                 source, config);
 }
 
 SpreadingTimeSample measure_async(const Graph& g, NodeId source, core::Mode mode,
                                   const TrialConfig& config, core::AsyncView view) {
-  core::TrialOptions options;
-  options.mode = mode;
-  core::TrialExtras extras;
-  extras.view = view;
-  return measure_trial(core::EngineKind::kAsync, g, source, config, options, extras,
-                       "run_async: execution hit the step cap (disconnected graph?)");
+  CampaignConfig cfg =
+      borrowed_config(g, "async", EngineKind::kAsync, mode, config.trials, config.seed);
+  cfg.view = view;
+  return measure(std::move(cfg), source, config);
 }
 
 SpreadingTimeSample measure_aux(const Graph& g, NodeId source, core::AuxKind kind,
                                 const TrialConfig& config) {
-  core::TrialOptions options;
-  core::TrialExtras extras;
-  extras.aux = kind;
-  return measure_trial(core::EngineKind::kAux, g, source, config, options, extras,
-                       "run_aux: execution hit the round cap (disconnected graph?)");
+  CampaignConfig cfg = borrowed_config(g, "aux", EngineKind::kAux, core::Mode::kPushPull,
+                                       config.trials, config.seed);
+  cfg.aux = kind;
+  return measure(std::move(cfg), source, config);
 }
 
 }  // namespace rumor::sim

@@ -8,17 +8,16 @@
 //   * each trial runs on its own engine, derived as derive_stream(seed,
 //     trial_index) — results are bit-reproducible regardless of thread count
 //     or scheduling;
-//   * trials are distributed over a worker pool via an atomic work index;
 //   * estimates carry bootstrap confidence intervals on request.
 //
-// Scope note: this is the *one-configuration* path — it materializes every
-// sample and drains its own thread pool, which is exactly right for the
-// structural benches (e3/e6/e7/e10/e12/e14) and the examples that study a
-// single graph in depth. Anything shaped like a sweep — many (graph,
-// engine, mode, source) cells — belongs on sim/campaign.hpp, which
-// schedules all cells over one shared block queue and reduces each to a
-// constant-size streaming summary; the former sweep experiments (e1, e2,
-// e4, e5, e8, e11, e13, e15) all run there.
+// Scope note: this is the *one-configuration* face of the campaign
+// scheduler (sim/campaign.hpp). The measure_* wrappers are one-config
+// campaigns whose reservoir keeps every sample, so they share the
+// scheduler's trial loop, trial lanes, and tick-cap rule, and hand back the
+// full sorted sample for the structural benches (e3/e7/e10/e12/e14) and the
+// examples that study a single graph in depth. run_trials remains for trial
+// bodies that are not engine kinds (e12's discretized engine, tests), on
+// the same parallel_for the campaign's report rendering uses.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +45,14 @@ struct TrialConfig {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned threads = 0;
 };
+
+/// Calls body(i) for every i in [0, count) on up to `threads` threads (0 =
+/// hardware concurrency), the calling thread among them; threads == 1 runs
+/// the loop serially on the caller. The first exception a body throws stops
+/// the handing out of further indices and is rethrown to the caller once
+/// every thread has finished.
+void parallel_for(std::uint64_t count, unsigned threads,
+                  const std::function<void(std::uint64_t)>& body);
 
 /// A trial body: receives the trial index and its private engine, returns
 /// the measured value (spreading time in rounds or time units).
@@ -91,6 +98,11 @@ class SpreadingTimeSample {
 // ---------------------------------------------------------------------------
 // One-call measurements for the protocols under study.
 // ---------------------------------------------------------------------------
+
+// Each runs one campaign configuration over `g` (borrowed for the call) from
+// `source`, keeping every trial's value; trial t runs on derive_stream(
+// config.seed, t). All throw std::invalid_argument when config.trials == 0,
+// and rethrow the campaign's error when a trial hits its engine's tick cap.
 
 /// Spreading time (rounds) of the synchronous protocol in `mode`.
 [[nodiscard]] SpreadingTimeSample measure_sync(const Graph& g, NodeId source, core::Mode mode,

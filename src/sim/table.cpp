@@ -34,17 +34,4 @@ void Table::print(std::ostream& out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  write_row(headers_);
-  for (const auto& row : rows_) write_row(row);
-}
-
 }  // namespace rumor::sim

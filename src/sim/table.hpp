@@ -2,12 +2,10 @@
 //
 // Every bench binary prints its results as a fixed-width table (one row per
 // configuration), mirroring how the reproduced claims would appear as a
-// table or figure series in the paper. A CSV sink is provided so the same
-// rows can be post-processed or plotted.
+// table or figure series in the paper.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
@@ -28,9 +26,6 @@ class Table {
 
   /// Renders to an arbitrary stream (same format as print()).
   void print(std::ostream& out) const;
-
-  /// Writes headers + rows as CSV.
-  void write_csv(const std::string& path) const;
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
 

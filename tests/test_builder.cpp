@@ -247,7 +247,8 @@ TEST(GraphBuilder, MatchesArcSortOracleOnEveryCampaignFamily) {
       "cycle",          "wheel",          "tree",               "complete_binary_tree",
       "torus",          "torus3d",        "hypercube",          "complete_bipartite",
       "erdos_renyi",    "random_regular", "chung_lu",           "preferential_attachment",
-      "watts_strogatz",
+      "watts_strogatz", "lollipop",       "barbell",            "chain_of_stars",
+      "bundle_chain",
   };
   auto eng = rng::derive_stream(4244, 0);
   for (const char* family : families) {

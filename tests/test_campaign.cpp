@@ -5,6 +5,7 @@
 // sample vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rumor.hpp"
@@ -418,7 +420,8 @@ TEST(CampaignGraphSpec, BuildsEveryNamedFamily) {
   for (const char* family :
        {"complete", "star", "double_star", "path", "cycle", "wheel", "tree",
         "complete_bipartite", "torus", "torus3d", "hypercube", "erdos_renyi",
-        "random_regular", "chung_lu", "preferential_attachment", "watts_strogatz"}) {
+        "random_regular", "chung_lu", "preferential_attachment", "watts_strogatz", "lollipop",
+        "barbell", "chain_of_stars", "bundle_chain"}) {
     sim::GraphSpec spec;
     spec.family = family;
     spec.n = 64;
@@ -438,6 +441,45 @@ TEST(CampaignGraphSpec, RejectsBadSpecs) {
   tiny.family = "complete";
   tiny.n = 1;
   EXPECT_THROW((void)sim::build_graph(tiny, 1), std::runtime_error);
+}
+
+TEST(CampaignGraphSpec, StructuralFamiliesEqualTheirGenerators) {
+  // The n -> shape mapping of each structural "gap" family, against the
+  // direct generator call it stands for.
+  struct Case {
+    const char* family;
+    std::uint64_t n;
+    graph::Graph direct;
+  };
+  const Case cases[] = {
+      {"lollipop", 41, graph::lollipop(20, 21)},
+      {"barbell", 50, graph::barbell(16, 18)},
+      {"chain_of_stars", 90, graph::chain_of_stars(9, 9)},
+      {"bundle_chain", 300, graph::bundle_chain(11, 30)},
+  };
+  for (const Case& c : cases) {
+    sim::GraphSpec spec;
+    spec.family = c.family;
+    spec.n = c.n;
+    const auto g = sim::build_graph(spec, 1);
+    EXPECT_EQ(g.name(), c.direct.name()) << c.family;
+    ASSERT_EQ(g.num_nodes(), c.direct.num_nodes()) << c.family;
+    EXPECT_EQ(g.num_edges(), c.direct.num_edges()) << c.family;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto a = g.neighbors(v);
+      const auto b = c.direct.neighbors(v);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << c.family << " node " << v;
+    }
+  }
+  // Below two clique nodes or hubs the families have no shape.
+  const std::pair<const char*, std::uint64_t> too_small[] = {
+      {"lollipop", 3}, {"barbell", 5}, {"chain_of_stars", 2}};
+  for (const auto& [family, n] : too_small) {
+    sim::GraphSpec spec;
+    spec.family = family;
+    spec.n = n;
+    EXPECT_THROW((void)sim::build_graph(spec, 1), std::runtime_error) << family;
+  }
 }
 
 TEST(CampaignGraphSpec, GraphSeedIsReproducible) {
