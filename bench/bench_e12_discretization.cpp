@@ -1,4 +1,4 @@
-// E12 (design ablation, DESIGN.md §5): exact event-driven pp-a vs the
+// E12 (design ablation, docs/ENGINES.md): exact event-driven pp-a vs the
 // time-sliced approximation.
 //
 // Quantifies why the library simulates pp-a exactly: the discretized engine

@@ -2,8 +2,8 @@
 //
 // For each family we sweep n and report the ratio
 //     hp(async) / (hp(sync) + ln n)
-// at the (1 - 1/trials)-quantile (the trial-capped proxy for T_{1/n}; see
-// EXPERIMENTS.md). Theorem 1 says this ratio is bounded by a universal
+// at the (1 - 1/trials)-quantile (the trial-capped proxy for T_{1/n}, which
+// itself needs >= n trials per cell). Theorem 1 says this ratio is bounded by a universal
 // constant; the star — asymptotically the worst case for the additive log
 // term — should show the largest but still flat values.
 //

@@ -2,7 +2,7 @@
 // sync/async mean ratio is O(sqrt(n)).
 //
 // We drive the ratio up with the bundle-chain gap family (the Acan et al.
-// mechanism, DESIGN.md §3): sync push-pull pays ~2 rounds per relay hop
+// mechanism, graph::bundle_chain): sync push-pull pays ~2 rounds per relay hop
 // (and is distance-bound to >= 2*len rounds), while pp-a crosses each hop
 // in Theta(1/sqrt(width)) time via the combined push rate of the informed
 // helpers. With width ~ len^2 the ratio grows polynomially in n — but

@@ -3,8 +3,8 @@
 // Measures the throughput of the primitives every experiment is built on:
 // RNG variates, uniform neighbor sampling, generator construction, and full
 // protocol executions per graph family. This is the ablation harness for
-// the design choices in DESIGN.md §5 (event-driven async views, CSR
-// layout). Timing is steady_clock over a calibrated iteration count — no
+// the engine design choices of docs/ENGINES.md (event-driven async views,
+// CSR layout). Timing is steady_clock over a calibrated iteration count — no
 // external benchmark framework, so the results flow through the same JSON
 // registry as every other experiment.
 #include <algorithm>

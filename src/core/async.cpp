@@ -212,8 +212,9 @@ AsyncResult run_per_edge_clocks(const Graph& g, NodeId source, rng::Engine& eng,
   // after each fire. The calendar queue replaces the old binary heap: the
   // aggregate rate is sum_v deg(v)/deg(v) = n, which sizes its buckets.
   // Pops follow strictly increasing timestamps, so the engine consumes
-  // randomness in exactly the heap's order (run_async_reference below is
-  // the retained oracle; equivalence is pinned in tests/test_fastpath.cpp).
+  // randomness in exactly the heap's order (run_async_reference in
+  // tests/support is the retained oracle; tests/test_fastpath.cpp pins the
+  // equivalence).
   EventQueue clock(static_cast<double>(n), 2 * g.num_edges());
   for (NodeId v = 0; v < n; ++v) {
     const double rate = 1.0 / static_cast<double>(g.degree(v));
@@ -245,77 +246,8 @@ AsyncResult run_per_edge_clocks(const Graph& g, NodeId source, rng::Engine& eng,
   return result;
 }
 
-/// The retained per-edge reference: the original binary-heap event loop,
-/// kept verbatim as the acceptance oracle for the calendar queue.
-AsyncResult run_per_edge_clocks_heap(const Graph& g, NodeId source, rng::Engine& eng,
-                                     const AsyncOptions& options, std::uint64_t cap) {
-  const NodeId n = g.num_nodes();
-  AsyncResult result;
-  result.informed_time.assign(n, kNeverTime);
-  NodeId informed_count = seed_sources(source, options, result.informed_time);
-
-  struct EdgeTick {
-    double t;
-    NodeId v;
-    NodeId w;
-    std::uint64_t seq;
-    bool operator>(const EdgeTick& o) const noexcept {
-      return t != o.t ? t > o.t : seq > o.seq;  // FIFO among exact ties
-    }
-  };
-  std::priority_queue<EdgeTick, std::vector<EdgeTick>, std::greater<>> clock;
-  std::uint64_t seq = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const double rate = 1.0 / static_cast<double>(g.degree(v));
-    for (NodeId w : g.neighbors(v)) {
-      clock.push(EdgeTick{rng::exponential(eng, rate), v, w, seq++});
-    }
-  }
-
-  double now = 0.0;
-  std::uint64_t steps = 0;
-  while (informed_count < n && steps < cap && !clock.empty()) {
-    const EdgeTick tick = clock.top();
-    clock.pop();
-    now = tick.t;
-    ++steps;
-    const double rate = 1.0 / static_cast<double>(g.degree(tick.v));
-    clock.push(EdgeTick{now + rng::exponential(eng, rate), tick.v, tick.w, seq++});
-    const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
-    if (options.probe != nullptr) {
-      probe_instant(*options.probe, options.mode, informed(result.informed_time, tick.v),
-                    informed(result.informed_time, tick.w), lost);
-    }
-    if (!lost) exchange(options.mode, tick.v, tick.w, now, result.informed_time, informed_count);
-  }
-  result.time = now;
-  result.steps = steps;
-  result.completed = (informed_count == n);
-  return result;
-}
-
 std::uint64_t step_cap(const Graph& g, const AsyncOptions& options) noexcept {
   return options.max_ticks != 0 ? options.max_ticks : default_step_cap(g.num_nodes());
-}
-
-/// Shared dispatcher: run_async and run_async_reference differ only in the
-/// per-edge implementation, so the precondition guard and cap derivation
-/// cannot drift apart between the production engine and its oracle.
-AsyncResult dispatch_async(const Graph& g, NodeId source, rng::Engine& eng,
-                           const AsyncOptions& options,
-                           AsyncResult (*per_edge)(const Graph&, NodeId, rng::Engine&,
-                                                   const AsyncOptions&, std::uint64_t)) {
-  assert(source < g.num_nodes());
-  if (options.dynamics != nullptr && options.view != AsyncView::kGlobalClock) {
-    throw std::runtime_error("run_async: dynamics overlays need the global-clock view");
-  }
-  const std::uint64_t cap = step_cap(g, options);
-  switch (options.view) {
-    case AsyncView::kGlobalClock: return run_global_clock(g, source, eng, options, cap, {});
-    case AsyncView::kPerNodeClocks: return run_per_node_clocks(g, source, eng, options, cap);
-    case AsyncView::kPerEdgeClocks: return per_edge(g, source, eng, options, cap);
-  }
-  return {};
 }
 
 }  // namespace
@@ -328,12 +260,17 @@ std::uint64_t default_step_cap(NodeId n) noexcept {
 
 AsyncResult run_async(const Graph& g, NodeId source, rng::Engine& eng,
                       const AsyncOptions& options) {
-  return dispatch_async(g, source, eng, options, &run_per_edge_clocks);
-}
-
-AsyncResult run_async_reference(const Graph& g, NodeId source, rng::Engine& eng,
-                                const AsyncOptions& options) {
-  return dispatch_async(g, source, eng, options, &run_per_edge_clocks_heap);
+  assert(source < g.num_nodes());
+  if (options.dynamics != nullptr && options.view != AsyncView::kGlobalClock) {
+    throw std::runtime_error("run_async: dynamics overlays need the global-clock view");
+  }
+  const std::uint64_t cap = step_cap(g, options);
+  switch (options.view) {
+    case AsyncView::kGlobalClock: return run_global_clock(g, source, eng, options, cap, {});
+    case AsyncView::kPerNodeClocks: return run_per_node_clocks(g, source, eng, options, cap);
+    case AsyncView::kPerEdgeClocks: return run_per_edge_clocks(g, source, eng, options, cap);
+  }
+  return {};
 }
 
 AsyncResult run_async_global_clock(const Graph& g, NodeId source, rng::Engine& eng,

@@ -50,23 +50,15 @@ struct AsyncOptions : TrialOptions {
 [[nodiscard]] AsyncResult run_async(const Graph& g, NodeId source, rng::Engine& eng,
                                     const AsyncOptions& options = {});
 
-/// The retained reference engine: identical to run_async except that the
-/// per-edge view runs on the original binary heap instead of the calendar
-/// EventQueue (event_queue.hpp). Both pop events in strictly increasing
-/// timestamp order with FIFO tie-breaking, so results — and engine state —
-/// are bit-identical; kept as the acceptance oracle for the bucketed queue
-/// (tests/test_fastpath.cpp), not for production use.
-[[nodiscard]] AsyncResult run_async_reference(const Graph& g, NodeId source, rng::Engine& eng,
-                                              const AsyncOptions& options = {});
-
 /// Called once per inform, in inform order, after the target's time is
 /// stamped: `informer` passed the rumor to `target`.
 using InformHook = std::function<void(NodeId informer, NodeId target)>;
 
 /// The global-clock view of run_async (options.view is ignored) with an
 /// inform hook. Same draws and same result as run_async with
-/// AsyncView::kGlobalClock; the informing forest (informing_forest.hpp)
-/// records its parents through the hook.
+/// AsyncView::kGlobalClock; the informing forest
+/// (tests/support/informing_forest.hpp) records its parents through the
+/// hook.
 [[nodiscard]] AsyncResult run_async_global_clock(const Graph& g, NodeId source,
                                                  rng::Engine& eng, const AsyncOptions& options,
                                                  const InformHook& on_inform);

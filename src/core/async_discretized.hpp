@@ -1,7 +1,7 @@
 // rumor/core: time-sliced approximation of the asynchronous protocol.
 //
-// Ablation substrate for the design choice called out in DESIGN.md §5: the
-// library simulates pp-a exactly (event-driven, exponential gaps); the
+// Ablation substrate for a design choice of the engines (docs/ENGINES.md):
+// the library simulates pp-a exactly (event-driven, exponential gaps); the
 // common alternative in simulation codebases slices time into steps of
 // width dt and runs each slice like a synchronous round with Poisson
 // participation:

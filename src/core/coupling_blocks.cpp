@@ -154,8 +154,8 @@ BlockStats run_block_coupling(const Graph& g, NodeId source, rng::Engine& eng,
       // to average to S | S in A across rounds (mu_{A|D}); we realize the
       // natural member of that family — weight each candidate by its step
       // probability Pr[S = (a, b)] = 1/(n deg(a)) — which matches the
-      // target marginal up to the round-composition correction the full
-      // version constructs (see DESIGN.md, Substitutions).
+      // target marginal up to the round-composition correction the paper's
+      // full version constructs, which this coupling substitutes for.
       double total_w = 0.0;
       for (const Pair& p : candidates) total_w += 1.0 / static_cast<double>(g.degree(p.x));
       double pick = rng::uniform01(eng) * total_w;

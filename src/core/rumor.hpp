@@ -16,8 +16,6 @@
 #include "core/coupling_pull.hpp"      // IWYU pragma: export
 #include "core/event_queue.hpp"        // IWYU pragma: export
 #include "core/informed_set.hpp"       // IWYU pragma: export
-#include "core/informing_forest.hpp"   // IWYU pragma: export
-#include "core/coupling_push.hpp"      // IWYU pragma: export
 #include "core/protocol.hpp"           // IWYU pragma: export
 #include "core/quasirandom.hpp"        // IWYU pragma: export
 #include "core/sync.hpp"               // IWYU pragma: export

@@ -18,7 +18,6 @@ std::uint64_t default_round_cap(NodeId n) noexcept {
 namespace {
 
 /// Seeds source + extra_sources at round 0; returns the informed count.
-/// Shared by the fast path and the reference.
 NodeId seed_sources(NodeId source, const SyncOptions& options, SyncResult& result) {
   result.informed_round[source] = 0;
   NodeId count = 1;
@@ -34,11 +33,12 @@ NodeId seed_sources(NodeId source, const SyncOptions& options, SyncResult& resul
 
 /// The round loop, specialized per (mode, loss, scan kind, probe) so the
 /// inner scan carries no per-node dispatch. Randomness consumption is
-/// identical to the reference scan below for every specialization: one
-/// neighbor draw per non-isolated node, plus one Bernoulli iff exactly one
-/// endpoint is informed and loss is configured — membership moved from the
-/// 64-bit stamp array into InformedSet words, which consumes nothing. The
-/// lossless variants are additionally branch-free past the neighbor draw:
+/// identical to the reference scan (tests/support/reference_engines.cpp)
+/// for every specialization: one neighbor draw per non-isolated node, plus
+/// one Bernoulli iff exactly one endpoint is informed and loss is
+/// configured — membership moved from the 64-bit stamp array into
+/// InformedSet words, which consumes nothing. The lossless variants are
+/// additionally branch-free past the neighbor draw:
 /// the exchange outcome is ORed into the pending word as a shifted 0/1
 /// mask, so the mixing rounds (informed set near half full, where the
 /// exchange branch is unpredictable) pay no mispredictions.
@@ -171,83 +171,6 @@ SyncResult run_sync(const Graph& g, NodeId source, rng::Engine& eng,
              options.probe != nullptr, [&]<Mode M, bool HasLoss, ScanKind K, bool HasProbe>() {
                run_rounds<M, HasLoss, K, HasProbe>(g, eng, options, result, informed_count, cap);
              });
-
-  result.completed = (informed_count == n);
-  if (!result.completed) result.rounds = cap;
-  if (options.record_history) {
-    result.informed_count_history = informed_round_curve(result.informed_round, result.rounds);
-  }
-  return result;
-}
-
-SyncResult run_sync_reference(const Graph& g, NodeId source, rng::Engine& eng,
-                              const SyncOptions& options) {
-  const NodeId n = g.num_nodes();
-  assert(source < n);
-
-  SyncResult result;
-  result.informed_round.assign(n, kNeverRound);
-  NodeId informed_count = seed_sources(source, options, result);
-
-  const std::uint64_t cap =
-      options.max_ticks != 0 ? options.max_ticks : default_round_cap(n);
-
-  // Nodes informed strictly before the current round: informed_round < r.
-  // Newly informed nodes are stamped with the current round number, so the
-  // same array doubles as the pre-round snapshot.
-  dynamics::DynamicGraphView* const view = options.dynamics;
-  std::vector<NodeId> newly_informed;
-  // Probe-only freshness marks for the current round; the commit loop
-  // clears them. The scan itself keeps stamping through newly_informed, so
-  // attaching a probe cannot change the reference's behavior.
-  InformedSet probe_pending(options.probe != nullptr ? n : 0);
-  for (std::uint64_t r = 1; informed_count < n && r <= cap; ++r) {
-    if (view != nullptr) view->begin_round(r);  // churn applies between rounds
-    newly_informed.clear();
-    auto informed_before = [&](NodeId v) { return result.informed_round[v] < r; };
-
-    for (NodeId v = 0; v < n; ++v) {
-      const std::uint32_t deg = view != nullptr ? view->degree(v) : g.degree(v);
-      if (deg == 0) continue;  // isolated node (possibly churned-out): nothing to contact
-      const NodeId w = view != nullptr ? view->sample(v, eng) : g.random_neighbor(v, eng);
-      const bool v_in = informed_before(v);
-      const bool w_in = informed_before(w);
-      // Same draw condition as below, hoisted so the probe can see the lost
-      // flag: randomness consumption is unchanged.
-      const bool lost = v_in != w_in && options.message_loss > 0.0 &&
-                        rng::bernoulli(eng, options.message_loss);
-      if (options.probe != nullptr) {
-        probe_windowed(*options.probe, options.mode, v_in, w_in, lost, v, w, probe_pending);
-      }
-      if (v_in == w_in) continue;  // both or neither informed: no exchange
-      if (lost) continue;
-      switch (options.mode) {
-        case Mode::kPush:
-          if (v_in && result.informed_round[w] == kNeverRound) newly_informed.push_back(w);
-          break;
-        case Mode::kPull:
-          if (w_in && result.informed_round[v] == kNeverRound) newly_informed.push_back(v);
-          break;
-        case Mode::kPushPull:
-          if (v_in) {
-            if (result.informed_round[w] == kNeverRound) newly_informed.push_back(w);
-          } else {
-            if (result.informed_round[v] == kNeverRound) newly_informed.push_back(v);
-          }
-          break;
-      }
-    }
-    // Commit after the scan so every exchange saw the pre-round snapshot; a
-    // node informed via several contacts in the same round is stamped once.
-    for (NodeId v : newly_informed) {
-      if (result.informed_round[v] == kNeverRound) {
-        result.informed_round[v] = r;
-        ++informed_count;
-      }
-      if (options.probe != nullptr) probe_pending.reset(v);
-    }
-    result.rounds = r;
-  }
 
   result.completed = (informed_count == n);
   if (!result.completed) result.rounds = cap;

@@ -30,17 +30,11 @@ struct SyncOptions : TrialOptions {};
 /// Implementation: the word-packed InformedSet fast path (informed_set.hpp)
 /// — membership tests read bitset words instead of the 64-bit stamp array,
 /// and round commits are word scans over the pending set. The randomness
-/// contract is bit-exact: run_sync and run_sync_reference consume the same
-/// engine draws in the same order and return identical SyncResults.
+/// contract is bit-exact: run_sync and the original scan-and-stamp loop
+/// (tests/support/reference_engines.hpp) consume the same engine draws in
+/// the same order and return identical SyncResults.
 [[nodiscard]] SyncResult run_sync(const Graph& g, NodeId source, rng::Engine& eng,
                                   const SyncOptions& options = {});
-
-/// The retained reference engine: the original scan-and-stamp round loop
-/// over the informed_round array. Semantically (and bit-for-bit, including
-/// engine state) identical to run_sync; kept as the acceptance oracle for
-/// the fast path (tests/test_fastpath.cpp) — not for production use.
-[[nodiscard]] SyncResult run_sync_reference(const Graph& g, NodeId source, rng::Engine& eng,
-                                            const SyncOptions& options = {});
 
 /// Default round cap used when TrialOptions::max_ticks == 0.
 [[nodiscard]] std::uint64_t default_round_cap(NodeId n) noexcept;

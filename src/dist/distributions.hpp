@@ -1,14 +1,15 @@
-// rumor/dist: analytic distributions, empirical CDFs, and stochastic-order
-// checks.
+// rumor/dist: analytic distributions, empirical CDFs, and the two-sample
+// Kolmogorov-Smirnov test.
 //
 // The paper's proofs manipulate a small set of laws — exponentials (Poisson
 // clocks), geometrics (per-round success counts), negative binomials and
 // Erlangs (sums of the former two) — and repeatedly compare processes in the
 // usual stochastic order X preceq Y. This module provides those laws with
 // exact pdf/pmf/cdf/quantile/moment formulas plus samplers driven by
-// rng::Engine, an empirical CDF type, two-sample and analytic
-// Kolmogorov-Smirnov statistics, and an empirical domination check used to
-// validate the coupling lemmas (Lemmas 8, 10, 15).
+// rng::Engine, an empirical CDF type, and the two-sample KS statistic and
+// test (the batch_sync equality gate). The one-sample analytic KS statistic
+// and the empirical domination check that validate the coupling lemmas
+// (Lemmas 8, 10, 15) are test oracles: tests/support/dist_checks.hpp.
 #pragma once
 
 #include <cmath>
@@ -119,7 +120,6 @@ class Erlang {
     return static_cast<double>(k_) / (rate_ * rate_);
   }
 
-  [[nodiscard]] double pdf(double x) const noexcept;
   /// Regularized lower incomplete gamma P(k, rate*x); stable for k >= 500.
   [[nodiscard]] double cdf(double x) const noexcept;
 
@@ -188,36 +188,5 @@ struct KsTest {
 /// distributional drift at realistic sample sizes.
 [[nodiscard]] bool ks_gate(const std::vector<double>& a, const std::vector<double>& b,
                            double alpha = 1e-3);
-
-/// One-sample KS statistic sup_x |F_n(x) - F(x)| against an analytic law
-/// with a `cdf(double)` member. The supremum over each step's left and
-/// right limits is taken, as the textbook statistic requires.
-template <class Dist>
-[[nodiscard]] double ks_statistic_analytic(const Ecdf& ecdf, const Dist& d) {
-  const auto& xs = ecdf.sorted();
-  const double n = static_cast<double>(xs.size());
-  double sup = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double f = d.cdf(xs[i]);
-    const double lo = static_cast<double>(i) / n;        // F_n just below x_i
-    const double hi = static_cast<double>(i + 1) / n;    // F_n at x_i
-    sup = std::max(sup, std::max(std::abs(hi - f), std::abs(f - lo)));
-  }
-  return sup;
-}
-
-/// Result of an empirical stochastic-domination check of X preceq Y.
-struct DominationCheck {
-  /// sup_t max(0, F_Y(t) - F_X(t)): how much Y's CDF exceeds X's anywhere.
-  /// X preceq Y requires F_X >= F_Y pointwise, so for true domination this
-  /// is 0 up to sampling noise (~sqrt(1/n)).
-  double max_violation = 0.0;
-  /// The argument t where the worst violation occurs.
-  double at = 0.0;
-};
-
-/// Empirically checks X preceq Y (X stochastically smaller) from samples.
-[[nodiscard]] DominationCheck check_domination(const std::vector<double>& x_samples,
-                                               const std::vector<double>& y_samples);
 
 }  // namespace rumor::dist

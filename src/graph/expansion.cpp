@@ -1,7 +1,6 @@
 #include "graph/expansion.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -10,27 +9,6 @@
 namespace rumor::graph {
 
 namespace {
-
-/// Volume of a vertex subset: sum of degrees.
-double volume(const Graph& g, std::uint32_t mask_bits, std::uint32_t mask) {
-  double vol = 0.0;
-  for (std::uint32_t v = 0; v < mask_bits; ++v) {
-    if (mask & (1u << v)) vol += g.degree(v);
-  }
-  return vol;
-}
-
-/// Edges crossing the cut defined by `mask`.
-double cut_size(const Graph& g, std::uint32_t mask) {
-  double cut = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!(mask & (1u << v))) continue;
-    for (NodeId w : g.neighbors(v)) {
-      if (!(mask & (1u << w))) cut += 1.0;
-    }
-  }
-  return cut;
-}
 
 /// Second eigenvector of the lazy walk by power iteration; also returns
 /// lambda_2 through `lambda_out` if non-null.
@@ -92,45 +70,6 @@ std::vector<double> second_eigenvector(const Graph& g, std::uint32_t iterations,
 }
 
 }  // namespace
-
-double conductance_exact(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  assert(n >= 2 && n <= 24);
-  const double total_vol = 2.0 * static_cast<double>(g.num_edges());
-  double best = std::numeric_limits<double>::infinity();
-  const std::uint32_t limit = 1u << (n - 1);  // fix vertex n-1 outside S
-  for (std::uint32_t mask = 1; mask < limit; ++mask) {
-    const double vol = volume(g, n, mask);
-    const double other = total_vol - vol;
-    const double denom = std::min(vol, other);
-    if (denom <= 0.0) continue;
-    best = std::min(best, cut_size(g, mask) / denom);
-  }
-  return best;
-}
-
-double vertex_expansion_exact(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  assert(n >= 2 && n <= 24);
-  double best = std::numeric_limits<double>::infinity();
-  for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
-    const auto size = static_cast<std::uint32_t>(std::popcount(mask));
-    if (size > n / 2) continue;
-    // |N(S) \ S|
-    std::uint32_t boundary = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (mask & (1u << v)) continue;
-      for (NodeId w : g.neighbors(v)) {
-        if (mask & (1u << w)) {
-          ++boundary;
-          break;
-        }
-      }
-    }
-    best = std::min(best, static_cast<double>(boundary) / size);
-  }
-  return best;
-}
 
 std::vector<NodeId> spectral_order(const Graph& g, std::uint32_t iterations) {
   const auto fiedler = second_eigenvector(g, iterations, nullptr);

@@ -4,14 +4,16 @@
 // synchronous push-pull bounds carry over to the asynchronous model — in
 // particular the conductance bound T(pp) = O(log n / phi) [6, 17] and the
 // vertex-expansion bound T(pp) = O(log^2 n / alpha) [18]. This module
-// computes/estimates the parameters so bench E10 can verify those
-// transferred bounds empirically:
+// estimates the parameters so bench E10 can verify the transferred
+// conductance bound empirically:
 //
 //   * conductance phi(G) = min over cuts S of cut(S) / min(vol(S), vol(V-S)),
-//     estimated by a sweep over spectral-ordering prefixes (exact on small
-//     graphs via subset enumeration);
-//   * vertex expansion alpha(G) = min |boundary(S)| / |S| over |S| <= n/2;
+//     estimated by a sweep over spectral-ordering prefixes;
 //   * the spectral gap of the lazy random walk, via power iteration.
+//
+// Exact conductance and vertex expansion by subset enumeration (O(2^n),
+// small graphs only) are the tests' ground truth:
+// tests/support/graph_oracles.hpp.
 #pragma once
 
 #include <cstdint>
@@ -21,20 +23,12 @@
 
 namespace rumor::graph {
 
-/// Exact conductance by enumerating all 2^(n-1) cuts. Precondition:
-/// n <= 24 (it is O(2^n * n)); intended for tests.
-[[nodiscard]] double conductance_exact(const Graph& g);
-
 /// Conductance upper estimate by a spectral sweep: order vertices by the
 /// second eigenvector of the lazy random walk (computed by power
 /// iteration), scan prefix cuts, return the best. Cheeger's inequality
 /// guarantees the result is within sqrt-factors of the truth:
 ///   phi(G)^2 / 2 <= gap <= 2 * phi_sweep.
 [[nodiscard]] double conductance_sweep(const Graph& g);
-
-/// Exact vertex expansion min_{0 < |S| <= n/2} |N(S) \ S| / |S| by subset
-/// enumeration. Precondition: n <= 24; intended for tests.
-[[nodiscard]] double vertex_expansion_exact(const Graph& g);
 
 /// Spectral gap 1 - lambda_2 of the lazy random-walk matrix
 /// W = (I + D^{-1}A)/2, computed by power iteration with deflation of the

@@ -3,7 +3,8 @@
 // Deterministic families: complete, star, double-star, path, cycle, torus
 // grid, hypercube, complete binary tree, lollipop, barbell, and the
 // chain-of-stars "gap" family standing in for the Acan et al. construction
-// (see DESIGN.md, Substitutions).
+// (the paper cites that graph without giving it; bundle_chain below states
+// the mechanism the stand-ins reproduce).
 //
 // Random families (all take an engine; connectivity is the caller's check):
 // Erdos-Renyi G(n, p), random d-regular (configuration model with rejection
@@ -61,7 +62,7 @@ namespace rumor::graph {
 /// E4 as the control row and by E6 as a high-degree-relay stress case.
 [[nodiscard]] Graph chain_of_stars(NodeId hubs, NodeId leaves_per_hub);
 
-/// Bundle chain (the "Acan gap" family, DESIGN.md §3): relay nodes
+/// Bundle chain (the "Acan gap" family, run by e4_theorem2): relay nodes
 /// r_0 .. r_{len} in a chain where consecutive relays are joined through
 /// `width` parallel helper nodes (each helper adjacent to both relays; no
 /// direct relay-relay edge).

@@ -10,22 +10,6 @@
 
 namespace rumor::graph {
 
-void write_edge_list(const Graph& g, std::ostream& out) {
-  out << "# rumor graph: " << g.name() << "\n";
-  out << "# nodes: " << g.num_nodes() << " edges: " << g.num_edges() << "\n";
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (NodeId w : g.neighbors(v)) {
-      if (v < w) out << v << ' ' << w << '\n';
-    }
-  }
-}
-
-void write_edge_list_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_edge_list_file: cannot open " + path);
-  write_edge_list(g, out);
-}
-
 Graph read_edge_list(std::istream& in, std::string name, bool compact_ids) {
   // Every error names the input (`name` is the path when coming through
   // read_edge_list_file) and the 1-based line, so a bad row in a

@@ -3,8 +3,7 @@
 // Interop format: the ubiquitous whitespace-separated edge list, one
 // "u v" pair per line, '#' comments, as consumed and produced by SNAP,
 // NetworkX, and most graph tools — so measured topologies (e.g. real
-// social networks, the paper's motivating domain) can be loaded and the
-// generated families exported for external plotting.
+// social networks, the paper's motivating domain) can be loaded.
 #pragma once
 
 #include <iosfwd>
@@ -14,15 +13,10 @@
 
 namespace rumor::graph {
 
-/// Writes `g` as an edge list (one undirected edge per line, endpoints in
-/// ascending order, preceded by a comment header with n and m).
-void write_edge_list(const Graph& g, std::ostream& out);
-void write_edge_list_file(const Graph& g, const std::string& path);
-
 /// Reads an edge list. By default node ids are preserved (n = max id + 1),
-/// so write/read round-trips exactly; with `compact_ids` set, sparse ids
-/// are relabelled to [0, n) in first-appearance order (useful for SNAP
-/// dumps with large arbitrary ids). Self-loops and duplicates are dropped
+/// so an edge list of a graph reads back as that graph; with `compact_ids`
+/// set, sparse ids are relabelled to [0, n) in first-appearance order
+/// (useful for SNAP dumps with large arbitrary ids). Self-loops and duplicates are dropped
 /// (Graph invariants). Lines starting with '#' and blank lines are
 /// ignored; '#' also starts an inline comment; tokens after the first two
 /// ids on a line are ignored (weight columns). Throws std::runtime_error —

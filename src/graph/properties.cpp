@@ -71,23 +71,6 @@ std::uint32_t diameter(const Graph& g) {
   return diam;
 }
 
-DegreeStats degree_stats(const Graph& g) {
-  DegreeStats s;
-  const NodeId n = g.num_nodes();
-  if (n == 0) return s;
-  s.min = std::numeric_limits<std::uint32_t>::max();
-  double total = 0.0;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto d = g.degree(v);
-    s.min = std::min(s.min, d);
-    s.max = std::max(s.max, d);
-    total += d;
-  }
-  s.mean = total / static_cast<double>(n);
-  s.regular = (s.min == s.max);
-  return s;
-}
-
 std::vector<double> contact_probabilities(const Graph& g) {
   const NodeId n = g.num_nodes();
   std::vector<double> pi(n, 0.0);

@@ -5,7 +5,7 @@
 //   * T(pp) >= ecc(u) rounds (one round extends the informed set by at most
 //     one hop from u), so eccentricity is a per-source lower bound.
 //   * The paper's Theorem 1 footnote uses that T_{1/n}(pp) = Omega(log n)
-//     on regular graphs; degree statistics let tests target that regime.
+//     on regular graphs.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +35,6 @@ struct Components {
 /// Exact diameter by BFS from every node — O(n m); intended for the test and
 /// bench scales (n <= ~10^5 sparse).
 [[nodiscard]] std::uint32_t diameter(const Graph& g);
-
-/// Degree distribution summary.
-struct DegreeStats {
-  std::uint32_t min = 0;
-  std::uint32_t max = 0;
-  double mean = 0.0;
-  bool regular = false;
-};
-
-[[nodiscard]] DegreeStats degree_stats(const Graph& g);
 
 /// sum_v 1/deg(v) over neighbors of v for every v — the per-node contact
 /// probability pi(v) = (1/n) * sum_{w in Gamma(v)} 1/deg(w) from the

@@ -55,11 +55,6 @@ class WorkerSink {
     if (!tracing_) return;
     spans_.push_back(TraceSpan{name, begin_ns, end_ns, config, slot, true});
   }
-  /// Span without a config attribution (e.g. the final merge).
-  void span_plain(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns) {
-    if (!tracing_) return;
-    spans_.push_back(TraceSpan{name, begin_ns, end_ns, 0, -1, false});
-  }
 
   [[nodiscard]] bool tracing() const noexcept { return tracing_; }
 

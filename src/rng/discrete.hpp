@@ -28,9 +28,6 @@ class AliasTable {
   [[nodiscard]] bool empty() const noexcept { return prob_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
 
-  /// Total weight the table was built from.
-  [[nodiscard]] double total_weight() const noexcept { return total_; }
-
   /// Draws an index in [0, size()) proportional to its weight.
   /// Precondition: !empty().
   template <class Eng>

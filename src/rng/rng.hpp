@@ -13,8 +13,8 @@
 //     rather than modulo.
 //
 // No <random> engines are used: libstdc++'s distributions are not
-// cross-version reproducible, and reproducibility is a stated design goal
-// (DESIGN.md §5).
+// cross-version reproducible, and reproducibility is the first design goal
+// above.
 #pragma once
 
 #include <array>
@@ -57,10 +57,9 @@ class SplitMix64 {
 
 /// Xoshiro256++ 1.0 (Blackman & Vigna, 2019): the workhorse engine.
 ///
-/// 256 bits of state, period 2^256 - 1, passes BigCrush. `jump()` advances by
-/// 2^128 steps, giving 2^128 non-overlapping subsequences for parallel use;
-/// we additionally provide cheap stream derivation via `derive_stream`, which
-/// is what the Monte-Carlo harness uses (one derived stream per trial).
+/// 256 bits of state, period 2^256 - 1, passes BigCrush. Parallel streams
+/// come from `derive_stream` (one derived stream per trial), not from the
+/// reference implementation's jump polynomials.
 class Xoshiro256pp {
  public:
   using result_type = std::uint64_t;
@@ -89,23 +88,6 @@ class Xoshiro256pp {
 
   constexpr std::uint64_t operator()() noexcept { return next(); }
 
-  /// Advances the state by 2^128 calls to next(); used to partition the
-  /// period into provably non-overlapping parallel streams.
-  constexpr void jump() noexcept {
-    constexpr std::array<std::uint64_t, 4> kJump = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-    apply_polynomial(kJump);
-  }
-
-  /// Advances the state by 2^192 calls to next().
-  constexpr void long_jump() noexcept {
-    constexpr std::array<std::uint64_t, 4> kLongJump = {
-        0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
-        0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
-    apply_polynomial(kLongJump);
-  }
-
   [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state() const noexcept {
     return state_;
   }
@@ -118,19 +100,6 @@ class Xoshiro256pp {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
-  }
-
-  constexpr void apply_polynomial(const std::array<std::uint64_t, 4>& poly) noexcept {
-    std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-    for (std::uint64_t word : poly) {
-      for (int b = 0; b < 64; ++b) {
-        if (word & (1ULL << b)) {
-          for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-        }
-        next();
-      }
-    }
-    state_ = acc;
   }
 
   std::array<std::uint64_t, 4> state_;

@@ -273,10 +273,9 @@ void run_block_trials(const CampaignConfig& cfg, const Graph& g,
   }
 }
 
-/// The per-source stream family of the two-stage race (kept identical to
-/// the historical sim/adversary scheme): candidate u's screening trial t
-/// runs on derive_stream(seed + kSourceStride * u, t) and its refinement
-/// trial on derive_stream(seed + 1 + kSourceStride * u, t).
+/// The per-source stream family of the two-stage race: candidate u's
+/// screening trial t runs on derive_stream(seed + kSourceStride * u, t) and
+/// its refinement trial on derive_stream(seed + 1 + kSourceStride * u, t).
 constexpr std::uint64_t kSourceStride = 0x9e3779b9ULL;
 
 /// What a scheduled block does. Fixed-source configurations only ever see
@@ -869,8 +868,8 @@ void CampaignRun::on_refine(const Block& block, const Graph& g, obs::WorkerSink*
   });
   if (!last) return;
   // Refinement complete: keep the worst finalist's full summary as the
-  // configuration's result (first-seen wins ties, matching the historical
-  // adversary scan) and the best finalist's mean beside it.
+  // configuration's result (the first finalist in ranking order wins ties)
+  // and the best finalist's mean beside it.
   const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
   CampaignResult& r = results_[block.config];
   for (std::size_t i = 0; i < st.refine.entrants.size(); ++i) {
@@ -1700,14 +1699,6 @@ void render_campaign_reports(const std::vector<CampaignResult>& results,
     Json report = campaign_report(results[i], campaign_name);
     emit(i, report);
   });
-}
-
-std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
-                                   const std::string& campaign_name, unsigned threads) {
-  std::vector<Json> reports(results.size());
-  render_campaign_reports(results, campaign_name, threads,
-                          [&](std::size_t i, Json& report) { reports[i] = std::move(report); });
-  return reports;
 }
 
 int report_depth(std::size_t count) { return count == 1 ? 0 : 1; }

@@ -55,20 +55,20 @@ using core::engine_name;
 /// How a configuration picks its source vertex.
 ///
 /// kFixed measures from CampaignConfig::source. kRace estimates the
-/// *worst-case* source (the paper's "for any vertex u") with the two-stage
-/// racing scheme of sim/adversary.hpp — screen every candidate cheaply,
-/// refine the leaders — except that both passes are scheduled as trial
-/// blocks on the campaign's shared queue: racing shares workers with
-/// ordinary cells, and the raced source is bit-deterministic across thread
-/// counts because every per-candidate partial merges in slot order.
+/// *worst-case* source (the paper's "for any vertex u") with a two-stage
+/// race — screen every candidate cheaply, refine the leaders — whose passes
+/// are scheduled as trial blocks on the campaign's shared queue: racing
+/// shares workers with ordinary cells, and the raced source is
+/// bit-deterministic across thread counts because every per-candidate
+/// partial merges in slot order.
 enum class SourcePolicy : std::uint8_t { kFixed, kRace };
 
 [[nodiscard]] constexpr const char* source_policy_name(SourcePolicy p) noexcept {
   return p == SourcePolicy::kRace ? "race" : "fixed";
 }
 
-/// Tuning for SourcePolicy::kRace (sim/adversary.hpp's WorstSourceOptions
-/// maps onto it).
+/// Tuning for SourcePolicy::kRace. tests/support/race_oracle.hpp states the
+/// race's rules as serial loops.
 struct SourceRaceOptions {
   /// Trials per candidate in the screening pass.
   std::uint64_t screen_trials = 10;
@@ -171,8 +171,8 @@ struct CampaignConfig {
 
 /// A fixed-source configuration over a graph the caller owns: `prebuilt` is
 /// a non-owning alias of `g`, which must outlive the run_campaign call. The
-/// one setup behind the one-config wrappers (sim/harness.hpp's measure_*,
-/// sim/adversary.hpp's searches).
+/// one setup behind the one-config wrappers (sim/harness.hpp's measure_*);
+/// with source_policy = kRace it is a worst-source search over `g`.
 [[nodiscard]] CampaignConfig borrowed_config(const graph::Graph& g, std::string id,
                                              EngineKind engine, core::Mode mode,
                                              std::uint64_t trials, std::uint64_t seed);
@@ -264,7 +264,7 @@ struct CampaignResult {
 
 /// Runs every configuration's trials over one shared block queue. Results
 /// are ordered like `configs`. Race configurations enqueue their screen and
-/// refine passes onto the same queue as they become ready, so adversary
+/// refine passes onto the same queue as they become ready, so worst-source
 /// searches interleave with ordinary cells instead of serializing behind
 /// them. Throws the first trial/build exception after draining the pool
 /// (mirroring run_trials).
@@ -354,11 +354,6 @@ struct CampaignSpec {
 void render_campaign_reports(const std::vector<CampaignResult>& results,
                              const std::string& campaign_name, unsigned threads,
                              const std::function<void(std::size_t, Json&)>& emit);
-
-/// render_campaign_reports collected in input order.
-[[nodiscard]] std::vector<Json> campaign_reports(const std::vector<CampaignResult>& results,
-                                                 const std::string& campaign_name,
-                                                 unsigned threads);
 
 /// The depth at which each of `count` reports is dumped (Json::dump_to with
 /// indent 2) for report_json_parts: 0 for one report, 1 for the others.

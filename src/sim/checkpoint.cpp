@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <stdexcept>
 #include <string_view>
@@ -974,26 +973,6 @@ std::optional<CampaignSpec> load_campaign_spec_file(const std::string& path,
   return spec;
 }
 
-namespace {
-
-void print_merge_usage(std::ostream& out) {
-  out << "usage: campaign_merge --campaign spec.json [options] shard1.json shard2.json ...\n"
-         "\n"
-         "Folds the finished shard snapshots of one campaign (produced by\n"
-         "rumor_bench --campaign spec.json --shard i/k) into the final reports,\n"
-         "bit-identical to the unsharded run's --json output.\n"
-         "\n"
-         "options:\n"
-         "  --campaign FILE  the campaign spec the shards were run from (required)\n"
-         "  --out FILE       write the merged report via temp-file + atomic rename\n"
-         "  --trials N       repeat the override the shard runs used, if any\n"
-         "  --seed S         repeat the override the shard runs used, if any\n"
-         "  --scale K        repeat the override the shard runs used, if any\n"
-         "  --help           this text\n";
-}
-
-}  // namespace
-
 void report_stale_snapshots(const std::vector<Json>& snapshots,
                             const std::vector<std::string>& names, const char* prog,
                             std::ostream& err) {
@@ -1017,118 +996,6 @@ void report_stale_snapshots(const std::vector<Json>& snapshots,
         << static_cast<long long>(std::llround(lag / 60.0)) << " min before the newest shard"
         << " (stale shard? re-run it if the spec or binary changed since)\n";
   }
-}
-
-int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
-                           std::ostream& err) {
-  constexpr const char* kProg = "campaign_merge";
-  std::string campaign_file;
-  std::string out_file;
-  std::uint64_t trials = 0;
-  std::uint64_t seed = 0;
-  unsigned scale = 1;
-  std::vector<std::string> files;
-
-  auto numeric_arg = [&](int& i, const char* flag) -> std::optional<std::uint64_t> {
-    if (i + 1 >= argc) {
-      err << kProg << ": " << flag << " requires a value\n";
-      return std::nullopt;
-    }
-    ++i;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(argv[i], &end, 10);
-    if (argv[i][0] == '-' || argv[i][0] == '+' || end == argv[i] || *end != '\0' ||
-        v > (std::uint64_t{1} << 53)) {
-      err << kProg << ": bad value for " << flag << ": " << argv[i] << "\n";
-      return std::nullopt;
-    }
-    return v;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_merge_usage(out);
-      return 0;
-    } else if (arg == "--campaign") {
-      if (i + 1 >= argc) {
-        err << kProg << ": --campaign requires a file path\n";
-        return 2;
-      }
-      campaign_file = argv[++i];
-    } else if (arg == "--out") {
-      if (i + 1 >= argc) {
-        err << kProg << ": --out requires a file path\n";
-        return 2;
-      }
-      out_file = argv[++i];
-    } else if (arg == "--trials") {
-      const auto v = numeric_arg(i, "--trials");
-      if (!v) return 2;
-      trials = *v;
-    } else if (arg == "--seed") {
-      const auto v = numeric_arg(i, "--seed");
-      if (!v) return 2;
-      seed = *v;
-    } else if (arg == "--scale") {
-      const auto v = numeric_arg(i, "--scale");
-      if (!v) return 2;
-      scale = static_cast<unsigned>(std::clamp<std::uint64_t>(*v, 1, 64));
-    } else if (!arg.empty() && arg.front() == '-') {
-      err << kProg << ": unknown option " << arg << "\n";
-      print_merge_usage(err);
-      return 2;
-    } else {
-      files.emplace_back(arg);
-    }
-  }
-
-  if (campaign_file.empty()) {
-    err << kProg << ": --campaign spec.json is required\n";
-    print_merge_usage(err);
-    return 2;
-  }
-  if (files.empty()) {
-    err << kProg << ": at least one shard snapshot file is required\n";
-    print_merge_usage(err);
-    return 2;
-  }
-
-  const auto spec = load_campaign_spec_file(campaign_file, trials, seed, scale, kProg, err);
-  if (!spec) return 2;
-  std::vector<Json> snapshots;
-  snapshots.reserve(files.size());
-  for (const std::string& f : files) {
-    auto doc = json::read_json_file(f, kProg, err);
-    if (!doc) return 2;
-    snapshots.push_back(std::move(*doc));
-  }
-  report_stale_snapshots(snapshots, files, kProg, err);
-
-  std::vector<CampaignResult> results;
-  try {
-    results = merge_campaign_snapshots(spec->configs, spec->name, snapshots);
-  } catch (const std::exception& e) {
-    err << kProg << ": " << e.what() << "\n";
-    return 1;
-  }
-
-  const int depth = report_depth(results.size());
-  std::vector<std::string> texts(results.size());
-  render_campaign_reports(results, spec->name, 0, [&](std::size_t i, const Json& report) {
-    report.dump_to(texts[i], 2, depth);
-  });
-  const std::vector<std::string_view> parts = report_json_parts(texts);
-  if (!out_file.empty()) {
-    std::string error;
-    if (!write_file_atomic(out_file, parts, error)) {
-      err << kProg << ": " << error << "\n";
-      return 1;
-    }
-  } else {
-    for (const std::string_view part : parts) out << part;
-  }
-  return 0;
 }
 
 }  // namespace rumor::sim

@@ -172,7 +172,7 @@ struct SnapshotLayout {
 /// Loads a campaign spec file and applies the rumor_bench CLI override
 /// semantics (--trials replaces every trial count, --scale multiplies the
 /// spec's own counts otherwise, --seed replaces every root seed). Shared by
-/// rumor_bench and tools/campaign_merge so both resolve identical configs —
+/// rumor_bench's run and --merge paths so both resolve identical configs —
 /// a prerequisite for spec-hash validation. Returns nullopt after printing
 /// a `prog`-prefixed diagnostic to `err`.
 [[nodiscard]] std::optional<CampaignSpec> load_campaign_spec_file(const std::string& path,
@@ -192,14 +192,6 @@ struct SnapshotLayout {
 void report_stale_snapshots(const std::vector<Json>& snapshots,
                             const std::vector<std::string>& names, const char* prog,
                             std::ostream& err);
-
-/// The tools/campaign_merge entry point:
-///   campaign_merge --campaign spec.json [--out FILE] [--trials N]
-///                  [--seed S] [--scale K] shard1.json shard2.json ...
-/// Exit codes match rumor_bench: 0 = merged, 1 = merge validation failure,
-/// 2 = bad input. rumor_bench --merge drives the same merge path.
-int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
-                           std::ostream& err);
 
 /// Thread-safe campaign progress store: the machinery behind snapshots.
 /// Internal to run_campaign_resumable — declared here only so the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -203,7 +205,7 @@ void print_usage(std::ostream& out) {
          "                   and the final report is bit-identical to an unbroken run\n"
          "  --stop-after-blocks N  stop after N blocks (exit 3; testing/ops hook)\n"
          "  --merge          fold finished shard snapshots (positional args) into the\n"
-         "                   final report (also available as tools/campaign_merge)\n"
+         "                   final report\n"
          "  --trace FILE     write a Chrome/Perfetto trace of the campaign run to FILE\n"
          "                   (per-worker block/graph-build/merge spans + metrics; fold\n"
          "                   with tools/trace_report.py)\n"
@@ -312,6 +314,22 @@ bool write_file_atomic(const std::string& path, const std::string& contents,
   return write_file_atomic(path, std::span(&whole, 1), error);
 }
 
+std::optional<std::uint64_t> parse_unsigned_arg(std::string_view text, std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_double_arg(std::string_view text) {
+  double v = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
 int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   ExperimentOptions opts;
   opts.scale = env_scale();
@@ -336,25 +354,29 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
   bool curves_flag = false;
   std::vector<std::string> names;
 
-  auto numeric_arg = [&](int& i, const char* flag) -> std::optional<std::uint64_t> {
+  // `max` is the flag's field width where it is narrower than 2^53.
+  auto numeric_arg = [&](int& i, const char* flag,
+                         std::uint64_t max = json::kMaxExactInteger) -> std::optional<std::uint64_t> {
     if (i + 1 >= argc) {
       err << "rumor_bench: " << flag << " requires a value\n";
       return std::nullopt;
     }
     ++i;
-    // strtoull silently wraps negative input ("-5" -> ~1.8e19), so reject
-    // any sign character up front.
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(argv[i], &end, 10);
-    if (argv[i][0] == '-' || argv[i][0] == '+' || end == argv[i] || *end != '\0') {
+    const auto v = parse_unsigned_arg(argv[i], std::numeric_limits<std::uint64_t>::max());
+    if (!v) {
       err << "rumor_bench: bad value for " << flag << ": " << argv[i] << "\n";
       return std::nullopt;
     }
     // Values travel through Json's IEEE-double numbers (exact only up to
     // 2^53), so cap CLI inputs where the report could no longer reproduce
     // them exactly.
-    if (v > (std::uint64_t{1} << 53)) {
+    if (*v > json::kMaxExactInteger) {
       err << "rumor_bench: " << flag << " must be <= 2^53 (values are recorded as JSON numbers)\n";
+      return std::nullopt;
+    }
+    if (*v > max) {
+      err << "rumor_bench: bad value for " << flag << ": " << argv[i] << " (must be <= " << max
+          << ")\n";
       return std::nullopt;
     }
     return v;
@@ -403,7 +425,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       }
       opts.seed = *v;
     } else if (arg == "--threads") {
-      const auto v = numeric_arg(i, "--threads");
+      const auto v = numeric_arg(i, "--threads", std::numeric_limits<unsigned>::max());
       if (!v) return 2;
       opts.threads = static_cast<unsigned>(*v);
     } else if (arg == "--batch") {
@@ -737,9 +759,9 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       }
     }
 
-    // A shard emits its partial snapshot, not a report; campaign_merge (or
-    // rumor_bench --merge) folds the partials into the final report. Only
-    // then is the snapshot document built.
+    // A shard emits its partial snapshot, not a report; rumor_bench --merge
+    // folds the partials into the final report. Only then is the snapshot
+    // document built.
     const bool shard_output = campaign_options.shard_count > 1 || shard_explicit;
     CampaignOutcome outcome;
     try {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -134,6 +135,15 @@ struct ExperimentRegistrar {
 /// the parts' bytes in order; empty parts are allowed.
 [[nodiscard]] bool write_file_atomic(const std::string& path,
                                      std::span<const std::string_view> parts, std::string& error);
+
+/// The one reader of numeric command-line values (rumor_bench,
+/// graph_pack): the whole of `text` must be a decimal integer no larger
+/// than `max` — no sign, no blanks, no trailing bytes. nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parse_unsigned_arg(std::string_view text,
+                                                              std::uint64_t max);
+/// The same for a finite double in std::from_chars' general format (a
+/// leading '-' reads; ranges are the caller's).
+[[nodiscard]] std::optional<double> parse_double_arg(std::string_view text);
 
 /// The rumor_bench command line:
 ///   rumor_bench --list [--json]

@@ -83,7 +83,7 @@ class SpreadingTimeSample {
   /// The paper's T_q: the smallest t such that a fraction >= 1 - q of trials
   /// finished by t. With q = 1/n this is the high-probability spreading
   /// time; it needs >= 1/q samples to be meaningful, so callers with large n
-  /// typically fix q = 1/trials instead (documented in EXPERIMENTS.md).
+  /// typically fix q = 1/trials instead (as e2_theorem1 does).
   [[nodiscard]] double hp_time(double q) const { return quantile(1.0 - q); }
 
   [[nodiscard]] stats::BootstrapInterval mean_ci(double confidence = 0.95,

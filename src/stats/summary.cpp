@@ -86,10 +86,6 @@ double quantile_sorted(std::span<const double> sorted_samples, double q) {
   return sorted_samples[k];
 }
 
-double spreading_time_quantile(std::span<const double> samples, double q) {
-  return quantile(samples, 1.0 - q);
-}
-
 namespace {
 
 /// Every resample of an n-sample bootstrap draws its indices from the same
@@ -192,13 +188,6 @@ BootstrapInterval bootstrap_mean_ci(std::span<const double> samples, double conf
     for (double x : s) sum += x;
     return sum / static_cast<double>(s.size());
   });
-}
-
-BootstrapInterval bootstrap_quantile_ci(std::span<const double> samples, double q,
-                                        double confidence, std::size_t resamples,
-                                        std::uint64_t seed) {
-  return bootstrap_ci(samples, confidence, resamples, seed,
-                      [q](std::span<const double> s) { return quantile(s, q); });
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {

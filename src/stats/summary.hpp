@@ -97,13 +97,6 @@ class RunningMoments {
 /// subsequent calls on the sorted span are O(1) via `quantile_sorted`.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted_samples, double q);
 
-/// The paper's T_q for a sample of spreading times: the empirical
-/// (1 - q)-quantile, i.e. the time by which a fraction >= 1 - q of trials
-/// had informed every node. For the "high probability" time T_{1/n} call
-/// with q = 1/n (requires >= n samples to be meaningful; the harness caps
-/// and documents this).
-[[nodiscard]] double spreading_time_quantile(std::span<const double> samples, double q);
-
 /// Percentile-bootstrap confidence interval for a statistic of the sample
 /// mean. Re-samples `samples` with replacement `resamples` times. An empty
 /// sample has no defined mean: all three fields are NaN (the documented
@@ -118,10 +111,6 @@ struct BootstrapInterval {
 [[nodiscard]] BootstrapInterval bootstrap_mean_ci(std::span<const double> samples,
                                                   double confidence, std::size_t resamples,
                                                   std::uint64_t seed);
-
-[[nodiscard]] BootstrapInterval bootstrap_quantile_ci(std::span<const double> samples, double q,
-                                                      double confidence, std::size_t resamples,
-                                                      std::uint64_t seed);
 
 /// Fixed-width histogram over [lo, hi) with `bins` buckets; samples outside
 /// the range are clamped into the edge buckets. Used by example programs to

@@ -1,4 +1,4 @@
-#include "core/coupling_push.hpp"
+#include "support/coupling_push.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -1,4 +1,4 @@
-// rumor/core: the basic push coupling of Section 3 (after Sauerwald [24]).
+// Test support (namespace rumor::core): the basic push coupling of Section 3 (after Sauerwald [24]).
 //
 // The paper's upper-bound technique extends this classical coupling: once a
 // node v is informed, it contacts the same sequence of neighbors X_{v,1},
@@ -10,8 +10,8 @@
 // one, node by node.
 //
 // This module executes both processes jointly on one draw of the table and
-// returns (r_v, t_v) so tests and bench E8 can observe the domination the
-// paper cites as observation (1) of Corollary 3.
+// returns (r_v, t_v) so tests can observe the domination the paper cites as
+// observation (1) of Corollary 3.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-#include "core/informing_forest.hpp"
+#include "support/informing_forest.hpp"
 
 #include <cassert>
 

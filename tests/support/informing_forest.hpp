@@ -1,13 +1,13 @@
-// rumor/core: informing forests — who informed whom.
+// Test support (namespace rumor::core): informing forests — who informed whom.
 //
 // Both of the paper's proofs argue along *informing paths* pi_v = v_0 = u,
 // v_1, ..., v_l = v, where v_{i+1} first receives the rumor from v_i
 // (Lemmas 9/10 decompose r_v over such a path). This module re-runs the
 // synchronous or asynchronous protocol while recording each node's
 // informer, yielding the informing forest (a spanning tree of the informed
-// set, rooted at the source) plus per-node path lengths. Benches and tests
-// use it to study path-length distributions and to validate that the
-// engines' exchanges are structurally consistent (informer is adjacent,
+// set, rooted at the source) plus per-node path lengths. Tests use it to
+// study path-length distributions and to validate that the engines'
+// exchanges are structurally consistent (informer is adjacent,
 // informed earlier, and reachable from the source).
 #pragma once
 

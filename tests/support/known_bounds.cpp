@@ -1,9 +1,9 @@
-#include "analysis/known_bounds.hpp"
+#include "support/known_bounds.hpp"
 
 #include <cassert>
 #include <cmath>
 
-#include "dist/tail_bounds.hpp"
+#include "support/tail_bounds.hpp"
 
 namespace rumor::analysis {
 

@@ -1,6 +1,5 @@
-// rumor/analysis: closed-form spreading-time predictions from the
-// literature, used as oracles by tests and reported alongside measurements
-// by the benches.
+// Test support (namespace rumor::analysis): closed-form spreading-time
+// predictions from the literature, used as oracles by tests.
 //
 // Every prediction is an asymptotic law with explicit leading constant
 // where one is known; `PredictionWindow` wraps it with multiplicative slack

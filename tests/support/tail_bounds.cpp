@@ -1,4 +1,4 @@
-#include "dist/tail_bounds.hpp"
+#include "support/tail_bounds.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,7 +1,7 @@
-// rumor/dist: closed-form tail bounds and special sums from the analysis
-// toolbox.
+// Test support (namespace rumor::dist): closed-form tail bounds and special
+// sums from the analysis toolbox.
 //
-// These are the "theory oracles" the known-bounds module and the benches
+// These are the "theory oracles" the known-bounds windows and the tests
 // compare measurements against: harmonic numbers and coupon-collector
 // moments (star-graph laws), Chernoff bounds for binomials (round-level
 // concentration), and exact upper tails for the negative binomial and

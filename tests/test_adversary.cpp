@@ -1,8 +1,8 @@
-// Tests for the worst-case-source search (sim/adversary.hpp, a thin
-// wrapper over SourcePolicy::kRace campaigns) and for the campaign-native
-// size-sweep pattern that replaced the retired sim/sweep module: build one
-// configuration per size, run them over the shared block queue, and fit
-// growth laws on the resulting means with stats/regression directly.
+// Tests for the worst-case-source search (a one-config SourcePolicy::kRace
+// campaign) and for the campaign-native size-sweep pattern that replaced
+// the retired sim/sweep module: build one configuration per size, run them
+// over the shared block queue, and fit growth laws on the resulting means
+// with stats/regression directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/rumor.hpp"
-#include "sim/adversary.hpp"
 #include "sim/campaign.hpp"
 #include "stats/regression.hpp"
 
@@ -90,49 +89,61 @@ TEST(CampaignSizeSweep, PowerLawFitRecoversLinearGrowth) {
 
 // --- Worst-case source -----------------------------------------------------------
 
+namespace {
+
+/// The worst-source search: a one-config SourcePolicy::kRace campaign over
+/// the caller's graph, `trials` refinement trials per finalist.
+sim::CampaignResult race(const graph::Graph& g, sim::EngineKind engine,
+                         const sim::SourceRaceOptions& options, std::uint64_t trials = 100,
+                         std::uint64_t seed = 1) {
+  sim::CampaignConfig cfg =
+      sim::borrowed_config(g, "race", engine, core::Mode::kPushPull, trials, seed);
+  cfg.source_policy = sim::SourcePolicy::kRace;
+  cfg.race = options;
+  return sim::run_campaign({cfg}, {}).front();
+}
+
+}  // namespace
+
 TEST(WorstSource, FindsLollipopTailEnd) {
   // On a lollipop the slowest sync source is deep in the tail (the rumor
   // must cross the whole path before the clique amplifies it)... actually
   // any source must traverse the path; the worst is at the tail tip, the
   // best inside the clique. The search must rank them in that order.
   const auto g = graph::lollipop(24, 24);  // tail tip = node 47
-  sim::WorstSourceOptions opts;
+  sim::SourceRaceOptions opts;
   opts.max_candidates = 0;  // screen everything: n = 48 is small
   opts.screen_trials = 8;
-  opts.final_trials = 40;
-  const auto result = sim::find_worst_source_sync(g, core::Mode::kPushPull, opts);
+  const auto result = race(g, sim::EngineKind::kSync, opts, 40);
   // Worst source lies in the far half of the tail.
   EXPECT_GE(result.source, 36u) << "worst=" << result.source;
-  EXPECT_GT(result.mean_time, result.best_mean_time);
+  EXPECT_GT(result.summary.mean(), result.best_mean);
 }
 
 TEST(WorstSource, StarSourcesAreNearlyEquivalentSync) {
   // Sync pp on the star: hub takes 1 round, leaves take 2 — the gap is
   // tiny; the search must report a small worst/best spread.
   const auto g = graph::star(64);
-  sim::WorstSourceOptions opts;
+  sim::SourceRaceOptions opts;
   opts.max_candidates = 16;
-  const auto result = sim::find_worst_source_sync(g, core::Mode::kPushPull, opts);
-  EXPECT_LE(result.mean_time, 2.05);
-  EXPECT_GE(result.best_mean_time, 0.95);
+  const auto result = race(g, sim::EngineKind::kSync, opts);
+  EXPECT_LE(result.summary.mean(), 2.05);
+  EXPECT_GE(result.best_mean, 0.95);
 }
 
 TEST(WorstSource, AsyncSearchRunsAndOrdersFinalists) {
   const auto g = graph::double_star(64);
-  sim::WorstSourceOptions opts;
+  sim::SourceRaceOptions opts;
   opts.max_candidates = 12;
-  opts.final_trials = 60;
-  const auto result = sim::find_worst_source_async(g, core::Mode::kPushPull, opts);
-  EXPECT_GE(result.mean_time, result.best_mean_time);
+  const auto result = race(g, sim::EngineKind::kAsync, opts, 60);
+  EXPECT_GE(result.summary.mean(), result.best_mean);
   EXPECT_LT(result.source, g.num_nodes());
 }
 
 TEST(WorstSource, DeterministicGivenSeed) {
   const auto g = graph::barbell(10, 6);
-  sim::WorstSourceOptions opts;
-  opts.seed = 99;
-  const auto a = sim::find_worst_source_sync(g, core::Mode::kPushPull, opts);
-  const auto b = sim::find_worst_source_sync(g, core::Mode::kPushPull, opts);
+  const auto a = race(g, sim::EngineKind::kSync, {}, 100, 99);
+  const auto b = race(g, sim::EngineKind::kSync, {}, 100, 99);
   EXPECT_EQ(a.source, b.source);
-  EXPECT_DOUBLE_EQ(a.mean_time, b.mean_time);
+  EXPECT_DOUBLE_EQ(a.summary.mean(), b.summary.mean());
 }

@@ -6,13 +6,13 @@
 
 #include <cmath>
 
-#include "analysis/known_bounds.hpp"
 #include "core/rumor.hpp"
 #include "dist/distributions.hpp"
-#include "dist/tail_bounds.hpp"
 #include "graph/expansion.hpp"
 #include "rng/rng.hpp"
 #include "sim/harness.hpp"
+#include "support/known_bounds.hpp"
+#include "support/tail_bounds.hpp"
 
 using namespace rumor;
 

@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "rng/rng.hpp"
 #include "sim/harness.hpp"
+#include "support/dist_checks.hpp"
 
 using namespace rumor;
 using core::AuxKind;

@@ -24,14 +24,11 @@
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
+#include "support/campaign_fixtures.hpp"
 
 using namespace rumor;
 
 namespace {
-
-std::shared_ptr<const graph::Graph> shared(graph::Graph g) {
-  return std::make_shared<const graph::Graph>(std::move(g));
-}
 
 /// `trials` spreading times from the batch engine, scheduled exactly like
 /// the campaign does it: the block starting at trial b runs lanes
@@ -68,25 +65,6 @@ std::vector<double> sync_samples(const graph::Graph& g, core::Mode mode, double 
     const auto result = core::run_sync(g, 0, eng, options);
     EXPECT_TRUE(result.completed);
     out.push_back(static_cast<double>(result.rounds));
-  }
-  return out;
-}
-
-sim::CampaignSpec parse(const std::string& text) {
-  const auto doc = sim::Json::parse(text);
-  EXPECT_TRUE(doc.has_value()) << text;
-  return sim::parse_campaign_spec(*doc);
-}
-
-/// All reported statistics of one result, for exact cross-run comparison.
-std::vector<double> fingerprint(const sim::CampaignResult& r) {
-  const auto& s = r.summary;
-  std::vector<double> out = {s.mean(),   s.stddev(),        s.min(),
-                             s.max(),    s.median(),        s.quantile(0.95),
-                             s.hp_time(r.hp_q)};
-  for (const auto& [tag, value] : s.reservoir().entries()) {
-    out.push_back(static_cast<double>(tag));
-    out.push_back(value);
   }
   return out;
 }

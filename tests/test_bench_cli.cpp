@@ -27,8 +27,8 @@ namespace {
 #ifndef RUMOR_BENCH_BINARY
 #error "RUMOR_BENCH_BINARY must point at the rumor_bench executable"
 #endif
-#ifndef RUMOR_MERGE_BINARY
-#error "RUMOR_MERGE_BINARY must point at the campaign_merge executable"
+#ifndef RUMOR_GRAPH_PACK_BINARY
+#error "RUMOR_GRAPH_PACK_BINARY must point at the graph_pack executable"
 #endif
 
 /// Runs a command line and captures its stdout. `exit_code` receives the
@@ -327,6 +327,49 @@ TEST(BenchCli, CampaignConflictsWithExperimentSelection) {
   std::remove(spec.c_str());
 }
 
+TEST(BenchCli, ThreadsWiderThanItsFieldIsBadInput) {
+  // 2^32 + 1 is below the 2^53 cap of every count flag but does not fit
+  // the unsigned thread count.
+  int status = 0;
+  const std::string err =
+      run_bench("e3_star --trials 8 --threads 4294967297 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(err.find("--threads: 4294967297"), std::string::npos) << err;
+}
+
+TEST(GraphPackCli, RefusesMalformedNumbersNamingTheFlag) {
+  // Every numeric flag is read whole and within a campaign spec's ranges;
+  // a refusal exits 2, names the flag, and writes no store.
+  const std::string out = testing::TempDir() + "graph_pack_refused.rgs";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--family complete --n 12abc", "--n: 12abc"},
+      {"--family star --n -5", "--n: -5"},
+      {"--family random_regular --n 64 --degree 4294967302", "--degree: 4294967302"},
+      {"--family erdos_renyi --n 64 --p 0.5xyz", "--p: 0.5xyz"},
+      {"--family erdos_renyi --n 64 --p 1.5", "--p: 1.5"},
+      {"--family chung_lu --n 64 --beta inf", "--beta: inf"},
+      {"--family erdos_renyi --n 64 --p 0.2 --graph-seed 9007199254740993",
+       "--graph-seed: 9007199254740993"},
+  };
+  for (const auto& [args, flag_and_value] : cases) {
+    std::remove(out.c_str());
+    int status = 0;
+    const std::string err = run_tool(RUMOR_GRAPH_PACK_BINARY,
+                                     std::string(args) + " --out " + out + " 2>&1", &status);
+    EXPECT_EQ(status, 2) << args << "\n" << err;
+    EXPECT_NE(err.find(std::string("bad value for ") + flag_and_value), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(out)) << args;
+  }
+  // graph_seed keeps the whole range a spec gives it.
+  int status = 0;
+  run_tool(RUMOR_GRAPH_PACK_BINARY,
+           "--family erdos_renyi --n 64 --p 0.2 --graph-seed 9007199254740992 --out " + out,
+           &status);
+  EXPECT_EQ(status, 0);
+  EXPECT_TRUE(std::filesystem::exists(out));
+  std::remove(out.c_str());
+}
+
 // --- Checkpoints, shards, and merge ------------------------------------------
 
 namespace {
@@ -407,7 +450,6 @@ TEST(BenchCliCheckpoint, ShardsThenMergeMatchesStraightRunByteForByte) {
   const std::string s1 = testing::TempDir() + "bench_cli_shard1.json";
   const std::string s2 = testing::TempDir() + "bench_cli_shard2.json";
   const std::string merged_bench = testing::TempDir() + "bench_cli_shard_mb.json";
-  const std::string merged_tool = testing::TempDir() + "bench_cli_shard_mt.json";
 
   int status = 0;
   run_bench("--campaign " + spec + " --json --threads 2 --batch 4 --out " + plain_out, &status);
@@ -424,24 +466,18 @@ TEST(BenchCliCheckpoint, ShardsThenMergeMatchesStraightRunByteForByte) {
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->find("format")->as_string(), "rumor-campaign-checkpoint");
 
-  // Both merge front ends agree with the unsharded run, byte for byte.
+  // The merge agrees with the unsharded run, byte for byte.
   run_bench("--campaign " + spec + " --json --merge " + s1 + " " + s2 + " --out " + merged_bench,
             &status);
   ASSERT_EQ(status, 0);
   EXPECT_EQ(read_file(merged_bench), read_file(plain_out))
       << "rumor_bench --merge must be bit-identical to the unsharded run";
 
-  run_tool(RUMOR_MERGE_BINARY,
-           "--campaign " + spec + " --out " + merged_tool + " " + s1 + " " + s2, &status);
-  ASSERT_EQ(status, 0);
-  EXPECT_EQ(read_file(merged_tool), read_file(plain_out))
-      << "campaign_merge must be bit-identical to the unsharded run";
-
   // A merge with a shard missing is a validation failure (exit 1).
-  run_tool(RUMOR_MERGE_BINARY, "--campaign " + spec + " " + s1 + " 2>/dev/null", &status);
+  run_bench("--campaign " + spec + " --json --merge " + s1 + " 2>/dev/null", &status);
   EXPECT_EQ(status, 1);
 
-  for (const auto& p : {spec, plain_out, s1, s2, merged_bench, merged_tool}) {
+  for (const auto& p : {spec, plain_out, s1, s2, merged_bench}) {
     std::remove(p.c_str());
   }
 }
@@ -621,10 +657,9 @@ TEST(BenchCliObservability, StaleShardIsToleratedButReported) {
     file << snap->dump(2) << "\n";
   }
 
-  const std::string err = run_tool(RUMOR_MERGE_BINARY,
-                                   "--campaign " + spec + " --out " + merged + " " + s1 + " " +
-                                       s2 + " 2>&1 1>/dev/null",
-                                   &status);
+  const std::string err = run_bench("--campaign " + spec + " --json --merge " + s1 + " " + s2 +
+                                        " --out " + merged + " 2>&1 1>/dev/null",
+                                    &status);
   EXPECT_EQ(status, 0) << "a stale stamp must not fail the merge:\n" << err;
   EXPECT_NE(err.find("stale shard"), std::string::npos) << err;
   EXPECT_NE(err.find("bench_cli_stale1.json"), std::string::npos) << err;

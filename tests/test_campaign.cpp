@@ -22,19 +22,16 @@
 #include "graph/graph_store.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/rng.hpp"
-#include "sim/adversary.hpp"
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/harness.hpp"
+#include "support/campaign_fixtures.hpp"
+#include "support/race_oracle.hpp"
 
 using namespace rumor;
 
 namespace {
-
-std::shared_ptr<const graph::Graph> shared(graph::Graph g) {
-  return std::make_shared<const graph::Graph>(std::move(g));
-}
 
 /// A small mixed campaign: three topologies, sync and async engines.
 std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials,
@@ -57,19 +54,6 @@ std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials,
     }
   }
   return configs;
-}
-
-/// All reported statistics of one result, for exact cross-run comparison.
-std::vector<double> fingerprint(const sim::CampaignResult& r) {
-  const auto& s = r.summary;
-  std::vector<double> out = {s.mean(),   s.stddev(),        s.min(),
-                             s.max(),    s.median(),        s.quantile(0.95),
-                             s.hp_time(r.hp_q)};
-  for (const auto& [tag, value] : s.reservoir().entries()) {
-    out.push_back(static_cast<double>(tag));
-    out.push_back(value);
-  }
-  return out;
 }
 
 }  // namespace
@@ -500,12 +484,6 @@ TEST(CampaignGraphSpec, GraphSeedIsReproducible) {
 
 namespace {
 
-sim::CampaignSpec parse(const std::string& text) {
-  const auto doc = sim::Json::parse(text);
-  EXPECT_TRUE(doc.has_value()) << text;
-  return sim::parse_campaign_spec(*doc);
-}
-
 }  // namespace
 
 TEST(CampaignSpecParsing, ExpandsArraysAsCrossProduct) {
@@ -921,44 +899,54 @@ TEST(CampaignScale, ThousandConfigurationsReduceToConstantSizeSummaries) {
 
 namespace {
 
-/// A race configuration over a prebuilt graph, mirroring what
-/// find_worst_source_* builds internally.
+/// A race configuration over a prebuilt graph: `trials` refinement trials
+/// per finalist.
 sim::CampaignConfig race_config(std::shared_ptr<const graph::Graph> g, sim::EngineKind engine,
-                                const sim::WorstSourceOptions& opts) {
+                                const sim::SourceRaceOptions& race, std::uint64_t trials,
+                                std::uint64_t seed) {
   sim::CampaignConfig cfg;
   cfg.id = "race";
   cfg.prebuilt = std::move(g);
   cfg.engine = engine;
   cfg.source_policy = sim::SourcePolicy::kRace;
-  cfg.race.screen_trials = opts.screen_trials;
-  cfg.race.finalists = opts.finalists;
-  cfg.race.final_trials = opts.final_trials;
-  cfg.race.max_candidates = opts.max_candidates;
-  cfg.seed = opts.seed;
-  cfg.trials = opts.final_trials;
+  cfg.race = race;
+  cfg.seed = seed;
+  cfg.trials = trials;
   return cfg;
+}
+
+/// The race oracle (tests/support/race_oracle.hpp) adds trial by trial;
+/// the campaign merges per-block moments, so refined means agree to
+/// rounding, not to the bit.
+constexpr double kRaceMeanRelTol = 1e-12;
+
+void expect_matches_oracle(const sim::CampaignResult& r, const sim::WorstSourceResult& oracle,
+                           const std::string& label) {
+  EXPECT_EQ(r.source, oracle.source) << label;
+  EXPECT_NEAR(r.summary.mean(), oracle.mean_time, kRaceMeanRelTol * oracle.mean_time) << label;
+  EXPECT_EQ(r.best_source, oracle.best_source) << label;
+  EXPECT_NEAR(r.best_mean, oracle.best_mean_time, kRaceMeanRelTol * oracle.best_mean_time)
+      << label;
 }
 
 }  // namespace
 
 TEST(CampaignRace, MatchesFindWorstSourceOnStarAndLollipop) {
-  // The acceptance bar: a campaign `source: "race"` cell and a direct
-  // find_worst_source call must agree bit-for-bit — worst and best source
-  // ids, and their refined means to the last bit.
-  sim::WorstSourceOptions opts;
-  opts.screen_trials = 6;
-  opts.final_trials = 40;
-  opts.max_candidates = 24;
-  opts.seed = 17;
+  // The acceptance bar: a campaign `source: "race"` cell and the serial
+  // race oracle must pick the same worst and best source ids, with the
+  // same refined means up to kRaceMeanRelTol — sync and async, with the
+  // refine pass spanning two blocks.
+  sim::SourceRaceOptions race;
+  race.screen_trials = 6;
+  race.max_candidates = 24;
   for (const auto& g : {shared(graph::star(96)), shared(graph::lollipop(24, 24))}) {
-    const auto direct = sim::find_worst_source_sync(*g, core::Mode::kPushPull, opts);
-    const auto results = sim::run_campaign({race_config(g, sim::EngineKind::kSync, opts)}, {});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].source, direct.source) << g->name();
-    EXPECT_EQ(results[0].summary.mean(), direct.mean_time) << g->name();
-    EXPECT_EQ(results[0].best_source, direct.best_source) << g->name();
-    EXPECT_EQ(results[0].best_mean, direct.best_mean_time) << g->name();
-    EXPECT_EQ(results[0].summary.count(), opts.final_trials);
+    for (const sim::EngineKind engine : {sim::EngineKind::kSync, sim::EngineKind::kAsync}) {
+      const auto oracle = sim::find_worst_source(*g, engine, core::Mode::kPushPull, race, 40, 17);
+      const auto results = sim::run_campaign({race_config(g, engine, race, 40, 17)}, {});
+      ASSERT_EQ(results.size(), 1u);
+      expect_matches_oracle(results[0], oracle, g->name() + " " + sim::engine_name(engine));
+      EXPECT_EQ(results[0].summary.count(), 40u);
+    }
   }
 }
 
@@ -968,15 +956,13 @@ TEST(CampaignRace, RacedSourceBitDeterministicAcrossThreadCounts) {
   // source AND its refined summary are bit-identical at any thread count —
   // even with ordinary fixed-source cells competing for the same workers.
   static const auto kLollipop = shared(graph::lollipop(24, 24));
-  sim::WorstSourceOptions opts;
-  opts.screen_trials = 6;
-  opts.final_trials = 48;
-  opts.max_candidates = 16;
-  opts.seed = 5;
+  sim::SourceRaceOptions race;
+  race.screen_trials = 6;
+  race.max_candidates = 16;
 
   std::vector<sim::CampaignConfig> configs = mixed_configs(32);
-  configs.push_back(race_config(kLollipop, sim::EngineKind::kSync, opts));
-  configs.push_back(race_config(kLollipop, sim::EngineKind::kAsync, opts));
+  configs.push_back(race_config(kLollipop, sim::EngineKind::kSync, race, 48, 5));
+  configs.push_back(race_config(kLollipop, sim::EngineKind::kAsync, race, 48, 5));
 
   sim::CampaignOptions options;
   options.block_size = 8;
@@ -1006,7 +992,7 @@ TEST(CampaignRace, RacedSourceBitDeterministicAcrossThreadCounts) {
 TEST(CampaignRace, SpecDrivenRaceMatchesFindWorstSource) {
   // End-to-end through the JSON spec front end (what `rumor_bench
   // --campaign` executes): a spec-built star must race to the same source
-  // and mean as find_worst_source on an identically built star.
+  // and means as the serial race oracle on an identically built star.
   const auto spec = parse(R"({"configs": [
       {"graph": "star", "n": 96, "source": "race", "trials": 40,
        "screen_trials": 6, "finalists": 4, "max_candidates": 24, "seed": 17}
@@ -1016,30 +1002,25 @@ TEST(CampaignRace, SpecDrivenRaceMatchesFindWorstSource) {
   EXPECT_EQ(spec.configs[0].source_policy, sim::SourcePolicy::kRace);
   EXPECT_EQ(spec.configs[0].id, "star_n96_sync_push-pull_race");
 
-  sim::WorstSourceOptions opts;
-  opts.screen_trials = 6;
-  opts.final_trials = 40;
-  opts.max_candidates = 24;
-  opts.seed = 17;
-  const auto direct = sim::find_worst_source_sync(graph::star(96), core::Mode::kPushPull, opts);
+  sim::SourceRaceOptions race;
+  race.screen_trials = 6;
+  race.max_candidates = 24;
+  const auto oracle = sim::find_worst_source(graph::star(96), sim::EngineKind::kSync,
+                                             core::Mode::kPushPull, race, 40, 17);
   for (const unsigned threads : {1u, 2u, 8u}) {
     sim::CampaignOptions options;
     options.threads = threads;
     const auto results = sim::run_campaign(spec.configs, options);
-    EXPECT_EQ(results[0].source, direct.source) << "threads=" << threads;
-    EXPECT_EQ(results[0].summary.mean(), direct.mean_time) << "threads=" << threads;
-    EXPECT_EQ(results[0].best_source, direct.best_source) << "threads=" << threads;
-    EXPECT_EQ(results[0].best_mean, direct.best_mean_time) << "threads=" << threads;
+    expect_matches_oracle(results[0], oracle, "threads=" + std::to_string(threads));
   }
 }
 
 TEST(CampaignRace, ReportCarriesRaceOutcome) {
-  sim::WorstSourceOptions opts;
-  opts.screen_trials = 4;
-  opts.final_trials = 16;
-  opts.max_candidates = 8;
-  const auto results =
-      sim::run_campaign({race_config(shared(graph::star(64)), sim::EngineKind::kSync, opts)}, {});
+  sim::SourceRaceOptions race;
+  race.screen_trials = 4;
+  race.max_candidates = 8;
+  const auto results = sim::run_campaign(
+      {race_config(shared(graph::star(64)), sim::EngineKind::kSync, race, 16, 1)}, {});
   const sim::Json report = sim::campaign_report(results[0], "unit");
   EXPECT_EQ(report.find("params")->find("source_policy")->as_string(), "race");
   const sim::Json* stats = report.find("stats");

@@ -32,14 +32,11 @@
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
+#include "support/campaign_fixtures.hpp"
 
 using namespace rumor;
 
 namespace {
-
-std::shared_ptr<const graph::Graph> shared(graph::Graph g) {
-  return std::make_shared<const graph::Graph>(std::move(g));
-}
 
 /// A compact campaign exercising every block kind the snapshot layer
 /// handles: two plain cells, a worst-source race, and a churn cell.

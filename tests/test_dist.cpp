@@ -12,6 +12,7 @@
 
 #include "dist/distributions.hpp"
 #include "rng/rng.hpp"
+#include "support/dist_checks.hpp"
 
 namespace dist = rumor::dist;
 namespace rng = rumor::rng;

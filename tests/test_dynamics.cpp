@@ -23,36 +23,9 @@
 #include "rng/rng.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
+#include "support/campaign_fixtures.hpp"
 
 using namespace rumor;
-
-namespace {
-
-std::shared_ptr<const graph::Graph> shared(graph::Graph g) {
-  return std::make_shared<const graph::Graph>(std::move(g));
-}
-
-/// All reported statistics of one result, for exact cross-run comparison
-/// (mirrors the helper in test_campaign.cpp).
-std::vector<double> fingerprint(const sim::CampaignResult& r) {
-  const auto& s = r.summary;
-  std::vector<double> out = {s.mean(),   s.stddev(),        s.min(),
-                             s.max(),    s.median(),        s.quantile(0.95),
-                             s.hp_time(r.hp_q)};
-  for (const auto& [tag, value] : s.reservoir().entries()) {
-    out.push_back(static_cast<double>(tag));
-    out.push_back(value);
-  }
-  return out;
-}
-
-sim::CampaignSpec parse(const std::string& text) {
-  const auto doc = sim::Json::parse(text);
-  EXPECT_TRUE(doc.has_value()) << text;
-  return sim::parse_campaign_spec(*doc);
-}
-
-}  // namespace
 
 // --- NeighborAliasTable ------------------------------------------------------
 

@@ -5,6 +5,8 @@
 #include "core/rumor.hpp"
 #include "rng/rng.hpp"
 #include "sim/harness.hpp"
+#include "support/coupling_push.hpp"
+#include "support/informing_forest.hpp"
 
 using namespace rumor;
 

@@ -8,6 +8,7 @@
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "rng/rng.hpp"
+#include "support/graph_oracles.hpp"
 
 namespace graph = rumor::graph;
 namespace rng = rumor::rng;

@@ -10,6 +10,8 @@
 #include "core/rumor.hpp"
 #include "dist/distributions.hpp"
 #include "sim/harness.hpp"
+#include "support/coupling_push.hpp"
+#include "support/graph_oracles.hpp"
 
 using namespace rumor;
 

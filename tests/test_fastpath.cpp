@@ -28,6 +28,7 @@
 #include "graph/generators.hpp"
 #include "rng/rng.hpp"
 #include "sim/campaign.hpp"
+#include "support/reference_engines.hpp"
 
 using namespace rumor;
 using core::Mode;

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 
-#include "core/informing_forest.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "rng/rng.hpp"
+#include "support/informing_forest.hpp"
 
 using namespace rumor;
 

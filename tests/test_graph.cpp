@@ -12,6 +12,7 @@
 #include "graph/graph.hpp"
 #include "graph/properties.hpp"
 #include "rng/rng.hpp"
+#include "support/graph_oracles.hpp"
 
 namespace graph = rumor::graph;
 namespace rng = rumor::rng;

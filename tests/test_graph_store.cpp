@@ -23,6 +23,7 @@
 #include "graph/io.hpp"
 #include "obs/build_info.hpp"
 #include "rng/rng.hpp"
+#include "support/graph_oracles.hpp"
 
 namespace graph = rumor::graph;
 namespace core = rumor::core;

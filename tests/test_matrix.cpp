@@ -13,6 +13,7 @@
 #include "core/rumor.hpp"
 #include "graph/expansion.hpp"
 #include "rng/rng.hpp"
+#include "support/coupling_push.hpp"
 
 using namespace rumor;
 

@@ -26,14 +26,11 @@
 #include "obs/trace.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
+#include "support/campaign_fixtures.hpp"
 
 using namespace rumor;
 
 namespace {
-
-std::shared_ptr<const graph::Graph> shared(graph::Graph g) {
-  return std::make_shared<const graph::Graph>(std::move(g));
-}
 
 /// A small mixed campaign: both engines, a race cell, and a weighted cell,
 /// so every counter (sync rounds, async events, screen/refine trials) is

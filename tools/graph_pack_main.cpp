@@ -13,21 +13,28 @@
 //       cells use (sim::build_graph), so the packed graph is bit-identical
 //       to the in-memory graph a campaign cell with the same spec builds.
 //       Without --graph-seed, random families use seed 1 (a campaign
-//       cell's default seed).
+//       cell's default seed). Numbers are read whole (no sign on the
+//       integers, no trailing bytes) and within a campaign spec's ranges.
 //
 //   graph_pack --info STORE [--verify]
 //       Dump the store header; --verify additionally recomputes the
 //       payload checksum.
 //
 // Exit codes: 0 success, 1 runtime failure (I/O, corrupt store), 2 usage.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "graph/graph_store.hpp"
 #include "graph/io.hpp"
+#include "json/json.hpp"
 #include "sim/campaign.hpp"
+#include "sim/experiment.hpp"
 
 namespace {
 
@@ -48,7 +55,10 @@ int main(int argc, char** argv) {
   std::string name;
   bool compact_ids = false;
   bool verify = false;
-  rumor::sim::GraphSpec spec;
+  // The generator parameters live in a campaign config so check_config
+  // holds them to the ranges a campaign spec gets.
+  rumor::sim::CampaignConfig cfg;
+  rumor::sim::GraphSpec& spec = cfg.graph;
 
   auto need_value = [&](int i) -> const char* {
     if (i + 1 >= argc) {
@@ -58,32 +68,61 @@ int main(int argc, char** argv) {
     return argv[i + 1];
   };
 
+  // Reads the value after the numeric flag argv[i] into `field` with
+  // rumor_bench's readers; integers stop at the field's width and at 2^53,
+  // as in a spec. Each value is range-checked as it lands (the earlier
+  // ones already passed), so a refusal names its own flag.
+  auto read_number = [&](int& i, auto& field) -> bool {
+    using T = std::remove_reference_t<decltype(field)>;
+    const char* flag = argv[i];
+    const char* text = need_value(i++);
+    std::optional<T> v;
+    std::string why;
+    if constexpr (std::is_floating_point_v<T>) {
+      v = rumor::sim::parse_double_arg(text);
+      why = "expected a finite number";
+    } else {
+      const std::uint64_t max =
+          std::min<std::uint64_t>(std::numeric_limits<T>::max(), rumor::json::kMaxExactInteger);
+      if (const auto u = rumor::sim::parse_unsigned_arg(text, max)) v = static_cast<T>(*u);
+      why = "expected an integer in 0.." + std::to_string(max);
+    }
+    if (v) {
+      field = *v;
+      why = rumor::sim::check_config(cfg);
+    }
+    if (why.empty()) return true;
+    std::cerr << "graph_pack: bad value for " << flag << ": " << text << " (" << why << ")\n";
+    usage(std::cerr);
+    return false;
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg == "--edges") edges = need_value(i++);
-      else if (arg == "--out") out = need_value(i++);
-      else if (arg == "--info") info = need_value(i++);
-      else if (arg == "--name") name = need_value(i++);
-      else if (arg == "--compact-ids") compact_ids = true;
-      else if (arg == "--verify") verify = true;
-      else if (arg == "--family") spec.family = need_value(i++);
-      else if (arg == "--n") spec.n = std::stoull(need_value(i++));
-      else if (arg == "--degree") spec.degree = static_cast<std::uint32_t>(std::stoul(need_value(i++)));
-      else if (arg == "--p") spec.p = std::stod(need_value(i++));
-      else if (arg == "--beta") spec.beta = std::stod(need_value(i++));
-      else if (arg == "--average-degree") spec.average_degree = std::stod(need_value(i++));
-      else if (arg == "--graph-seed") spec.graph_seed = std::stoull(need_value(i++));
-      else if (arg == "--help" || arg == "-h") {
-        usage(std::cout);
-        return 0;
-      }
-      else {
-        std::cerr << "graph_pack: unknown argument '" << arg << "'\n";
-        return usage(std::cerr);
-      }
-    } catch (const std::exception&) {
-      std::cerr << "graph_pack: bad numeric value after " << arg << "\n";
+    if (arg == "--edges") edges = need_value(i++);
+    else if (arg == "--out") out = need_value(i++);
+    else if (arg == "--info") info = need_value(i++);
+    else if (arg == "--name") name = need_value(i++);
+    else if (arg == "--compact-ids") compact_ids = true;
+    else if (arg == "--verify") verify = true;
+    else if (arg == "--family") spec.family = need_value(i++);
+    else if (arg == "--n") {
+      if (!read_number(i, spec.n)) return 2;
+    } else if (arg == "--degree") {
+      if (!read_number(i, spec.degree)) return 2;
+    } else if (arg == "--p") {
+      if (!read_number(i, spec.p)) return 2;
+    } else if (arg == "--beta") {
+      if (!read_number(i, spec.beta)) return 2;
+    } else if (arg == "--average-degree") {
+      if (!read_number(i, spec.average_degree)) return 2;
+    } else if (arg == "--graph-seed") {
+      if (!read_number(i, spec.graph_seed)) return 2;
+    } else if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
+      return 0;
+    } else {
+      std::cerr << "graph_pack: unknown argument '" << arg << "'\n";
       return usage(std::cerr);
     }
   }
