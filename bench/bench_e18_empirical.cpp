@@ -128,7 +128,7 @@ sim::Json run(const sim::ExperimentContext& ctx) {
       row.set("p95", ram.summary.quantile(0.95));
       row.set("file_mean", file.summary.mean());
       row.set("store_bytes", info.file_size);
-      row.set("offsets", info.wide_offsets ? "64-bit" : "32-bit");
+      row.set("offsets", "32-bit");
       row.set("file_equals_ram", equal);
       rows.push_back(std::move(row));
     }

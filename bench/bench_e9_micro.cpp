@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/rumor.hpp"
-#include "rng/discrete.hpp"
 #include "sim/experiment.hpp"
 
 namespace {
@@ -308,7 +307,7 @@ sim::Json run(const sim::ExperimentContext& ctx) {
   sim::Json body = sim::Json::object();
   body.set("rows", std::move(rows));
   body.set("notes",
-           "Primitive throughputs for the DESIGN.md ablations: the global-clock "
+           "Primitive throughputs for the docs/ENGINES.md ablations: the global-clock "
            "async view should beat the per-edge bucket-queue view; "
            "uniform-neighbor sampling is the protocol inner loop. The fast-path "
            "rows pin the engine cores: informed_set_word_scan is the sync "

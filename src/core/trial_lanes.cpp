@@ -337,20 +337,13 @@ RUMOR_LANES void sync_round(const Graph& g, SyncBook& book) {
   store_states(st, book.state);
 }
 
-/// How an async tick fetches the contacted neighbor's row.
-enum class Rows : std::uint8_t {
-  kRegular,    // flat stride v * d
-  kOffsets32,  // CSR with 32-bit offsets (compact mapped stores)
-  kOffsets64,  // CSR with 64-bit offsets
-};
-
 /// The global-clock tick loop for every lane at once, until every trial
 /// has run. Per tick each lane makes global_clock_loop's draws — the clock
 /// uniform, the caller uniform_below(n), and (for a caller of positive
 /// degree) the callee draw — and the inform rule reads the lane's bitset.
 /// Informs and folds log the lane's clock product (AsyncBook); lane
 /// retirement and refill run in AsyncBook::settle between ticks.
-template <Mode M, Rows R>
+template <Mode M, ScanKind K>
 RUMOR_LANES void async_ticks(const Graph& g, AsyncBook& book) {
   const NodeId n = book.n;
   const Graph::Csr csr = g.csr();
@@ -358,7 +351,7 @@ RUMOR_LANES void async_ticks(const Graph& g, AsyncBook& book) {
   const __m512i one = _mm512_set1_epi64(1);
   const __m512i nodes = _mm512_set1_epi64(n);
   const __m512i depth = _mm512_set1_epi64(static_cast<long long>(kLogDepth));
-  const __m512i degree = _mm512_set1_epi64(R == Rows::kRegular ? g.degree(0) : 0);
+  const __m512i degree = _mm512_set1_epi64(K == ScanKind::kRegular ? g.degree(0) : 0);
   const __m512d unit = _mm512_set1_pd(1.0);
   const __m512d fold_below = _mm512_set1_pd(AsyncBook::kFoldBelow);
   std::uint64_t* const bits = book.informed.data();
@@ -377,21 +370,14 @@ RUMOR_LANES void async_ticks(const Graph& g, AsyncBook& book) {
     const __m512i v = bounded(st, next(st), nodes, 0xFF);
     __m512i w;
     __mmask8 has = 0xFF;  // lanes whose caller has a neighbor
-    if constexpr (R == Rows::kRegular) {
+    if constexpr (K == ScanKind::kRegular) {
       const __m512i idx = bounded(st, next(st), degree, 0xFF);
       const __m512i at = _mm512_add_epi64(_mm512_mul_epu32(v, degree), idx);
       w = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, csr.neighbors, 4));
     } else {
       const __m512i v1 = _mm512_add_epi64(v, one);
-      __m512i begin;
-      __m512i end;
-      if constexpr (R == Rows::kOffsets32) {
-        begin = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(v, csr.offsets32, 4));
-        end = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(v1, csr.offsets32, 4));
-      } else {
-        begin = _mm512_i64gather_epi64(v, csr.offsets64, 8);
-        end = _mm512_i64gather_epi64(v1, csr.offsets64, 8);
-      }
+      const __m512i begin = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(v, csr.offsets, 4));
+      const __m512i end = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(v1, csr.offsets, 4));
       const __m512i deg = _mm512_sub_epi64(end, begin);
       has = _mm512_test_epi64_mask(deg, deg);
       const __m512i idx = bounded(st, next_masked(st, has), deg, has);
@@ -486,14 +472,12 @@ void run_sync_lanes(const Graph& g, SyncBook& book, Mode mode) {
 void run_async_lanes(const Graph& g, AsyncBook& book, Mode mode) {
   for (std::size_t l = 0; l < kLaneWidth; ++l) book.refill(l);
   book.settle();  // sets the first deadline
-  const Rows rows = choose_scan(g, false) == ScanKind::kRegular ? Rows::kRegular
-                    : g.csr().offsets32 != nullptr              ? Rows::kOffsets32
-                                                                : Rows::kOffsets64;
+  const bool regular = choose_scan(g, false) == ScanKind::kRegular;
   with_mode(mode, [&]<Mode M>() {
-    switch (rows) {
-      case Rows::kRegular: return async_ticks<M, Rows::kRegular>(g, book);
-      case Rows::kOffsets32: return async_ticks<M, Rows::kOffsets32>(g, book);
-      case Rows::kOffsets64: return async_ticks<M, Rows::kOffsets64>(g, book);
+    if (regular) {
+      async_ticks<M, ScanKind::kRegular>(g, book);
+    } else {
+      async_ticks<M, ScanKind::kStatic>(g, book);
     }
   });
 }

@@ -5,7 +5,7 @@
 // clocks), geometrics (per-round success counts), negative binomials and
 // Erlangs (sums of the former two) — and repeatedly compare processes in the
 // usual stochastic order X preceq Y. This module provides those laws with
-// exact pdf/pmf/cdf/quantile/moment formulas plus samplers driven by
+// exact pmf/cdf/quantile/moment formulas plus samplers driven by
 // rng::Engine, an empirical CDF type, and the two-sample KS statistic and
 // test (the batch_sync equality gate). The one-sample analytic KS statistic
 // and the empirical domination check that validate the coupling lemmas
@@ -29,9 +29,6 @@ class Exponential {
   [[nodiscard]] double mean() const noexcept { return 1.0 / rate_; }
   [[nodiscard]] double variance() const noexcept { return 1.0 / (rate_ * rate_); }
 
-  [[nodiscard]] double pdf(double x) const noexcept {
-    return x < 0.0 ? 0.0 : rate_ * std::exp(-rate_ * x);
-  }
   [[nodiscard]] double cdf(double x) const noexcept {
     return x <= 0.0 ? 0.0 : -std::expm1(-rate_ * x);
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/properties.hpp"
-#include "rng/discrete.hpp"
 
 namespace rumor::graph {
 

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace rumor::graph {
 
@@ -11,10 +12,16 @@ void GraphBuilder::add_edge(NodeId a, NodeId b) {
 }
 
 Graph GraphBuilder::build(std::string name) && {
+  // Every count below is at most the 2 * edges_.size() arcs, so this one
+  // check keeps all of them in 32 bits.
+  if (edges_.size() > 0x7fffffffULL) {
+    throw std::length_error("GraphBuilder::build: " + std::to_string(edges_.size()) +
+                            " edges make 2^32 or more arcs; offsets are 32-bit");
+  }
   // Count degrees; after the inclusive prefix sum offsets[v] is the end of
   // v's row.
   const std::size_t n = num_nodes_;
-  std::vector<std::uint64_t> offsets(n + 1, 0);
+  std::vector<std::uint32_t> offsets(n + 1, 0);
   for (const Edge& e : edges_) {
     ++offsets[e.a];
     ++offsets[e.b];
@@ -35,19 +42,27 @@ Graph GraphBuilder::build(std::string name) && {
   // that earlier rows' duplicates left (offsets[v + 1] is read before it is
   // rewritten on the next iteration).
   NodeId* const base = neighbors.data();
-  std::uint64_t write = 0;
+  std::uint32_t write = 0;
   for (std::size_t v = 0; v < n; ++v) {
     NodeId* const first = base + offsets[v];
     NodeId* const last = base + offsets[v + 1];
     std::sort(first, last);
     offsets[v] = write;
     NodeId* const end = std::move(first, std::unique(first, last), base + write);
-    write = static_cast<std::uint64_t>(end - base);
+    write = static_cast<std::uint32_t>(end - base);
   }
   offsets[n] = write;
   neighbors.resize(write);
   neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors), std::move(name));
+  struct Arrays {
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> neighbors;
+  };
+  auto arrays = std::make_shared<const Arrays>(Arrays{std::move(offsets), std::move(neighbors)});
+  const std::uint32_t* const offsets_data = arrays->offsets.data();
+  const NodeId* const neighbors_data = arrays->neighbors.data();
+  return Graph(std::move(arrays), offsets_data, neighbors_data, num_nodes_, false,
+               std::move(name));
 }
 
 std::uint32_t Graph::neighbor_index(NodeId v, NodeId w) const noexcept {

@@ -5,19 +5,20 @@
 // one flat neighbor array. Uniform neighbor selection is a single bounded
 // uniform plus one indexed load.
 //
-// A Graph reads its CSR arrays through raw pointers, so the same type serves
-// two storage backends behind one adjacency interface:
+// Every Graph has one layout: 32-bit offsets (so at most 2^32 - 1 arcs) and
+// 32-bit neighbor ids, read through raw pointers into immutable storage that
+// a shared handle keeps alive. The storage is either
 //
-//   * owned — GraphBuilder::build() freezes edges into vectors the Graph
-//     owns (every generator and the edge-list reader produce these);
-//   * mapped — graph_store.hpp opens a packed on-disk CSR via mmap and hands
-//     the Graph pointers into the mapping (plus a shared handle keeping it
-//     alive). Offsets in a packed store may be 32-bit (chosen at pack time
-//     when 2m fits); the accessors branch once on the stored width.
+//   * built — GraphBuilder::build() freezes edges into two vectors (every
+//     generator and the edge-list reader produce these);
+//   * mapped — graph_store.hpp's open_graph_store mmaps a packed on-disk CSR
+//     and the pointers aim straight into the mapping.
 //
-// Engines, couplings, and dynamics overlays are agnostic to the backend: a
-// mapped graph is bit-for-bit interchangeable with the in-memory graph it
-// was packed from (tests/test_graph_store.cpp).
+// Copies share the storage, so copying a Graph is O(1) and copy/move are the
+// compiler's; a moved-from Graph may only be assigned to or destroyed.
+// Engines, couplings, and dynamics overlays never see the difference: a
+// mapped graph is bit-for-bit interchangeable with the built graph it was
+// packed from (tests/test_graph_store.cpp).
 //
 // Graphs in this library are simple (no self-loops, no parallel edges),
 // undirected, and — for rumor-spreading purposes — expected to be connected;
@@ -49,11 +50,9 @@ struct Edge {
 
 class Graph;
 
-namespace detail {
-/// graph_store.cpp's private construction hook for mapped graphs; keeps the
-/// pointer-wiring constructor out of the public Graph surface.
-struct GraphAccess;
-}  // namespace detail
+/// Opens a packed graph store (graph_store.hpp); declared here because it is
+/// the mapped layout's constructor.
+[[nodiscard]] Graph open_graph_store(const std::string& path);
 
 /// Mutable edge-list accumulator; `build()` freezes it into a CSR Graph.
 ///
@@ -74,7 +73,8 @@ class GraphBuilder {
   /// Freezes into an immutable Graph; the builder is left empty. A counting
   /// sort by endpoint: O(n + m + sum_v deg(v) log deg(v)) time, and peak
   /// memory is the added edge list plus offsets and a neighbor array of
-  /// two entries per added edge.
+  /// two entries per added edge. Throws std::length_error when the added
+  /// edges make 2^32 or more arcs, which 32-bit offsets cannot index.
   [[nodiscard]] Graph build(std::string name) &&;
 
  private:
@@ -89,7 +89,7 @@ class Graph {
   [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
 
   /// Number of undirected edges m.
-  [[nodiscard]] std::size_t num_edges() const noexcept { return num_arcs_ / 2; }
+  [[nodiscard]] std::size_t num_edges() const noexcept { return offsets_[num_nodes_] / 2; }
 
   /// deg(v): the number of neighbors of v.
   [[nodiscard]] std::uint32_t degree(NodeId v) const noexcept {
@@ -131,121 +131,44 @@ class Graph {
   [[nodiscard]] bool is_regular() const noexcept;
 
   /// True when the CSR arrays live in a mapped graph store rather than
-  /// owned vectors (diagnostics only; behavior is identical either way).
-  [[nodiscard]] bool is_mapped() const noexcept { return mapping_ != nullptr; }
+  /// built vectors (diagnostics only; behavior is identical either way).
+  [[nodiscard]] bool is_mapped() const noexcept { return mapped_; }
 
   /// Human-readable generator tag, e.g. "hypercube(d=10)".
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// The raw CSR arrays behind neighbors(): v's slice is
-  /// neighbors[offset(v), offset(v + 1)), with exactly one of offsets32 /
-  /// offsets64 non-null. For engines that fetch several nodes' rows at
-  /// once (core/trial_lanes.cpp); everything else uses neighbors().
+  /// neighbors[offsets[v], offsets[v + 1]). For engines that fetch several
+  /// nodes' rows at once (core/trial_lanes.cpp) and for the store writer;
+  /// everything else uses neighbors().
   struct Csr {
-    const std::uint32_t* offsets32;
-    const std::uint64_t* offsets64;
+    const std::uint32_t* offsets;
     const NodeId* neighbors;
   };
-  [[nodiscard]] Csr csr() const noexcept { return {offsets32_, offsets64_, neighbors_}; }
+  [[nodiscard]] Csr csr() const noexcept { return {offsets_, neighbors_}; }
 
  private:
   friend class GraphBuilder;
-  friend struct detail::GraphAccess;
+  friend Graph open_graph_store(const std::string& path);
 
-  /// CSR offset of v's adjacency slice. Mapped stores may use the compact
-  /// 32-bit encoding; owned storage is always 64-bit. The branch is
-  /// perfectly predicted (the width never changes within a graph).
-  [[nodiscard]] std::size_t offset(NodeId v) const noexcept {
-    return offsets32_ != nullptr ? offsets32_[v] : static_cast<std::size_t>(offsets64_[v]);
-  }
-
-  /// Owned-storage constructor (GraphBuilder).
-  Graph(std::vector<std::uint64_t> offsets, std::vector<NodeId> neighbors, std::string name)
-      : owned_offsets_(std::move(offsets)),
-        owned_neighbors_(std::move(neighbors)),
-        offsets64_(owned_offsets_.data()),
-        neighbors_(owned_neighbors_.data()),
-        num_nodes_(static_cast<NodeId>(owned_offsets_.size() - 1)),
-        num_arcs_(owned_neighbors_.size()),
-        name_(std::move(name)) {}
-
-  /// Mapped-storage constructor (detail::GraphAccess / graph_store.cpp).
-  /// Exactly one of offsets32/offsets64 is non-null; `mapping` keeps the
-  /// bytes the pointers reference alive for the Graph's lifetime.
-  Graph(std::shared_ptr<const void> mapping, const std::uint32_t* offsets32,
-        const std::uint64_t* offsets64, const NodeId* neighbors, NodeId num_nodes,
-        std::size_t num_arcs, std::string name)
-      : mapping_(std::move(mapping)),
-        offsets32_(offsets32),
-        offsets64_(offsets64),
+  /// `storage` keeps the n + 1 offsets and offsets[n] neighbors alive.
+  Graph(std::shared_ptr<const void> storage, const std::uint32_t* offsets,
+        const NodeId* neighbors, NodeId num_nodes, bool mapped, std::string name)
+      : storage_(std::move(storage)),
+        offsets_(offsets),
         neighbors_(neighbors),
         num_nodes_(num_nodes),
-        num_arcs_(num_arcs),
+        mapped_(mapped),
         name_(std::move(name)) {}
 
-  // Owned backend (empty for mapped graphs). Copy/move rules: the compiler-
-  // generated copy would leave the pointers aiming at the source's vectors,
-  // so spell them out to re-anchor.
-  std::vector<std::uint64_t> owned_offsets_;  // size n + 1
-  std::vector<NodeId> owned_neighbors_;       // size 2m, sorted per node slice
-  /// Mapped backend: opaque handle keeping an mmap'd store alive.
-  std::shared_ptr<const void> mapping_;
+  [[nodiscard]] std::size_t offset(NodeId v) const noexcept { return offsets_[v]; }
 
-  const std::uint32_t* offsets32_ = nullptr;  // mapped compact offsets, or null
-  const std::uint64_t* offsets64_ = nullptr;  // owned / mapped wide offsets
-  const NodeId* neighbors_ = nullptr;
-  NodeId num_nodes_ = 0;
-  std::size_t num_arcs_ = 0;  // 2m
+  std::shared_ptr<const void> storage_;
+  const std::uint32_t* offsets_;  // size n + 1
+  const NodeId* neighbors_;       // size 2m, sorted per node slice
+  NodeId num_nodes_;
+  bool mapped_;
   std::string name_;
-
- public:
-  Graph(const Graph& other) { *this = other; }
-  Graph& operator=(const Graph& other) {
-    if (this == &other) return *this;
-    owned_offsets_ = other.owned_offsets_;
-    owned_neighbors_ = other.owned_neighbors_;
-    mapping_ = other.mapping_;
-    num_nodes_ = other.num_nodes_;
-    num_arcs_ = other.num_arcs_;
-    name_ = other.name_;
-    if (other.mapping_ != nullptr) {
-      offsets32_ = other.offsets32_;
-      offsets64_ = other.offsets64_;
-      neighbors_ = other.neighbors_;
-    } else {
-      offsets32_ = nullptr;
-      offsets64_ = owned_offsets_.data();
-      neighbors_ = owned_neighbors_.data();
-    }
-    return *this;
-  }
-  Graph(Graph&& other) noexcept { *this = std::move(other); }
-  Graph& operator=(Graph&& other) noexcept {
-    if (this == &other) return *this;
-    owned_offsets_ = std::move(other.owned_offsets_);
-    owned_neighbors_ = std::move(other.owned_neighbors_);
-    mapping_ = std::move(other.mapping_);
-    num_nodes_ = other.num_nodes_;
-    num_arcs_ = other.num_arcs_;
-    name_ = std::move(other.name_);
-    if (mapping_ != nullptr) {
-      offsets32_ = other.offsets32_;
-      offsets64_ = other.offsets64_;
-      neighbors_ = other.neighbors_;
-    } else {
-      // Moved vectors keep their heap buffers, so re-anchoring is exact.
-      offsets32_ = nullptr;
-      offsets64_ = owned_offsets_.data();
-      neighbors_ = owned_neighbors_.data();
-    }
-    other.offsets32_ = nullptr;
-    other.offsets64_ = nullptr;
-    other.neighbors_ = nullptr;
-    other.num_nodes_ = 0;
-    other.num_arcs_ = 0;
-    return *this;
-  }
-  ~Graph() = default;
 };
 
 }  // namespace rumor::graph

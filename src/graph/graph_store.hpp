@@ -1,18 +1,15 @@
 // rumor/graph: the packed, memory-mapped on-disk CSR graph store.
 //
-// Campaigns at planet scale (n ~ 10^8..10^9) cannot afford to rebuild — or
-// even duplicate — their one dominant data structure per configuration. A
-// *graph store* is the frozen CSR written to disk once, in a versioned
-// little-endian format with compact offsets (32-bit whenever the arc count
-// fits, halving the offsets array for every graph below ~2^31 edges), a
-// payload checksum, and a provenance header. Opening a store mmap()s the
-// file and returns an ordinary `Graph` whose CSR pointers aim straight into
-// the mapping: no parse, no copy, demand-paged by the OS, shared read-only
-// across every configuration, trial, thread, and `--shard` process that
-// opens the same file (the page cache deduplicates them). `GraphView` below
-// names that role; it is the same type the engines already consume, so a
-// mapped graph is bit-for-bit interchangeable with the in-memory graph it
-// was packed from.
+// Campaigns cannot afford to rebuild — or even duplicate — their one
+// dominant data structure per configuration. A *graph store* is the frozen
+// CSR written to disk once, in a versioned little-endian format (u32
+// offsets, u32 neighbors), with a payload checksum and a provenance header.
+// Opening a store mmap()s the file and returns an ordinary `Graph` whose CSR
+// pointers aim straight into the mapping: no parse, no copy, demand-paged by
+// the OS, shared read-only across every configuration, trial, thread, and
+// `--shard` process that opens the same file (the page cache deduplicates
+// them). A mapped graph is bit-for-bit interchangeable with the built graph
+// it was packed from.
 //
 // The normative byte-level format specification lives in
 // docs/GRAPH_FORMAT.md; tools/graph_pack_main.cpp is the packing CLI.
@@ -25,27 +22,14 @@
 
 namespace rumor::graph {
 
-/// A graph opened from a packed store: an immutable, mmap-backed view. The
-/// alias documents intent — the type is `Graph` on purpose, so engines,
-/// couplings, and dynamics overlays consume mapped and in-memory graphs
-/// through one adjacency interface.
-using GraphView = Graph;
-
 /// File identification. The 8-byte magic doubles as a human-greppable tag;
 /// `version` bumps on any layout change and readers reject what they do not
 /// understand.
 inline constexpr char kGraphStoreMagic[8] = {'R', 'U', 'M', 'O', 'R', 'C', 'S', 'R'};
 inline constexpr std::uint32_t kGraphStoreVersion = 1;
 /// Fixed header size; the CSR payload starts here (64 bytes keeps the
-/// offsets array 8-byte aligned for direct mapped access).
+/// offsets array aligned for direct mapped access).
 inline constexpr std::size_t kGraphStoreHeaderBytes = 64;
-
-/// The offset-width selection rule: offsets index the flat neighbor array
-/// of length `arcs` = 2m and the terminal offset equals `arcs` itself, so
-/// the compact 32-bit encoding is usable exactly when arcs <= 2^32 - 1.
-[[nodiscard]] constexpr bool graph_store_wide_offsets(std::uint64_t arcs) noexcept {
-  return arcs > 0xffffffffULL;
-}
 
 /// A store's parsed header (plus the trailing strings): everything needed
 /// to identify a file without touching the CSR payload. `checksum` is the
@@ -53,7 +37,6 @@ inline constexpr std::size_t kGraphStoreHeaderBytes = 64;
 /// campaign checkpoints hash file-backed graphs by.
 struct GraphStoreInfo {
   std::uint32_t version = 0;
-  bool wide_offsets = false;   // 64-bit offsets (arcs exceeded 2^32 - 1)
   std::uint64_t n = 0;         // node count
   std::uint64_t arcs = 0;      // directed adjacency entries = 2m
   std::uint64_t checksum = 0;  // FNV-1a 64 over offsets || neighbors || name
@@ -64,11 +47,11 @@ struct GraphStoreInfo {
   [[nodiscard]] std::uint64_t num_edges() const noexcept { return arcs / 2; }
 };
 
-/// Packs `g` into a store at `path` (atomically: sibling temp file +
-/// rename, so a crashed pack never leaves a torn store). `source` is a free
-/// note recorded in the provenance header, e.g. the edge-list file or
-/// generator spec the graph came from. Throws std::runtime_error naming the
-/// path on any I/O failure.
+/// Packs `g` into a store at `path` through json::write_file_atomic, so a
+/// crashed pack never leaves a torn store and a written one survives a
+/// power loss. `source` is a free note recorded in the provenance header,
+/// e.g. the edge-list file or generator spec the graph came from. Throws
+/// std::runtime_error naming the path on any I/O failure.
 void write_graph_store(const Graph& g, const std::string& path, const std::string& source = "");
 
 /// Reads and validates the header + trailing strings only — O(1) in the
@@ -82,12 +65,13 @@ void write_graph_store(const Graph& g, const std::string& path, const std::strin
 /// deliberately skips.
 [[nodiscard]] GraphStoreInfo verify_graph_store(const std::string& path);
 
-/// Opens a store as an immutable mmap-backed GraphView. Validates the
-/// header and that the file size matches the declared layout (so no access
-/// through the view can run off the mapping), but does not recompute the
-/// payload checksum — use verify_graph_store for that. Throws
-/// std::runtime_error naming the path and byte offset on any problem.
-[[nodiscard]] GraphView open_graph_store(const std::string& path);
+/// Opens a store as an immutable mmap-backed Graph. Validates the header
+/// and that the file size matches the declared layout, but reads neither
+/// the offsets nor the payload checksum: a store whose offsets are corrupt
+/// opens, and reading its rows can run off the mapping. verify_graph_store
+/// catches that. Throws std::runtime_error naming the path and byte offset
+/// on any problem it does check.
+[[nodiscard]] Graph open_graph_store(const std::string& path);
 
 /// Human-readable header dump (the `graph_pack --info` output): one
 /// "key: value" line per field. `verified` appends the integrity note.

@@ -71,15 +71,4 @@ std::uint32_t diameter(const Graph& g) {
   return diam;
 }
 
-std::vector<double> contact_probabilities(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<double> pi(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    double sum = 0.0;
-    for (NodeId w : g.neighbors(v)) sum += 1.0 / static_cast<double>(g.degree(w));
-    pi[v] = sum / static_cast<double>(n);
-  }
-  return pi;
-}
-
 }  // namespace rumor::graph

@@ -36,10 +36,4 @@ struct Components {
 /// bench scales (n <= ~10^5 sparse).
 [[nodiscard]] std::uint32_t diameter(const Graph& g);
 
-/// sum_v 1/deg(v) over neighbors of v for every v — the per-node contact
-/// probability pi(v) = (1/n) * sum_{w in Gamma(v)} 1/deg(w) from the
-/// Section 5 analysis (probability v is contacted in a random step).
-/// Satisfies sum_v pi(v) = 1.
-[[nodiscard]] std::vector<double> contact_probabilities(const Graph& g);
-
 }  // namespace rumor::graph

@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -195,5 +196,21 @@ template <class T>
 /// the byte offset and what was expected there).
 [[nodiscard]] std::optional<Json> read_json_file(const std::string& path, const char* prog,
                                                  std::ostream& err);
+
+/// Durably writes `contents` to `path`: a sibling temp file in the
+/// destination's directory is written, fsync'd, atomically renamed over
+/// `path`, and the parent directory is fsync'd so the rename itself
+/// survives a crash. The temp file is unlinked on every error path. On
+/// failure returns false with a description in `error` (no stream prefix —
+/// callers add their program name). Every file the library publishes goes
+/// through it: reports, checkpoints, traces and packed graph stores.
+[[nodiscard]] bool write_file_atomic(const std::string& path, const std::string& contents,
+                                     std::string& error);
+/// The same durable write for a document given as consecutive `parts`: they
+/// are gathered by writev (IOV_MAX parts per call, resumed after a short
+/// write), so the caller never concatenates them. The file holds exactly
+/// the parts' bytes in order; empty parts are allowed.
+[[nodiscard]] bool write_file_atomic(const std::string& path,
+                                     std::span<const std::string_view> parts, std::string& error);
 
 }  // namespace rumor::json

@@ -1,8 +1,8 @@
 #include "obs/telemetry.hpp"
 
-#include <fstream>
 #include <iostream>
 
+#include "json/json.hpp"
 #include "obs/progress.hpp"
 
 namespace rumor::obs {
@@ -109,18 +109,10 @@ std::string Telemetry::render_trace() const {
 }
 
 bool Telemetry::write_trace(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open trace file: " + path;
-    return false;
-  }
-  out << render_trace();
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "failed writing trace file: " + path;
-    return false;
-  }
-  return true;
+  std::string why;
+  if (json::write_file_atomic(path, render_trace(), why)) return true;
+  if (error != nullptr) *error = "cannot write trace file " + path + ": " + why;
+  return false;
 }
 
 }  // namespace rumor::obs

@@ -112,8 +112,8 @@ class Telemetry {
 
   /// The full Chrome trace-event JSON document; call after end().
   [[nodiscard]] std::string render_trace() const;
-  /// Writes render_trace() to `path`. Returns false and fills `error` on
-  /// I/O failure.
+  /// Writes render_trace() to `path` durably (json::write_file_atomic).
+  /// Returns false and fills `error` on I/O failure.
   bool write_trace(const std::string& path, std::string* error) const;
 
  private:

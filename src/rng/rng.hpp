@@ -21,6 +21,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 
 namespace rumor::rng {
 
@@ -146,12 +148,6 @@ template <class Eng>
   }
 }
 
-/// Uniform integer in the inclusive range [lo, hi]. Precondition: lo <= hi.
-template <class Eng>
-[[nodiscard]] std::uint64_t uniform_range(Eng& eng, std::uint64_t lo, std::uint64_t hi) noexcept {
-  return lo + uniform_below(eng, hi - lo + 1);
-}
-
 /// Uniform double in [0, 1) with 53 bits of precision.
 template <class Eng>
 [[nodiscard]] double uniform01(Eng& eng) noexcept {
@@ -222,6 +218,16 @@ template <class Eng>
         k * std::log(mean) - mean - std::lgamma(k + 1.0)) {
       return static_cast<std::uint64_t>(k);
     }
+  }
+}
+
+/// Fisher-Yates shuffle of a span, using the library engine.
+template <class Eng, class T>
+void shuffle(Eng& eng, std::span<T> items) noexcept {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(uniform_below(eng, i));
+    using std::swap;
+    swap(items[i - 1], items[j]);
   }
 }
 

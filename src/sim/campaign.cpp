@@ -309,17 +309,21 @@ struct Block {
   std::size_t slot = 0;     // block ordinal within its (config, pass, entrant)
 };
 
-/// Degree-stratified candidate list: sort nodes by degree and take every
-/// k-th, guaranteeing the extremes are included. Spreading-time extremes
-/// correlate strongly with degree (peripheral low-degree nodes are slow
-/// sources), so stratification loses little versus screening everything.
+/// Degree-stratified candidate list: sort nodes by (degree, node id) and
+/// take every k-th, guaranteeing the extremes are included. Spreading-time
+/// extremes correlate strongly with degree (peripheral low-degree nodes are
+/// slow sources), so stratification loses little versus screening
+/// everything.
 std::vector<graph::NodeId> candidate_sources(const Graph& g, std::uint32_t max_candidates) {
   const graph::NodeId n = g.num_nodes();
   std::vector<graph::NodeId> order(n);
   std::iota(order.begin(), order.end(), graph::NodeId{0});
   if (max_candidates == 0 || n <= max_candidates) return order;
-  std::sort(order.begin(), order.end(),
-            [&](graph::NodeId a, graph::NodeId b) { return g.degree(a) < g.degree(b); });
+  // The id tie-break fixes the order, so the candidates do not depend on
+  // the standard library's sort.
+  std::sort(order.begin(), order.end(), [&](graph::NodeId a, graph::NodeId b) {
+    return std::pair(g.degree(a), a) < std::pair(g.degree(b), b);
+  });
   // A single-candidate race keeps the min-degree node (the best worst-source
   // guess); it also keeps the stride below finite.
   if (max_candidates == 1) return {order.front()};

@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-
-#include <fcntl.h>
-#include <limits.h>
-#include <sys/uio.h>
-#include <unistd.h>
 
 #include "obs/build_info.hpp"
 #include "obs/telemetry.hpp"
@@ -173,13 +164,6 @@ void print_human(const Json& report, std::ostream& out) {
   out << "\n";
 }
 
-unsigned env_scale() {
-  const char* env = std::getenv("RUMOR_BENCH_SCALE");
-  if (env == nullptr) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return static_cast<unsigned>(std::clamp(v, 1L, 64L));
-}
-
 void print_usage(std::ostream& out) {
   out << "usage: rumor_bench [options] (--all | <experiment>...)\n"
          "       rumor_bench --list [--json]\n"
@@ -219,100 +203,12 @@ void print_usage(std::ostream& out) {
          "  --trials N       override the trial count of every measurement\n"
          "  --seed S         override the root seed (trial i uses stream i)\n"
          "  --threads T      worker threads (0 = hardware concurrency)\n"
-         "  --scale K        workload multiplier in [1, 64] (default: $RUMOR_BENCH_SCALE or 1)\n"
+         "  --scale K        workload multiplier in [1, 64] (default 1)\n"
          "  --version        print build provenance (git sha, compiler, build type) and exit\n"
          "  --help           this text\n";
 }
 
-/// fsync on a directory makes the rename of a child durable. Failure is
-/// reported like any other error: a checkpoint that silently is not on disk
-/// defeats the whole contract.
-bool fsync_parent_dir(const std::string& path, std::string& error) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    error = "cannot open directory " + dir + " for fsync: " + std::strerror(errno);
-    return false;
-  }
-  if (::fsync(fd) != 0) {
-    error = "cannot fsync directory " + dir + ": " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-  return true;
-}
-
 }  // namespace
-
-bool write_file_atomic(const std::string& path, std::span<const std::string_view> parts,
-                       std::string& error) {
-  // The temp file is a *sibling* of the destination (same directory, hence
-  // same filesystem) so the rename is atomic, and pid-unique so concurrent
-  // writers with the same destination cannot interleave into one temp file;
-  // last rename wins with a complete file either way.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    error = "cannot open " + tmp + " for writing: " + std::strerror(errno);
-    return false;
-  }
-  auto fail = [&](const std::string& what) {
-    error = what;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  };
-  // One writev per IOV_MAX parts; a short write resumes inside the part it
-  // stopped in.
-  std::vector<::iovec> iov;
-  iov.reserve(std::min<std::size_t>(parts.size(), IOV_MAX));
-  std::size_t next = 0;     // first part not yet in an iovec batch
-  std::size_t offset = 0;   // bytes of parts[next] already written
-  while (next < parts.size()) {
-    iov.clear();
-    for (std::size_t p = next; p < parts.size() && iov.size() < IOV_MAX; ++p) {
-      const std::size_t skip = p == next ? offset : 0;
-      if (parts[p].size() == skip) continue;
-      iov.push_back({const_cast<char*>(parts[p].data()) + skip, parts[p].size() - skip});
-    }
-    if (iov.empty()) break;
-    const ::ssize_t n = ::writev(fd, iov.data(), static_cast<int>(iov.size()));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail("short write to " + tmp + ": " + std::strerror(errno));
-    }
-    auto left = static_cast<std::size_t>(n);
-    while (next < parts.size() && left >= parts[next].size() - offset) {
-      left -= parts[next].size() - offset;
-      offset = 0;
-      ++next;
-    }
-    offset += left;
-  }
-  // fsync before rename: otherwise a crash can leave the *renamed* file
-  // empty (metadata ordered before data), which for a checkpoint is worse
-  // than no file at all.
-  if (::fsync(fd) != 0) return fail("cannot fsync " + tmp + ": " + std::strerror(errno));
-  if (::close(fd) != 0) {
-    error = "cannot close " + tmp + ": " + std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    error = "cannot rename " + tmp + " to " + path + ": " + std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return fsync_parent_dir(path, error);
-}
-
-bool write_file_atomic(const std::string& path, const std::string& contents,
-                       std::string& error) {
-  const std::string_view whole = contents;
-  return write_file_atomic(path, std::span(&whole, 1), error);
-}
 
 std::optional<std::uint64_t> parse_unsigned_arg(std::string_view text, std::uint64_t max) {
   std::uint64_t v = 0;
@@ -332,7 +228,6 @@ std::optional<double> parse_double_arg(std::string_view text) {
 
 int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   ExperimentOptions opts;
-  opts.scale = env_scale();
   bool list = false;
   bool all = false;
   bool json = false;

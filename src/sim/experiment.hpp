@@ -41,8 +41,8 @@ struct ExperimentOptions {
   std::uint64_t trials = 0;
   std::uint64_t seed = 0;
   unsigned threads = 0;
-  /// Workload multiplier (the former RUMOR_BENCH_SCALE): scales trial
-  /// counts and sweep ranges. Clamped to [1, 64].
+  /// Workload multiplier (--scale): scales trial counts and sweep ranges.
+  /// Clamped to [1, 64].
   unsigned scale = 1;
 };
 
@@ -120,21 +120,9 @@ struct ExperimentRegistrar {
 ///   "rows": [...], ... }.
 [[nodiscard]] Json run_experiment(const ExperimentInfo& info, const ExperimentOptions& opts);
 
-/// Durably writes `contents` to `path`: a sibling temp file in the
-/// destination's directory is written, flushed, fsync'd, atomically renamed
-/// over `path`, and the parent directory is fsync'd so the rename itself
-/// survives a crash. The temp file is unlinked on every error path. On
-/// failure returns false with a description in `error` (no stream prefix —
-/// callers add their program name). Used for --out reports and for campaign
-/// checkpoints, where a torn or vanished file would silently lose progress.
-[[nodiscard]] bool write_file_atomic(const std::string& path, const std::string& contents,
-                                     std::string& error);
-/// The same durable write for a document given as consecutive `parts`: they
-/// are gathered by writev (IOV_MAX parts per call, resumed after a short
-/// write), so the caller never concatenates them. The file holds exactly
-/// the parts' bytes in order; empty parts are allowed.
-[[nodiscard]] bool write_file_atomic(const std::string& path,
-                                     std::span<const std::string_view> parts, std::string& error);
+/// The durable writer lives in the json module; perf_replay and the tests
+/// call it by this name.
+using json::write_file_atomic;
 
 /// The one reader of numeric command-line values (rumor_bench,
 /// graph_pack): the whole of `text` must be a decimal integer no larger

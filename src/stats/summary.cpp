@@ -56,22 +56,6 @@ void RunningMoments::merge(const RunningMoments& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-double quantile(std::span<const double> samples, double q) {
-  assert(!samples.empty());
-  std::vector<double> copy(samples.begin(), samples.end());
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  // Index of the type-1 quantile: smallest k with (k+1)/n >= q.
-  const std::size_t n = copy.size();
-  std::size_t k = 0;
-  if (clamped > 0.0) {
-    const double pos = std::ceil(clamped * static_cast<double>(n)) - 1.0;
-    k = pos < 0.0 ? 0 : static_cast<std::size_t>(pos);
-    if (k >= n) k = n - 1;
-  }
-  std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(k), copy.end());
-  return copy[k];
-}
-
 double quantile_sorted(std::span<const double> sorted_samples, double q) {
   assert(!sorted_samples.empty());
   assert(std::is_sorted(sorted_samples.begin(), sorted_samples.end()));
@@ -188,29 +172,6 @@ BootstrapInterval bootstrap_mean_ci(std::span<const double> samples, double conf
     for (double x : s) sum += x;
     return sum / static_cast<double>(s.size());
   });
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
-  assert(hi > lo);
-  assert(bins > 0);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const noexcept {
-  return bin_low(bin + 1);
 }
 
 }  // namespace rumor::stats

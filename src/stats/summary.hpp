@@ -85,16 +85,13 @@ class RunningMoments {
   double max_ = 0.0;
 };
 
-/// Empirical quantile of `samples` at probability `q` in [0, 1].
+/// Empirical quantile of the ascending `sorted_samples` at probability `q`
+/// in [0, 1]; O(1).
 ///
 /// Uses the inverted-CDF (type-1) definition: the smallest sample x such
 /// that at least ceil(q * n) samples are <= x. This matches the paper's
 /// definition T_q = min{t : Pr[T <= t] >= 1 - q} when called with
-/// probability 1 - q. `samples` is copied and partially sorted; O(n).
-[[nodiscard]] double quantile(std::span<const double> samples, double q);
-
-/// In-place variant for repeated quantile queries: sorts `samples` once;
-/// subsequent calls on the sorted span are O(1) via `quantile_sorted`.
+/// probability 1 - q.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted_samples, double q);
 
 /// Percentile-bootstrap confidence interval for a statistic of the sample
@@ -111,26 +108,5 @@ struct BootstrapInterval {
 [[nodiscard]] BootstrapInterval bootstrap_mean_ci(std::span<const double> samples,
                                                   double confidence, std::size_t resamples,
                                                   std::uint64_t seed);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; samples outside
-/// the range are clamped into the edge buckets. Used by example programs to
-/// render spreading-time distributions as ASCII plots.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_low(std::size_t bin) const noexcept;
-  [[nodiscard]] double bin_high(std::size_t bin) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace rumor::stats

@@ -22,8 +22,10 @@ std::vector<graph::NodeId> stratified_candidates(const graph::Graph& g,
   std::vector<graph::NodeId> order(n);
   std::iota(order.begin(), order.end(), graph::NodeId{0});
   if (max_candidates == 0 || n <= max_candidates) return order;
-  std::sort(order.begin(), order.end(),
-            [&](graph::NodeId a, graph::NodeId b) { return g.degree(a) < g.degree(b); });
+  // Ascending degree, ties by ascending node id: a stable sort of the
+  // id-ordered list.
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::NodeId a, graph::NodeId b) { return g.degree(a) < g.degree(b); });
   if (max_candidates == 1) return {order.front()};
   std::vector<graph::NodeId> picked;
   const double stride = static_cast<double>(n - 1) / (max_candidates - 1);

@@ -16,7 +16,6 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/properties.hpp"
-#include "rng/discrete.hpp"
 #include "rng/rng.hpp"
 #include "sim/campaign.hpp"
 

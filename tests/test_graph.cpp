@@ -1,11 +1,9 @@
 // Tests for rumor::graph — CSR integrity, every generator's structural
-// invariants, and the property computations (connectivity, BFS, degrees,
-// contact probabilities).
+// invariants, and the property computations (connectivity, BFS, degrees).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -323,20 +321,4 @@ TEST(Properties, DegreeStatsOnStar) {
   EXPECT_EQ(stats.max, 10u);
   EXPECT_NEAR(stats.mean, 20.0 / 11.0, 1e-9);
   EXPECT_FALSE(stats.regular);
-}
-
-TEST(Properties, ContactProbabilitiesSumToOne) {
-  for (const Graph& g : {graph::star(20), graph::cycle(15), graph::hypercube(4)}) {
-    const auto pi = graph::contact_probabilities(g);
-    const double total = std::accumulate(pi.begin(), pi.end(), 0.0);
-    EXPECT_NEAR(total, 1.0, 1e-9) << g.name();
-  }
-}
-
-TEST(Properties, ContactProbabilityOfStarHub) {
-  // Every leaf contacts the hub with probability 1, so pi(hub) = (n-1)/n.
-  const NodeId n = 10;
-  const auto pi = graph::contact_probabilities(graph::star(n));
-  EXPECT_NEAR(pi[0], static_cast<double>(n - 1) / n, 1e-9);
-  EXPECT_NEAR(pi[1], 1.0 / (n * 9.0), 1e-9);
 }

@@ -1,8 +1,9 @@
 // Tests for the packed, memory-mapped graph store (graph/graph_store.hpp)
 // and the edge-list reader's edge paths (graph/io.hpp): pack -> map ->
-// adjacency equality across every generator family, the offset-width rule,
-// checksum stability, error messages that name the offending path and
-// byte/line, compact-id relabelling, and malformed-input rejection.
+// adjacency equality across every generator family, graphs (built or
+// mapped) whose copies outlive their source, checksum stability, error
+// messages that name the offending path and byte/line, compact-id
+// relabelling, and malformed-input rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -156,7 +158,7 @@ TEST(GraphStore, DynamicsOverlayAgreesOnMappedGraphs) {
   }
 }
 
-// --- Header / checksum / width ----------------------------------------------
+// --- Header / checksum -------------------------------------------------------
 
 TEST(GraphStore, HeaderInfoMatchesPackedGraph) {
   const Graph g = graph::torus(7);
@@ -164,7 +166,6 @@ TEST(GraphStore, HeaderInfoMatchesPackedGraph) {
   graph::write_graph_store(g, store.path, "unit-test");
   const graph::GraphStoreInfo info = graph::read_graph_store_info(store.path);
   EXPECT_EQ(info.version, graph::kGraphStoreVersion);
-  EXPECT_FALSE(info.wide_offsets);
   EXPECT_EQ(info.n, g.num_nodes());
   EXPECT_EQ(info.arcs, 2 * g.num_edges());
   EXPECT_EQ(info.num_edges(), g.num_edges());
@@ -227,10 +228,65 @@ TEST(GraphStore, ChecksumStableAcrossRepacksAndDistinctAcrossGraphs) {
   EXPECT_NE(graph::read_graph_store_info(c.path).checksum, ia.checksum);
 }
 
-TEST(GraphStore, WideOffsetRuleBoundary) {
-  EXPECT_FALSE(graph::graph_store_wide_offsets(0));
-  EXPECT_FALSE(graph::graph_store_wide_offsets(0xffffffffULL));
-  EXPECT_TRUE(graph::graph_store_wide_offsets(0x100000000ULL));
+TEST(Graph, CopiesAndMovesOutliveTheirSource) {
+  // Copies share the immutable CSR storage, so every copy and every moved-to
+  // graph stays readable after the graph it came from is destroyed — for a
+  // built graph and for a mapped one.
+  const Graph reference = graph::hypercube(5);
+  std::vector<std::vector<NodeId>> rows;
+  for (NodeId v = 0; v < reference.num_nodes(); ++v) {
+    rows.emplace_back(reference.neighbors(v).begin(), reference.neighbors(v).end());
+  }
+  TempStore store("lifetime");
+  graph::write_graph_store(reference, store.path);
+  for (const bool mapped : {false, true}) {
+    auto source = std::make_unique<Graph>(mapped ? graph::open_graph_store(store.path)
+                                                 : graph::hypercube(5));
+    Graph copied = *source;
+    Graph copy_assigned = graph::cycle(3);
+    copy_assigned = *source;
+    Graph moved = std::move(*source);
+    Graph move_assigned = graph::cycle(3);
+    move_assigned = std::move(moved);
+    source.reset();
+    for (const Graph* g : {&copied, &copy_assigned, &move_assigned}) {
+      EXPECT_EQ(g->is_mapped(), mapped);
+      EXPECT_EQ(g->name(), reference.name());
+      ASSERT_EQ(g->num_nodes(), rows.size());
+      ASSERT_EQ(g->num_edges(), reference.num_edges());
+      for (NodeId v = 0; v < g->num_nodes(); ++v) {
+        const auto row = g->neighbors(v);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), rows[v].begin(), rows[v].end()))
+            << (mapped ? "mapped" : "built") << " row " << v;
+      }
+    }
+  }
+}
+
+TEST(GraphStore, FlagBitsRejectedNamingPathAndByte12) {
+  // Offsets are always 32-bit: bit 0 (once the 64-bit offsets flag) is
+  // refused like every other flag bit, by each reader.
+  for (const std::uint32_t flags : {1u, 0x80000000u}) {
+    TempStore store("flags");
+    graph::write_graph_store(graph::cycle(8), store.path);
+    {
+      std::fstream f(store.path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(12);  // flags field
+      f.write(reinterpret_cast<const char*>(&flags), sizeof flags);
+    }
+    for (auto open : {+[](const std::string& p) { (void)graph::open_graph_store(p); },
+                      +[](const std::string& p) { (void)graph::read_graph_store_info(p); },
+                      +[](const std::string& p) { (void)graph::verify_graph_store(p); }}) {
+      try {
+        open(store.path);
+        FAIL() << "expected throw for flags " << flags;
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(store.path), std::string::npos) << msg;
+        EXPECT_NE(msg.find("flag bits at byte 12"), std::string::npos) << msg;
+      }
+    }
+  }
 }
 
 // --- Error paths: every message names the path and a byte offset -------------

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <vector>
 
-#include "rng/discrete.hpp"
 #include "rng/rng.hpp"
 
 namespace rng = rumor::rng;
@@ -83,21 +82,6 @@ TEST(UniformBelow, IsApproximatelyUniform) {
   const double expected = kSamples / static_cast<double>(kBound);
   for (int c : counts) chi2 += (c - expected) * (c - expected) / expected;
   EXPECT_LT(chi2, 27.9);
-}
-
-TEST(UniformRange, CoversInclusiveEndpoints) {
-  auto eng = rng::derive_stream(11, 3);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto x = rng::uniform_range(eng, 3, 5);
-    EXPECT_GE(x, 3u);
-    EXPECT_LE(x, 5u);
-    saw_lo |= (x == 3);
-    saw_hi |= (x == 5);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
 }
 
 TEST(Uniform01, InHalfOpenUnitInterval) {
@@ -214,54 +198,6 @@ TEST(Poisson, LargeMeanUsesRejectionPath) {
 TEST(Poisson, ZeroMeanIsZero) {
   auto eng = rng::derive_stream(15, 2);
   EXPECT_EQ(rng::poisson(eng, 0.0), 0u);
-}
-
-TEST(AliasTable, EmptyWeights) {
-  rng::AliasTable table((std::vector<double>{}));
-  EXPECT_TRUE(table.empty());
-}
-
-TEST(AliasTable, AllZeroWeights) {
-  std::vector<double> w{0.0, 0.0};
-  rng::AliasTable table(w);
-  EXPECT_TRUE(table.empty());
-}
-
-TEST(AliasTable, SingleWeight) {
-  std::vector<double> w{2.5};
-  rng::AliasTable table(w);
-  auto eng = rng::derive_stream(16, 0);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.sample(eng), 0u);
-}
-
-TEST(AliasTable, MatchesWeights) {
-  std::vector<double> w{1.0, 2.0, 3.0, 4.0};
-  rng::AliasTable table(w);
-  auto eng = rng::derive_stream(16, 1);
-  constexpr int kSamples = 400000;
-  std::array<int, 4> counts{};
-  for (int i = 0; i < kSamples; ++i) ++counts[table.sample(eng)];
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / kSamples, w[i] / 10.0, 0.005);
-  }
-}
-
-TEST(AliasTable, HandlesZeroWeightEntries) {
-  std::vector<double> w{0.0, 5.0, 0.0};
-  rng::AliasTable table(w);
-  auto eng = rng::derive_stream(16, 2);
-  for (int i = 0; i < 10000; ++i) EXPECT_EQ(table.sample(eng), 1u);
-}
-
-TEST(SampleWeightedOnce, MatchesWeights) {
-  std::vector<double> w{3.0, 1.0};
-  auto eng = rng::derive_stream(16, 3);
-  constexpr int kSamples = 100000;
-  int zeros = 0;
-  for (int i = 0; i < kSamples; ++i) {
-    if (rng::sample_weighted_once(eng, std::span<const double>(w)) == 0) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / kSamples, 0.75, 0.01);
 }
 
 TEST(Shuffle, IsAPermutation) {

@@ -1,12 +1,14 @@
 // Tests for rumor::stats — Welford moments (including parallel merge),
-// quantiles against hand-computed values, bootstrap CI coverage, histogram
-// bucketing, and the regression fits used for growth-law estimation.
+// quantiles against hand-computed values, bootstrap CI coverage, and the
+// regression fits used for growth-law estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "rng/rng.hpp"
+#include "sim/harness.hpp"
 #include "stats/regression.hpp"
 #include "stats/summary.hpp"
 
@@ -71,29 +73,41 @@ TEST(RunningMoments, MergeWithEmpty) {
 
 TEST(Quantile, Type1Definition) {
   const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.25), 10.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.26), 20.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.5), 20.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.75), 30.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 1.0), 40.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 0.25), 10.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 0.26), 20.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 0.5), 20.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 0.75), 30.0);
+  EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, 1.0), 40.0);
 }
 
 TEST(Quantile, UnsortedInput) {
-  const std::vector<double> xs{5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(stats::quantile(xs, 1.0), 5.0);
+  // SpreadingTimeSample sorts what it is given before it reads quantiles.
+  const rumor::sim::SpreadingTimeSample sample({5.0, 1.0, 3.0});
+  EXPECT_DOUBLE_EQ(sample.quantile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(sample.quantile(1.0), 5.0);
 }
 
 TEST(Quantile, SingleElement) {
   const std::vector<double> xs{42.0};
-  for (double q : {0.0, 0.5, 1.0}) EXPECT_DOUBLE_EQ(stats::quantile(xs, q), 42.0);
+  for (double q : {0.0, 0.5, 1.0}) EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, q), 42.0);
 }
 
 TEST(QuantileSorted, AgreesWithQuantile) {
-  std::vector<double> xs{1.0, 2.0, 3.0, 5.0, 8.0, 13.0};
+  // The type-1 quantile counted out directly: the smallest sample x with at
+  // least ceil(q * n) samples <= x.
+  const std::vector<double> xs{1.0, 2.0, 3.0, 5.0, 8.0, 13.0};
   for (double q : {0.0, 0.1, 0.33, 0.5, 0.8, 1.0}) {
-    EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, q), stats::quantile(xs, q)) << q;
+    const double need = std::max(1.0, std::ceil(q * static_cast<double>(xs.size())));
+    double expected = xs.back();
+    for (const double x : xs) {
+      const auto at_most = std::count_if(xs.begin(), xs.end(), [&](double y) { return y <= x; });
+      if (static_cast<double>(at_most) >= need) {
+        expected = x;
+        break;
+      }
+    }
+    EXPECT_DOUBLE_EQ(stats::quantile_sorted(xs, q), expected) << q;
   }
 }
 
@@ -108,22 +122,6 @@ TEST(Bootstrap, MeanCiCoversTruthForNormalData) {
   EXPECT_GT(ci.upper, 1.0);
   EXPECT_LT(ci.upper - ci.lower, 0.3);
   EXPECT_NEAR(ci.point, 1.0, 0.1);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  stats::Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps into bin 0
-  h.add(0.5);    // bin 0
-  h.add(3.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(100.0);  // clamps into bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 0u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
 }
 
 TEST(FitLinear, ExactLine) {

@@ -220,7 +220,6 @@ TEST_F(TrialLanes, MappedStoreWithCompactOffsetsMatchesRunTrial) {
   {
     const Graph mapped = graph::open_graph_store(path);
     ASSERT_TRUE(mapped.is_mapped());
-    ASSERT_NE(mapped.csr().offsets32, nullptr) << "expected the compact 32-bit offsets";
     for (const EngineKind kind : kEngines) {
       for (const Mode mode : kModes) {
         core::TrialOptions options;

@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
     rumor::graph::write_graph_store(g, out, source);
     const rumor::graph::GraphStoreInfo written = rumor::graph::read_graph_store_info(out);
     std::cout << "packed " << written.name << ": " << written.n << " nodes, "
-              << written.num_edges() << " edges, " << written.file_size << " bytes ("
-              << (written.wide_offsets ? "64" : "32") << "-bit offsets) -> " << out << "\n";
+              << written.num_edges() << " edges, " << written.file_size
+              << " bytes (32-bit offsets) -> " << out << "\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "graph_pack: " << e.what() << "\n";
