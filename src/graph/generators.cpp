@@ -1,13 +1,13 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -28,6 +28,7 @@ std::string fmt_name(const char* fmt, auto... args) {
 Graph complete(NodeId n) {
   assert(n >= 2);
   GraphBuilder b(n);
+  b.reserve(std::size_t{n} * (n - 1) / 2);
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) b.add_edge(i, j);
   }
@@ -37,6 +38,7 @@ Graph complete(NodeId n) {
 Graph star(NodeId n) {
   assert(n >= 2);
   GraphBuilder b(n);
+  b.reserve(n - 1);
   for (NodeId i = 1; i < n; ++i) b.add_edge(0, i);
   return std::move(b).build(fmt_name("star(n=%u)", n));
 }
@@ -44,6 +46,7 @@ Graph star(NodeId n) {
 Graph double_star(NodeId n) {
   assert(n >= 4);
   GraphBuilder b(n);
+  b.reserve(n - 1);
   // Hubs 0 and 1; leaves alternate between them.
   b.add_edge(0, 1);
   for (NodeId i = 2; i < n; ++i) b.add_edge(i % 2 == 0 ? 0 : 1, i);
@@ -60,6 +63,7 @@ Graph path(NodeId n) {
 Graph cycle(NodeId n) {
   assert(n >= 3);
   GraphBuilder b(n);
+  b.reserve(n);
   for (NodeId i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1);
   b.add_edge(n - 1, 0);
   return std::move(b).build(fmt_name("cycle(n=%u)", n));
@@ -69,6 +73,7 @@ Graph torus(NodeId side) {
   assert(side >= 3);
   const NodeId n = side * side;
   GraphBuilder b(n);
+  b.reserve(std::size_t{2} * n);
   auto id = [side](NodeId r, NodeId c) { return r * side + c; };
   for (NodeId r = 0; r < side; ++r) {
     for (NodeId c = 0; c < side; ++c) {
@@ -83,10 +88,12 @@ Graph hypercube(std::uint32_t dimension) {
   assert(dimension >= 1 && dimension < 31);
   const NodeId n = NodeId{1} << dimension;
   GraphBuilder b(n);
+  b.reserve(std::size_t{n} / 2 * dimension);
+  // v's edges to its larger neighbors, one per bit clear in v, lowest bit
+  // first: ascending, so build() finds every row sorted.
   for (NodeId v = 0; v < n; ++v) {
-    for (std::uint32_t bit = 0; bit < dimension; ++bit) {
-      const NodeId w = v ^ (NodeId{1} << bit);
-      if (v < w) b.add_edge(v, w);
+    for (NodeId clear = ~v & (n - 1); clear != 0; clear &= clear - 1) {
+      b.add_edge(v, v | (NodeId{1} << std::countr_zero(clear)));
     }
   }
   return std::move(b).build(fmt_name("hypercube(d=%u)", dimension));
@@ -170,6 +177,7 @@ Graph torus3d(NodeId side) {
   assert(side >= 3);
   const NodeId n = side * side * side;
   GraphBuilder b(n);
+  b.reserve(std::size_t{3} * n);
   auto id = [side](NodeId x, NodeId y, NodeId z) { return (x * side + y) * side + z; };
   for (NodeId x = 0; x < side; ++x) {
     for (NodeId y = 0; y < side; ++y) {
@@ -254,6 +262,64 @@ Graph erdos_renyi(NodeId n, double p, rng::Engine& eng) {
 
 namespace {
 
+/// A set of nonzero u64 edge keys: open addressing with linear probing in a
+/// flat power-of-two table at most half full, and deletion by backward
+/// shift, so no tombstones build up over the repair rounds.
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::size_t max_keys) {
+    int bits = 4;
+    while ((std::size_t{1} << bits) < 2 * max_keys) ++bits;
+    slots_.assign(std::size_t{1} << bits, kEmpty);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - bits;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
+    return slots_[find(key)] == key;
+  }
+
+  /// Inserts `key`; false when it was already present.
+  bool insert(std::uint64_t key) {
+    const std::size_t i = find(key);
+    if (slots_[i] == key) return false;
+    slots_[i] = key;
+    return true;
+  }
+
+  /// Removes `key`, which must be present, and shifts back every later key
+  /// of the probe run that may move into the hole.
+  void erase(std::uint64_t key) noexcept {
+    std::size_t hole = find(key);
+    assert(slots_[hole] == key);
+    for (std::size_t j = (hole + 1) & mask_; slots_[j] != kEmpty; j = (j + 1) & mask_) {
+      // The key at j may fill the hole unless its home lies in (hole, j].
+      if (((j - home(slots_[j])) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = kEmpty;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = 0;
+
+  [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const noexcept {
+    std::size_t i = home(key);
+    while (slots_[i] != key && slots_[i] != kEmpty) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+};
+
 /// One configuration-model pairing with local repair: pair stubs uniformly,
 /// then remove self-loops and duplicate edges by random double-edge swaps
 /// (a,b),(c,d) -> (a,d),(c,b). Plain rejection of the whole pairing has
@@ -278,15 +344,15 @@ bool try_configuration_model(NodeId n, std::uint32_t d, rng::Engine& eng, GraphB
   };
   // `seen` holds the keys of *good* edges only; a bad edge (self-loop, or a
   // duplicate whose key is owned by its first occurrence) contributes none.
-  // Only membership is ever asked, never iteration order, so a hash set
-  // leaves the RNG draws and the resulting edges unchanged.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(2 * num_edges);
+  // Keys are nonzero (a < b, so b >= 1). Only membership is ever asked,
+  // never iteration order, so the set leaves the RNG draws and the
+  // resulting edges unchanged.
+  EdgeKeySet seen(num_edges);
   std::vector<std::uint8_t> is_bad(num_edges, 0);
   std::vector<std::size_t> bad;
   for (std::size_t i = 0; i < num_edges; ++i) {
     const auto [a, b] = edges[i];
-    if (a == b || !seen.insert(key(a, b)).second) {
+    if (a == b || !seen.insert(key(a, b))) {
       is_bad[i] = 1;
       bad.push_back(i);
     }
@@ -317,6 +383,7 @@ bool try_configuration_model(NodeId n, std::uint32_t d, rng::Engine& eng, GraphB
     bad = std::move(still_bad);
   }
   if (!bad.empty()) return false;
+  out.reserve(num_edges);
   for (const auto& [a, b] : edges) out.add_edge(a, b);
   return true;
 }
@@ -409,6 +476,11 @@ Graph preferential_attachment(NodeId n, std::uint32_t m, rng::Engine& eng) {
 
 Graph largest_component(const Graph& g) {
   const auto comp = connected_components(g);
+  // A connected graph is its own largest component: share its storage.
+  if (comp.num_components == 1) {
+    return Graph(g.storage_, g.offsets_, g.neighbors_, g.num_nodes_, g.mapped_,
+                 g.name() + "|lcc");
+  }
   // Count component sizes, pick the largest.
   std::vector<NodeId> size(comp.num_components, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) ++size[comp.label[v]];

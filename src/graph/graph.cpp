@@ -1,15 +1,10 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace rumor::graph {
-
-void GraphBuilder::add_edge(NodeId a, NodeId b) {
-  assert(a < num_nodes_ && b < num_nodes_);
-  if (a == b) return;  // self-loops carry no rumor
-  edges_.push_back(Edge{a, b});
-}
 
 Graph GraphBuilder::build(std::string name) && {
   // Every count below is at most the 2 * edges_.size() arcs, so this one
@@ -29,31 +24,43 @@ Graph GraphBuilder::build(std::string name) && {
   for (std::size_t v = 1; v < n; ++v) offsets[v] += offsets[v - 1];
   if (n > 0) offsets[n] = offsets[n - 1];
 
-  // Scatter both orientations, filling each row back to front; afterwards
-  // offsets[v] is the start of v's row again.
+  // Scatter both orientations in reverse insertion order, filling each row
+  // back to front: a row then lists its edges in the order they were added,
+  // so a generator that adds each node's edges in ascending order emits
+  // sorted rows. Afterwards offsets[v] is the start of v's row again.
   std::vector<NodeId> neighbors(edges_.size() * 2);
-  for (const Edge& e : edges_) {
-    neighbors[--offsets[e.a]] = e.b;
-    neighbors[--offsets[e.b]] = e.a;
+  for (auto e = edges_.rbegin(); e != edges_.rend(); ++e) {
+    neighbors[--offsets[e->a]] = e->b;
+    neighbors[--offsets[e->b]] = e->a;
   }
   std::vector<Edge>().swap(edges_);
 
-  // Sort and dedupe each row in place, then slide it left to close the gaps
-  // that earlier rows' duplicates left (offsets[v + 1] is read before it is
-  // rewritten on the next iteration).
+  // Dedupe each row in place, sorting it first if it arrived out of order,
+  // then slide it left to close the gaps that earlier rows' duplicates left
+  // (offsets[v + 1] is read before it is rewritten on the next iteration).
+  // A strictly ascending row that already sits at its write position (every
+  // row does until a duplicate is dropped) is left untouched.
   NodeId* const base = neighbors.data();
   std::uint32_t write = 0;
   for (std::size_t v = 0; v < n; ++v) {
     NodeId* const first = base + offsets[v];
     NodeId* const last = base + offsets[v + 1];
-    std::sort(first, last);
     offsets[v] = write;
-    NodeId* const end = std::move(first, std::unique(first, last), base + write);
-    write = static_cast<std::uint32_t>(end - base);
+    if (first == base + write &&
+        std::adjacent_find(first, last, std::greater_equal<NodeId>()) == last) {
+      write += static_cast<std::uint32_t>(last - first);
+      continue;
+    }
+    if (!std::is_sorted(first, last)) std::sort(first, last);
+    NodeId* const unique_end = std::unique(first, last);
+    std::move(first, unique_end, base + write);
+    write += static_cast<std::uint32_t>(unique_end - first);
   }
   offsets[n] = write;
-  neighbors.resize(write);
-  neighbors.shrink_to_fit();
+  if (write != neighbors.size()) {
+    neighbors.resize(write);
+    neighbors.shrink_to_fit();
+  }
   struct Arrays {
     std::vector<std::uint32_t> offsets;
     std::vector<NodeId> neighbors;

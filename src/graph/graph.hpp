@@ -68,13 +68,23 @@ class GraphBuilder {
   /// Records an undirected edge {a, b}. Self-loops are ignored (they are
   /// meaningless for rumor spreading); duplicates are removed at build().
   /// Precondition: a < num_nodes() && b < num_nodes().
-  void add_edge(NodeId a, NodeId b);
+  void add_edge(NodeId a, NodeId b) {
+    assert(a < num_nodes_ && b < num_nodes_);
+    if (a == b) return;  // self-loops carry no rumor
+    edges_.push_back(Edge{a, b});
+  }
+
+  /// Capacity hint: room for `edges` add_edge calls without reallocating.
+  void reserve(std::size_t edges) { edges_.reserve(edges); }
 
   /// Freezes into an immutable Graph; the builder is left empty. A counting
-  /// sort by endpoint: O(n + m + sum_v deg(v) log deg(v)) time, and peak
-  /// memory is the added edge list plus offsets and a neighbor array of
-  /// two entries per added edge. Throws std::length_error when the added
-  /// edges make 2^32 or more arcs, which 32-bit offsets cannot index.
+  /// sort by endpoint: O(n + m) time, plus sum_v deg(v) log deg(v) for the
+  /// rows that arrive out of order — a row lists its edges in insertion
+  /// order, so a generator that adds each node's edges in ascending order
+  /// is never sorted again. Peak memory is the added edge list plus offsets
+  /// and a neighbor array of two entries per added edge. Throws
+  /// std::length_error when the added edges make 2^32 or more arcs, which
+  /// 32-bit offsets cannot index.
   [[nodiscard]] Graph build(std::string name) &&;
 
  private:
@@ -150,6 +160,7 @@ class Graph {
  private:
   friend class GraphBuilder;
   friend Graph open_graph_store(const std::string& path);
+  friend Graph largest_component(const Graph& g);  // shares a connected g's storage
 
   /// `storage` keeps the n + 1 offsets and offsets[n] neighbors alive.
   Graph(std::shared_ptr<const void> storage, const std::uint32_t* offsets,

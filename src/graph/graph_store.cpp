@@ -1,5 +1,6 @@
 #include "graph/graph_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -223,6 +224,50 @@ GraphStoreInfo full_info(const MappedStore& store) {
   return info;
 }
 
+/// Checks the CSR payload with one sequential pass and no hashing: offsets
+/// start at 0, never decrease, stay within and end at the arc count, and
+/// every neighbor id is below n. That is what keeps every row read inside
+/// the mapping. Errors name the path, the byte of the first bad entry and
+/// the bound it breaks.
+void check_payload(const std::uint32_t* offsets, const NodeId* neighbors, const Layout& lay,
+                   const std::string& path) {
+  const std::uint64_t n = lay.n;
+  const std::uint64_t arcs = lay.arcs;
+  auto offset_byte = [](std::uint64_t v) { return kGraphStoreHeaderBytes + v * 4; };
+  if (offsets[0] != 0) {
+    fail(path, "offsets[0] at byte " + std::to_string(offset_byte(0)) + " is " +
+                   std::to_string(offsets[0]) + ", expected 0");
+  }
+  // Branch-free scans, so a valid store costs memory bandwidth only; the
+  // search for the first bad entry runs on a corrupt store alone.
+  bool offsets_bad = false;
+  for (std::uint64_t v = 1; v <= n; ++v) {
+    offsets_bad |= (offsets[v] < offsets[v - 1]) | (offsets[v] > arcs);
+  }
+  if (offsets_bad) {
+    std::uint64_t v = 1;
+    while (offsets[v] >= offsets[v - 1] && offsets[v] <= arcs) ++v;
+    fail(path, "offsets[" + std::to_string(v) + "] at byte " + std::to_string(offset_byte(v)) +
+                   " is " + std::to_string(offsets[v]) + ", outside [offsets[" +
+                   std::to_string(v - 1) + "] = " + std::to_string(offsets[v - 1]) +
+                   ", arc count " + std::to_string(arcs) + "]");
+  }
+  if (offsets[n] != arcs) {
+    fail(path, "offsets[" + std::to_string(n) + "] at byte " + std::to_string(offset_byte(n)) +
+                   " is " + std::to_string(offsets[n]) + ", expected the arc count " +
+                   std::to_string(arcs));
+  }
+  NodeId max_id = 0;
+  for (std::uint64_t i = 0; i < arcs; ++i) max_id = std::max(max_id, neighbors[i]);
+  if (arcs > 0 && max_id >= n) {
+    std::uint64_t i = 0;
+    while (neighbors[i] < n) ++i;
+    fail(path, "neighbor id " + std::to_string(neighbors[i]) + " at byte " +
+                   std::to_string(lay.neighbors_pos() + i * 4) +
+                   " is not below the node count " + std::to_string(n));
+  }
+}
+
 }  // namespace
 
 void write_graph_store(const Graph& g, const std::string& path, const std::string& source) {
@@ -276,6 +321,7 @@ Graph open_graph_store(const std::string& path) {
   const std::uint8_t* base = store.mapping->data;
   const auto* offsets = reinterpret_cast<const std::uint32_t*>(base + kGraphStoreHeaderBytes);
   const auto* neighbors = reinterpret_cast<const NodeId*>(base + store.lay.neighbors_pos());
+  check_payload(offsets, neighbors, store.lay, path);
   std::string name(reinterpret_cast<const char*>(base + store.lay.name_pos()),
                    static_cast<std::size_t>(store.lay.name_len));
   return Graph(std::move(store.mapping), offsets, neighbors, static_cast<NodeId>(store.lay.n),

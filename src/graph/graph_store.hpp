@@ -5,11 +5,11 @@
 // CSR written to disk once, in a versioned little-endian format (u32
 // offsets, u32 neighbors), with a payload checksum and a provenance header.
 // Opening a store mmap()s the file and returns an ordinary `Graph` whose CSR
-// pointers aim straight into the mapping: no parse, no copy, demand-paged by
-// the OS, shared read-only across every configuration, trial, thread, and
-// `--shard` process that opens the same file (the page cache deduplicates
-// them). A mapped graph is bit-for-bit interchangeable with the built graph
-// it was packed from.
+// pointers aim straight into the mapping: no parse, no copy — one bounds
+// pass over the payload — and shared read-only across every configuration,
+// trial, thread, and `--shard` process that opens the same file (the page
+// cache deduplicates them). A mapped graph is bit-for-bit interchangeable
+// with the built graph it was packed from.
 //
 // The normative byte-level format specification lives in
 // docs/GRAPH_FORMAT.md; tools/graph_pack_main.cpp is the packing CLI.
@@ -65,12 +65,14 @@ void write_graph_store(const Graph& g, const std::string& path, const std::strin
 /// deliberately skips.
 [[nodiscard]] GraphStoreInfo verify_graph_store(const std::string& path);
 
-/// Opens a store as an immutable mmap-backed Graph. Validates the header
-/// and that the file size matches the declared layout, but reads neither
-/// the offsets nor the payload checksum: a store whose offsets are corrupt
-/// opens, and reading its rows can run off the mapping. verify_graph_store
-/// catches that. Throws std::runtime_error naming the path and byte offset
-/// on any problem it does check.
+/// Opens a store as an immutable mmap-backed Graph. Validates the header,
+/// that the file size matches the declared layout, and, in one unhashed
+/// O(n + m) pass, that every row lies inside the mapping: offsets start at
+/// 0, never decrease and end at the arc count, and every neighbor id is
+/// below n. It skips the payload checksum, so a store corrupted in some
+/// other way (a wrong but in-range id) opens; verify_graph_store catches
+/// that. Throws std::runtime_error naming the path and byte offset of the
+/// first problem it finds.
 [[nodiscard]] Graph open_graph_store(const std::string& path);
 
 /// Human-readable header dump (the `graph_pack --info` output): one

@@ -370,6 +370,31 @@ TEST(GraphPackCli, RefusesMalformedNumbersNamingTheFlag) {
   std::remove(out.c_str());
 }
 
+TEST(BenchCli, CampaignOnCorruptStoreFailsNamingStoreAndByte) {
+  // offsets[1] of a packed store set far past the arc count: the campaign
+  // refuses the store on open (exit 1) instead of reading off the mapping.
+  const std::string store = testing::TempDir() + "bench_cli_corrupt.rgs";
+  int status = 0;
+  run_tool(RUMOR_GRAPH_PACK_BINARY,
+           "--family random_regular --n 600 --degree 6 --out " + store + " 2>&1", &status);
+  ASSERT_EQ(status, 0);
+  {
+    std::fstream f(store, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(68);  // offsets[1]
+    const std::uint32_t bogus = 0x7ffffff0;
+    f.write(reinterpret_cast<const char*>(&bogus), sizeof bogus);
+  }
+  const std::string spec = write_spec("bench_cli_corrupt.json", R"({
+    "defaults": {"trials": 4, "seed": 5},
+    "configs": [{"graph": {"kind": "file", "path": ")" + store + R"("}}]})");
+  const std::string err = run_bench("--campaign " + spec + " --json 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 1) << err;
+  EXPECT_NE(err.find(store), std::string::npos) << err;
+  EXPECT_NE(err.find("offsets[1] at byte 68"), std::string::npos) << err;
+  std::remove(spec.c_str());
+  std::remove(store.c_str());
+}
+
 // --- Checkpoints, shards, and merge ------------------------------------------
 
 namespace {

@@ -344,3 +344,34 @@ TEST(GeneratorFingerprint, SeededRandomFamiliesKeepTheirCsr) {
     EXPECT_EQ(csr_hash(g), hash) << g.name();
   }
 }
+
+TEST(GeneratorFingerprint, DenseRandomRegularKeepsItsCsr) {
+  // At d = n / 2 the first pairing collides on a large share of its edges,
+  // so the swap repair erases and re-inserts edge keys many times over.
+  rng::Engine eng(7);
+  EXPECT_EQ(csr_hash(graph::random_regular(100, 50, eng)), 0xc9b9c8b51fc92069ULL);
+}
+
+TEST(GeneratorFingerprint, CampaignGraphsKeepTheirCsr) {
+  // Golden FNV-1a hashes of the graphs sim::build_graph makes for the
+  // paper's sweep (hypercube and random_regular at 2^14 nodes), and of a
+  // connected watts_strogatz that largest_component hands back whole.
+  auto build = [](const char* family, std::uint64_t n, std::uint32_t degree) {
+    sim::GraphSpec spec;
+    spec.family = family;
+    spec.n = n;
+    spec.degree = degree;
+    spec.graph_seed = 360672369;
+    return sim::build_graph(spec, 0);
+  };
+  const graph::Graph watts_strogatz = build("watts_strogatz", 4096, 6);
+  ASSERT_EQ(watts_strogatz.num_nodes(), 4096u) << "the golden wants a connected graph";
+  const std::pair<graph::Graph, std::uint64_t> goldens[] = {
+      {build("hypercube", 16384, 0), 0x19bc6a83573e3a1dULL},
+      {build("random_regular", 16384, 6), 0x1b0a7355f1952c89ULL},
+      {watts_strogatz, 0x20ac7f7d6c2429b2ULL},
+  };
+  for (const auto& [g, hash] : goldens) {
+    EXPECT_EQ(csr_hash(g), hash) << g.name();
+  }
+}

@@ -287,6 +287,17 @@ TEST(Generators, LargestComponent) {
   EXPECT_EQ(lcc.num_edges(), 3u);  // picks the triangle, not the path
 }
 
+TEST(Generators, LargestComponentOfConnectedGraphSharesItsStorage) {
+  // A connected graph is its own largest component: the result keeps the
+  // "|lcc" name but reads the input's arrays instead of a rebuilt copy.
+  const Graph g = graph::hypercube(5);
+  const Graph lcc = graph::largest_component(g);
+  EXPECT_EQ(lcc.name(), g.name() + "|lcc");
+  EXPECT_EQ(lcc.num_nodes(), g.num_nodes());
+  EXPECT_EQ(lcc.csr().offsets, g.csr().offsets);
+  EXPECT_EQ(lcc.csr().neighbors, g.csr().neighbors);
+}
+
 // --- Properties --------------------------------------------------------------
 
 TEST(Properties, ComponentsOnDisconnectedGraph) {

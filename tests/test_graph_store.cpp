@@ -369,16 +369,18 @@ TEST(GraphStore, VerifyDetectsPayloadCorruption) {
   graph::write_graph_store(graph::hypercube(4), store.path);
   ASSERT_NO_THROW((void)graph::verify_graph_store(store.path));
   {
-    // Flip one payload byte (inside the neighbor array).
+    // Flip the low bit of one neighbor id (payload byte 88 is the low byte
+    // of the sixth id, after the 17 offsets): the id stays below n = 16.
     std::fstream f(store.path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(graph::kGraphStoreHeaderBytes + 90);
+    f.seekg(graph::kGraphStoreHeaderBytes + 88);
     char b = 0;
     f.read(&b, 1);
-    f.seekp(graph::kGraphStoreHeaderBytes + 90);
-    b = static_cast<char>(b ^ 0x40);
+    f.seekp(graph::kGraphStoreHeaderBytes + 88);
+    b = static_cast<char>(b ^ 0x01);
     f.write(&b, 1);
   }
-  // Opening still succeeds (open validates layout, not payload)...
+  // Opening still succeeds (open checks that rows stay in range, and they
+  // do)...
   EXPECT_NO_THROW((void)graph::open_graph_store(store.path));
   // ...but verification catches it, naming the path.
   try {
@@ -389,6 +391,47 @@ TEST(GraphStore, VerifyDetectsPayloadCorruption) {
     EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
     EXPECT_NE(msg.find(store.path), std::string::npos) << msg;
   }
+}
+
+// cycle(8) packed: n = 8, 16 arcs, offsets[v] = 2v from byte 64, neighbors
+// from byte 64 + 9 * 4 = 100. Each corruption below would let a row read
+// run off the mapping; open refuses it naming the byte and the bound, while
+// the O(header) info read does not look.
+void expect_open_refuses(std::size_t byte, std::uint32_t value, const std::string& message) {
+  TempStore store("payload" + std::to_string(byte));  // ctest runs tests in parallel
+  graph::write_graph_store(graph::cycle(8), store.path);
+  {
+    std::fstream f(store.path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(byte));
+    f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  }
+  EXPECT_NO_THROW((void)graph::read_graph_store_info(store.path)) << message;
+  try {
+    (void)graph::open_graph_store(store.path);
+    FAIL() << "expected throw: " << message;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(store.path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(message), std::string::npos) << msg;
+  }
+}
+
+TEST(GraphStore, OpenRefusesNonzeroFirstOffset) {
+  expect_open_refuses(64, 1, "offsets[0] at byte 64 is 1, expected 0");
+}
+
+TEST(GraphStore, OpenRefusesOffsetsThatDecreaseOrPassTheArcCount) {
+  expect_open_refuses(72, 1, "offsets[2] at byte 72 is 1, outside [offsets[1] = 2, arc count 16]");
+  expect_open_refuses(68, 0x7ffffff0u,
+                      "offsets[1] at byte 68 is 2147483632, outside [offsets[0] = 0, arc count 16]");
+}
+
+TEST(GraphStore, OpenRefusesLastOffsetOtherThanTheArcCount) {
+  expect_open_refuses(96, 15, "offsets[8] at byte 96 is 15, expected the arc count 16");
+}
+
+TEST(GraphStore, OpenRefusesNeighborIdsNotBelowN) {
+  expect_open_refuses(112, 8, "neighbor id 8 at byte 112 is not below the node count 8");
 }
 
 // --- Edge-list reader edge paths ---------------------------------------------
