@@ -10,14 +10,12 @@
 #include "core/async.hpp"              // IWYU pragma: export
 #include "core/async_discretized.hpp"  // IWYU pragma: export
 #include "core/aux_process.hpp"        // IWYU pragma: export
-#include "core/averaging.hpp"          // IWYU pragma: export
 #include "core/batch_sync.hpp"         // IWYU pragma: export
 #include "core/coupling_blocks.hpp"    // IWYU pragma: export
 #include "core/coupling_pull.hpp"      // IWYU pragma: export
 #include "core/event_queue.hpp"        // IWYU pragma: export
 #include "core/informed_set.hpp"       // IWYU pragma: export
 #include "core/protocol.hpp"           // IWYU pragma: export
-#include "core/quasirandom.hpp"        // IWYU pragma: export
 #include "core/sync.hpp"               // IWYU pragma: export
 #include "core/trajectory.hpp"         // IWYU pragma: export
 #include "core/trial.hpp"              // IWYU pragma: export

@@ -6,7 +6,6 @@
 #include "core/async.hpp"
 #include "core/aux_process.hpp"
 #include "core/batch_sync.hpp"
-#include "core/quasirandom.hpp"
 #include "core/sync.hpp"
 
 namespace rumor::core {
@@ -38,15 +37,6 @@ TrialOutcome run_trial(EngineKind kind, const Graph& g, NodeId source, rng::Engi
       AuxOptions engine_options{options};
       engine_options.kind = extras.aux;
       auto result = run_aux(g, source, eng, engine_options);
-      out.value = static_cast<double>(result.rounds);
-      out.ticks = result.rounds;
-      out.completed = result.completed;
-      out.informed_count_history = std::move(result.informed_count_history);
-      return out;
-    }
-    case EngineKind::kQuasirandom: {
-      const QuasirandomOptions engine_options{options};
-      auto result = run_quasirandom(g, source, eng, engine_options);
       out.value = static_cast<double>(result.rounds);
       out.ticks = result.rounds;
       out.completed = result.completed;

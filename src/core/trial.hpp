@@ -36,11 +36,10 @@ namespace rumor::core {
 
 /// Which protocol engine runs a trial.
 enum class EngineKind : std::uint8_t {
-  kSync,         // run_sync: the paper's round-based pp/push/pull
-  kAsync,        // run_async: Poisson-clock pp-a/push-a/pull-a
-  kAux,          // run_aux: the proof's auxiliary processes ppx/ppy
-  kQuasirandom,  // run_quasirandom: cyclic neighbor lists [11]
-  kBatchSync,    // run_batch_sync: 64 lane-parallel sync trials per word
+  kSync,       // run_sync: the paper's round-based pp/push/pull
+  kAsync,      // run_async: Poisson-clock pp-a/push-a/pull-a
+  kAux,        // run_aux: the proof's auxiliary processes ppx/ppy
+  kBatchSync,  // run_batch_sync: 64 lane-parallel sync trials per word
 };
 
 [[nodiscard]] constexpr const char* engine_name(EngineKind e) noexcept {
@@ -48,7 +47,6 @@ enum class EngineKind : std::uint8_t {
     case EngineKind::kSync: return "sync";
     case EngineKind::kAsync: return "async";
     case EngineKind::kAux: return "aux";
-    case EngineKind::kQuasirandom: return "quasirandom";
     case EngineKind::kBatchSync: return "batch_sync";
   }
   return "?";
@@ -86,24 +84,24 @@ enum class AuxKind : std::uint8_t {
 }
 
 /// The per-trial knobs shared across engines. Every per-engine options
-/// struct (SyncOptions, AsyncOptions, AuxOptions, QuasirandomOptions,
-/// DiscretizedOptions, BatchSyncOptions) derives from this, so one
-/// TrialOptions value configures any engine through run_trial and the
-/// per-engine structs add only what is genuinely theirs (async clock view,
-/// aux kind, slice width, lane count). Engines ignore fields outside their
-/// feature set — the support matrix is the engine table in docs/ENGINES.md;
-/// schedulers that must reject unsupported combinations (the campaign spec
-/// parser) do so at validation time.
+/// struct (SyncOptions, AsyncOptions, AuxOptions, DiscretizedOptions,
+/// BatchSyncOptions) derives from this, so one TrialOptions value
+/// configures any engine through run_trial and the per-engine structs add
+/// only what is genuinely theirs (async clock view, aux kind, slice width,
+/// lane count). Engines ignore fields outside their feature set — the
+/// support matrix is the engine table in docs/ENGINES.md; schedulers that
+/// must reject unsupported combinations (the campaign spec parser) do so at
+/// validation time.
 struct TrialOptions {
   /// Communication mode for every contact.
   Mode mode = Mode::kPushPull;
   /// Abort cap in the engine's native tick unit: rounds for the round-based
-  /// engines (sync, aux, quasirandom, batch_sync), steps for the async
-  /// engine. 0 derives a generous per-engine default from n (~200 n log n
-  /// rounds / ~200 n^2 log n steps, far above the O(n log n) worst case for
-  /// connected graphs) so runaway loops surface as `completed == false`
-  /// instead of hanging. The discretized engine caps by simulated time
-  /// instead (DiscretizedOptions::max_time).
+  /// engines (sync, aux, batch_sync), steps for the async engine. 0 derives
+  /// a generous per-engine default from n (~200 n log n rounds / ~200 n^2
+  /// log n steps, far above the O(n log n) worst case for connected graphs)
+  /// so runaway loops surface as `completed == false` instead of hanging.
+  /// The discretized engine caps by simulated time instead
+  /// (DiscretizedOptions::max_time).
   std::uint64_t max_ticks = 0;
   /// Fault injection (extension): each contact independently carries no
   /// rumor with this probability — a lossy channel in the spirit of the

@@ -10,10 +10,8 @@ namespace rumor::graph {
 
 namespace {
 
-/// Second eigenvector of the lazy walk by power iteration; also returns
-/// lambda_2 through `lambda_out` if non-null.
-std::vector<double> second_eigenvector(const Graph& g, std::uint32_t iterations,
-                                       double* lambda_out) {
+/// Second eigenvector of the lazy walk by power iteration.
+std::vector<double> second_eigenvector(const Graph& g, std::uint32_t iterations) {
   const NodeId n = g.num_nodes();
   assert(n >= 2);
   // Stationary distribution of the walk: pi(v) ~ deg(v). Deflate against
@@ -45,7 +43,6 @@ std::vector<double> second_eigenvector(const Graph& g, std::uint32_t iterations,
 
   deflate();
   normalize();
-  double lambda = 0.0;
   for (std::uint32_t it = 0; it < iterations; ++it) {
     // next = W x with W = (I + D^{-1} A) / 2.
     for (NodeId v = 0; v < n; ++v) {
@@ -53,26 +50,17 @@ std::vector<double> second_eigenvector(const Graph& g, std::uint32_t iterations,
       for (NodeId w : g.neighbors(v)) acc += x[w];
       next[v] = 0.5 * x[v] + 0.5 * acc / static_cast<double>(g.degree(v));
     }
-    // Rayleigh quotient before normalization.
-    double num = 0.0;
-    double den = 0.0;
-    for (NodeId v = 0; v < n; ++v) {
-      num += x[v] * next[v];
-      den += x[v] * x[v];
-    }
-    lambda = den > 0.0 ? num / den : 0.0;
     x.swap(next);
     deflate();
     normalize();
   }
-  if (lambda_out != nullptr) *lambda_out = lambda;
   return x;
 }
 
 }  // namespace
 
 std::vector<NodeId> spectral_order(const Graph& g, std::uint32_t iterations) {
-  const auto fiedler = second_eigenvector(g, iterations, nullptr);
+  const auto fiedler = second_eigenvector(g, iterations);
   std::vector<NodeId> order(g.num_nodes());
   std::iota(order.begin(), order.end(), NodeId{0});
   std::sort(order.begin(), order.end(),
@@ -102,12 +90,6 @@ double conductance_sweep(const Graph& g) {
     if (denom > 0.0) best = std::min(best, cut / denom);
   }
   return best;
-}
-
-double spectral_gap(const Graph& g, std::uint32_t iterations) {
-  double lambda = 0.0;
-  (void)second_eigenvector(g, iterations, &lambda);
-  return 1.0 - lambda;
 }
 
 }  // namespace rumor::graph

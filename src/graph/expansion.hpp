@@ -4,12 +4,10 @@
 // synchronous push-pull bounds carry over to the asynchronous model — in
 // particular the conductance bound T(pp) = O(log n / phi) [6, 17] and the
 // vertex-expansion bound T(pp) = O(log^2 n / alpha) [18]. This module
-// estimates the parameters so bench E10 can verify the transferred
-// conductance bound empirically:
-//
-//   * conductance phi(G) = min over cuts S of cut(S) / min(vol(S), vol(V-S)),
-//     estimated by a sweep over spectral-ordering prefixes;
-//   * the spectral gap of the lazy random walk, via power iteration.
+// estimates the conductance phi(G) = min over cuts S of
+// cut(S) / min(vol(S), vol(V-S)) by a sweep over spectral-ordering
+// prefixes, so bench E10 can verify the transferred conductance bound
+// empirically.
 //
 // Exact conductance and vertex expansion by subset enumeration (O(2^n),
 // small graphs only) are the tests' ground truth:
@@ -29,12 +27,6 @@ namespace rumor::graph {
 /// guarantees the result is within sqrt-factors of the truth:
 ///   phi(G)^2 / 2 <= gap <= 2 * phi_sweep.
 [[nodiscard]] double conductance_sweep(const Graph& g);
-
-/// Spectral gap 1 - lambda_2 of the lazy random-walk matrix
-/// W = (I + D^{-1}A)/2, computed by power iteration with deflation of the
-/// known top eigenvector (the stationary distribution direction).
-/// `iterations` controls convergence (error decays like (l3/l2)^k).
-[[nodiscard]] double spectral_gap(const Graph& g, std::uint32_t iterations = 2000);
 
 /// The sweep-cut vertex ordering used by conductance_sweep (exposed for
 /// inspection and testing): vertices sorted by their second-eigenvector

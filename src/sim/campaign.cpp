@@ -19,7 +19,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/quasirandom.hpp"
 #include "core/trial_lanes.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
@@ -196,7 +195,7 @@ void account_trial(const CampaignConfig& cfg, const core::TrialOutcome& outcome,
 /// Spread telemetry: when `curve_out` is non-null the trial runs with a
 /// core::SpreadProbe attached (never changing its randomness or result),
 /// `curve_out` receives the informed-count curve on the configuration's
-/// native grid — per round for sync/quasirandom, per cfg.curves.time_bucket
+/// native grid — per round for sync, per cfg.curves.time_bucket
 /// for async — and the probe counters fold into `totals`.
 double run_one(const CampaignConfig& cfg, const Graph& g,
                const dynamics::NeighborAliasTable* shared_weighted,

@@ -112,12 +112,12 @@ struct GraphSpec {
 /// enabled == false the trial path passes no probe and reports carry no
 /// curve keys. Curves require a
 /// fixed source (racing interleaves two trial populations whose curves
-/// would not be comparable) and a sync/async/quasirandom engine (the aux
+/// would not be comparable) and a sync/async engine (the aux
 /// processes have no contact structure to classify); check_config rejects
 /// the invalid combinations.
 struct CurveSpec {
   bool enabled = false;
-  /// Grid length: point k is round k (sync/quasirandom) or time
+  /// Grid length: point k is round k (sync) or time
   /// k * time_bucket (async). Trials past the grid still count via the
   /// accumulator's absorbing-extension rule and max_len.
   std::uint32_t points = 64;
@@ -143,7 +143,7 @@ struct CampaignConfig {
   /// checkpoints and shards (see effective_block_size).
   std::uint32_t lanes = core::kMaxBatchLanes;
   /// Per-contact loss probability (the e11 fault extension); thins sync and
-  /// async contacts identically. Ignored by aux/quasirandom engines.
+  /// async contacts identically. Ignored by the aux engine.
   double message_loss = 0.0;
   graph::NodeId source = 0;  // measured source under SourcePolicy::kFixed
   SourcePolicy source_policy = SourcePolicy::kFixed;
@@ -241,7 +241,7 @@ struct CampaignResult {
   std::string id;
   std::string graph_name;    // the built graph's own name
   std::uint64_t n = 0;       // actual node count of the built graph
-  std::string engine;        // "sync" / "async" / "aux" / "quasirandom" / "batch_sync"
+  std::string engine;        // "sync" / "async" / "aux" / "batch_sync"
   std::string mode;          // "push" / "pull" / "push-pull"
   std::uint32_t lanes = 0;   // batch_sync: lane-batch width (0 otherwise)
   std::uint64_t trials = 0;  // refine trials per finalist under kRace
@@ -254,7 +254,7 @@ struct CampaignResult {
   dynamics::DynamicsSpec dynamics;  // resolved copy (seed never 0 when active)
   stats::StreamingSummary summary;
   /// Spread telemetry (CurveSpec; only meaningful when has_curves). The
-  /// accumulator's grid is rounds for sync/quasirandom engines and
+  /// accumulator's grid is rounds for the sync engine and
   /// time buckets of curves_spec.time_bucket for async.
   bool has_curves = false;
   CurveSpec curves_spec;
@@ -328,7 +328,7 @@ struct CampaignResult {
 /// contact rates. A "curves" block ({"points", "time_bucket"}) enables
 /// spread telemetry — informed-count curves, phase decomposition, and
 /// contact accounting under the report's stats.curves — and requires a
-/// sync/async/quasirandom engine with a fixed source. Unknown keys, and
+/// sync/async engine with a fixed source. Unknown keys, and
 /// integers that are fractional, negative, or too wide for their field, are
 /// rejected with an error naming the key; every expanded cell must then pass
 /// check_config. See bench/README.md for the full reference.

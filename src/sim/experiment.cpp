@@ -202,7 +202,7 @@ void print_usage(std::ostream& out) {
          "                   accounting (fold with tools/spread_report.py)\n"
          "  --trials N       override the trial count of every measurement\n"
          "  --seed S         override the root seed (trial i uses stream i)\n"
-         "  --threads T      worker threads (0 = hardware concurrency)\n"
+         "  --threads T      worker threads, at most 1024 (0 = hardware concurrency)\n"
          "  --scale K        workload multiplier in [1, 64] (default 1)\n"
          "  --version        print build provenance (git sha, compiler, build type) and exit\n"
          "  --help           this text\n";
@@ -320,7 +320,9 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       }
       opts.seed = *v;
     } else if (arg == "--threads") {
-      const auto v = numeric_arg(i, "--threads", std::numeric_limits<unsigned>::max());
+      // Each thread is an OS thread the campaign and the report renderer
+      // start, so a typo must not ask for tens of thousands of them.
+      const auto v = numeric_arg(i, "--threads", 1024);
       if (!v) return 2;
       opts.threads = static_cast<unsigned>(*v);
     } else if (arg == "--batch") {

@@ -1,6 +1,6 @@
 // rumor/sim: the unified experiment registry behind the rumor_bench driver.
 //
-// Every paper experiment (E1..E15) registers itself here by name. The
+// Every experiment (E1..E13, E16..E18) registers itself here by name. The
 // driver binary selects experiments from the command line, applies
 // --trials/--seed/--threads/--scale overrides, and renders each result
 // either as the familiar aligned table (human mode) or as JSON (--json) so
@@ -101,7 +101,7 @@ class ExperimentRegistry {
   void add(ExperimentInfo info);
 
   [[nodiscard]] const ExperimentInfo* find(std::string_view name) const noexcept;
-  /// All experiments sorted by name (natural order: e1 < e2 < ... < e15).
+  /// All experiments sorted by name (natural order: e1 < e2 < ... < e18).
   [[nodiscard]] std::vector<const ExperimentInfo*> all() const;
 
  private:
@@ -125,7 +125,7 @@ struct ExperimentRegistrar {
 using json::write_file_atomic;
 
 /// The one reader of numeric command-line values (rumor_bench,
-/// graph_pack): the whole of `text` must be a decimal integer no larger
+/// graph_pack, ks_smoke): the whole of `text` must be a decimal integer no larger
 /// than `max` — no sign, no blanks, no trailing bytes. nullopt otherwise.
 [[nodiscard]] std::optional<std::uint64_t> parse_unsigned_arg(std::string_view text,
                                                               std::uint64_t max);

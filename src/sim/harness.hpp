@@ -14,7 +14,7 @@
 // scheduler (sim/campaign.hpp). The measure_* wrappers are one-config
 // campaigns whose reservoir keeps every sample, so they share the
 // scheduler's trial loop, trial lanes, and tick-cap rule, and hand back the
-// full sorted sample for the structural benches (e3/e7/e10/e12/e14) and the
+// full sorted sample for the structural benches (e3/e7/e10/e12) and the
 // examples that study a single graph in depth. run_trials remains for trial
 // bodies that are not engine kinds (e12's discretized engine, tests), on
 // the same parallel_for the campaign's report rendering uses.

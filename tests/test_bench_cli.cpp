@@ -1,8 +1,9 @@
 // Smoke tests for the rumor_bench experiment registry: the driver binary
-// must list all eighteen experiments (the fifteen paper experiments plus
+// must list all sixteen experiments (the thirteen paper experiments plus
 // the e16/e17 dynamics and e18 empirical-graph extensions), run one by
-// name with CLI overrides,
-// and emit JSON that parses and carries the documented keys.
+// name with CLI overrides, and emit JSON that parses and carries the
+// documented keys. The graph_pack and ks_smoke tools' argument checks run
+// here too.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -29,6 +30,9 @@ namespace {
 #endif
 #ifndef RUMOR_GRAPH_PACK_BINARY
 #error "RUMOR_GRAPH_PACK_BINARY must point at the graph_pack executable"
+#endif
+#ifndef RUMOR_KS_SMOKE_BINARY
+#error "RUMOR_KS_SMOKE_BINARY must point at the ks_smoke executable"
 #endif
 
 /// Runs a command line and captures its stdout. `exit_code` receives the
@@ -59,16 +63,19 @@ std::string run_bench(const std::string& args, int* exit_code = nullptr) {
 
 // --- Registry smoke tests via the real binary --------------------------------
 
-TEST(BenchCli, ListNamesAllEighteenExperiments) {
+TEST(BenchCli, ListNamesAllSixteenExperiments) {
   int status = 0;
   const std::string out = run_bench("--list", &status);
   EXPECT_EQ(status, 0);
   for (const char* name :
        {"e1_overview", "e2_theorem1", "e3_star", "e4_theorem2", "e5_regular", "e6_blocks",
         "e7_chain", "e8_push", "e9_micro", "e10_expansion", "e11_faults", "e12_discretization",
-        "e13_sources", "e14_averaging", "e15_quasirandom", "e16_churn", "e17_weighted",
-        "e18_empirical"}) {
+        "e13_sources", "e16_churn", "e17_weighted", "e18_empirical"}) {
     EXPECT_NE(out.find(name), std::string::npos) << "missing " << name << " in:\n" << out;
+  }
+  // Retired experiments stay unlisted.
+  for (const char* gone : {"e14_averaging", "e15_quasirandom"}) {
+    EXPECT_EQ(out.find(gone), std::string::npos) << gone << " still listed in:\n" << out;
   }
 }
 
@@ -77,7 +84,7 @@ TEST(BenchCli, ListJsonParsesWithTitles) {
   const auto parsed = sim::Json::parse(out);
   ASSERT_TRUE(parsed.has_value()) << out;
   ASSERT_TRUE(parsed->is_array());
-  ASSERT_EQ(parsed->size(), 18u);
+  ASSERT_EQ(parsed->size(), 16u);
   for (const auto& entry : parsed->elements()) {
     ASSERT_NE(entry.find("experiment"), nullptr);
     ASSERT_NE(entry.find("title"), nullptr);
@@ -125,9 +132,11 @@ TEST(BenchCli, TinyExperimentEmitsExpectedJson) {
 }
 
 TEST(BenchCli, UnknownExperimentFails) {
-  int status = 0;
-  run_bench("no_such_experiment --json 2>/dev/null", &status);
-  EXPECT_NE(status, 0);
+  for (const char* name : {"no_such_experiment", "e14_averaging"}) {
+    int status = 0;
+    run_bench(std::string(name) + " --json 2>/dev/null", &status);
+    EXPECT_NE(status, 0) << name;
+  }
 }
 
 TEST(BenchCli, ListShowsClaimAndDefaults) {
@@ -313,9 +322,20 @@ TEST(BenchCli, CampaignRejectsBadSpecs) {
   const std::string err = run_bench("--campaign " + batch + " --curves 2>&1 >/dev/null", &status);
   EXPECT_EQ(status, 2);
   EXPECT_NE(err.find("configs[0]"), std::string::npos) << err;
+
+  // An engine name outside the four engine kinds is a bad spec that lists
+  // the accepted names.
+  const std::string engine = write_spec("bench_cli_engine.json", R"({"configs": [
+      {"graph": "star", "n": 32, "trials": 4, "engine": "quasirandom"}]})");
+  const std::string engine_err =
+      run_bench("--campaign " + engine + " 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(engine_err.find("sync/async/aux/batch_sync (got 'quasirandom')"), std::string::npos)
+      << engine_err;
   std::remove(malformed.c_str());
   std::remove(bad_key.c_str());
   std::remove(batch.c_str());
+  std::remove(engine.c_str());
 }
 
 TEST(BenchCli, CampaignConflictsWithExperimentSelection) {
@@ -329,12 +349,17 @@ TEST(BenchCli, CampaignConflictsWithExperimentSelection) {
 
 TEST(BenchCli, ThreadsWiderThanItsFieldIsBadInput) {
   // 2^32 + 1 is below the 2^53 cap of every count flag but does not fit
-  // the unsigned thread count.
-  int status = 0;
-  const std::string err =
-      run_bench("e3_star --trials 8 --threads 4294967297 2>&1 >/dev/null", &status);
-  EXPECT_EQ(status, 2);
-  EXPECT_NE(err.find("--threads: 4294967297"), std::string::npos) << err;
+  // the unsigned thread count; 1025 fits it but is past the 1024 bound on
+  // the OS threads one run may start. Neither run starts a thread.
+  for (const char* threads : {"4294967297", "1025"}) {
+    int status = 0;
+    const std::string err = run_bench(
+        std::string("e3_star --trials 8 --threads ") + threads + " 2>&1 >/dev/null", &status);
+    EXPECT_EQ(status, 2) << threads;
+    EXPECT_NE(err.find(std::string("--threads: ") + threads + " (must be <= 1024)"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(GraphPackCli, RefusesMalformedNumbersNamingTheFlag) {
@@ -368,6 +393,34 @@ TEST(GraphPackCli, RefusesMalformedNumbersNamingTheFlag) {
   EXPECT_EQ(status, 0);
   EXPECT_TRUE(std::filesystem::exists(out));
   std::remove(out.c_str());
+}
+
+TEST(KsSmokeCli, RefusesMalformedArgumentsNamingTheArgument) {
+  // Both arguments are read whole and range-checked before any cell runs:
+  // trials per side in 1..100000, alpha in (0, 1).
+  const std::pair<const char*, const char*> cases[] = {
+      {"8x", "trials-per-side: 8x"},
+      {"-5", "trials-per-side: -5"},
+      {"0", "trials-per-side: 0"},
+      {"100001", "trials-per-side: 100001"},
+      {"8 abc", "alpha: abc"},
+      {"8 -1", "alpha: -1"},
+      {"8 0", "alpha: 0"},
+      {"8 1", "alpha: 1"},
+      {"8 1e-3x", "alpha: 1e-3x"},
+      {"8 nan", "alpha: nan"},
+  };
+  for (const auto& [args, name_and_value] : cases) {
+    int status = 0;
+    const std::string out = run_tool(RUMOR_KS_SMOKE_BINARY, std::string(args) + " 2>&1", &status);
+    EXPECT_EQ(status, 2) << args << "\n" << out;
+    EXPECT_NE(out.find(std::string("bad value for ") + name_and_value), std::string::npos) << out;
+    EXPECT_EQ(out.find("| graph |"), std::string::npos) << args << " ran the sweep";
+  }
+  int status = 0;
+  const std::string out = run_tool(RUMOR_KS_SMOKE_BINARY, "16 1e-3", &status);
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("n=16 per side, alpha=0.001"), std::string::npos) << out;
 }
 
 TEST(BenchCli, CampaignOnCorruptStoreFailsNamingStoreAndByte) {

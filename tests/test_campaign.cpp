@@ -52,6 +52,7 @@ std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials,
       cfg.reservoir_capacity = reservoir_capacity;
       configs.push_back(std::move(cfg));
     }
+    ++seed;
   }
   return configs;
 }
@@ -174,17 +175,16 @@ TEST(Campaign, MomentsStableAcrossBlockSizes) {
 
 namespace {
 
-/// Sync, async, and quasirandom cells over two topologies, all with spread
-/// telemetry enabled (round grid for the round-based engines, a 0.5-unit
-/// time grid for async).
+/// Sync and async cells over two topologies, all with spread telemetry
+/// enabled (round grid for sync, a 0.5-unit time grid for async). Seeds are
+/// 701, 702 on the hypercube and 704, 705 on the cycle.
 std::vector<sim::CampaignConfig> curve_configs(std::uint64_t trials) {
   static const auto kHypercube = shared(graph::hypercube(6));
   static const auto kCycle = shared(graph::cycle(48));
   std::vector<sim::CampaignConfig> configs;
   std::uint64_t seed = 700;
   for (const auto& g : {kHypercube, kCycle}) {
-    for (const sim::EngineKind engine : {sim::EngineKind::kSync, sim::EngineKind::kAsync,
-                                         sim::EngineKind::kQuasirandom}) {
+    for (const sim::EngineKind engine : {sim::EngineKind::kSync, sim::EngineKind::kAsync}) {
       sim::CampaignConfig cfg;
       cfg.id = g->name() + std::string("_") + sim::engine_name(engine) + "_curves";
       cfg.prebuilt = g;
@@ -629,9 +629,9 @@ TEST(CampaignSpecParsing, SpecParserAndRunCampaignRejectTheSameConfigs) {
          c.engine = sim::EngineKind::kAux;
          c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
        }},
-      {R"("engine": "quasirandom", "dynamics": {"weights": "uniform"})",
+      {R"("engine": "aux", "dynamics": {"weights": "uniform"})",
        [](sim::CampaignConfig& c) {
-         c.engine = sim::EngineKind::kQuasirandom;
+         c.engine = sim::EngineKind::kAux;
          c.dynamics.weights.model = dynamics::WeightModel::kUniform;
        }},
       {R"("engine": "async", "view": "per-edge", "dynamics": {"churn": "rewire"})",
@@ -731,8 +731,8 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
     std::string text;
     const char* fingerprint;
   } corpus[] = {
-      {"ci smoke", read_file("bench/ci_smoke_campaign.json"), "be567fac90f5d7c8"},
-      {"ci curves", read_file("bench/ci_curves_campaign.json"), "1c75bdff6990a43e"},
+      {"ci smoke", read_file("bench/ci_smoke_campaign.json"), "3e6c2472089514a4"},
+      {"ci curves", read_file("bench/ci_curves_campaign.json"), "9b6c31e15f47d4ce"},
       // perfbench/workloads.py at seed 1.
       {"paper_sweep",
        R"({"configs": [{"engine": ["sync", "async"], "graph": "hypercube", "n": 16384},
@@ -817,10 +817,10 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
                        "dynamics": {"churn": "none", "weights": "uniform"}}]})",
        "855eff330bf2be0c"},
       {"curves",
-       R"({"configs": [{"graph": "hypercube", "n": 64, "engine": ["sync", "async", "quasirandom"],
+       R"({"configs": [{"graph": "hypercube", "n": 64, "engine": ["sync", "async"],
                         "curves": {"points": 96, "time_bucket": 0.25}},
                        {"graph": "star", "n": 32, "curves": {}}]})",
-       "a19e147750abd11c"},
+       "ed134d8573f4bd6a"},
       {"auto-derived and explicit ids",
        R"({"name": "ids",
           "configs": [{"graph": "star", "n": [8, 9], "engine": "aux", "aux": "ppy"},

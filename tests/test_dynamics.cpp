@@ -526,7 +526,7 @@ TEST(DynamicsSpecParsing, RejectsBadValuesAndCombos) {
            R"({"configs": [{"graph": "star", "n": 64, "source": "race", "race": 7}]})",
            // engine/view combinations dynamics cannot run on
            R"({"configs": [{"graph": "star", "n": 64, "engine": "aux", "dynamics": {"churn": "markov"}}]})",
-           R"({"configs": [{"graph": "star", "n": 64, "engine": "quasirandom", "dynamics": {"weights": "uniform"}}]})",
+           R"({"configs": [{"graph": "star", "n": 64, "engine": "aux", "dynamics": {"weights": "uniform"}}]})",
            R"({"configs": [{"graph": "star", "n": 64, "engine": "async", "view": "per-edge", "dynamics": {"churn": "rewire"}}]})",
        }) {
     EXPECT_FALSE(parse(bad).error.empty()) << bad;

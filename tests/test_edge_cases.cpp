@@ -18,7 +18,6 @@ TEST(EdgeCases, TwoNodeGraphEverywhere) {
   EXPECT_TRUE(core::run_sync(g, 0, eng).completed);
   EXPECT_TRUE(core::run_async(g, 0, eng).completed);
   EXPECT_TRUE(core::run_aux(g, 0, eng).completed);
-  EXPECT_TRUE(core::run_quasirandom(g, 0, eng).completed);
   EXPECT_TRUE(core::run_pull_coupling(g, 0, eng).completed);
   EXPECT_TRUE(core::run_push_coupling(g, 0, eng).completed);
   EXPECT_TRUE(core::run_block_coupling(g, 0, eng).completed);
@@ -134,14 +133,4 @@ TEST(EdgeCases, CouplingCapsReportIncomplete) {
   opts.max_rounds = 2;  // far too few for a 64-cycle
   const auto run = core::run_pull_coupling(g, 0, eng, opts);
   EXPECT_FALSE(run.completed);
-}
-
-TEST(EdgeCases, AveragingSingleValuePair) {
-  const auto g = graph::path(2);
-  const std::vector<double> initial{0.0, 10.0};
-  auto eng = rng::derive_stream(1500, 7);
-  const auto r = core::run_averaging_sync(g, initial, eng, {.epsilon = 1e-6});
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(r.values[0], 5.0, 1e-6);
-  EXPECT_NEAR(r.values[1], 5.0, 1e-6);
 }

@@ -405,8 +405,7 @@ TEST(TrialLanesEligibility, OnlySyncAndGlobalClockAsyncWithoutExtrasRunOnLanes) 
   core::TrialExtras global;
   EXPECT_EQ(core::lanes_eligible(EngineKind::kSync, plain, global), cpu);
   EXPECT_EQ(core::lanes_eligible(EngineKind::kAsync, plain, global), cpu);
-  for (const EngineKind other :
-       {EngineKind::kAux, EngineKind::kQuasirandom, EngineKind::kBatchSync}) {
+  for (const EngineKind other : {EngineKind::kAux, EngineKind::kBatchSync}) {
     EXPECT_FALSE(core::lanes_eligible(other, plain, global)) << core::engine_name(other);
   }
   core::TrialExtras per_node;

@@ -10,17 +10,18 @@
 // a test fails.
 //
 // Usage: ks_smoke [trials-per-side] [alpha]
-//   defaults: 192 trials per side, alpha 1e-3.
+//   defaults: 192 trials per side, alpha 1e-3. Each argument is read whole;
+//   trials must be in 1..100000 and alpha in (0, 1), else exit 2.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/rumor.hpp"
 #include "dist/distributions.hpp"
 #include "rng/rng.hpp"
+#include "sim/experiment.hpp"
 
 namespace {
 
@@ -57,14 +58,29 @@ std::vector<double> sync_samples(const graph::Graph& g, core::Mode mode, double 
   return out;
 }
 
+int bad_argument(const char* name, const char* text, const char* expected) {
+  std::fprintf(stderr, "ks_smoke: bad value for %s: %s (expected %s)\n", name, text, expected);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 192;
-  const double alpha = argc > 2 ? std::strtod(argv[2], nullptr) : 1e-3;
-  if (trials == 0) {
-    std::fprintf(stderr, "ks_smoke: trials must be positive\n");
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: ks_smoke [trials-per-side] [alpha]\n");
     return 2;
+  }
+  std::uint64_t trials = 192;
+  double alpha = 1e-3;
+  if (argc > 1) {
+    const auto v = sim::parse_unsigned_arg(argv[1], 100'000);
+    if (!v || *v == 0) return bad_argument("trials-per-side", argv[1], "an integer in 1..100000");
+    trials = *v;
+  }
+  if (argc > 2) {
+    const auto v = sim::parse_double_arg(argv[2]);
+    if (!v || !(*v > 0.0 && *v < 1.0)) return bad_argument("alpha", argv[2], "a number in (0, 1)");
+    alpha = *v;
   }
 
   const graph::Graph families[] = {graph::hypercube(7), graph::complete(64), graph::star(129),
