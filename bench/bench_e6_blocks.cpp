@@ -7,6 +7,8 @@
 // whose O(1) quotient is exactly Lemma 14. The Lemma 13 subset invariant is
 // asserted on every run.
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rumor.hpp"
@@ -37,7 +39,10 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     for (std::uint64_t i = 0; i < runs; ++i) {
       auto eng = rng::derive_stream(seed, i);
       const auto st = core::run_block_coupling(g, 0, eng);
-      if (!st.completed) continue;
+      if (!st.completed) {
+        throw std::runtime_error("e6_blocks: coupled run " + std::to_string(i) + " on graph '" +
+                                 g.name() + "' hit its step cap");
+      }
       tau += static_cast<double>(st.steps);
       rho += static_cast<double>(st.rounds);
       full += static_cast<double>(st.full_blocks);

@@ -7,11 +7,14 @@
 //   max_v (t_v  - 4 r'_v)   (Lemma 10: O(log n) whp)
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rumor.hpp"
 #include "sim/experiment.hpp"
 #include "sim/harness.hpp"
+#include "stats/summary.hpp"
 
 namespace {
 
@@ -44,7 +47,10 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     for (std::uint64_t i = 0; i < runs; ++i) {
       auto eng = rng::derive_stream(ctx.seed(7002) + 1, i);
       const auto coupled = core::run_pull_coupling(g, 0, eng);
-      if (!coupled.completed) continue;
+      if (!coupled.completed) {
+        throw std::runtime_error("e7_chain: coupled run " + std::to_string(i) + " on graph '" +
+                                 g.name() + "' hit its round cap");
+      }
       double worst9 = 0.0;
       double worst10 = 0.0;
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -58,11 +64,9 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     }
     std::sort(gap9.begin(), gap9.end());
     std::sort(gap10.begin(), gap10.end());
-    // Guard the empty case: with a tiny --trials every coupled run may hit
-    // its cap (completed == false) and contribute no gap sample.
+    // The type-1 p95 (stats::quantile_sorted needs a non-empty sample).
     auto p95 = [](const std::vector<double>& gaps) {
-      if (gaps.empty()) return 0.0;
-      return gaps[static_cast<std::size_t>(0.95 * static_cast<double>(gaps.size()))];
+      return gaps.empty() ? 0.0 : stats::quantile_sorted(gaps, 0.95);
     };
     const double p95_9 = p95(gap9);
     const double p95_10 = p95(gap10);

@@ -10,6 +10,8 @@
 // This example builds both topologies, spreads a rumor from a random
 // low-degree node, and prints the time to reach 50% / 90% / 100% of the
 // network under each model, plus an ASCII trajectory.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -20,6 +22,18 @@
 using namespace rumor;
 
 namespace {
+
+/// The round or time by which ceil(fraction * n) of the n nodes were
+/// informed: that order statistic of the per-node inform rounds/times.
+/// Reorders `informed`.
+template <class T>
+double reach_time(std::vector<T>& informed, double fraction) {
+  const auto k = static_cast<std::size_t>(
+      std::ceil(fraction * static_cast<double>(informed.size())) - 1);
+  std::nth_element(informed.begin(), informed.begin() + static_cast<std::ptrdiff_t>(k),
+                   informed.end());
+  return static_cast<double>(informed[k]);
+}
 
 struct FractionTimes {
   double half = 0.0;
@@ -32,9 +46,9 @@ FractionTimes measure_sync_fractions(const graph::Graph& g, graph::NodeId source
   FractionTimes acc;
   for (std::uint64_t t = 0; t < trials; ++t) {
     auto eng = rng::derive_stream(101, t);
-    const auto r = core::run_sync(g, source, eng);
-    acc.half += static_cast<double>(core::round_to_fraction(r.informed_round, 0.5));
-    acc.ninety += static_cast<double>(core::round_to_fraction(r.informed_round, 0.9));
+    auto r = core::run_sync(g, source, eng);
+    acc.half += reach_time(r.informed_round, 0.5);
+    acc.ninety += reach_time(r.informed_round, 0.9);
     acc.all += static_cast<double>(r.rounds);
   }
   acc.half /= static_cast<double>(trials);
@@ -48,9 +62,9 @@ FractionTimes measure_async_fractions(const graph::Graph& g, graph::NodeId sourc
   FractionTimes acc;
   for (std::uint64_t t = 0; t < trials; ++t) {
     auto eng = rng::derive_stream(102, t);
-    const auto r = core::run_async(g, source, eng);
-    acc.half += core::time_to_fraction(r.informed_time, 0.5);
-    acc.ninety += core::time_to_fraction(r.informed_time, 0.9);
+    auto r = core::run_async(g, source, eng);
+    acc.half += reach_time(r.informed_time, 0.5);
+    acc.ninety += reach_time(r.informed_time, 0.9);
     acc.all += r.time;
   }
   acc.half /= static_cast<double>(trials);
@@ -61,8 +75,11 @@ FractionTimes measure_async_fractions(const graph::Graph& g, graph::NodeId sourc
 
 void print_trajectory(const graph::Graph& g, graph::NodeId source) {
   auto eng = rng::derive_stream(103, 0);
-  const auto r = core::run_async(g, source, eng);
-  const auto traj = core::async_trajectory(r.informed_time);
+  auto r = core::run_async(g, source, eng);
+  // Every node of the connected graph is informed: the sorted inform times
+  // are the trajectory, the k-th entry the time the (k+1)-th node learned.
+  std::vector<double>& traj = r.informed_time;
+  std::sort(traj.begin(), traj.end());
   std::printf("\n  one async run on %s (informed fraction over time):\n", g.name().c_str());
   const int rows = 12;
   for (int i = 1; i <= rows; ++i) {

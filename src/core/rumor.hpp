@@ -8,7 +8,6 @@
 #pragma once
 
 #include "core/async.hpp"              // IWYU pragma: export
-#include "core/async_discretized.hpp"  // IWYU pragma: export
 #include "core/aux_process.hpp"        // IWYU pragma: export
 #include "core/batch_sync.hpp"         // IWYU pragma: export
 #include "core/coupling_blocks.hpp"    // IWYU pragma: export
@@ -17,7 +16,6 @@
 #include "core/informed_set.hpp"       // IWYU pragma: export
 #include "core/protocol.hpp"           // IWYU pragma: export
 #include "core/sync.hpp"               // IWYU pragma: export
-#include "core/trajectory.hpp"         // IWYU pragma: export
 #include "core/trial.hpp"              // IWYU pragma: export
 #include "graph/expansion.hpp"         // IWYU pragma: export
 #include "graph/generators.hpp"        // IWYU pragma: export

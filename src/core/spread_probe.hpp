@@ -91,8 +91,8 @@ inline void probe_instant(SpreadProbe& probe, Mode mode, bool v_in, bool w_in,
   }
 }
 
-/// Classifies one contact of a *windowed-commit* engine (synchronous rounds,
-/// discretized slices): a transmission is useful iff its target is
+/// Classifies one contact of a *windowed-commit* engine (synchronous
+/// rounds): a transmission is useful iff its target is
 /// uninformed at the window start AND this is the first transmission of the
 /// window to reach it. `pending` is the window's freshness set — the probe
 /// marks the targets it deems useful, and the caller clears those marks at

@@ -84,14 +84,13 @@ enum class AuxKind : std::uint8_t {
 }
 
 /// The per-trial knobs shared across engines. Every per-engine options
-/// struct (SyncOptions, AsyncOptions, AuxOptions, DiscretizedOptions,
-/// BatchSyncOptions) derives from this, so one TrialOptions value
-/// configures any engine through run_trial and the per-engine structs add
-/// only what is genuinely theirs (async clock view, aux kind, slice width,
-/// lane count). Engines ignore fields outside their feature set — the
-/// support matrix is the engine table in docs/ENGINES.md; schedulers that
-/// must reject unsupported combinations (the campaign spec parser) do so at
-/// validation time.
+/// struct (SyncOptions, AsyncOptions, AuxOptions, BatchSyncOptions)
+/// derives from this, so one TrialOptions value configures any engine
+/// through run_trial and the per-engine structs add only what is genuinely
+/// theirs (async clock view, aux kind, lane count). Engines ignore fields
+/// outside their feature set — the support matrix is the engine table in
+/// docs/ENGINES.md; schedulers that must reject unsupported combinations
+/// (the campaign spec parser) do so at validation time.
 struct TrialOptions {
   /// Communication mode for every contact.
   Mode mode = Mode::kPushPull;
@@ -100,8 +99,6 @@ struct TrialOptions {
   /// a generous per-engine default from n (~200 n log n rounds / ~200 n^2
   /// log n steps, far above the O(n log n) worst case for connected graphs)
   /// so runaway loops surface as `completed == false` instead of hanging.
-  /// The discretized engine caps by simulated time instead
-  /// (DiscretizedOptions::max_time).
   std::uint64_t max_ticks = 0;
   /// Fault injection (extension): each contact independently carries no
   /// rumor with this probability — a lossy channel in the spirit of the

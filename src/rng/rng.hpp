@@ -187,40 +187,6 @@ template <class Eng>
   return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
 }
 
-/// Poisson(mean) variate. Knuth's product method for small means, PTRS
-/// (Hörmann 1993) transformed rejection for large means.
-template <class Eng>
-[[nodiscard]] std::uint64_t poisson(Eng& eng, double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = uniform01_open_low(eng);
-    while (prod > limit) {
-      ++k;
-      prod *= uniform01_open_low(eng);
-    }
-    return k;
-  }
-  // PTRS rejection sampler.
-  const double b = 0.931 + 2.53 * std::sqrt(mean);
-  const double a = -0.059 + 0.02483 * b;
-  const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double v_r = 0.9277 - 3.6224 / (b - 2.0);
-  for (;;) {
-    const double u = uniform01(eng) - 0.5;
-    const double v = uniform01_open_low(eng);
-    const double us = 0.5 - std::abs(u);
-    const double k = std::floor((2.0 * a / us + b) * u + mean + 0.43);
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
-    if (k < 0.0 || (us < 0.013 && v > us)) continue;
-    if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * std::log(mean) - mean - std::lgamma(k + 1.0)) {
-      return static_cast<std::uint64_t>(k);
-    }
-  }
-}
-
 /// Fisher-Yates shuffle of a span, using the library engine.
 template <class Eng, class T>
 void shuffle(Eng& eng, std::span<T> items) noexcept {

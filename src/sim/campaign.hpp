@@ -266,8 +266,7 @@ struct CampaignResult {
 /// are ordered like `configs`. Race configurations enqueue their screen and
 /// refine passes onto the same queue as they become ready, so worst-source
 /// searches interleave with ordinary cells instead of serializing behind
-/// them. Throws the first trial/build exception after draining the pool
-/// (mirroring run_trials).
+/// them. Throws the first trial/build exception after draining the pool.
 [[nodiscard]] std::vector<CampaignResult> run_campaign(const std::vector<CampaignConfig>& configs,
                                                        const CampaignOptions& options = {});
 

@@ -14,10 +14,9 @@
 // scheduler (sim/campaign.hpp). The measure_* wrappers are one-config
 // campaigns whose reservoir keeps every sample, so they share the
 // scheduler's trial loop, trial lanes, and tick-cap rule, and hand back the
-// full sorted sample for the structural benches (e3/e7/e10/e12) and the
-// examples that study a single graph in depth. run_trials remains for trial
-// bodies that are not engine kinds (e12's discretized engine, tests), on
-// the same parallel_for the campaign's report rendering uses.
+// full sorted sample for the structural benches (e3/e7/e10) and the
+// examples that study a single graph in depth. parallel_for is the worker
+// pool behind the campaign's report rendering.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,6 @@
 #include "core/aux_process.hpp"
 #include "core/protocol.hpp"
 #include "core/sync.hpp"
-#include "rng/rng.hpp"
 #include "stats/summary.hpp"
 
 namespace rumor::sim {
@@ -53,15 +51,6 @@ struct TrialConfig {
 /// every thread has finished.
 void parallel_for(std::uint64_t count, unsigned threads,
                   const std::function<void(std::uint64_t)>& body);
-
-/// A trial body: receives the trial index and its private engine, returns
-/// the measured value (spreading time in rounds or time units).
-using TrialFn = std::function<double(std::uint64_t trial, rng::Engine& eng)>;
-
-/// Runs `config.trials` executions of `fn` in parallel; the result vector is
-/// ordered by trial index (deterministic given the seed). Throws
-/// std::invalid_argument when config.trials == 0.
-[[nodiscard]] std::vector<double> run_trials(const TrialConfig& config, const TrialFn& fn);
 
 /// Samples of one protocol's spreading time plus derived estimates.
 class SpreadingTimeSample {

@@ -1,5 +1,5 @@
 // Smoke tests for the rumor_bench experiment registry: the driver binary
-// must list all sixteen experiments (the thirteen paper experiments plus
+// must list all fifteen experiments (the twelve paper experiments plus
 // the e16/e17 dynamics and e18 empirical-graph extensions), run one by
 // name with CLI overrides, and emit JSON that parses and carries the
 // documented keys. The graph_pack and ks_smoke tools' argument checks run
@@ -63,18 +63,18 @@ std::string run_bench(const std::string& args, int* exit_code = nullptr) {
 
 // --- Registry smoke tests via the real binary --------------------------------
 
-TEST(BenchCli, ListNamesAllSixteenExperiments) {
+TEST(BenchCli, ListNamesAllFifteenExperiments) {
   int status = 0;
   const std::string out = run_bench("--list", &status);
   EXPECT_EQ(status, 0);
   for (const char* name :
        {"e1_overview", "e2_theorem1", "e3_star", "e4_theorem2", "e5_regular", "e6_blocks",
-        "e7_chain", "e8_push", "e9_micro", "e10_expansion", "e11_faults", "e12_discretization",
-        "e13_sources", "e16_churn", "e17_weighted", "e18_empirical"}) {
+        "e7_chain", "e8_push", "e9_micro", "e10_expansion", "e11_faults", "e13_sources",
+        "e16_churn", "e17_weighted", "e18_empirical"}) {
     EXPECT_NE(out.find(name), std::string::npos) << "missing " << name << " in:\n" << out;
   }
   // Retired experiments stay unlisted.
-  for (const char* gone : {"e14_averaging", "e15_quasirandom"}) {
+  for (const char* gone : {"e12_discretization", "e14_averaging", "e15_quasirandom"}) {
     EXPECT_EQ(out.find(gone), std::string::npos) << gone << " still listed in:\n" << out;
   }
 }
@@ -84,7 +84,7 @@ TEST(BenchCli, ListJsonParsesWithTitles) {
   const auto parsed = sim::Json::parse(out);
   ASSERT_TRUE(parsed.has_value()) << out;
   ASSERT_TRUE(parsed->is_array());
-  ASSERT_EQ(parsed->size(), 16u);
+  ASSERT_EQ(parsed->size(), 15u);
   for (const auto& entry : parsed->elements()) {
     ASSERT_NE(entry.find("experiment"), nullptr);
     ASSERT_NE(entry.find("title"), nullptr);
@@ -132,10 +132,11 @@ TEST(BenchCli, TinyExperimentEmitsExpectedJson) {
 }
 
 TEST(BenchCli, UnknownExperimentFails) {
-  for (const char* name : {"no_such_experiment", "e14_averaging"}) {
+  for (const std::string name : {"no_such_experiment", "e12_discretization", "e14_averaging"}) {
     int status = 0;
-    run_bench(std::string(name) + " --json 2>/dev/null", &status);
-    EXPECT_NE(status, 0) << name;
+    const std::string out = run_bench(name + " --json 2>&1", &status);
+    EXPECT_EQ(status, 2) << name;
+    EXPECT_NE(out.find("unknown experiment '" + name + "'"), std::string::npos) << out;
   }
 }
 

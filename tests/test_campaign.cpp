@@ -28,6 +28,7 @@
 #include "sim/harness.hpp"
 #include "support/campaign_fixtures.hpp"
 #include "support/race_oracle.hpp"
+#include "support/run_trials.hpp"
 
 using namespace rumor;
 

@@ -10,6 +10,7 @@
 #include "core/rumor.hpp"
 #include "rng/rng.hpp"
 #include "sim/harness.hpp"
+#include "support/run_trials.hpp"
 
 using namespace rumor;
 

@@ -7,6 +7,7 @@
 #include "sim/harness.hpp"
 #include "support/coupling_push.hpp"
 #include "support/informing_forest.hpp"
+#include "support/run_trials.hpp"
 
 using namespace rumor;
 
@@ -23,7 +24,6 @@ TEST(EdgeCases, TwoNodeGraphEverywhere) {
   EXPECT_TRUE(core::run_block_coupling(g, 0, eng).completed);
   EXPECT_TRUE(core::run_sync_with_forest(g, 0, eng).result.completed);
   EXPECT_TRUE(core::run_async_with_forest(g, 0, eng).result.completed);
-  EXPECT_TRUE(core::run_async_discretized(g, 0, eng).completed);
 }
 
 TEST(EdgeCases, SourceIsLastNode) {
@@ -118,12 +118,6 @@ TEST(EdgeCases, ExtraSourceEqualsPrimarySource) {
   const auto r = core::run_sync(g, 0, eng, opts);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.informed_round[0], 0u);
-}
-
-TEST(EdgeCases, TrajectoryOnSingleInformedNode) {
-  const std::vector<double> times{0.0};
-  EXPECT_DOUBLE_EQ(core::time_to_fraction(times, 1.0), 0.0);
-  EXPECT_EQ(core::async_trajectory(times).size(), 1u);
 }
 
 TEST(EdgeCases, CouplingCapsReportIncomplete) {

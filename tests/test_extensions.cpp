@@ -1,7 +1,7 @@
 // Tests for the extension features: graph I/O, new generators
-// (wheel / complete bipartite / 3-D torus / Watts-Strogatz), trajectory
-// utilities, message-loss fault injection, multi-source spreading, the
-// push coupling of Section 3, and the discretized-async ablation engine.
+// (wheel / complete bipartite / 3-D torus / Watts-Strogatz), message-loss
+// fault injection, multi-source spreading, and the push coupling of
+// Section 3.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "sim/harness.hpp"
 #include "support/coupling_push.hpp"
 #include "support/graph_oracles.hpp"
+#include "support/run_trials.hpp"
 
 using namespace rumor;
 
@@ -121,39 +122,6 @@ TEST(GraphIo, FileRoundTrip) {
   EXPECT_EQ(back.num_nodes(), 9u);
   EXPECT_EQ(back.num_edges(), 9u);
   std::remove(path.c_str());
-}
-
-// --- Trajectories ------------------------------------------------------------
-
-TEST(Trajectory, RoundToFraction) {
-  const std::vector<std::uint64_t> rounds{0, 1, 1, 2, 5};
-  EXPECT_EQ(core::round_to_fraction(rounds, 0.2), 0u);
-  EXPECT_EQ(core::round_to_fraction(rounds, 0.6), 1u);
-  EXPECT_EQ(core::round_to_fraction(rounds, 0.8), 2u);
-  EXPECT_EQ(core::round_to_fraction(rounds, 1.0), 5u);
-}
-
-TEST(Trajectory, TimeToFraction) {
-  const std::vector<double> times{0.0, 0.5, 1.5, 9.0};
-  EXPECT_DOUBLE_EQ(core::time_to_fraction(times, 0.5), 0.5);
-  EXPECT_DOUBLE_EQ(core::time_to_fraction(times, 1.0), 9.0);
-}
-
-TEST(Trajectory, AsyncTrajectoryIsSortedAndSkipsNever) {
-  const std::vector<double> times{3.0, 0.0, core::kNeverTime, 1.0};
-  const auto traj = core::async_trajectory(times);
-  ASSERT_EQ(traj.size(), 3u);
-  EXPECT_DOUBLE_EQ(traj[0], 0.0);
-  EXPECT_DOUBLE_EQ(traj[2], 3.0);
-}
-
-TEST(Trajectory, ConsistentWithEngineResults) {
-  const auto g = graph::hypercube(6);
-  auto eng = rng::derive_stream(72, 0);
-  const auto r = core::run_async(g, 0, eng);
-  ASSERT_TRUE(r.completed);
-  EXPECT_DOUBLE_EQ(core::time_to_fraction(r.informed_time, 1.0), r.time);
-  EXPECT_LE(core::time_to_fraction(r.informed_time, 0.5), r.time);
 }
 
 // --- Fault injection -----------------------------------------------------------
@@ -332,61 +300,4 @@ TEST(PushCoupling, AsyncMarginalMatchesEngine) {
   const auto engine = sim::measure_async(g, 0, core::Mode::kPush, config);
   const double ks = dist::ks_statistic(dist::Ecdf(coupled), dist::Ecdf(engine.samples()));
   EXPECT_LT(ks, 0.14);
-}
-
-// --- Discretized async (ablation) ----------------------------------------------
-
-TEST(Discretized, CompletesAndQuantizesTimes) {
-  const auto g = graph::hypercube(6);
-  auto eng = rng::derive_stream(85, 0);
-  core::DiscretizedOptions opts;
-  opts.dt = 0.25;
-  const auto r = core::run_async_discretized(g, 0, eng, opts);
-  ASSERT_TRUE(r.completed);
-  for (double t : r.informed_time) {
-    const double q = t / 0.25;
-    EXPECT_NEAR(q, std::round(q), 1e-9) << t;  // multiples of dt
-  }
-}
-
-TEST(Discretized, ConvergesToExactAsDtShrinks) {
-  const auto g = graph::complete(64);
-  constexpr int kTrials = 400;
-  auto sample_disc = [&](double dt) {
-    std::vector<double> out;
-    for (int i = 0; i < kTrials; ++i) {
-      auto eng = rng::derive_stream(86, static_cast<std::uint64_t>(i));
-      core::DiscretizedOptions opts;
-      opts.dt = dt;
-      out.push_back(core::run_async_discretized(g, 0, eng, opts).time);
-    }
-    return out;
-  };
-  sim::TrialConfig config;
-  config.trials = kTrials;
-  config.seed = 87;
-  const auto exact = sim::measure_async(g, 0, core::Mode::kPushPull, config);
-  const dist::Ecdf exact_ecdf(exact.samples());
-  const double ks_coarse = dist::ks_statistic(dist::Ecdf(sample_disc(2.0)), exact_ecdf);
-  const double ks_fine = dist::ks_statistic(dist::Ecdf(sample_disc(0.05)), exact_ecdf);
-  EXPECT_LT(ks_fine, 0.14);            // indistinguishable at fine dt
-  EXPECT_GT(ks_coarse, 2.0 * ks_fine);  // visibly biased at coarse dt
-}
-
-TEST(Discretized, CoarseSlicesBiasSlow) {
-  // Evaluating contacts against the slice-start state drops intra-slice
-  // relay chains, so coarse dt systematically overestimates spreading time
-  // (quantified by bench_e12). Check the direction of the bias on the
-  // hypercube, where chains matter most.
-  const auto g = graph::hypercube(7);
-  constexpr int kTrials = 150;
-  double coarse = 0.0;
-  double fine = 0.0;
-  for (int i = 0; i < kTrials; ++i) {
-    auto e1 = rng::derive_stream(88, static_cast<std::uint64_t>(i));
-    auto e2 = rng::derive_stream(89, static_cast<std::uint64_t>(i));
-    coarse += core::run_async_discretized(g, 0, e1, {.dt = 2.0}).time;
-    fine += core::run_async_discretized(g, 0, e2, {.dt = 0.05}).time;
-  }
-  EXPECT_GT(coarse / kTrials, 1.5 * (fine / kTrials));
 }

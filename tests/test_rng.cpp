@@ -163,43 +163,6 @@ TEST(Geometric, FirstTrialProbability) {
   EXPECT_NEAR(static_cast<double>(ones) / kSamples, p, 0.005);
 }
 
-TEST(Poisson, SmallMean) {
-  auto eng = rng::derive_stream(15, 0);
-  constexpr int kSamples = 200000;
-  const double mean = 3.5;
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = static_cast<double>(rng::poisson(eng, mean));
-    sum += x;
-    sumsq += x * x;
-  }
-  const double m = sum / kSamples;
-  EXPECT_NEAR(m, mean, 0.03);
-  EXPECT_NEAR(sumsq / kSamples - m * m, mean, 0.1);  // Var = mean for Poisson
-}
-
-TEST(Poisson, LargeMeanUsesRejectionPath) {
-  auto eng = rng::derive_stream(15, 1);
-  constexpr int kSamples = 100000;
-  const double mean = 120.0;
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = static_cast<double>(rng::poisson(eng, mean));
-    sum += x;
-    sumsq += x * x;
-  }
-  const double m = sum / kSamples;
-  EXPECT_NEAR(m, mean, 0.5);
-  EXPECT_NEAR(sumsq / kSamples - m * m, mean, 5.0);
-}
-
-TEST(Poisson, ZeroMeanIsZero) {
-  auto eng = rng::derive_stream(15, 2);
-  EXPECT_EQ(rng::poisson(eng, 0.0), 0u);
-}
-
 TEST(Shuffle, IsAPermutation) {
   auto eng = rng::derive_stream(17, 0);
   std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};

@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "sim/harness.hpp"
 #include "sim/table.hpp"
+#include "support/run_trials.hpp"
 
 using namespace rumor;
 
