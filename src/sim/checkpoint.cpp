@@ -966,8 +966,15 @@ std::optional<CampaignSpec> load_campaign_spec_file(const std::string& path,
   // The global overrides keep their documented meaning here: --trials
   // replaces every configuration's trial count (--scale multiplies the
   // spec's own counts otherwise) and --seed replaces every root seed.
+  // The spec parser and the CLI cap trial counts at 2^53 and --scale at 64,
+  // so the product cannot wrap, but it may pass the cap they both keep.
   for (CampaignConfig& cfg : spec.configs) {
     cfg.trials = trials_override != 0 ? trials_override : cfg.trials * scale;
+    if (cfg.trials > json::kMaxExactInteger) {
+      err << prog << ": config '" << cfg.id << "': trials x --scale = " << cfg.trials
+          << " must be <= 2^53 (values are recorded as JSON numbers)\n";
+      return std::nullopt;
+    }
     if (seed_override != 0) cfg.seed = seed_override;
   }
   return spec;

@@ -340,19 +340,20 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         return 2;
       }
       ++i;
-      unsigned si = 0;
-      unsigned sk = 0;
-      char extra = 0;
-      // sscanf's %u silently accepts sign characters (strtoul semantics), so
-      // screen them out before parsing.
-      const bool signless = std::string_view(argv[i]).find_first_of("+-") == std::string_view::npos;
-      if (!signless || std::sscanf(argv[i], "%u/%u%c", &si, &sk, &extra) != 2 || si < 1 ||
-          si > sk) {
-        err << "rumor_bench: --shard wants i/k with 1 <= i <= k, got '" << argv[i] << "'\n";
+      const std::string_view text = argv[i];
+      const auto slash = text.find('/');
+      constexpr std::uint64_t kMaxShard = std::numeric_limits<std::uint32_t>::max();
+      const auto si = slash == std::string_view::npos
+                          ? std::nullopt
+                          : parse_unsigned_arg(text.substr(0, slash), kMaxShard);
+      const auto sk = si ? parse_unsigned_arg(text.substr(slash + 1), kMaxShard) : std::nullopt;
+      if (!sk || *si < 1 || *si > *sk) {
+        err << "rumor_bench: --shard wants i/k with 1 <= i <= k <= " << kMaxShard << ", got '"
+            << text << "'\n";
         return 2;
       }
-      shard_index = si;
-      shard_count = sk;
+      shard_index = static_cast<std::uint32_t>(*si);
+      shard_count = static_cast<std::uint32_t>(*sk);
       shard_explicit = true;
     } else if (arg == "--merge") {
       merge = true;

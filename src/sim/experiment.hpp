@@ -1,6 +1,6 @@
 // rumor/sim: the unified experiment registry behind the rumor_bench driver.
 //
-// Every experiment (E1..E13, E16..E18) registers itself here by name. The
+// Every experiment (E1..E11, E13, E16..E18) registers itself here by name. The
 // driver binary selects experiments from the command line, applies
 // --trials/--seed/--threads/--scale overrides, and renders each result
 // either as the familiar aligned table (human mode) or as JSON (--json) so

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/campaign.hpp"
 #include "sim/checkpoint.hpp"
@@ -153,6 +154,39 @@ TEST(BenchCli, ListShowsClaimAndDefaults) {
     EXPECT_FALSE(defaults->as_string().empty())
         << entry.find("experiment")->as_string() << " has no defaults line";
   }
+}
+
+TEST(BenchCli, PaperReportNamesEveryListedExperiment) {
+  // results/paper.json (written by tools/paper_report.py) holds one report
+  // per listed experiment but the timing-only e9_micro, in list order, with
+  // the build-describing build_info, params.threads and e18's store_bytes
+  // (a file size that counts the writer's build_info) removed. Registering or
+  // retiring an experiment without regenerating the file fails here on every
+  // compiler; the byte check itself runs on GCC builds only.
+  std::ifstream file(std::string(RUMOR_SOURCE_DIR) + "/results/paper.json");
+  std::ostringstream text;
+  text << file.rdbuf();
+  const auto paper = sim::Json::parse(text.str());
+  ASSERT_TRUE(paper.has_value() && paper->is_array()) << "results/paper.json is not a JSON array";
+  const auto listed = sim::Json::parse(run_bench("--list --json"));
+  ASSERT_TRUE(listed.has_value());
+
+  std::vector<std::string> expected;
+  for (const auto& entry : listed->elements()) {
+    const std::string name = entry.find("experiment")->as_string();
+    if (name != "e9_micro") expected.push_back(name);
+  }
+  std::vector<std::string> covered;
+  for (const auto& report : paper->elements()) {
+    const std::string name = report.find("experiment")->as_string();
+    covered.push_back(name);
+    EXPECT_EQ(report.find("build_info"), nullptr) << name << " carries build_info";
+    EXPECT_EQ(report.find("params")->find("threads"), nullptr) << name << " carries params.threads";
+    for (const auto& row : report.find("rows")->elements()) {
+      EXPECT_EQ(row.find("store_bytes"), nullptr) << name << " carries store_bytes";
+    }
+  }
+  EXPECT_EQ(covered, expected) << "regenerate results/paper.json with tools/paper_report.py";
 }
 
 // --- --out: atomic report files ----------------------------------------------
@@ -333,10 +367,23 @@ TEST(BenchCli, CampaignRejectsBadSpecs) {
   EXPECT_EQ(status, 2);
   EXPECT_NE(engine_err.find("sync/async/aux/batch_sync (got 'quasirandom')"), std::string::npos)
       << engine_err;
+
+  // A trial count at the 2^53 cap is valid; --scale 2 takes it past the
+  // cap, which is refused naming the config and the product before any
+  // graph is built (it used to die allocating the trial blocks).
+  const std::string scaled = write_spec("bench_cli_scale_cap.json", R"({"configs": [
+      {"id": "big", "graph": "star", "n": 32, "trials": 9007199254740992}]})");
+  const std::string scale_err =
+      run_bench("--campaign " + scaled + " --scale 2 2>&1 >/dev/null", &status);
+  EXPECT_EQ(status, 2) << scale_err;
+  EXPECT_NE(scale_err.find("config 'big': trials x --scale = 18014398509481984"),
+            std::string::npos)
+      << scale_err;
   std::remove(malformed.c_str());
   std::remove(bad_key.c_str());
   std::remove(batch.c_str());
   std::remove(engine.c_str());
+  std::remove(scaled.c_str());
 }
 
 TEST(BenchCli, CampaignConflictsWithExperimentSelection) {
@@ -575,6 +622,14 @@ TEST(BenchCliCheckpoint, FeatureFlagMisuseIsBadInput) {
   for (const char* shard : {"3/2", "0/2", "2", "1/0", "a/b", "-1/2"}) {
     run_bench("--campaign " + spec + " --shard " + shard + " 2>/dev/null", &status);
     EXPECT_EQ(status, 2) << "--shard " << shard;
+  }
+  // Both halves are whole 32-bit numbers: no wrap past 2^32, no leading
+  // blank. Each refusal names the value it was given.
+  for (const char* shard : {"1/4294967297", "2/4294967298", " 1/2"}) {
+    const std::string err = run_bench(
+        "--campaign " + spec + " --shard '" + shard + "' 2>&1 >/dev/null", &status);
+    EXPECT_EQ(status, 2) << "--shard '" << shard << "'";
+    EXPECT_NE(err.find(std::string("got '") + shard + "'"), std::string::npos) << err;
   }
 
   // A stop budget without a checkpoint file would discard the progress.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Perf-trajectory gate: diff a rumor_bench report against baselines.
+"""Perf-trajectory gate: diff a rumor_bench e9_micro report against a baseline.
 
-Two gates, both reading the stable report schema of sim/experiment.hpp:
+Reads the stable report schema of sim/experiment.hpp in one of two modes:
 
 * **Throughput** (``e9_micro``): compares ns_per_op per primitive against a
   checked-in baseline (bench/BASELINE_e9.json) and fails when any primitive
@@ -10,21 +10,6 @@ Two gates, both reading the stable report schema of sim/experiment.hpp:
   deliberately loose (5x): this catches catastrophic regressions (an
   accidentally quadratic inner loop, a dropped compiler flag), not
   single-digit-percent drift.
-
-* **Spreading times** (``--times``, gating ``e1_overview``): compares the
-  per-family sync/async mean spreading times — and, when the baseline
-  records them, the hp-time quantiles ``sync_hp_time`` / ``async_hp_time``
-  (the paper's T_q, from the KLL sketch at q = 1/trials) — against
-  bench/BASELINE_times.json (recorded at ``--trials 8``). Spreading times
-  are simulation outcomes — deterministic given the seed and bit-identical
-  across thread counts (the campaign contract) — so unlike ns_per_op they
-  do NOT vary with runner hardware; only libm/compiler rounding drift and
-  *behavioral* changes to the engines move them. ``--time-tolerance``
-  (default 1.25x, both directions) absorbs the former and fails on the
-  latter: an engine change that alters trial-level randomness must ship
-  with a refreshed baseline (see bench/README.md for the refresh command).
-  Gating quantiles alongside means catches tail-only drift a mean gate
-  would wave through (e.g. a rare-path change that stretches stragglers).
 
 * **Normalized throughput** (``--normalize PRIMITIVE``, typically
   ``rng_next``): before comparing, divide every ns_per_op by the named
@@ -37,9 +22,8 @@ Two gates, both reading the stable report schema of sim/experiment.hpp:
   run if that matters (ROADMAP "perf trajectory, phase 3").
 
 Usage:
-  perf_diff.py BENCH_pr.json bench/BASELINE_e9.json [--tolerance 5.0] \
-      [--normalize rng_next] \
-      [--times bench/BASELINE_times.json] [--time-tolerance 1.25]
+  perf_diff.py BENCH_e9.json bench/BASELINE_e9.json [--tolerance 5.0] \
+      [--normalize rng_next]
 
 Exit status: 0 = within tolerance, 1 = regression, 2 = bad input.
 """
@@ -134,27 +118,6 @@ def load_e9_rows(path):
     return out
 
 
-def load_family_means(path):
-    """Returns {family: {metric: value}} from a report file's e1_overview.
-
-    Means are required; the hp-time quantile columns are picked up when
-    present, so a baseline recorded before they existed still gates the
-    means it has.
-    """
-    report = find_report(path, "e1_overview")
-    if not report.get("rows"):
-        raise ValueError(f"{path}: e1_overview report has no rows (truncated run?)")
-    optional = ("sync_hp_time", "async_hp_time")
-    return {
-        row["graph"]: {
-            "sync_mean": float(row["sync_mean"]),
-            "async_mean": float(row["async_mean"]),
-            **{m: float(row[m]) for m in optional if m in row},
-        }
-        for row in report.get("rows", [])
-    }
-
-
 def normalize_rows(rows, primitive, path):
     """Divides every ns_per_op by `primitive`'s value within the same report."""
     ref = rows.get(primitive)
@@ -188,44 +151,9 @@ def diff_e9(current, baseline, tolerance):
     return regressions
 
 
-def diff_times(current, baseline, tolerance):
-    """Prints the spreading-time table; returns the list of drifts.
-
-    Both directions count: a family spreading suspiciously *faster* than the
-    baseline is the same class of behavioral drift as one spreading slower.
-    """
-    drifts = []
-    width = max(len(name) for name in baseline) if baseline else 0
-    print(f"{'family':<{width}}  {'metric':<10}  {'base':>9}  {'pr':>9}  ratio")
-    for family, metrics in sorted(baseline.items()):
-        if family not in current:
-            print(f"{family:<{width}}  {'-':<10}  {'-':>9}  {'MISSING':>9}  -")
-            drifts.append((family, "missing from current report"))
-            continue
-        for metric, base_mean in sorted(metrics.items()):
-            cur_mean = current[family].get(metric)
-            if cur_mean is None:
-                drifts.append((f"{family}/{metric}", "missing metric"))
-                continue
-            ratio = cur_mean / base_mean if base_mean > 0 else float("inf")
-            ok = 1.0 / tolerance <= ratio <= tolerance
-            flag = "" if ok else " DRIFT"
-            print(
-                f"{family:<{width}}  {metric:<10}  {base_mean:>9.3f}  "
-                f"{cur_mean:>9.3f}  {ratio:5.2f}x{flag}"
-            )
-            if not ok:
-                drifts.append(
-                    (f"{family}/{metric}", f"{ratio:.2f}x outside 1/{tolerance:.2f}..{tolerance:.2f}x")
-                )
-    for family in sorted(set(current) - set(baseline)):
-        print(f"{family:<{width}}  {'NEW':<10}  -")
-    return drifts
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="fresh report (BENCH_pr.json)")
+    parser.add_argument("current", help="fresh e9_micro report (BENCH_e9.json)")
     parser.add_argument("baseline", help="checked-in e9_micro baseline report")
     parser.add_argument(
         "--tolerance",
@@ -240,18 +168,6 @@ def main():
         "before comparing (e.g. rng_next); gates relative costs, which are "
         "hardware-independent, so the tolerance can be much tighter",
     )
-    parser.add_argument(
-        "--times",
-        help="checked-in spreading-time baseline (bench/BASELINE_times.json); "
-        "enables the e1_overview per-family mean gate",
-    )
-    parser.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=1.25,
-        help="allowed spreading-time mean ratio band, both directions "
-        "(default: 1.25; times are hardware-independent, see module doc)",
-    )
     args = parser.parse_args()
 
     try:
@@ -261,12 +177,6 @@ def main():
             current = normalize_rows(current, args.normalize, args.current)
             baseline = normalize_rows(baseline, args.normalize, args.baseline)
             print(f"(ns_per_op normalized by each report's own '{args.normalize}')")
-        time_pairs = None
-        if args.times:
-            time_pairs = (
-                load_family_means(args.current),
-                load_family_means(args.times),
-            )
     except (OSError, ValueError, KeyError) as err:
         print(f"perf_diff: {err}", file=sys.stderr)
         return 2
@@ -276,27 +186,13 @@ def main():
         if build is not None:
             print(f"({label}: built from {build})")
 
-    failures = [(name, why, "regressed") for name, why in
-                diff_e9(current, baseline, args.tolerance)]
-    if time_pairs is not None:
-        print()
-        failures += [
-            (name, why, "drifted")
-            for name, why in diff_times(time_pairs[0], time_pairs[1], args.time_tolerance)
-        ]
-
-    if failures:
-        print(f"\nperf_diff: {len(failures)} gate failure(s):", file=sys.stderr)
-        for name, why, verb in failures:
-            print(f"  {name} {verb}: {why}", file=sys.stderr)
+    regressions = diff_e9(current, baseline, args.tolerance)
+    if regressions:
+        print(f"\nperf_diff: {len(regressions)} gate failure(s):", file=sys.stderr)
+        for name, why in regressions:
+            print(f"  {name} regressed: {why}", file=sys.stderr)
         return 1
-    gates = f"all {len(baseline)} primitives within {args.tolerance:.2f}x"
-    if time_pairs is not None:
-        gates += (
-            f"; all {len(time_pairs[1])} family spreading times within "
-            f"{args.time_tolerance:.2f}x"
-        )
-    print(f"\nperf_diff: {gates}")
+    print(f"\nperf_diff: all {len(baseline)} primitives within {args.tolerance:.2f}x")
     return 0
 
 
