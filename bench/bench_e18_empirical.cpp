@@ -127,7 +127,9 @@ sim::Json run(const sim::ExperimentContext& ctx) {
       row.set("mean", ram.summary.mean());
       row.set("p95", ram.summary.quantile(0.95));
       row.set("file_mean", file.summary.mean());
-      row.set("store_bytes", info.file_size);
+      // The store's size without its provenance, which names the build
+      // that wrote it: 64 + 4 (n + 1) + 4 arcs + the name's length.
+      row.set("payload_bytes", info.file_size - info.provenance.size());
       row.set("offsets", "32-bit");
       row.set("file_equals_ram", equal);
       rows.push_back(std::move(row));

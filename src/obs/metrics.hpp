@@ -10,9 +10,13 @@
 // and integer addition commutes — so blocks_executed, trials_simulated,
 // graph_builds/graph_frees, the engine round/event totals and lane_trials
 // are identical at any thread count for a fixed campaign (lane_trials also
-// depends on the CPU: it stays 0 without AVX-512). Durations (busy/idle,
-// checkpoint latency) and queue-depth samples are wall-clock observations:
-// reported, never gated, and never allowed to feed back into scheduling.
+// depends on the CPU: it stays 0 without AVX-512). graph_builds and
+// graph_frees count distinct graphs: the run's graph table builds or maps
+// each one once and frees it with the last configuration holding it, so
+// the sync and async cells of one graph add one of each. Durations
+// (busy/idle, checkpoint latency) and queue-depth samples are wall-clock
+// observations: reported, never gated, and never allowed to feed back into
+// scheduling.
 #pragma once
 
 #include <array>
@@ -50,8 +54,8 @@ struct WorkerMetrics {
   std::uint64_t sync_rounds = 0;       // exact: rounds of round-based engines
   std::uint64_t async_events = 0;      // exact: steps of the async engine
   std::uint64_t lane_trials = 0;       // exact: trials run on trial lanes (core/trial_lanes.hpp)
-  std::uint64_t graph_builds = 0;      // exact
-  std::uint64_t graph_frees = 0;       // exact
+  std::uint64_t graph_builds = 0;      // exact: one per distinct graph
+  std::uint64_t graph_frees = 0;       // exact: one per distinct graph released
   std::uint64_t busy_ns = 0;           // pop-to-finish time across blocks
   std::uint64_t idle_ns = 0;           // time blocked on the queue
 

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -485,10 +486,33 @@ struct Pass {
   }
 };
 
+/// What makes two configurations run on one graph: the prebuilt object,
+/// the store path, or every GraphSpec field build_graph reads, with the
+/// graph seed resolved as build_graph resolves it.
+using GraphKey = std::tuple<const Graph*, std::string, std::string, std::uint64_t, double,
+                            std::uint32_t, double, double, std::uint64_t>;
+
+GraphKey graph_key(const CampaignConfig& cfg) {
+  const GraphSpec& g = cfg.graph;
+  if (cfg.prebuilt != nullptr) return {cfg.prebuilt.get(), {}, {}, 0, 0.0, 0, 0.0, 0.0, 0};
+  if (g.family == "file") return {nullptr, g.family, g.path, 0, 0.0, 0, 0.0, 0.0, 0};
+  return {nullptr, g.family, {}, g.n, g.p, g.degree, g.beta, g.average_degree,
+          g.graph_seed != 0 ? g.graph_seed : cfg.seed};
+}
+
+/// One distinct graph of a run: built or mapped once, on the first block
+/// of its first configuration, and freed when the last configuration
+/// holding it is released.
+struct GraphEntry {
+  std::once_flag built;
+  std::shared_ptr<const Graph> graph;
+  std::atomic<std::size_t> holders{0};  // configurations with blocks here, not yet released
+};
+
 /// Mutable per-configuration scheduling state.
 struct ConfigState {
   std::once_flag build_once;
-  std::shared_ptr<const Graph> graph;
+  std::size_t graph_entry = 0;  // its graph's index in the run's graph table
   /// Static-weights fast path: one alias sampler per configuration, built
   /// alongside the graph and shared (read-only) by every trial. Null when
   /// the config is unweighted or churned (churn overlays build their own
@@ -566,13 +590,25 @@ class CampaignRun {
         throw std::runtime_error("campaign: configuration '" + results_[c].id + "': " + error);
       }
     }
+    std::map<GraphKey, std::size_t> entries;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const auto [it, added] = entries.emplace(graph_key(configs[c]), graphs_.size());
+      if (added) graphs_.emplace_back();
+      states_[c].graph_entry = it->second;
+    }
   }
 
   /// Sets configuration `c` up from its restored progress `rest`: a done
   /// result, or the pass state and first blocks (appended to `initial`).
+  /// A configuration given blocks holds its graph until it is released.
   /// Returns an upper bound on the blocks it can still schedule, for the
   /// worker-count heuristic (race passes expand lazily).
-  std::size_t setup(std::size_t c, CampaignRecorder::Entry& rest, std::vector<Block>& initial);
+  std::size_t setup(std::size_t c, CampaignRecorder::Entry& rest, std::vector<Block>& initial) {
+    const std::size_t before = initial.size();
+    const std::size_t bound = plan_config(c, rest, initial);
+    if (initial.size() > before) graphs_[states_[c].graph_entry].holders += 1;
+    return bound;
+  }
 
   /// Runs one block: builds its configuration's graph on first use, then
   /// hands the block to its kind's handler.
@@ -582,6 +618,8 @@ class CampaignRun {
   std::vector<CampaignResult>& results() noexcept { return results_; }
 
  private:
+  std::size_t plan_config(std::size_t c, CampaignRecorder::Entry& rest,
+                          std::vector<Block>& initial);
   void build_graph_once(std::size_t c, obs::WorkerSink* sink);
   void on_trials(const Block& block, const Graph& g, obs::WorkerSink* sink);
   void on_plan(const Block& block, const Graph& g);
@@ -590,8 +628,9 @@ class CampaignRun {
   /// Ends a configuration's fold: its graph identity, the merge span since
   /// `merge_begin`, and its done entry.
   void publish(std::size_t c, const Graph& g, obs::WorkerSink* sink, std::uint64_t merge_begin);
-  /// Frees a configuration whose last owned block has landed: its graph
-  /// and every pass's state. From here on it occupies only its result.
+  /// Frees a configuration whose last owned block has landed: every pass's
+  /// state, and its graph if no other configuration holds it. From here on
+  /// it occupies only its result.
   void release(std::size_t c, obs::WorkerSink* sink);
 
   const std::vector<CampaignConfig>& configs_;
@@ -607,16 +646,15 @@ class CampaignRun {
   // split configurations to merge_campaign_snapshots.
   std::vector<char> finalize_here_;
   BlockQueue queue_;
-  // Shared read-only graph cache for file-backed configs: every config
-  // naming the same packed store shares one mmap for the whole campaign (the
-  // OS page cache extends the sharing across --shard processes), so N cells
-  // over one giant graph materialize it once — graph_builds records 1, not N.
-  std::mutex file_graph_mutex_;
-  std::map<std::string, std::shared_ptr<const Graph>> file_graphs_;
+  // The run's graph table: one entry per distinct graph_key, so the sync
+  // and async cells of one graph, or every cell naming one store, share a
+  // single build or mapping (the OS page cache extends a store's sharing
+  // across --shard processes).
+  std::deque<GraphEntry> graphs_;
 };
 
-std::size_t CampaignRun::setup(std::size_t c, CampaignRecorder::Entry& rest,
-                               std::vector<Block>& initial) {
+std::size_t CampaignRun::plan_config(std::size_t c, CampaignRecorder::Entry& rest,
+                                     std::vector<Block>& initial) {
   using Phase = CampaignRecorder::Entry::Phase;
   const CampaignConfig& cfg = configs_[c];
   ConfigState& st = states_[c];
@@ -692,57 +730,43 @@ std::size_t CampaignRun::setup(std::size_t c, CampaignRecorder::Entry& rest,
 void CampaignRun::build_graph_once(std::size_t c, obs::WorkerSink* sink) {
   const CampaignConfig& cfg = configs_[c];
   ConfigState& st = states_[c];
-  // Lazy one-shot graph construction on whichever worker gets there
-  // first; prebuilt graphs are shared as-is. call_once re-runs on a later
-  // caller if the builder throws, but the error capture in the worker loop
-  // drains the queue before that matters.
+  // Lazy one-shot set-up on whichever worker gets there first: the graph
+  // table entry, then this configuration's own view of it. call_once
+  // re-runs on a later caller if the builder throws, but the error capture
+  // in the worker loop drains the queue before that matters.
   std::call_once(st.build_once, [&] {
-    const std::uint64_t build_begin = sink != nullptr ? sink->now_ns() : 0;
-    bool opened_store = false;
-    if (cfg.prebuilt != nullptr) {
-      st.graph = cfg.prebuilt;
-    } else if (cfg.graph.family == "file") {
-      // Open under the cache lock: a concurrent config wanting the same
-      // store waits for the first mapping instead of opening its own.
-      const std::lock_guard<std::mutex> lock(file_graph_mutex_);
-      auto it = file_graphs_.find(cfg.graph.path);
-      if (it == file_graphs_.end()) {
-        auto g = std::make_shared<const Graph>(graph::open_graph_store(cfg.graph.path));
-        it = file_graphs_.emplace(cfg.graph.path, std::move(g)).first;
-        opened_store = true;
+    GraphEntry& entry = graphs_[st.graph_entry];
+    std::call_once(entry.built, [&] {
+      const std::uint64_t build_begin = sink != nullptr ? sink->now_ns() : 0;
+      entry.graph = cfg.prebuilt != nullptr
+                        ? cfg.prebuilt
+                        : std::make_shared<const Graph>(build_graph(cfg.graph, cfg.seed));
+      if (sink != nullptr) {
+        sink->metrics.graph_builds += 1;
+        sink->span("graph:build", build_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
       }
-      st.graph = it->second;
-    } else {
-      st.graph = std::make_shared<const Graph>(build_graph(cfg.graph, cfg.seed));
-    }
+    });
+    const Graph& g = *entry.graph;
     // Snapshot the built graph's identity: merge needs it to assemble
     // results for configurations whose blocks were split across shards.
-    if (recorder_ != nullptr) recorder_->record_graph(c, st.graph->name(), st.graph->num_nodes());
+    if (recorder_ != nullptr) recorder_->record_graph(c, g.name(), g.num_nodes());
     if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone &&
         cfg.dynamics.churn.model == dynamics::ChurnModel::kNone) {
       const dynamics::DynamicsSpec spec = resolved_dynamics(cfg);
       auto sampler = std::make_shared<dynamics::NeighborAliasTable>();
-      sampler->build(dynamics::csr_offsets(*st.graph),
-                     dynamics::make_edge_weights(*st.graph, spec.weights, spec.seed));
+      sampler->build(dynamics::csr_offsets(g),
+                     dynamics::make_edge_weights(g, spec.weights, spec.seed));
       st.weighted = std::move(sampler);
     }
     if (cfg.dynamics.churn.model != dynamics::ChurnModel::kNone) {
-      st.edges =
-          std::make_shared<const std::vector<graph::Edge>>(dynamics::base_edge_list(*st.graph));
-    }
-    if (sink != nullptr) {
-      // File-backed configs that hit the cache did not materialize
-      // anything: graph_builds counts mappings/constructions, so N cells
-      // sharing one store contribute exactly one build.
-      if (cfg.graph.family != "file" || opened_store) sink->metrics.graph_builds += 1;
-      sink->span("graph:build", build_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
+      st.edges = std::make_shared<const std::vector<graph::Edge>>(dynamics::base_edge_list(g));
     }
   });
 }
 
 void CampaignRun::process(const Block& block, obs::WorkerSink* sink) {
   build_graph_once(block.config, sink);
-  const Graph& g = *states_[block.config].graph;
+  const Graph& g = *graphs_[states_[block.config].graph_entry].graph;
   switch (block.kind) {
     case BlockKind::kTrials: on_trials(block, g, sink); break;
     case BlockKind::kPlan: on_plan(block, g); break;
@@ -903,19 +927,16 @@ void CampaignRun::publish(std::size_t c, const Graph& g, obs::WorkerSink* sink,
 }
 
 void CampaignRun::release(std::size_t c, obs::WorkerSink* sink) {
-  const CampaignConfig& cfg = configs_[c];
   ConfigState& st = states_[c];
   st.trials.release();
   st.screen.release();
   st.refine.release();
-  st.graph.reset();
   st.weighted.reset();
   st.edges.reset();
-  // File-backed graphs are not freed here: the campaign's shared cache
-  // keeps the one mapping alive until the run ends, so only per-config
-  // owned graphs count as frees.
-  if (sink != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
-    sink->metrics.graph_frees += 1;
+  GraphEntry& entry = graphs_[st.graph_entry];
+  if (entry.holders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    entry.graph.reset();
+    if (sink != nullptr) sink->metrics.graph_frees += 1;
   }
 }
 

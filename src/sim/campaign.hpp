@@ -5,9 +5,18 @@
 // whole configuration set as one shared work queue of fixed-size *trial
 // blocks*, keeping every core busy across configuration boundaries, and
 // reduces each configuration to a constant-size stats::StreamingSummary as
-// its blocks complete — graphs and partials are freed the moment their last
-// block finishes, so memory is bounded by the number of in-flight
+// its blocks complete — partials are freed the moment a configuration's
+// last block finishes, so memory is bounded by the in-flight
 // configurations, not by the campaign size.
+//
+// Graph residency: each run keeps one table entry per distinct graph — the
+// `prebuilt` object, a store path, or the generator spec with its graph
+// seed resolved — so configurations over one graph (the sync and async
+// cells of a sweep) share one build. A graph lives from the first block of
+// its first configuration to the release of its last. For the cross
+// products parse_campaign_spec emits, where n is outermost, the
+// configurations of one graph are adjacent in the queue, so this is the
+// in-flight bound above.
 //
 // Determinism contract: trial t of a configuration with root seed s always
 // runs on rng::derive_stream(s, t), so per-trial results are bit-identical
@@ -82,16 +91,16 @@ struct SourceRaceOptions {
 };
 
 /// A graph described by name, for campaigns built from a JSON spec. The
-/// generator runs lazily on a worker thread when the configuration's first
-/// block is scheduled, from an engine derived from `graph_seed` — never
+/// generator runs lazily on a worker thread when the first block over the
+/// graph is scheduled, from an engine derived from `graph_seed` — never
 /// from a shared generator stream — so construction is deterministic and
 /// campaigns of thousands of graphs never hold more than the in-flight few.
 struct GraphSpec {
   std::string family;        // generator name (or "file"), see build_graph()
   /// family == "file": path of a packed graph store (graph/graph_store.hpp)
   /// opened via mmap instead of generated; n/params are ignored (the store
-  /// knows its own shape) and the scheduler shares one mapping across every
-  /// config naming the same path.
+  /// knows its own shape). Every config of a run naming the same path
+  /// shares one mapping, freed with the last of them.
   std::string path;
   std::uint64_t n = 0;       // requested node count (families round as needed)
   double p = 0.0;            // erdos_renyi edge probability / watts_strogatz rewire

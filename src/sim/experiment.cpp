@@ -241,6 +241,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
   std::uint32_t shard_count = 1;
   std::string checkpoint_file;
   std::uint64_t checkpoint_every = 16;
+  bool checkpoint_every_explicit = false;
   std::string resume_file;
   std::uint64_t stop_after_blocks = 0;
   std::string trace_file;
@@ -371,6 +372,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         return 2;
       }
       checkpoint_every = *v;
+      checkpoint_every_explicit = true;
     } else if (arg == "--resume") {
       if (i + 1 >= argc) {
         err << "rumor_bench: --resume requires a file path\n";
@@ -398,9 +400,13 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       }
       out_file = argv[++i];
     } else if (arg == "--scale") {
-      const auto v = numeric_arg(i, "--scale");
+      const auto v = numeric_arg(i, "--scale", 64);
       if (!v) return 2;
-      opts.scale = static_cast<unsigned>(std::clamp<std::uint64_t>(*v, 1, 64));
+      if (*v == 0) {
+        err << "rumor_bench: --scale must be in [1, 64]\n";
+        return 2;
+      }
+      opts.scale = static_cast<unsigned>(*v);
     } else if (!arg.empty() && arg.front() == '-') {
       err << "rumor_bench: unknown option " << arg << "\n";
       print_usage(err);
@@ -449,12 +455,17 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
     return finish();
   }
 
+  // Flags that would otherwise be ignored are refused by name.
+  if (checkpoint_every_explicit && checkpoint_file.empty()) {
+    err << "rumor_bench: --checkpoint-every requires --checkpoint\n";
+    return 2;
+  }
   if (campaign_file.empty() &&
-      (merge || shard_explicit || !checkpoint_file.empty() || !resume_file.empty() ||
-       stop_after_blocks != 0 || !trace_file.empty() || progress || telemetry_stats ||
-       curves_flag)) {
-    err << "rumor_bench: --merge/--shard/--checkpoint/--resume/--stop-after-blocks/--trace/"
-           "--progress/--telemetry/--curves require --campaign\n";
+      (batch_explicit || merge || shard_explicit || !checkpoint_file.empty() ||
+       !resume_file.empty() || stop_after_blocks != 0 || !trace_file.empty() || progress ||
+       telemetry_stats || curves_flag)) {
+    err << "rumor_bench: --batch/--merge/--shard/--checkpoint/--resume/--stop-after-blocks/"
+           "--trace/--progress/--telemetry/--curves require --campaign\n";
     return 2;
   }
 

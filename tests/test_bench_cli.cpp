@@ -159,8 +159,9 @@ TEST(BenchCli, ListShowsClaimAndDefaults) {
 TEST(BenchCli, PaperReportNamesEveryListedExperiment) {
   // results/paper.json (written by tools/paper_report.py) holds one report
   // per listed experiment but the timing-only e9_micro, in list order, with
-  // the build-describing build_info, params.threads and e18's store_bytes
-  // (a file size that counts the writer's build_info) removed. Registering or
+  // the build-describing build_info and params.threads removed. e18 sizes
+  // its stores by payload_bytes, not by the build-dependent file size
+  // (store_bytes, whose provenance names the writer's build). Registering or
   // retiring an experiment without regenerating the file fails here on every
   // compiler; the byte check itself runs on GCC builds only.
   std::ifstream file(std::string(RUMOR_SOURCE_DIR) + "/results/paper.json");
@@ -184,6 +185,9 @@ TEST(BenchCli, PaperReportNamesEveryListedExperiment) {
     EXPECT_EQ(report.find("params")->find("threads"), nullptr) << name << " carries params.threads";
     for (const auto& row : report.find("rows")->elements()) {
       EXPECT_EQ(row.find("store_bytes"), nullptr) << name << " carries store_bytes";
+      if (name == "e18_empirical") {
+        EXPECT_NE(row.find("payload_bytes"), nullptr) << name << " lacks payload_bytes";
+      }
     }
   }
   EXPECT_EQ(covered, expected) << "regenerate results/paper.json with tools/paper_report.py";
@@ -646,6 +650,23 @@ TEST(BenchCliCheckpoint, FeatureFlagMisuseIsBadInput) {
   // A missing resume file is bad input, never a silent fresh start.
   run_bench("--campaign " + spec + " --resume /no/such/ck.json 2>/dev/null", &status);
   EXPECT_EQ(status, 2);
+
+  // A flag that would be clamped or ignored is refused by name: --scale
+  // outside [1, 64], a write interval with no checkpoint file, and a block
+  // size for experiments, which do not read it.
+  const std::pair<std::string, const char*> orphans[] = {
+      {"e3_star --scale 1000", "--scale"},
+      {"e3_star --scale 0", "--scale"},
+      {"--campaign " + spec + " --scale 65", "--scale"},
+      {"--campaign " + spec + " --checkpoint-every 5", "--checkpoint-every"},
+      {"e3_star --checkpoint-every 5", "--checkpoint-every"},
+      {"e3_star --batch 7", "--batch"},
+  };
+  for (const auto& [args, flag] : orphans) {
+    const std::string err = run_bench(args + " 2>&1 >/dev/null", &status);
+    EXPECT_EQ(status, 2) << args;
+    EXPECT_NE(err.find(flag), std::string::npos) << args << ": " << err;
+  }
 
   std::remove(spec.c_str());
 }

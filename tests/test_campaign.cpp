@@ -1174,8 +1174,133 @@ TEST(CampaignFileGraph, SharedStoreMaterializesOnceAcrossConfigs) {
   for (const auto& r : results) EXPECT_EQ(r.n, 64u);
   const auto snapshot = tel.snapshot();
   EXPECT_EQ(snapshot.totals.graph_builds, 1u);
-  EXPECT_EQ(snapshot.totals.graph_frees, 0u);  // the shared mapping is never per-config freed
+  EXPECT_EQ(snapshot.totals.graph_frees, 1u);  // the mapping is freed with its last config
   std::remove(store.c_str());
+}
+
+// --- The graph table: one build per distinct graph ----------------------------
+
+namespace {
+
+sim::CampaignConfig table_cell(const std::string& id, const sim::GraphSpec& graph,
+                               sim::EngineKind engine, std::uint64_t seed,
+                               std::uint64_t trials = 12) {
+  sim::CampaignConfig cfg;
+  cfg.id = id;
+  cfg.graph = graph;
+  cfg.engine = engine;
+  cfg.lanes = 4;
+  cfg.trials = trials;
+  cfg.seed = seed;
+  return cfg;
+}
+
+sim::GraphSpec table_spec(const std::string& family, std::uint64_t n,
+                          std::uint64_t graph_seed = 0, std::uint32_t degree = 0) {
+  sim::GraphSpec spec;
+  spec.family = family;
+  spec.n = n;
+  spec.graph_seed = graph_seed;
+  spec.degree = degree;
+  return spec;
+}
+
+/// The (graph_builds, graph_frees) totals of one run_campaign_resumable
+/// call. Block size 4; `options` supplies threads, shard and stop budget.
+std::pair<std::uint64_t, std::uint64_t> table_counts(
+    const std::vector<sim::CampaignConfig>& configs, sim::CampaignOptions options,
+    const sim::Json* resume = nullptr, sim::Json* snapshot = nullptr) {
+  obs::Telemetry tel(obs::Telemetry::Options{});
+  options.block_size = 4;
+  options.telemetry = &tel;
+  auto outcome = sim::run_campaign_resumable(configs, options, "table", resume);
+  if (snapshot != nullptr) *snapshot = std::move(outcome.snapshot);
+  const auto totals = tel.snapshot().totals;
+  return {totals.graph_builds, totals.graph_frees};
+}
+
+void expect_distinct_builds(const std::vector<sim::CampaignConfig>& configs,
+                            std::uint64_t distinct) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    sim::CampaignOptions options;
+    options.threads = threads;
+    const auto [builds, frees] = table_counts(configs, options);
+    EXPECT_EQ(builds, distinct) << "threads=" << threads;
+    EXPECT_EQ(frees, distinct) << "threads=" << threads;
+  }
+}
+
+}  // namespace
+
+TEST(CampaignGraphTable, EnginesOverOneSpecBuildOneGraph) {
+  const sim::GraphSpec hypercube = table_spec("hypercube", 64);
+  expect_distinct_builds({table_cell("sync", hypercube, sim::EngineKind::kSync, 1),
+                          table_cell("async", hypercube, sim::EngineKind::kAsync, 1),
+                          table_cell("batch", hypercube, sim::EngineKind::kBatchSync, 1)},
+                         1);
+}
+
+TEST(CampaignGraphTable, GraphSeedsSplitAndShareEntries) {
+  // Two graph seeds are two graphs; one graph seed under two config seeds
+  // is one graph.
+  expect_distinct_builds(
+      {table_cell("a", table_spec("random_regular", 64, 5), sim::EngineKind::kSync, 1),
+       table_cell("b", table_spec("random_regular", 64, 6), sim::EngineKind::kSync, 1),
+       table_cell("c", table_spec("random_regular", 64, 6), sim::EngineKind::kAsync, 2)},
+      2);
+}
+
+TEST(CampaignGraphTable, ZeroGraphSeedFollowsTheConfigSeed) {
+  // graph_seed 0 derives the graph from the config seed, as build_graph
+  // does, so two config seeds build two graphs.
+  const sim::GraphSpec derived = table_spec("random_regular", 64);
+  expect_distinct_builds({table_cell("a", derived, sim::EngineKind::kSync, 1),
+                          table_cell("b", derived, sim::EngineKind::kSync, 2)},
+                         2);
+}
+
+TEST(CampaignGraphTable, DegreesAreDistinctGraphs) {
+  expect_distinct_builds(
+      {table_cell("d4", table_spec("random_regular", 64, 3, 4), sim::EngineKind::kSync, 1),
+       table_cell("d6", table_spec("random_regular", 64, 3, 6), sim::EngineKind::kSync, 1)},
+      2);
+}
+
+TEST(CampaignGraphTable, ShardsAndResumesBuildEachGraphOnce) {
+  // Three cells over two graphs, 32 blocks each, so both shards own blocks
+  // of every cell and a run stopped after one block leaves every cell open.
+  const sim::GraphSpec hypercube = table_spec("hypercube", 64);
+  const sim::GraphSpec cycle = table_spec("cycle", 48);
+  const std::vector<sim::CampaignConfig> configs = {
+      table_cell("hc_sync", hypercube, sim::EngineKind::kSync, 1, 128),
+      table_cell("hc_async", hypercube, sim::EngineKind::kAsync, 1, 128),
+      table_cell("cycle_sync", cycle, sim::EngineKind::kSync, 3, 128)};
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (std::uint32_t shard = 1; shard <= 2; ++shard) {
+      sim::CampaignOptions options;
+      options.threads = threads;
+      options.shard_index = shard;
+      options.shard_count = 2;
+      const auto [builds, frees] = table_counts(configs, options);
+      EXPECT_EQ(builds, 2u) << "threads=" << threads << " shard=" << shard;
+      EXPECT_EQ(frees, 2u) << "threads=" << threads << " shard=" << shard;
+    }
+
+    sim::CampaignOptions stop;
+    stop.threads = threads;
+    stop.stop_after_blocks = 1;
+    sim::Json snapshot;
+    const auto [stopped_builds, stopped_frees] = table_counts(configs, stop, nullptr, &snapshot);
+    EXPECT_GE(stopped_builds, 1u) << "threads=" << threads;
+    EXPECT_LE(stopped_builds, 2u) << "threads=" << threads;
+    EXPECT_EQ(stopped_frees, 0u) << "threads=" << threads;  // no cell finished
+
+    sim::CampaignOptions resume;
+    resume.threads = threads;
+    const auto [builds, frees] = table_counts(configs, resume, &snapshot);
+    EXPECT_EQ(builds, 2u) << "threads=" << threads;
+    EXPECT_EQ(frees, 2u) << "threads=" << threads;
+  }
 }
 
 TEST(CampaignSpecParsing, GraphObjectFormParsesFileAndFamilyKinds) {

@@ -4,8 +4,9 @@
 Covers the exit-code contract the CI trace-smoke job relies on (0 = ok,
 1 = --check failure, 2 = bad input) with synthetic traces in the Chrome
 trace-event schema src/obs/trace.cpp writes: span counts that agree or
-disagree with the embedded metrics registry, overlapping block spans, and
-orphaned (non-nested) graph spans. The real-binary end of the contract —
+disagree with the embedded metrics registry (blocks, graph builds,
+checkpoint writes), overlapping block spans, and orphaned (non-nested)
+graph spans. The real-binary end of the contract —
 that rumor_bench --trace emits traces this script passes — is covered by
 the CI smoke job and tests/test_bench_cli.cpp.
 
@@ -53,7 +54,7 @@ def base_trace():
         "wall_ns": 110_000,
         "blocks_scheduled": 4,
         "checkpoint_writes": 1,
-        "totals": {"blocks_executed": 4, "trials_simulated": 48},
+        "totals": {"blocks_executed": 4, "trials_simulated": 48, "graph_builds": 2},
         "per_config": [
             {"id": "alpha", "blocks": 2, "trials": 32, "busy_ns": 80_000},
             {"id": "beta", "blocks": 1, "trials": 16, "busy_ns": 80_000},
@@ -136,6 +137,13 @@ def main():
         check(code == 1, "non-nested span fails --check", out)
         check("not nested" in out, "nesting diagnostic is specific", out)
 
+        # So are graph:build spans: one per counted build.
+        builds = base_trace()
+        builds["metrics"]["totals"]["graph_builds"] = 3
+        code, out = run(trace_report, write(tmp, "builds.json", builds), "--check")
+        check(code == 1, "graph:build span/count mismatch fails --check", out)
+        check("totals.graph_builds" in out, "build diagnostic names the counter", out)
+
         # Checkpoint spans are checked against the registry too.
         ck = base_trace()
         ck["metrics"]["checkpoint_writes"] = 3
@@ -159,6 +167,7 @@ def main():
                                span("block:trials", 70.0, 30.0, 0, "alpha", 1)]
         solo["metrics"]["checkpoint_writes"] = 0
         solo["metrics"]["totals"]["blocks_executed"] = 2
+        solo["metrics"]["totals"]["graph_builds"] = 0
         solo["metrics"]["per_config"] = [
             {"id": "alpha", "blocks": 2, "trials": 32, "busy_ns": 80_000}]
         solo_path = write(tmp, "solo.json", solo)
@@ -174,6 +183,7 @@ def main():
         empty["metrics"]["checkpoint_writes"] = 0
         empty["metrics"]["blocks_scheduled"] = 0
         empty["metrics"]["totals"]["blocks_executed"] = 0
+        empty["metrics"]["totals"]["graph_builds"] = 0
         empty["metrics"]["per_config"] = []
         empty_path = write(tmp, "empty.json", empty)
         code, out = run(trace_report, empty_path, "--check")

@@ -3,9 +3,8 @@
 
 The report is the default-scale ``--json`` report of every experiment
 ``rumor_bench --list`` names but ``e9_micro`` (its rows are timings), with
-the fields that describe the build or the run removed: ``build_info``,
-``params.threads`` and e18's ``store_bytes`` (a store file's size, which
-counts the writer's build_info). This script is the only copy of that
+the fields that describe the build or the run removed: ``build_info`` and
+``params.threads``. This script is the only copy of that
 normalization; what is left is the same bytes at any thread count.
 
 Usage:
@@ -42,9 +41,6 @@ def render(bench, threads):
     for report in reports:
         del report["build_info"]
         del report["params"]["threads"]
-        if report["experiment"] == "e18_empirical":
-            for row in report["rows"]:
-                del row["store_bytes"]
     return json.dumps(reports, indent=2, ensure_ascii=False) + "\n"
 
 

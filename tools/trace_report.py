@@ -24,7 +24,8 @@ trace viewer makes you eyeball manually:
 * ``--check``: cross-verifies the spans against the embedded metrics
   registry — per-config block span counts must equal the registry's
   ``per_config[].blocks`` exactly, total spans must equal
-  ``totals.blocks_executed``, checkpoint spans must equal
+  ``totals.blocks_executed``, ``graph:build`` spans must equal
+  ``totals.graph_builds``, checkpoint spans must equal
   ``checkpoint_writes`` — and validates span geometry (non-negative
   durations, per-worker block spans non-overlapping, graph/merge spans
   nested inside a block span on the same worker). Spans and counters are
@@ -229,6 +230,12 @@ def check_against_metrics(doc, span_counts, all_spans, lanes):
     if executed is not None and total_spans != executed:
         problems.append(
             f"{total_spans} block span(s) but totals.blocks_executed == {executed}"
+        )
+    build_spans = sum(1 for s in all_spans if s["name"] == "graph:build")
+    builds = metrics.get("totals", {}).get("graph_builds")
+    if builds is not None and build_spans != builds:
+        problems.append(
+            f"{build_spans} graph:build span(s) but totals.graph_builds == {builds}"
         )
     ck_spans = sum(
         1 for s in all_spans
