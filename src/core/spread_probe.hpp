@@ -22,7 +22,10 @@
 // exactly, per execution, because "useful" is defined as first-to-reach.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/informed_set.hpp"
@@ -136,16 +139,27 @@ inline void probe_windowed(SpreadProbe& probe, Mode mode, bool v_in, bool w_in, 
   return curve;
 }
 
-/// Derives a bucketed informed-count history from first-informed times:
-/// curve[k] = |{v : informed_time[v] <= k * bucket}|, with just enough
-/// buckets that the last entry covers the latest (finite) inform time.
+/// A bucketed informed-count history from first-informed times, cut to its
+/// grid: curve[k] = |{v : informed_time[v] <= k * bucket}| for the first
+/// min(length, points) buckets. `length` is the uncut curve's: just enough
+/// buckets that the last covers the latest (finite) inform time, plus one.
 /// Nodes never informed (kNeverTime) are not counted by any bucket.
+struct TimeCurve {
+  std::vector<NodeId> curve;
+  std::uint64_t length = 0;
+};
+
+/// The TimeCurve of `informed_time`, or nullopt when `length` would pass
+/// 2^53, where it is no longer an exact double (a tiny bucket). Costs one
+/// pass over the times plus the cut curve, whatever the length.
 /// Precondition: bucket > 0.
-[[nodiscard]] inline std::vector<NodeId> informed_time_curve(
-    const std::vector<double>& informed_time, double bucket) {
+[[nodiscard]] inline std::optional<TimeCurve> informed_time_curve(
+    const std::vector<double>& informed_time, double bucket, std::size_t points) {
+  constexpr double kMaxBucket = 9007199254740991.0;  // 2^53 - 1
   // Minimal k with k * bucket >= t, computed with an explicit fix-up so the
   // curve matches the comparison-based definition exactly (ceil of the
-  // division alone can land one bucket off after float rounding).
+  // division alone can land one bucket off after float rounding). No t
+  // passes `latest`, whose t / bucket is checked first, so the cast is exact.
   auto bucket_of = [bucket](double t) {
     if (t <= 0.0) return std::uint64_t{0};
     auto k = static_cast<std::uint64_t>(std::ceil(t / bucket));
@@ -153,19 +167,23 @@ inline void probe_windowed(SpreadProbe& probe, Mode mode, bool v_in, bool w_in, 
     while (static_cast<double>(k) * bucket < t) ++k;
     return k;
   };
-  std::uint64_t buckets = 0;
+  double latest = 0.0;
+  for (const double t : informed_time) {
+    if (t != kNeverTime && t > latest) latest = t;
+  }
+  if (!(latest / bucket <= kMaxBucket)) return std::nullopt;
+  const std::uint64_t buckets = bucket_of(latest);  // bucket_of is monotone
+  if (static_cast<double>(buckets) > kMaxBucket) return std::nullopt;
+  TimeCurve out;
+  out.length = buckets + 1;
+  out.curve.assign(static_cast<std::size_t>(std::min<std::uint64_t>(out.length, points)), 0);
   for (const double t : informed_time) {
     if (t == kNeverTime) continue;
     const std::uint64_t k = bucket_of(t);
-    if (k > buckets) buckets = k;
+    if (k < out.curve.size()) ++out.curve[static_cast<std::size_t>(k)];
   }
-  std::vector<NodeId> curve(static_cast<std::size_t>(buckets) + 1, 0);
-  for (const double t : informed_time) {
-    if (t == kNeverTime) continue;
-    ++curve[static_cast<std::size_t>(bucket_of(t))];
-  }
-  for (std::size_t i = 1; i < curve.size(); ++i) curve[i] += curve[i - 1];
-  return curve;
+  for (std::size_t i = 1; i < out.curve.size(); ++i) out.curve[i] += out.curve[i - 1];
+  return out;
 }
 
 }  // namespace rumor::core

@@ -36,7 +36,49 @@ using graph::Graph;
 
 // --- Graph construction from a spec -----------------------------------------
 
-Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
+namespace {
+
+/// The spec as build_graph reads it: the family's defaults filled in, every
+/// field the family does not read zeroed, and the graph seed resolved for
+/// the five random families only. Equal resolved specs build equal graphs,
+/// so the campaign's graph table keys by it.
+GraphSpec resolved_graph_spec(const GraphSpec& spec, std::uint64_t fallback_seed) {
+  GraphSpec r;
+  r.family = spec.family;
+  r.beta = 0.0;
+  r.average_degree = 0.0;
+  if (spec.family == "file") {
+    r.path = spec.path;
+    return r;
+  }
+  r.n = spec.n;
+  const std::string& f = spec.family;
+  if (f == "erdos_renyi") {
+    // n < 2 keeps the key finite; build_graph then refuses that n.
+    const auto n = static_cast<double>(spec.n);
+    r.p = spec.p > 0.0 || spec.n < 2 ? spec.p : 3.0 * std::log(n) / n;
+  } else if (f == "random_regular") {
+    r.degree = spec.degree != 0 ? spec.degree : 6;
+  } else if (f == "preferential_attachment") {
+    r.degree = spec.degree != 0 ? spec.degree : 3;
+  } else if (f == "watts_strogatz") {
+    r.degree = spec.degree != 0 ? spec.degree : 4;
+    if (r.degree % 2 != 0) ++r.degree;  // the lattice needs an even k
+    r.p = spec.p > 0.0 ? spec.p : 0.1;
+  } else if (f == "chung_lu") {
+    r.beta = spec.beta;
+    r.average_degree = spec.average_degree;
+  } else {
+    return r;  // the deterministic families read n alone
+  }
+  r.graph_seed = spec.graph_seed != 0 ? spec.graph_seed : fallback_seed;
+  return r;
+}
+
+}  // namespace
+
+Graph build_graph(const GraphSpec& requested, std::uint64_t fallback_seed) {
+  const GraphSpec spec = resolved_graph_spec(requested, fallback_seed);
   if (spec.family == "file") {
     // A packed store: mmap it. Its shape is whatever was packed — n and the
     // generator params play no role (the parser rejects them up front).
@@ -49,10 +91,9 @@ Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
     throw std::runtime_error("build_graph: '" + spec.family + "' needs 2 <= n <= 2^32-1");
   }
   const auto n = static_cast<graph::NodeId>(spec.n);
-  const std::uint64_t graph_seed = spec.graph_seed != 0 ? spec.graph_seed : fallback_seed;
   // A dedicated stream tag keeps graph randomness disjoint from the trial
   // streams derive_stream(seed, 0..trials) of the same configuration.
-  rng::Engine eng = rng::derive_stream(graph_seed, 0x67726170685f5f5fULL);
+  rng::Engine eng = rng::derive_stream(spec.graph_seed, 0x67726170685f5f5fULL);
 
   const std::string& f = spec.family;
   if (f == "complete") return graph::complete(n);
@@ -78,17 +119,12 @@ Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
         1, static_cast<std::uint32_t>(std::llround(std::log2(static_cast<double>(n)))));
     return graph::hypercube(dim);
   }
-  if (f == "erdos_renyi") {
-    const double p =
-        spec.p > 0.0 ? spec.p : 3.0 * std::log(static_cast<double>(n)) / static_cast<double>(n);
-    return graph::largest_component(graph::erdos_renyi(n, p, eng));
-  }
+  if (f == "erdos_renyi") return graph::largest_component(graph::erdos_renyi(n, spec.p, eng));
   if (f == "random_regular") {
-    const std::uint32_t d = spec.degree != 0 ? spec.degree : 6;
     // The configuration model needs n*d even; round the odd case up so
     // size sweeps over arbitrary n stay valid (the actual n is reported).
-    const graph::NodeId nn = (std::uint64_t{n} * d) % 2 == 0 ? n : n + 1;
-    return graph::random_regular(nn, d, eng);
+    const graph::NodeId nn = (std::uint64_t{n} * spec.degree) % 2 == 0 ? n : n + 1;
+    return graph::random_regular(nn, spec.degree, eng);
   }
   if (f == "chung_lu") {
     graph::ChungLuOptions options;
@@ -97,13 +133,10 @@ Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
     return graph::largest_component(graph::chung_lu(n, options, eng));
   }
   if (f == "preferential_attachment") {
-    return graph::preferential_attachment(n, spec.degree != 0 ? spec.degree : 3, eng);
+    return graph::preferential_attachment(n, spec.degree, eng);
   }
   if (f == "watts_strogatz") {
-    std::uint32_t k = spec.degree != 0 ? spec.degree : 4;
-    if (k % 2 != 0) ++k;  // the lattice needs an even k
-    const double rewire = spec.p > 0.0 ? spec.p : 0.1;
-    return graph::largest_component(graph::watts_strogatz(n, k, rewire, eng));
+    return graph::largest_component(graph::watts_strogatz(n, spec.degree, spec.p, eng));
   }
   // The structural "gap" families: each needs two clique nodes or hubs.
   if ((f == "lollipop" && n < 4) || (f == "barbell" && n < 6) ||
@@ -193,16 +226,16 @@ void account_trial(const CampaignConfig& cfg, const core::TrialOutcome& outcome,
 /// (stream_seed, trial) identity, so dynamic configurations keep the
 /// bit-determinism contract across thread counts and block sizes.
 ///
-/// Spread telemetry: when `curve_out` is non-null the trial runs with a
+/// Spread telemetry: when `curves` is non-null the trial runs with a
 /// core::SpreadProbe attached (never changing its randomness or result),
-/// `curve_out` receives the informed-count curve on the configuration's
-/// native grid — per round for sync, per cfg.curves.time_bucket
-/// for async — and the probe counters fold into `totals`.
+/// its informed-count curve on the configuration's native grid — per round
+/// for sync, per cfg.curves.time_bucket for async — is added to `curves`,
+/// and the probe counters fold into `totals`.
 double run_one(const CampaignConfig& cfg, const Graph& g,
                const dynamics::NeighborAliasTable* shared_weighted,
                const std::vector<graph::Edge>* shared_edges, graph::NodeId source,
                std::uint64_t stream_seed, std::uint64_t trial, obs::WorkerMetrics* metrics,
-               std::vector<double>* curve_out, stats::ContactTotals* totals) {
+               stats::CurveAccumulator* curves, stats::ContactTotals* totals) {
   rng::Engine eng = rng::derive_stream(stream_seed, trial);
   std::optional<dynamics::DynamicGraphView> view;
   core::TrialOptions options = trial_options(cfg);
@@ -211,7 +244,7 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
     options.dynamics = &*view;
   }
   core::SpreadProbe probe;
-  if (curve_out != nullptr) {
+  if (curves != nullptr) {
     if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
       throw std::runtime_error(std::string("campaign: curves are not supported for engine '") +
                                engine_name(cfg.engine) + "'");
@@ -221,14 +254,21 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
   }
   const auto outcome = core::run_trial(cfg.engine, g, source, eng, options, trial_extras(cfg));
   account_trial(cfg, outcome, metrics);
-  if (curve_out != nullptr) {
+  if (curves != nullptr) {
     if (cfg.engine == EngineKind::kAsync) {
-      const auto curve =
-          core::informed_time_curve(outcome.informed_time, cfg.curves.time_bucket);
-      curve_out->assign(curve.begin(), curve.end());
+      const auto time_curve = core::informed_time_curve(
+          outcome.informed_time, cfg.curves.time_bucket, cfg.curves.points);
+      if (!time_curve) {
+        throw std::runtime_error("campaign: configuration '" + cfg.id +
+                                 "': curves: key 'time_bucket' " +
+                                 Json(cfg.curves.time_bucket).dump() +
+                                 " puts an inform time past bucket 2^53; use a wider bucket");
+      }
+      curves->add(std::vector<double>(time_curve->curve.begin(), time_curve->curve.end()),
+                  time_curve->length);
     } else {
-      curve_out->assign(outcome.informed_count_history.begin(),
-                        outcome.informed_count_history.end());
+      curves->add(std::vector<double>(outcome.informed_count_history.begin(),
+                                      outcome.informed_count_history.end()));
     }
     fold_probe(*totals, probe, outcome.ticks, g.num_nodes());
   }
@@ -240,18 +280,18 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
 /// in trial order. A block of at least core::kMinLaneTrials trials of a
 /// static, curve-free cell the trial lanes accept (core/trial_lanes.hpp)
 /// runs on the lanes, whose per-trial results are bit-identical to
-/// run_one's; every other block loops over run_one, passing `curve_out`
-/// and `totals` through.
+/// run_one's; every other block loops over run_one, passing `curves` and
+/// `totals` through.
 template <class Add>
 void run_block_trials(const CampaignConfig& cfg, const Graph& g,
                       const dynamics::NeighborAliasTable* shared_weighted,
                       const std::vector<graph::Edge>* shared_edges, graph::NodeId source,
                       std::uint64_t stream_seed, std::uint64_t begin, std::uint64_t end,
-                      obs::WorkerMetrics* metrics, std::vector<double>* curve_out,
+                      obs::WorkerMetrics* metrics, stats::CurveAccumulator* curves,
                       stats::ContactTotals* totals, Add&& add) {
   const core::TrialOptions options = trial_options(cfg);
   const core::TrialExtras extras = trial_extras(cfg);
-  if (curve_out == nullptr && cfg.dynamics.is_static() && end - begin >= core::kMinLaneTrials &&
+  if (curves == nullptr && cfg.dynamics.is_static() && end - begin >= core::kMinLaneTrials &&
       core::lanes_eligible(cfg.engine, options, extras)) {
     std::vector<rng::Engine> engines;
     engines.reserve(end - begin);
@@ -267,7 +307,7 @@ void run_block_trials(const CampaignConfig& cfg, const Graph& g,
     return;
   }
   for (std::uint64_t t = begin; t < end; ++t) {
-    add(run_one(cfg, g, shared_weighted, shared_edges, source, stream_seed, t, metrics, curve_out,
+    add(run_one(cfg, g, shared_weighted, shared_edges, source, stream_seed, t, metrics, curves,
                 totals),
         t);
   }
@@ -486,18 +526,15 @@ struct Pass {
   }
 };
 
-/// What makes two configurations run on one graph: the prebuilt object,
-/// the store path, or every GraphSpec field build_graph reads, with the
-/// graph seed resolved as build_graph resolves it.
+/// What makes two configurations run on one graph: the prebuilt object, or
+/// the spec as build_graph reads it.
 using GraphKey = std::tuple<const Graph*, std::string, std::string, std::uint64_t, double,
                             std::uint32_t, double, double, std::uint64_t>;
 
 GraphKey graph_key(const CampaignConfig& cfg) {
-  const GraphSpec& g = cfg.graph;
   if (cfg.prebuilt != nullptr) return {cfg.prebuilt.get(), {}, {}, 0, 0.0, 0, 0.0, 0.0, 0};
-  if (g.family == "file") return {nullptr, g.family, g.path, 0, 0.0, 0, 0.0, 0.0, 0};
-  return {nullptr, g.family, {}, g.n, g.p, g.degree, g.beta, g.average_degree,
-          g.graph_seed != 0 ? g.graph_seed : cfg.seed};
+  const GraphSpec g = resolved_graph_spec(cfg.graph, cfg.seed);
+  return {nullptr, g.family, g.path, g.n, g.p, g.degree, g.beta, g.average_degree, g.graph_seed};
 }
 
 /// One distinct graph of a run: built or mapped once, on the first block
@@ -569,9 +606,9 @@ namespace {
 /// ran which blocks.
 class CampaignRun {
  public:
-  /// `recorder` is null unless the run records snapshots; `tel` may be null.
+  /// `tel` may be null.
   CampaignRun(const std::vector<CampaignConfig>& configs, const CampaignOptions& options,
-              CampaignRecorder* recorder, obs::Telemetry* tel)
+              CampaignRecorder& recorder, obs::Telemetry* tel)
       : configs_(configs),
         options_(options),
         block_size_(std::max<std::uint64_t>(options.block_size, 1)),
@@ -638,7 +675,7 @@ class CampaignRun {
   const std::uint64_t block_size_;
   const std::uint32_t shard_count_;
   const std::uint32_t shard_;  // 0-based
-  CampaignRecorder* const recorder_;
+  CampaignRecorder& recorder_;
   std::vector<ConfigState> states_;
   std::vector<CampaignResult> results_;
   // finalize_here_[c]: this run folds the configuration's partials into its
@@ -749,7 +786,7 @@ void CampaignRun::build_graph_once(std::size_t c, obs::WorkerSink* sink) {
     const Graph& g = *entry.graph;
     // Snapshot the built graph's identity: merge needs it to assemble
     // results for configurations whose blocks were split across shards.
-    if (recorder_ != nullptr) recorder_->record_graph(c, g.name(), g.num_nodes());
+    recorder_.record_graph(c, g.name(), g.num_nodes());
     if (cfg.dynamics.weights.model != dynamics::WeightModel::kNone &&
         cfg.dynamics.churn.model == dynamics::ChurnModel::kNone) {
       const dynamics::DynamicsSpec spec = resolved_dynamics(cfg);
@@ -809,19 +846,14 @@ void CampaignRun::on_trials(const Block& block, const Graph& g, obs::WorkerSink*
     if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
   } else {
     const bool curves_on = partial.curves.has_value();
-    std::vector<double> curve;
     run_block_trials(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed, block.begin,
-                     block.end, metrics, curves_on ? &curve : nullptr,
-                     curves_on ? &partial.contacts : nullptr, [&](double value, std::uint64_t t) {
-                       partial.summary.add(value, t);
-                       if (curves_on) partial.curves->add(curve);
-                     });
+                     block.end, metrics, curves_on ? &*partial.curves : nullptr,
+                     curves_on ? &partial.contacts : nullptr,
+                     [&](double value, std::uint64_t t) { partial.summary.add(value, t); });
   }
   const bool last = st.trials.land(block, std::move(partial), [&](const TrialPartial& p) {
-    if (recorder_ != nullptr) {
-      recorder_->record_trial_slot(block.config, block.slot, p.summary,
-                                   p.curves ? &*p.curves : nullptr, &p.contacts);
-    }
+    recorder_.record_trial_slot(block.config, block.slot, p.summary,
+                                p.curves ? &*p.curves : nullptr, &p.contacts);
   });
   if (!last) return;
   // Last owned block: fold in slot order when this run owns every slot.
@@ -841,7 +873,7 @@ void CampaignRun::on_plan(const Block& block, const Graph& g) {
       screen.plan(block.config, BlockKind::kScreen, cfg.race.screen_trials, block_size_);
   // Recorded before the screen blocks can run, so no snapshot ever holds
   // screen partials without the candidate list they index.
-  if (recorder_ != nullptr) recorder_->record_plan(block.config, screen.entrants);
+  recorder_.record_plan(block.config, screen.entrants);
   queue_.push(std::move(blocks));
 }
 
@@ -854,9 +886,7 @@ void CampaignRun::on_screen(const Block& block, const Graph& g, obs::WorkerSink*
                    block.begin, block.end, sink != nullptr ? &sink->metrics : nullptr, nullptr,
                    nullptr, [&](double value, std::uint64_t) { partial.add(value); });
   const bool last = st.screen.land(block, partial, [&](const stats::RunningMoments& p) {
-    if (recorder_ != nullptr) {
-      recorder_->record_screen_slot(block.config, block.entrant, block.slot, p);
-    }
+    recorder_.record_screen_slot(block.config, block.entrant, block.slot, p);
   });
   if (!last) return;
   // Screening complete: rank candidates by mean (descending, node id as
@@ -876,7 +906,7 @@ void CampaignRun::on_screen(const Block& block, const Graph& g, obs::WorkerSink*
       st.refine.plan(block.config, BlockKind::kRefine, refine_trials(cfg), block_size_);
   // As with record_plan: finalists land in the snapshot before any refine
   // partial can reference them.
-  if (recorder_ != nullptr) recorder_->record_finalists(block.config, st.refine.entrants);
+  recorder_.record_finalists(block.config, st.refine.entrants);
   queue_.push(std::move(blocks));
 }
 
@@ -889,9 +919,7 @@ void CampaignRun::on_refine(const Block& block, const Graph& g, obs::WorkerSink*
                    block.begin, block.end, sink != nullptr ? &sink->metrics : nullptr, nullptr,
                    nullptr, [&](double value, std::uint64_t t) { partial.summary.add(value, t); });
   const bool last = st.refine.land(block, std::move(partial), [&](const TrialPartial& p) {
-    if (recorder_ != nullptr) {
-      recorder_->record_refine_slot(block.config, block.entrant, block.slot, p.summary);
-    }
+    recorder_.record_refine_slot(block.config, block.entrant, block.slot, p.summary);
   });
   if (!last) return;
   // Refinement complete: keep the worst finalist's full summary as the
@@ -923,7 +951,7 @@ void CampaignRun::publish(std::size_t c, const Graph& g, obs::WorkerSink* sink,
   if (sink != nullptr) {
     sink->span("merge", merge_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
   }
-  if (recorder_ != nullptr) recorder_->record_done(c, r);
+  recorder_.record_done(c, r);
 }
 
 void CampaignRun::release(std::size_t c, obs::WorkerSink* sink) {
@@ -940,28 +968,21 @@ void CampaignRun::release(std::size_t c, obs::WorkerSink* sink) {
   }
 }
 
-/// What run_campaign_impl records: nothing (the original zero-overhead
-/// path), the snapshot layer (checkpoints, shards, resume) without the
-/// final snapshot document, or the layer and the document.
-enum class Recording : std::uint8_t { kOff, kProgress, kSnapshot };
+}  // namespace
 
-/// The scheduler behind run_campaign, run_campaign_resumable and
-/// run_campaign_recorded: setup, then workers draining the shared queue
-/// until it is empty, stopped, or failed.
-CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
-                                  const CampaignOptions& options,
-                                  const std::string& campaign_name, const Json* resume,
-                                  Recording recording) {
+CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& configs,
+                                       const CampaignOptions& options,
+                                       const std::string& campaign_name, const Json* resume,
+                                       bool snapshot) {
   const std::uint32_t shard_count = std::max<std::uint32_t>(options.shard_count, 1);
   if (options.shard_index < 1 || options.shard_index > shard_count) {
     throw std::runtime_error("campaign: shard index " + std::to_string(options.shard_index) +
                              " out of range 1.." + std::to_string(shard_count));
   }
-  std::unique_ptr<CampaignRecorder> recorder;
-  if (recording != Recording::kOff) {
-    // Snapshots address configurations by id, so recorded campaigns need
-    // unique ids (the spec parser already rejects collisions; this guards
-    // API callers handing in configs directly).
+  if (!options.checkpoint_file.empty() || resume != nullptr || snapshot) {
+    // Snapshots address configurations by id, so a run that writes, reads
+    // or returns one needs unique ids (the spec parser already rejects
+    // collisions; this guards API callers handing in configs directly).
     std::map<std::string, std::size_t> seen;
     for (std::size_t c = 0; c < configs.size(); ++c) {
       const auto [it, inserted] = seen.emplace(resolved_config_id(configs[c], c), c);
@@ -971,8 +992,10 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
                                  "' (checkpoints and shards address configs by id)");
       }
     }
-    recorder = std::make_unique<CampaignRecorder>(configs, options, campaign_name);
   }
+  // Always built: one scheduler path serves plain, checkpointed, sharded
+  // and resumed runs. Without a checkpoint file it never writes.
+  auto recorder = std::make_unique<CampaignRecorder>(configs, options, campaign_name);
   std::vector<CampaignRecorder::Entry> restored(configs.size());
   if (resume != nullptr) restored = recorder->load(*resume);
 
@@ -980,7 +1003,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   // `if (tel)` (or a sink pointer), so a null sink is the exact pre-existing
   // code path and attached telemetry never influences scheduling decisions.
   obs::Telemetry* const tel = options.telemetry;
-  CampaignRun run(configs, options, recorder.get(), tel);
+  CampaignRun run(configs, options, *recorder, tel);
   std::vector<Block> initial;
   std::size_t block_estimate = 0;
   for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -995,8 +1018,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
     std::vector<std::string> ids;
     ids.reserve(configs.size());
     for (const CampaignResult& r : run.results()) ids.push_back(r.id);
-    tel->begin(std::move(ids), std::max(workers, 1u),
-               options.telemetry_label.empty() ? campaign_name : options.telemetry_label);
+    tel->begin(std::move(ids), std::max(workers, 1u), campaign_name);
   }
   run.queue().push(std::move(initial));
 
@@ -1015,7 +1037,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
       try {
         run.process(block, sink);
         ok = true;
-        if (recorder != nullptr && recorder->block_finished()) {
+        if (recorder->block_finished()) {
           // stop_after_blocks budget exhausted: drain the queue; in-flight
           // blocks still finish and record, so the final checkpoint below
           // loses nothing that was computed.
@@ -1070,46 +1092,19 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   CampaignOutcome outcome;
   outcome.results = std::move(run.results());
   outcome.complete = !stopped.load(std::memory_order_relaxed);
-  if (recorder != nullptr) {
-    // The periodic writer finishes (or rethrows its error) first, so the
-    // final write finish() makes is the last one to land; the snapshot
-    // document, when asked for, is built once, after it, from the typed
-    // store.
-    recorder->drain_writes();
-    outcome.blocks_done = recorder->blocks_done();
-    outcome.snapshot = recorder->finish(outcome.complete, recording == Recording::kSnapshot);
-  }
+  // The periodic writer finishes (or rethrows its error) first, so the
+  // final write finish() makes is the last one to land; the snapshot
+  // document, when asked for, is built once, after it, from the typed store.
+  recorder->drain_writes();
+  outcome.blocks_done = recorder->blocks_done();
+  outcome.snapshot = recorder->finish(outcome.complete, snapshot);
   if (tel != nullptr) tel->end();
   return outcome;
 }
 
-}  // namespace
-
 std::vector<CampaignResult> run_campaign(const std::vector<CampaignConfig>& configs,
                                          const CampaignOptions& options) {
-  // Strip the snapshot knobs so existing callers keep the original
-  // zero-overhead scheduling path regardless of what they left in options.
-  CampaignOptions plain = options;
-  plain.shard_index = 1;
-  plain.shard_count = 1;
-  plain.checkpoint_file.clear();
-  plain.stop_after_blocks = 0;
-  return std::move(
-      run_campaign_impl(configs, plain, "campaign", nullptr, Recording::kOff).results);
-}
-
-CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& configs,
-                                       const CampaignOptions& options,
-                                       const std::string& campaign_name, const Json* resume) {
-  return run_campaign_impl(configs, options, campaign_name, resume, Recording::kSnapshot);
-}
-
-CampaignOutcome run_campaign_recorded(const std::vector<CampaignConfig>& configs,
-                                      const CampaignOptions& options,
-                                      const std::string& campaign_name, const Json* resume,
-                                      bool snapshot) {
-  return run_campaign_impl(configs, options, campaign_name, resume,
-                           snapshot ? Recording::kSnapshot : Recording::kProgress);
+  return std::move(run_campaign_resumable(configs, options, "campaign", nullptr, false).results);
 }
 
 // --- Config rules and spec parsing -------------------------------------------

@@ -130,7 +130,9 @@ struct CurveSpec {
   /// k * time_bucket (async). Trials past the grid still count via the
   /// accumulator's absorbing-extension rule and max_len.
   std::uint32_t points = 64;
-  /// Time-grid bucket width for async engines; ignored by round grids.
+  /// Time-grid bucket width for async engines; ignored by round grids. A
+  /// trial builds only the `points` grid values; one whose latest inform
+  /// time lands past bucket 2^53 fails the campaign naming this key.
   double time_bucket = 1.0;
 };
 
@@ -197,8 +199,8 @@ struct CampaignOptions {
   std::size_t sketch_capacity = 256;
   std::size_t reservoir_capacity = 512;
 
-  // Checkpoint / shard / resume knobs (sim/checkpoint.hpp). Only honored by
-  // run_campaign_resumable; plain run_campaign ignores them.
+  // Checkpoint / shard / stop knobs (sim/checkpoint.hpp), honored by
+  // run_campaign and run_campaign_resumable alike; only the latter resumes.
   /// This run's 1-based shard under `shard_count`-way block partitioning.
   std::uint32_t shard_index = 1;
   /// Total shards; 1 = unsharded (every block owned by this run).
@@ -221,11 +223,9 @@ struct CampaignOptions {
   /// default) disables all telemetry. Strictly observational: the scheduler
   /// only ever *feeds* it, so results are byte-identical with or without a
   /// sink attached (tested in tests/test_obs.cpp).
+  /// Progress lines and the trace carry the campaign name the run is given
+  /// ("campaign" for run_campaign, which has no name parameter).
   obs::Telemetry* telemetry = nullptr;
-  /// Name shown in progress lines and stamped into the trace. Empty falls
-  /// back to the campaign name the scheduler was invoked with ("campaign"
-  /// for plain run_campaign, which has no name parameter).
-  std::string telemetry_label;
 };
 
 /// The trial-block size one configuration actually schedules under the
@@ -276,6 +276,9 @@ struct CampaignResult {
 /// refine passes onto the same queue as they become ready, so worst-source
 /// searches interleave with ordinary cells instead of serializing behind
 /// them. Throws the first trial/build exception after draining the pool.
+/// This is run_campaign_resumable (sim/checkpoint.hpp) under the name
+/// "campaign", without resume or the snapshot document: a checkpoint file,
+/// a shard and a stop budget in `options` act as they do there.
 [[nodiscard]] std::vector<CampaignResult> run_campaign(const std::vector<CampaignConfig>& configs,
                                                        const CampaignOptions& options = {});
 

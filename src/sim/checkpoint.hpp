@@ -6,11 +6,13 @@
 // persists that progress: a *snapshot* is a versioned JSON document holding
 // each configuration's completed block partials (exact serialized
 // accumulator state), its race phase (candidates / finalists), or its final
-// result. The same document serves three flows:
+// result. Every campaign run records its progress, whether or not it
+// writes; the same document serves three flows:
 //
-//   * checkpoint / resume — run_campaign_resumable writes snapshots
+//   * checkpoint / resume — a run given a checkpoint file writes snapshots
 //     periodically from a background writer thread, and once more at the
-//     end (atomic temp + fsync + rename); a resumed campaign
+//     end (atomic temp + fsync + rename); run_campaign_resumable resumes
+//     from one, and a resumed campaign
 //     re-runs only the missing blocks (or, when a pass's every block was
 //     recorded but its hand-off was not, its last block, to re-trigger the
 //     fold) and produces a final report bit-identical to an uninterrupted
@@ -98,33 +100,26 @@ struct CampaignOutcome {
   std::uint64_t blocks_done = 0;
   /// The final snapshot document (checkpoint / shard partial), built after
   /// the final write under its header, so it dumps to the checkpoint file's
-  /// bytes. run_campaign_resumable always fills it: perf_replay and the
-  /// checkpoint tests read it, and rumor_bench prints it for a shard. Null
-  /// from run_campaign_recorded without `snapshot`, which rumor_bench uses
-  /// when it prints reports, not the document.
+  /// bytes. Filled when run_campaign_resumable is asked for it (the
+  /// default): perf_replay and the checkpoint tests read it, and rumor_bench
+  /// prints it for a shard. Null otherwise, and from run_campaign.
   Json snapshot;
 };
 
-/// run_campaign with checkpoint / shard / resume support. `resume` is a
-/// parsed snapshot document (nullptr = fresh start); it is validated
-/// against the configs, options, and campaign name before any work is
-/// scheduled, and a mismatch throws std::runtime_error naming the field.
-/// The determinism contract of run_campaign extends across interruptions:
-/// a resumed campaign's final report is bit-identical to an uninterrupted
-/// run at any thread count.
+/// run_campaign under a campaign name, with resume and the snapshot
+/// document. `resume` is a parsed snapshot document (nullptr = fresh
+/// start); it is validated against the configs, options, and campaign name
+/// before any work is scheduled, and a mismatch throws std::runtime_error
+/// naming the field. The determinism contract of run_campaign extends
+/// across interruptions: a resumed campaign's final report is
+/// bit-identical to an uninterrupted run at any thread count. Without
+/// `snapshot` the outcome's snapshot stays null, so a caller that prints
+/// reports does not build a document nobody reads; the writes are the same.
 [[nodiscard]] CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& configs,
                                                      const CampaignOptions& options,
                                                      const std::string& campaign_name,
-                                                     const Json* resume = nullptr);
-
-/// run_campaign_resumable for rumor_bench's own use: the same run, the same
-/// writes, but CampaignOutcome::snapshot stays null unless `snapshot` is
-/// set, so a run whose reports are printed does not build a document
-/// nobody reads. Internal, like CampaignRecorder.
-[[nodiscard]] CampaignOutcome run_campaign_recorded(const std::vector<CampaignConfig>& configs,
-                                                    const CampaignOptions& options,
-                                                    const std::string& campaign_name,
-                                                    const Json* resume, bool snapshot);
+                                                     const Json* resume = nullptr,
+                                                     bool snapshot = true);
 
 /// The block size and shard designator a snapshot's header records, which
 /// `--resume` adopts unless the flags are repeated. Read by the loader's
@@ -194,9 +189,11 @@ void report_stale_snapshots(const std::vector<Json>& snapshots,
                             std::ostream& err);
 
 /// Thread-safe campaign progress store: the machinery behind snapshots.
-/// Internal to run_campaign_resumable — declared here only so the
-/// scheduler (campaign.cpp) and the snapshot codec (checkpoint.cpp) can
-/// share it; not part of the stable API surface.
+/// Every campaign run builds one, plain or checkpointed, sharded or
+/// resumed; a run without a checkpoint file never starts the writer thread
+/// and never writes. Declared here only so the scheduler (campaign.cpp)
+/// and the snapshot codec (checkpoint.cpp) can share it; not part of the
+/// stable API surface.
 ///
 /// The store is typed: one Entry per configuration holding the accumulator
 /// states themselves, so a worker's record_* call copies a State under the

@@ -233,17 +233,12 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
   bool json = false;
   std::string campaign_file;
   std::string out_file;
-  std::uint64_t batch = 32;
+  CampaignOptions campaign_options;
   bool batch_explicit = false;
   bool merge = false;
   bool shard_explicit = false;
-  std::uint32_t shard_index = 1;
-  std::uint32_t shard_count = 1;
-  std::string checkpoint_file;
-  std::uint64_t checkpoint_every = 16;
   bool checkpoint_every_explicit = false;
   std::string resume_file;
-  std::uint64_t stop_after_blocks = 0;
   std::string trace_file;
   bool progress = false;
   bool telemetry_stats = false;
@@ -333,7 +328,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         err << "rumor_bench: --batch must be >= 1\n";
         return 2;
       }
-      batch = *v;
+      campaign_options.block_size = *v;
       batch_explicit = true;
     } else if (arg == "--shard") {
       if (i + 1 >= argc) {
@@ -353,8 +348,8 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
             << text << "'\n";
         return 2;
       }
-      shard_index = static_cast<std::uint32_t>(*si);
-      shard_count = static_cast<std::uint32_t>(*sk);
+      campaign_options.shard_index = static_cast<std::uint32_t>(*si);
+      campaign_options.shard_count = static_cast<std::uint32_t>(*sk);
       shard_explicit = true;
     } else if (arg == "--merge") {
       merge = true;
@@ -363,7 +358,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         err << "rumor_bench: --checkpoint requires a file path\n";
         return 2;
       }
-      checkpoint_file = argv[++i];
+      campaign_options.checkpoint_file = argv[++i];
     } else if (arg == "--checkpoint-every") {
       const auto v = numeric_arg(i, "--checkpoint-every");
       if (!v) return 2;
@@ -371,7 +366,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         err << "rumor_bench: --checkpoint-every must be >= 1\n";
         return 2;
       }
-      checkpoint_every = *v;
+      campaign_options.checkpoint_every = *v;
       checkpoint_every_explicit = true;
     } else if (arg == "--resume") {
       if (i + 1 >= argc) {
@@ -386,7 +381,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
         err << "rumor_bench: --stop-after-blocks must be >= 1\n";
         return 2;
       }
-      stop_after_blocks = *v;
+      campaign_options.stop_after_blocks = *v;
     } else if (arg == "--campaign") {
       if (i + 1 >= argc) {
         err << "rumor_bench: --campaign requires a file path\n";
@@ -456,14 +451,14 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
   }
 
   // Flags that would otherwise be ignored are refused by name.
-  if (checkpoint_every_explicit && checkpoint_file.empty()) {
+  if (checkpoint_every_explicit && campaign_options.checkpoint_file.empty()) {
     err << "rumor_bench: --checkpoint-every requires --checkpoint\n";
     return 2;
   }
   if (campaign_file.empty() &&
-      (batch_explicit || merge || shard_explicit || !checkpoint_file.empty() ||
-       !resume_file.empty() || stop_after_blocks != 0 || !trace_file.empty() || progress ||
-       telemetry_stats || curves_flag)) {
+      (batch_explicit || merge || shard_explicit || !campaign_options.checkpoint_file.empty() ||
+       !resume_file.empty() || campaign_options.stop_after_blocks != 0 || !trace_file.empty() ||
+       progress || telemetry_stats || curves_flag)) {
     err << "rumor_bench: --batch/--merge/--shard/--checkpoint/--resume/--stop-after-blocks/"
            "--trace/--progress/--telemetry/--curves require --campaign\n";
     return 2;
@@ -476,7 +471,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       err << "rumor_bench: --campaign cannot be combined with experiment names or --all\n";
       return 2;
     }
-    if (stop_after_blocks != 0 && checkpoint_file.empty()) {
+    if (campaign_options.stop_after_blocks != 0 && campaign_options.checkpoint_file.empty()) {
       err << "rumor_bench: --stop-after-blocks requires --checkpoint\n";
       return 2;
     }
@@ -590,7 +585,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
     };
 
     if (merge) {
-      if (shard_explicit || !checkpoint_file.empty() || !resume_file.empty() ||
+      if (shard_explicit || !campaign_options.checkpoint_file.empty() || !resume_file.empty() ||
           !trace_file.empty() || progress || telemetry_stats) {
         err << "rumor_bench: --merge cannot be combined with "
                "--shard/--checkpoint/--resume/--trace/--progress/--telemetry\n";
@@ -621,32 +616,8 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       return render_results(results);
     }
 
-    CampaignOptions campaign_options;
     campaign_options.threads = opts.threads;
-    campaign_options.block_size = batch;
-    campaign_options.shard_index = shard_index;
-    campaign_options.shard_count = shard_count;
-    campaign_options.checkpoint_file = checkpoint_file;
-    campaign_options.checkpoint_every = checkpoint_every;
-    campaign_options.stop_after_blocks = stop_after_blocks;
     campaign_options.telemetry = telemetry.get();
-    campaign_options.telemetry_label = spec->name;
-
-    const bool featured =
-        shard_explicit || !checkpoint_file.empty() || !resume_file.empty() ||
-        stop_after_blocks != 0;
-    if (!featured) {
-      // The historical path: no snapshot layer, byte-identical output.
-      std::vector<CampaignResult> results;
-      try {
-        results = run_campaign(spec->configs, campaign_options);
-      } catch (const std::exception& e) {
-        err << "rumor_bench: campaign failed: " << e.what() << "\n";
-        return 1;
-      }
-      if (!finish_telemetry()) return 1;
-      return render_results(results);
-    }
 
     std::optional<Json> resume_doc;
     if (!resume_file.empty()) {
@@ -674,8 +645,8 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
     const bool shard_output = campaign_options.shard_count > 1 || shard_explicit;
     CampaignOutcome outcome;
     try {
-      outcome = run_campaign_recorded(spec->configs, campaign_options, spec->name,
-                                      resume_doc ? &*resume_doc : nullptr, shard_output);
+      outcome = run_campaign_resumable(spec->configs, campaign_options, spec->name,
+                                       resume_doc ? &*resume_doc : nullptr, shard_output);
     } catch (const std::exception& e) {
       err << "rumor_bench: campaign failed: " << e.what() << "\n";
       return 1;
@@ -683,8 +654,8 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
     if (!finish_telemetry()) return 1;
     if (!outcome.complete) {
       err << "rumor_bench: campaign stopped after " << outcome.blocks_done
-          << " blocks; progress saved to " << checkpoint_file << " (continue with --resume "
-          << checkpoint_file << ")\n";
+          << " blocks; progress saved to " << campaign_options.checkpoint_file
+          << " (continue with --resume " << campaign_options.checkpoint_file << ")\n";
       return 3;
     }
     if (shard_output) {

@@ -1,5 +1,6 @@
 #include "stats/curves.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -10,9 +11,9 @@ CurveAccumulator::CurveAccumulator(const Options& options)
       moments_(options.points),
       sketches_(options.points, QuantileSketch(options.sketch_capacity)) {}
 
-void CurveAccumulator::add(const std::vector<double>& curve) {
-  if (curve.empty()) {
-    throw std::invalid_argument("CurveAccumulator::add: empty curve");
+void CurveAccumulator::add(const std::vector<double>& curve, std::uint64_t native_len) {
+  if (curve.empty() || curve.size() < std::min<std::uint64_t>(native_len, moments_.size())) {
+    throw std::invalid_argument("CurveAccumulator::add: empty or short curve");
   }
   for (std::size_t k = 0; k < moments_.size(); ++k) {
     const double value = curve[k < curve.size() ? k : curve.size() - 1];
@@ -20,7 +21,7 @@ void CurveAccumulator::add(const std::vector<double>& curve) {
     sketches_[k].add(value);
   }
   ++trials_;
-  if (curve.size() > max_len_) max_len_ = curve.size();
+  if (native_len > max_len_) max_len_ = native_len;
 }
 
 void CurveAccumulator::merge(const CurveAccumulator& other) {

@@ -83,7 +83,11 @@ class CurveAccumulator {
   /// takes curve[min(k, len - 1)] — curves shorter than the grid repeat
   /// their final (absorbing) value, longer ones are cut at the grid end
   /// but still recorded in max_len().
-  void add(const std::vector<double>& curve);
+  void add(const std::vector<double>& curve) { add(curve, curve.size()); }
+  /// add() for a native curve of `native_len` entries given by its first
+  /// min(native_len, points()) or more, so a curve longer than the grid
+  /// need not be built past it.
+  void add(const std::vector<double>& curve, std::uint64_t native_len);
 
   /// Merges another accumulator over the same grid. Merging an empty
   /// operand is an exact identity; merging *into* an empty accumulator

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -366,6 +367,54 @@ TEST(CampaignCurves, RejectsAuxEnginesAndRacedSources) {
   zero_points.curves.enabled = true;
   zero_points.curves.points = 0;
   EXPECT_THROW((void)sim::run_campaign({zero_points}, {}), std::runtime_error);
+}
+
+TEST(CampaignCurves, TinyTimeBucketsCutTheCurveOrFailNamingTheKey) {
+  sim::CampaignConfig cfg;
+  cfg.id = "tiny_bucket";
+  cfg.prebuilt = shared(graph::star(16));
+  cfg.engine = sim::EngineKind::kAsync;
+  cfg.trials = 1;
+  cfg.seed = 3;
+  cfg.curves.enabled = true;
+  cfg.curves.points = 8;
+  cfg.curves.time_bucket = 1e-4;
+  const auto results = sim::run_campaign({cfg}, {});
+  ASSERT_EQ(results.size(), 1u);
+
+  // The uncut curve, straight from its definition, folds to the same state:
+  // curve[k] = |{v : t_v <= k * bucket}| up to the first k covering them all.
+  rng::Engine eng = rng::derive_stream(cfg.seed, 0);
+  const auto outcome = core::run_trial(core::EngineKind::kAsync, *cfg.prebuilt, 0, eng);
+  const double latest = *std::max_element(outcome.informed_time.begin(),
+                                          outcome.informed_time.end());
+  std::vector<double> uncut;
+  for (std::uint64_t k = 0; uncut.empty() || uncut.back() < 16.0; ++k) {
+    const double edge = static_cast<double>(k) * cfg.curves.time_bucket;
+    uncut.push_back(static_cast<double>(
+        std::count_if(outcome.informed_time.begin(), outcome.informed_time.end(),
+                      [&](double t) { return t <= edge; })));
+  }
+  EXPECT_GE(static_cast<double>(uncut.size() - 1) * cfg.curves.time_bucket, latest);
+  stats::CurveAccumulator want(sim::curve_options_for(cfg, sim::CampaignOptions{}.sketch_capacity));
+  want.add(uncut);
+  EXPECT_EQ(results[0].curves.max_len(), 28452u);  // the length the uncut curve always had
+  EXPECT_EQ(want.max_len(), results[0].curves.max_len());
+  EXPECT_EQ(want.state().moments.size(), 8u);
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(results[0].curves.mean_at(k), want.mean_at(k)) << "point " << k;
+  }
+
+  // A bucket whose index for the latest time passes 2^53 fails the run.
+  cfg.curves.time_bucket = 1e-300;
+  try {
+    (void)sim::run_campaign({cfg}, {});
+    FAIL() << "expected a time_bucket error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("time_bucket"), std::string::npos) << what;
+    EXPECT_NE(what.find("tiny_bucket"), std::string::npos) << what;
+  }
 }
 
 // --- Error handling ----------------------------------------------------------
@@ -1264,6 +1313,48 @@ TEST(CampaignGraphTable, DegreesAreDistinctGraphs) {
       {table_cell("d4", table_spec("random_regular", 64, 3, 4), sim::EngineKind::kSync, 1),
        table_cell("d6", table_spec("random_regular", 64, 3, 6), sim::EngineKind::kSync, 1)},
       2);
+}
+
+TEST(CampaignGraphTable, EntriesKeyBySpecAsBuildGraphReadsIt) {
+  // A seedless family ignores the config seed, and an absent degree is its
+  // family's default: hypercube(64) under seeds 1 and 2 is one graph, and
+  // random_regular(64) at graph seed 9 with degree 0 and 6 is another.
+  expect_distinct_builds(
+      {table_cell("hc1", table_spec("hypercube", 64), sim::EngineKind::kSync, 1),
+       table_cell("hc2", table_spec("hypercube", 64), sim::EngineKind::kSync, 2),
+       table_cell("rr", table_spec("random_regular", 64, 9), sim::EngineKind::kSync, 1),
+       table_cell("rr6", table_spec("random_regular", 64, 9, 6), sim::EngineKind::kSync, 1)},
+      2);
+}
+
+TEST(CampaignGraphTable, ResolvedDefaultsShareEntries) {
+  // Each pair spells one graph two ways: a default written out, an odd
+  // watts_strogatz k rounded up, or a field the family does not read.
+  auto with = [](sim::GraphSpec spec, auto&& edit) {
+    edit(spec);
+    return spec;
+  };
+  const sim::GraphSpec er = table_spec("erdos_renyi", 64, 4);
+  const sim::GraphSpec ws = table_spec("watts_strogatz", 64, 4);
+  const sim::GraphSpec pa = table_spec("preferential_attachment", 64, 4);
+  const sim::GraphSpec cl = table_spec("chung_lu", 256, 4);
+  const sim::GraphSpec cycle = table_spec("cycle", 48, 4);
+  expect_distinct_builds(
+      {table_cell("er", er, sim::EngineKind::kSync, 1),
+       table_cell("er_p", with(er, [](auto& g) { g.p = 3.0 * std::log(64.0) / 64.0; }),
+                  sim::EngineKind::kSync, 1),
+       table_cell("ws", ws, sim::EngineKind::kSync, 1),
+       table_cell("ws_k3", with(ws, [](auto& g) { g.degree = 3; g.p = 0.1; }),
+                  sim::EngineKind::kSync, 1),
+       table_cell("pa", pa, sim::EngineKind::kSync, 1),
+       table_cell("pa_3", with(pa, [](auto& g) { g.degree = 3; }), sim::EngineKind::kSync, 1),
+       table_cell("cl", cl, sim::EngineKind::kSync, 1),
+       table_cell("cl_deg", with(cl, [](auto& g) { g.degree = 5; g.p = 0.5; }),
+                  sim::EngineKind::kSync, 1),
+       table_cell("cycle", cycle, sim::EngineKind::kSync, 1),
+       table_cell("cycle_fields", with(cycle, [](auto& g) { g.graph_seed = 7; g.beta = 3.0; }),
+                  sim::EngineKind::kSync, 2)},
+      5);
 }
 
 TEST(CampaignGraphTable, ShardsAndResumesBuildEachGraphOnce) {

@@ -315,8 +315,18 @@ TEST(CampaignCheckpoint, RecordedCampaignsRejectDuplicateConfigIds) {
   configs[1].id = configs[0].id;
   expect_throws_with([&] { (void)sim::run_campaign_resumable(configs, snapshot_options(1), "snap"); },
                      configs[0].id);
-  // The plain scheduler still accepts them: nothing addresses by id there.
+  // A run that writes, reads or returns no snapshot still accepts them:
+  // nothing addresses by id there.
   EXPECT_NO_THROW((void)sim::run_campaign(configs, snapshot_options(2)));
+  EXPECT_NO_THROW(
+      (void)sim::run_campaign_resumable(configs, snapshot_options(2), "snap", nullptr, false));
+  // A checkpoint file is a snapshot written, through either entry point.
+  auto written = snapshot_options(2);
+  written.checkpoint_file = testing::TempDir() + "ck_duplicate_ids.json";
+  expect_throws_with([&] { (void)sim::run_campaign(configs, written); }, configs[0].id);
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, written, "snap", nullptr, false); },
+      configs[0].id);
 }
 
 // --- Spread telemetry through the snapshot layer -----------------------------
@@ -712,6 +722,40 @@ std::set<std::string> phases_of(const sim::Json& snapshot) {
 }
 
 }  // namespace
+
+TEST(CampaignCheckpoint, PlainRunWritesTheResumableRunsFile) {
+  // run_campaign is run_campaign_resumable under the name "campaign": given
+  // a checkpoint file it writes the same bytes, written_at aside.
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    auto options = snapshot_options(threads);
+    options.checkpoint_every = 1;
+    options.checkpoint_file = testing::TempDir() + "ck_plain_run.json";
+    std::remove(options.checkpoint_file.c_str());
+    const auto plain = sim::run_campaign(snapshot_configs(), options);
+    const std::string plain_file = pin_written_at(read_file(options.checkpoint_file));
+    std::remove(options.checkpoint_file.c_str());
+    const auto resumable = sim::run_campaign_resumable(snapshot_configs(), options, "campaign");
+    EXPECT_EQ(plain_file, pin_written_at(read_file(options.checkpoint_file)))
+        << "threads=" << threads;
+    expect_bitwise_equal(plain, resumable.results);
+    std::remove(options.checkpoint_file.c_str());
+  }
+}
+
+TEST(CampaignCheckpoint, RunWithoutSnapshotWritesTheSameFile) {
+  auto options = snapshot_options(2);
+  options.checkpoint_every = 1;
+  options.checkpoint_file = testing::TempDir() + "ck_no_snapshot.json";
+  std::remove(options.checkpoint_file.c_str());
+  const auto bare = sim::run_campaign_resumable(snapshot_configs(), options, "snap", nullptr, false);
+  EXPECT_TRUE(bare.snapshot.is_null());
+  const std::string bare_file = pin_written_at(read_file(options.checkpoint_file));
+  const auto full = sim::run_campaign_resumable(snapshot_configs(), options, "snap");
+  EXPECT_FALSE(full.snapshot.is_null());
+  EXPECT_EQ(bare_file, pin_written_at(read_file(options.checkpoint_file)));
+  expect_bitwise_equal(bare.results, full.results);
+  std::remove(options.checkpoint_file.c_str());
+}
 
 TEST(CampaignCheckpoint, FileEqualsTreeWhenStoppedMidRun) {
   auto options = snapshot_options(1);
