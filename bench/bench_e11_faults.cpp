@@ -63,9 +63,6 @@ sim::Json run(const sim::ExperimentContext& ctx) {
 
   sim::CampaignOptions campaign_options;
   campaign_options.threads = config.threads;
-  // The Theorem-1 ratio reads the 0.99 quantile; keep it exact.
-  campaign_options.sketch_capacity =
-      std::max<std::size_t>(campaign_options.sketch_capacity, config.trials);
   const auto results = sim::run_campaign(cells, campaign_options);
 
   sim::Json rows = sim::Json::array();

@@ -91,11 +91,7 @@ sim::Json run(const sim::ExperimentContext& ctx) {
       at_worst.push_back(std::move(cell));
     }
   }
-  sim::CampaignOptions at_worst_options = campaign_options;
-  // The ratio reads the 0.99 quantile; keep it exact.
-  at_worst_options.sketch_capacity =
-      std::max<std::size_t>(at_worst_options.sketch_capacity, config.trials);
-  const auto measured = sim::run_campaign(at_worst, at_worst_options);
+  const auto measured = sim::run_campaign(at_worst, campaign_options);
 
   sim::Json rows = sim::Json::array();
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {

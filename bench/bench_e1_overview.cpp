@@ -72,8 +72,9 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     row.set("n", results[i].n);
     row.set("sync_mean", sync.mean());
     row.set("sync_p95", sync.quantile(0.95));
-    // T_q (the paper's high-probability time) from the KLL sketch, at the
-    // campaign-resolved tail mass q = hp_q (default 1/trials). CI gates
+    // T_q (the paper's high-probability time), an exact order statistic of
+    // the trial values, at the campaign-resolved tail mass q = hp_q
+    // (default 1/trials). CI gates
     // these per-family quantiles alongside the means (bench/README.md).
     row.set("sync_hp_time", sync.hp_time(results[i].hp_q));
     row.set("async_mean", async.mean());

@@ -85,10 +85,6 @@ sim::Json run(const sim::ExperimentContext& ctx) {
 
   sim::CampaignOptions campaign_options;
   campaign_options.threads = config.threads;
-  // Quantiles at the hp tail must stay exact (not sketch-approximate), as
-  // they were when samples were materialized.
-  campaign_options.sketch_capacity =
-      std::max<std::size_t>(campaign_options.sketch_capacity, config.trials);
   const auto results = sim::run_campaign(cells, campaign_options);
 
   sim::Json rows = sim::Json::array();

@@ -8,10 +8,9 @@
 //     statistic between push-a samples and doubled pp-a samples.
 //
 // Runs on the campaign scheduler: the four protocol cells of every graph
-// share one trial-block queue. The high-probability times come from the
-// mergeable quantile sketch; the KS statistic needs full empirical CDFs, so
-// the async cells set their reservoir capacity to the trial count (a
-// reservoir at full capacity retains every sample exactly).
+// share one trial-block queue. Campaign summaries keep every trial value,
+// so the high-probability times are exact order statistics and the KS
+// statistic reads the full empirical CDFs.
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -53,13 +52,12 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     sim::EngineKind engine;
     core::Mode mode;
     std::uint64_t seed;
-    bool exact_samples;
   };
   const Cell kCells[] = {
-      {sim::EngineKind::kSync, core::Mode::kPush, config.seed, false},
-      {sim::EngineKind::kSync, core::Mode::kPushPull, config.seed, false},
-      {sim::EngineKind::kAsync, core::Mode::kPush, config.seed, true},
-      {sim::EngineKind::kAsync, core::Mode::kPushPull, ctx.seed(5002) + 1, true},
+      {sim::EngineKind::kSync, core::Mode::kPush, config.seed},
+      {sim::EngineKind::kSync, core::Mode::kPushPull, config.seed},
+      {sim::EngineKind::kAsync, core::Mode::kPush, config.seed},
+      {sim::EngineKind::kAsync, core::Mode::kPushPull, ctx.seed(5002) + 1},
   };
 
   std::vector<sim::CampaignConfig> cells;
@@ -74,7 +72,6 @@ sim::Json run(const sim::ExperimentContext& ctx) {
       cell.mode = c.mode;
       cell.trials = config.trials;
       cell.seed = c.seed;
-      if (c.exact_samples) cell.reservoir_capacity = config.trials;
       cells.push_back(std::move(cell));
     }
   }
@@ -90,8 +87,8 @@ sim::Json run(const sim::ExperimentContext& ctx) {
     const auto& push_a = results[i + 2].summary;
     const auto& pp_a = results[i + 3].summary;
 
-    const std::vector<double> push_a_samples = push_a.reservoir().values();
-    std::vector<double> doubled = pp_a.reservoir().values();
+    const std::vector<double>& push_a_samples = push_a.values();
+    std::vector<double> doubled = pp_a.values();
     for (double& t : doubled) t *= 2.0;
 
     const double ks = dist::ks_statistic(dist::Ecdf(push_a_samples), dist::Ecdf(doubled));

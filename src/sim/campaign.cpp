@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -38,13 +39,18 @@ using graph::Graph;
 
 namespace {
 
-/// The spec as build_graph reads it: the family's defaults filled in, every
-/// field the family does not read zeroed, and the graph seed resolved for
-/// the five random families only. Equal resolved specs build equal graphs,
-/// so the campaign's graph table keys by it.
+/// The spec as build_graph reads it: the family alias resolved (`tree` is
+/// `complete_binary_tree`), the family's defaults filled in, every field
+/// the family does not read zeroed, n replaced by the size the generator
+/// takes, and the graph seed resolved for the five random families only.
+/// Equal resolved specs build equal graphs, so the campaign's graph table
+/// keys by it. The sizes: hypercube n rounds to a power of 2; torus and
+/// torus3d n to the side; chain_of_stars n to its k; bundle_chain n to its
+/// chain length; random_regular n up to even when n * degree is odd. An n
+/// outside [2, 2^32 - 1] stays as written, for build_graph to refuse.
 GraphSpec resolved_graph_spec(const GraphSpec& spec, std::uint64_t fallback_seed) {
   GraphSpec r;
-  r.family = spec.family;
+  r.family = spec.family == "tree" ? "complete_binary_tree" : spec.family;
   r.beta = 0.0;
   r.average_degree = 0.0;
   if (spec.family == "file") {
@@ -52,13 +58,32 @@ GraphSpec resolved_graph_spec(const GraphSpec& spec, std::uint64_t fallback_seed
     return r;
   }
   r.n = spec.n;
-  const std::string& f = spec.family;
+  const std::string& f = r.family;
+  const auto n = static_cast<double>(spec.n);
+  const bool sized = spec.n >= 2 && spec.n <= std::numeric_limits<graph::NodeId>::max();
+  const auto round_to = [&](double size, std::uint64_t at_least) {
+    if (sized) r.n = std::max(at_least, static_cast<std::uint64_t>(std::llround(size)));
+  };
+  if (f == "hypercube") {
+    round_to(std::log2(n), 1);
+    if (sized) r.n = std::uint64_t{1} << r.n;
+  } else if (f == "torus") {
+    round_to(std::sqrt(n), 2);
+  } else if (f == "torus3d") {
+    round_to(std::cbrt(n), 2);
+  } else if (f == "chain_of_stars") {
+    round_to(std::sqrt(n), 0);
+  } else if (f == "bundle_chain") {
+    round_to(std::cbrt(4.0 * n), 0);
+  }
   if (f == "erdos_renyi") {
     // n < 2 keeps the key finite; build_graph then refuses that n.
-    const auto n = static_cast<double>(spec.n);
     r.p = spec.p > 0.0 || spec.n < 2 ? spec.p : 3.0 * std::log(n) / n;
   } else if (f == "random_regular") {
     r.degree = spec.degree != 0 ? spec.degree : 6;
+    // The configuration model needs n * degree even; round the odd case up
+    // so size sweeps over arbitrary n stay valid (the actual n is reported).
+    if (sized && r.n % 2 != 0 && r.degree % 2 != 0) ++r.n;
   } else if (f == "preferential_attachment") {
     r.degree = spec.degree != 0 ? spec.degree : 3;
   } else if (f == "watts_strogatz") {
@@ -78,18 +103,25 @@ GraphSpec resolved_graph_spec(const GraphSpec& spec, std::uint64_t fallback_seed
 }  // namespace
 
 Graph build_graph(const GraphSpec& requested, std::uint64_t fallback_seed) {
-  const GraphSpec spec = resolved_graph_spec(requested, fallback_seed);
-  if (spec.family == "file") {
+  if (requested.family == "file") {
     // A packed store: mmap it. Its shape is whatever was packed — n and the
     // generator params play no role (the parser rejects them up front).
-    if (spec.path.empty()) {
+    if (requested.path.empty()) {
       throw std::runtime_error("build_graph: graph kind 'file' needs a non-empty path");
     }
-    return graph::open_graph_store(spec.path);
+    return graph::open_graph_store(requested.path);
   }
-  if (spec.n < 2 || spec.n > std::numeric_limits<graph::NodeId>::max()) {
-    throw std::runtime_error("build_graph: '" + spec.family + "' needs 2 <= n <= 2^32-1");
+  if (requested.n < 2 || requested.n > std::numeric_limits<graph::NodeId>::max()) {
+    throw std::runtime_error("build_graph: '" + requested.family + "' needs 2 <= n <= 2^32-1");
   }
+  // The structural "gap" families: each needs two clique nodes or hubs.
+  const std::string& family = requested.family;
+  if ((family == "lollipop" && requested.n < 4) || (family == "barbell" && requested.n < 6) ||
+      (family == "chain_of_stars" && requested.n < 3)) {
+    throw std::runtime_error("build_graph: '" + family + "' needs a larger n");
+  }
+  const GraphSpec spec = resolved_graph_spec(requested, fallback_seed);
+  // n as the family's generator takes it (see resolved_graph_spec).
   const auto n = static_cast<graph::NodeId>(spec.n);
   // A dedicated stream tag keeps graph randomness disjoint from the trial
   // streams derive_stream(seed, 0..trials) of the same configuration.
@@ -102,30 +134,15 @@ Graph build_graph(const GraphSpec& requested, std::uint64_t fallback_seed) {
   if (f == "path") return graph::path(n);
   if (f == "cycle") return graph::cycle(n);
   if (f == "wheel") return graph::wheel(n);
-  if (f == "tree" || f == "complete_binary_tree") return graph::complete_binary_tree(n);
+  if (f == "complete_binary_tree") return graph::complete_binary_tree(n);
   if (f == "complete_bipartite") return graph::complete_bipartite(n / 2, n - n / 2);
-  if (f == "torus") {
-    const auto side = std::max<graph::NodeId>(
-        2, static_cast<graph::NodeId>(std::llround(std::sqrt(static_cast<double>(n)))));
-    return graph::torus(side);
-  }
-  if (f == "torus3d") {
-    const auto side = std::max<graph::NodeId>(
-        2, static_cast<graph::NodeId>(std::llround(std::cbrt(static_cast<double>(n)))));
-    return graph::torus3d(side);
-  }
+  if (f == "torus") return graph::torus(n);
+  if (f == "torus3d") return graph::torus3d(n);
   if (f == "hypercube") {
-    const auto dim = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(std::llround(std::log2(static_cast<double>(n)))));
-    return graph::hypercube(dim);
+    return graph::hypercube(static_cast<std::uint32_t>(std::countr_zero(spec.n)));
   }
   if (f == "erdos_renyi") return graph::largest_component(graph::erdos_renyi(n, spec.p, eng));
-  if (f == "random_regular") {
-    // The configuration model needs n*d even; round the odd case up so
-    // size sweeps over arbitrary n stay valid (the actual n is reported).
-    const graph::NodeId nn = (std::uint64_t{n} * spec.degree) % 2 == 0 ? n : n + 1;
-    return graph::random_regular(nn, spec.degree, eng);
-  }
+  if (f == "random_regular") return graph::random_regular(n, spec.degree, eng);
   if (f == "chung_lu") {
     graph::ChungLuOptions options;
     options.beta = spec.beta;
@@ -138,23 +155,11 @@ Graph build_graph(const GraphSpec& requested, std::uint64_t fallback_seed) {
   if (f == "watts_strogatz") {
     return graph::largest_component(graph::watts_strogatz(n, spec.degree, spec.p, eng));
   }
-  // The structural "gap" families: each needs two clique nodes or hubs.
-  if ((f == "lollipop" && n < 4) || (f == "barbell" && n < 6) ||
-      (f == "chain_of_stars" && n < 3)) {
-    throw std::runtime_error("build_graph: '" + f + "' needs a larger n");
-  }
   if (f == "lollipop") return graph::lollipop(n / 2, n - n / 2);
   if (f == "barbell") return graph::barbell(n / 3, n - 2 * (n / 3));
-  if (f == "chain_of_stars") {
-    const auto k = static_cast<graph::NodeId>(std::lround(std::sqrt(static_cast<double>(n))));
-    return graph::chain_of_stars(k, k);
-  }
-  if (f == "bundle_chain") {
-    // e4's shape: width = len^2 / 4, so n is about len^3 / 4.
-    const auto len =
-        static_cast<graph::NodeId>(std::lround(std::cbrt(4.0 * static_cast<double>(n))));
-    return graph::bundle_chain(len, len * len / 4);
-  }
+  if (f == "chain_of_stars") return graph::chain_of_stars(n, n);
+  // e4's shape: width = len^2 / 4, so n is about len^3 / 4.
+  if (f == "bundle_chain") return graph::bundle_chain(n, n * n / 4);
   throw std::runtime_error("build_graph: unknown graph family '" + f + "'");
 }
 
@@ -1364,8 +1369,6 @@ constexpr KeyRow kConfigRows[] = {
        return apply_block(key, v, {kCurvesRows}, c);
      }},
     {"hp_q", [](auto key, auto& v, auto& c) { return read(key, v, c.hp_q); }},
-    {"reservoir_capacity",
-     [](auto key, auto& v, auto& c) { return read(key, v, c.reservoir_capacity); }},
     {"view",
      [](auto key, auto& v, auto& c) {
        return read_enum(key, v, c.view, core::async_view_name, true);
@@ -1705,8 +1708,8 @@ Json campaign_report(const CampaignResult& result, const std::string& campaign_n
 
   report.set("notes",
              "Streaming summary: mean/min/max exact (merged Welford moments); median/p95/"
-             "hp_time from a mergeable quantile sketch (rank error bounds documented in "
-             "tests/test_streaming.cpp); CI bootstrapped from a bounded uniform reservoir.");
+             "hp_time exact order statistics of every trial value; CI bootstrapped from a "
+             "bounded uniform reservoir.");
   report.set("build_info", obs::build_info_json());
   return report;
 }

@@ -4,10 +4,11 @@
 // families, sizes, protocol modes, and sources. A campaign schedules the
 // whole configuration set as one shared work queue of fixed-size *trial
 // blocks*, keeping every core busy across configuration boundaries, and
-// reduces each configuration to a constant-size stats::StreamingSummary as
-// its blocks complete — partials are freed the moment a configuration's
-// last block finishes, so memory is bounded by the in-flight
-// configurations, not by the campaign size.
+// reduces each configuration to a stats::StreamingSummary (exact moments,
+// the trial values for exact quantiles, a bounded reservoir) as its blocks
+// complete — graphs and partials are freed the moment a configuration's
+// last block finishes, so what a finished configuration keeps is its
+// summary: eight bytes per trial plus a constant.
 //
 // Graph residency: each run keeps one table entry per distinct graph — the
 // `prebuilt` object, a store path, or the generator spec with its graph
@@ -24,8 +25,9 @@
 // are folded in slot order (one fold, sim/checkpoint.hpp's fold_slots,
 // shared with resume and merge), so the full summary is additionally
 // bit-identical across thread counts at a fixed block size; across block
-// sizes, moments/quantiles agree to sketch tolerance, and reservoir
-// *contents* (bottom-k priority sampling) are bit-identical always.
+// sizes the moments agree to rounding, while the trial values (so every
+// quantile) and the reservoir *contents* (bottom-k priority sampling) are
+// bit-identical always.
 // Verified in tests/test_campaign.cpp.
 #pragma once
 
@@ -171,9 +173,6 @@ struct CampaignConfig {
   /// T_q tail probability reported as hp_time; 0 means 1/trials (the
   /// harness's documented convention for large n).
   double hp_q = 0.0;
-  /// Per-config reservoir override (0 = CampaignOptions default). Configs
-  /// needing exact samples downstream (e.g. KS tests) set this >= trials.
-  std::size_t reservoir_capacity = 0;
   /// Spread telemetry: per-trial informed-count curves and contact
   /// classification, reduced like the summary (per-block partials merged in
   /// slot order, so bit-identical across thread counts and resumable).
@@ -196,7 +195,10 @@ struct CampaignOptions {
   /// Also the checkpoint/shard granularity: snapshots address progress by
   /// (config, block slot), so resume and merge require the same block size.
   std::uint64_t block_size = 32;
+  /// Items per level of each curve grid point's quantile sketch (curves
+  /// cells only; the summaries' quantiles are exact).
   std::size_t sketch_capacity = 256;
+  /// Every summary's bootstrap reservoir (StreamingSummary::mean_ci).
   std::size_t reservoir_capacity = 512;
 
   // Checkpoint / shard / stop knobs (sim/checkpoint.hpp), honored by
@@ -241,7 +243,7 @@ struct CampaignOptions {
 }
 
 /// One configuration's reduced result: identification plus the streaming
-/// summary. No per-trial vectors.
+/// summary.
 ///
 /// Under SourcePolicy::kRace the summary is the refined measurement of the
 /// *worst* source found; `source` names it and the best finalist is kept

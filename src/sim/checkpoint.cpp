@@ -114,7 +114,6 @@ std::string campaign_fingerprint(const std::string& campaign_name,
     put(canon, cfg.trials);
     put(canon, cfg.seed);
     put(canon, cfg.hp_q);
-    put(canon, static_cast<std::uint64_t>(cfg.reservoir_capacity));
     if (cfg.curves.enabled) {
       // Appended only when the cell records curves, so every fingerprint of
       // a curve-free spec — including all pre-existing snapshots — is
@@ -149,12 +148,10 @@ std::uint32_t shard_of_block(const std::string& config_id, std::size_t slot, boo
 }
 
 stats::StreamingSummary::Options summary_options_for(const CampaignConfig& cfg,
-                                                     std::size_t sketch_capacity,
+                                                     std::size_t /*sketch_capacity*/,
                                                      std::size_t reservoir_capacity) {
   stats::StreamingSummary::Options options;
-  options.sketch_capacity = sketch_capacity;
-  options.reservoir_capacity =
-      cfg.reservoir_capacity != 0 ? cfg.reservoir_capacity : reservoir_capacity;
+  options.reservoir_capacity = reservoir_capacity;
   options.reservoir_salt = cfg.seed;
   return options;
 }

@@ -56,9 +56,11 @@
 namespace rumor::sim {
 
 /// Snapshot document identification. `version` bumps on any schema change;
-/// loaders reject versions they do not understand.
+/// loaders reject versions they do not understand. Version 2: summaries
+/// store every trial value (`values`) where version 1 stored a quantile
+/// sketch.
 inline constexpr const char* kSnapshotFormat = "rumor-campaign-checkpoint";
-inline constexpr int kSnapshotVersion = 1;
+inline constexpr int kSnapshotVersion = 2;
 
 /// Stable fingerprint of (campaign name, fully-resolved configurations) —
 /// FNV-1a over a canonical rendering of every parameter that affects
@@ -149,16 +151,18 @@ struct SnapshotLayout {
     const std::vector<CampaignConfig>& configs, const std::string& campaign_name,
     const std::vector<Json>& snapshots);
 
-/// The streaming-summary options a campaign gives configuration `cfg`
-/// (per-config reservoir override, reservoir salted by the config seed).
-/// One definition shared by the scheduler and the merge tool, so restored
+/// The streaming-summary options a campaign gives configuration `cfg` (the
+/// campaign's reservoir capacity, salted by the config seed). One
+/// definition shared by the scheduler and the merge tool, so restored
 /// summaries are always rebuilt with the exact construction parameters.
+/// The summary holds no sketch; the unnamed capacity is accepted so
+/// existing three-argument callers keep building.
 [[nodiscard]] stats::StreamingSummary::Options summary_options_for(
-    const CampaignConfig& cfg, std::size_t sketch_capacity, std::size_t reservoir_capacity);
+    const CampaignConfig& cfg, std::size_t /*sketch_capacity*/, std::size_t reservoir_capacity);
 
 /// The curve-accumulator options a campaign gives configuration `cfg`
-/// (grid length from the config's curve spec, sketch capacity shared with
-/// the scalar summaries). Like summary_options_for, one definition shared
+/// (grid length from the config's curve spec, the campaign's sketch
+/// capacity). Like summary_options_for, one definition shared
 /// by the scheduler and the merge tool so restored curve partials are
 /// always rebuilt with the exact construction parameters.
 [[nodiscard]] stats::CurveAccumulator::Options curve_options_for(const CampaignConfig& cfg,

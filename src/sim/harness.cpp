@@ -57,18 +57,17 @@ stats::BootstrapInterval SpreadingTimeSample::mean_ci(double confidence, std::si
 
 namespace {
 
-/// Runs `cfg` as a one-config campaign whose reservoir holds every trial, so
-/// the sample is exactly the per-trial values a serial run_trial loop on
-/// derive_stream(seed, t) yields.
+/// Runs `cfg` as a one-config campaign; its summary's values are exactly
+/// the per-trial values a serial run_trial loop on derive_stream(seed, t)
+/// yields.
 SpreadingTimeSample measure(CampaignConfig cfg, NodeId source, const TrialConfig& config) {
   // The campaign refuses a 0-trial config with a runtime_error; the
   // harness contract is invalid_argument.
   if (config.trials == 0) throw std::invalid_argument("measure: trials must be >= 1");
   cfg.source = source;
-  cfg.reservoir_capacity = config.trials;
   CampaignOptions options;
   options.threads = config.threads;
-  return SpreadingTimeSample(run_campaign({cfg}, options).front().summary.reservoir().values());
+  return SpreadingTimeSample(run_campaign({cfg}, options).front().summary.values());
 }
 
 }  // namespace

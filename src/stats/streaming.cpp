@@ -233,27 +233,33 @@ std::vector<std::pair<std::uint64_t, double>> ReservoirSample::entries() const {
 // --- StreamingSummary --------------------------------------------------------
 
 StreamingSummary::StreamingSummary(const Options& options)
-    : sketch_(options.sketch_capacity),
-      reservoir_(options.reservoir_capacity, options.reservoir_salt) {}
+    : reservoir_(options.reservoir_capacity, options.reservoir_salt) {}
 
 void StreamingSummary::add(double value, std::uint64_t tag) {
   moments_.add(value);
-  sketch_.add(value);
+  values_.push_back(value);
   reservoir_.add(value, tag);
 }
 
 void StreamingSummary::merge(const StreamingSummary& other) {
   moments_.merge(other.moments_);
-  sketch_.merge(other.sketch_);
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   reservoir_.merge(other.reservoir_);
 }
 
 StreamingSummary StreamingSummary::restored(const Options& options, const State& s) {
   StreamingSummary out(options);
   out.moments_.restore(s.moments);
-  out.sketch_.restore(s.sketch);
+  out.values_ = s.values;
   out.reservoir_.restore(s.reservoir);
   return out;
+}
+
+double StreamingSummary::quantile(double q) const {
+  if (values_.empty()) return std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> sorted = values_;
+  std::sort(sorted.begin(), sorted.end());
+  return quantile_sorted(sorted, q);
 }
 
 BootstrapInterval StreamingSummary::mean_ci(double confidence, std::size_t resamples,
@@ -335,7 +341,9 @@ ReservoirSample::State ReservoirSample::State::from_json(const json::Json& o,
 json::Json StreamingSummary::State::to_json() const {
   json::Json o = json::Json::object();
   o.set("moments", moments.to_json());
-  o.set("sketch", sketch.to_json());
+  json::Json values_json = json::Json::array();
+  for (const double x : values) values_json.push_back(x);
+  o.set("values", std::move(values_json));
   o.set("reservoir", reservoir.to_json());
   return o;
 }
@@ -344,7 +352,22 @@ StreamingSummary::State StreamingSummary::State::from_json(const json::Json& o,
                                                            const std::string& ctx) {
   State s;
   s.moments = RunningMoments::State::from_json(json::member(o, "moments", ctx), ctx);
-  s.sketch = QuantileSketch::State::from_json(json::member(o, "sketch", ctx), ctx);
+  // One number per trial: anything else would desynchronize the quantiles
+  // from the moments they are reported beside.
+  const std::vector<json::Json>& values = json::array_member(o, "values", ctx);
+  const auto refused = [&](const std::string& holds) {
+    return std::runtime_error(
+        ctx + ": " +
+        json::must_be("values", "an array of moments.count = " +
+                                    std::to_string(s.moments.count) + " numbers") +
+        "; it holds " + holds);
+  };
+  if (values.size() != s.moments.count) throw refused(std::to_string(values.size()));
+  s.values.reserve(values.size());
+  for (const json::Json& x : values) {
+    if (!x.is_number()) throw refused(x.dump());
+    s.values.push_back(x.as_number());
+  }
   s.reservoir = ReservoirSample::State::from_json(json::member(o, "reservoir", ctx), ctx);
   return s;
 }

@@ -1,24 +1,25 @@
-// rumor/stats: mergeable fixed-memory accumulators for campaign sweeps.
+// rumor/stats: mergeable accumulators for campaign sweeps.
 //
-// A campaign over thousands of configurations cannot hold every sample of
-// every configuration (the harness's SpreadingTimeSample does exactly
-// that). This module provides the three reductions the reports need, each
-// in O(1) or O(k) memory and each *mergeable*, so worker threads can
-// accumulate block-local partials and the campaign can combine them:
+// Worker threads accumulate block-local partials and the campaign combines
+// them, so every reduction here is *mergeable*:
 //
 //   * RunningMoments (summary.hpp) — exact mean/variance/min/max, merged
 //     with Chan et al.'s parallel combination;
-//   * QuantileSketch — a deterministic KLL-style compactor sketch for the
-//     paper's T_q quantiles, eps ~ O(log^2(n/k)/k) rank error;
+//   * StreamingSummary — the campaign's per-configuration summary: exact
+//     moments plus every trial value in merge order, so its quantiles (the
+//     paper's T_q included) are exact order statistics;
 //   * ReservoirSample — a bottom-k priority sample (uniform without
 //     replacement) whose *contents are independent of insertion and merge
-//     order*, which both keeps bootstrap CIs reproducible and lets
-//     determinism tests recover exact per-trial values when k >= trials.
+//     order*; it bounds the bootstrap CI's cost;
+//   * QuantileSketch — a deterministic KLL-style compactor sketch, kept for
+//     the per-grid-point curve distributions (stats/curves.hpp), where
+//     points x trials values would not fit.
 //
 // Determinism contract: every operation here is a pure function of the
-// inserted (value, tag) multiset and, for QuantileSketch, of the insertion
-// order. Campaigns therefore merge block partials in block-index order (see
-// sim/campaign.cpp), making summaries bit-identical across thread counts.
+// inserted (value, tag) multiset and, for QuantileSketch and the summary's
+// value list, of the insertion order. Campaigns therefore merge block
+// partials in block-index order (see sim/campaign.cpp), making summaries
+// bit-identical across thread counts.
 #pragma once
 
 #include <cstddef>
@@ -70,10 +71,6 @@ class QuantileSketch {
   /// contract (shards may own zero blocks of a configuration).
   [[nodiscard]] double quantile(double q) const;
 
-  /// The paper's T_q = quantile(1 - q) (cf. SpreadingTimeSample::hp_time).
-  /// NaN when empty, like quantile().
-  [[nodiscard]] double hp_time(double q) const { return quantile(1.0 - q); }
-
   /// Exact serializable state (campaign checkpoints). Level-0 item *order*
   /// and the per-level keep_odd selectors are part of the state: both feed
   /// future compactions, so dropping either would break the bit-identity of
@@ -120,8 +117,7 @@ class QuantileSketch {
 /// the smallest priorities — a uniform sample without replacement whose
 /// contents depend only on the inserted (tag, value) set, never on
 /// insertion order, thread interleaving, or merge shape. With capacity >=
-/// the number of insertions it retains everything, which determinism tests
-/// exploit to recover exact per-trial results from a streamed campaign.
+/// the number of insertions it retains everything.
 class ReservoirSample {
  public:
   explicit ReservoirSample(std::size_t capacity, std::uint64_t salt = 0);
@@ -186,13 +182,14 @@ class ReservoirSample {
   std::vector<Entry> entries_;
 };
 
-/// The campaign's per-configuration reduction: exact moments, sketched
-/// quantiles, and a bounded reservoir, all advancing in one add() and
-/// combining in one merge(). Constant memory per configuration.
+/// The campaign's per-configuration reduction: exact moments, every trial
+/// value in merge order, and a bounded reservoir for the bootstrap CI, all
+/// advancing in one add() and combining in one merge(). Quantiles are exact
+/// order statistics under stats::quantile_sorted, the rule
+/// SpreadingTimeSample uses too.
 class StreamingSummary {
  public:
   struct Options {
-    std::size_t sketch_capacity = 256;
     std::size_t reservoir_capacity = 512;
     std::uint64_t reservoir_salt = 0;
   };
@@ -201,31 +198,35 @@ class StreamingSummary {
   explicit StreamingSummary(const Options& options);
 
   void add(double value, std::uint64_t tag);
+  /// Appends other's values after this summary's own.
   void merge(const StreamingSummary& other);
 
-  /// Exact serializable state of all three accumulators (campaign
-  /// checkpoints). restored() rebuilds a bit-identical summary given the
-  /// same Options the original was constructed with.
+  /// Exact serializable state of the summary (campaign checkpoints).
+  /// restored() rebuilds a bit-identical summary given the same Options the
+  /// original was constructed with.
   struct State {
     RunningMoments::State moments;
-    QuantileSketch::State sketch;
+    std::vector<double> values;
     ReservoirSample::State reservoir;
 
     /// The checkpoint codec: to_json() renders the state, from_json()
     /// reads it back bit-exactly and throws std::runtime_error("<ctx>: ...")
-    /// naming the first key that is missing or out of range.
+    /// naming the first key that is missing or out of range, or `values`
+    /// when it holds a non-number or not exactly moments.count entries.
     [[nodiscard]] json::Json to_json() const;
     [[nodiscard]] static State from_json(const json::Json& o, const std::string& ctx);
   };
 
   [[nodiscard]] State state() const {
-    return State{moments_.state(), sketch_.state(), reservoir_.state()};
+    return State{moments_.state(), values_, reservoir_.state()};
   }
   [[nodiscard]] static StreamingSummary restored(const Options& options, const State& s);
 
   [[nodiscard]] const RunningMoments& moments() const noexcept { return moments_; }
-  [[nodiscard]] const QuantileSketch& sketch() const noexcept { return sketch_; }
   [[nodiscard]] const ReservoirSample& reservoir() const noexcept { return reservoir_; }
+  /// Every added value, in insertion and merge order (a campaign's trial
+  /// order, since it merges block partials in slot order).
+  [[nodiscard]] const std::vector<double>& values() const noexcept { return values_; }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return moments_.count(); }
   [[nodiscard]] double mean() const noexcept { return moments_.mean(); }
@@ -233,9 +234,12 @@ class StreamingSummary {
   [[nodiscard]] double stderr_mean() const noexcept { return moments_.stderr_mean(); }
   [[nodiscard]] double min() const noexcept { return moments_.min(); }
   [[nodiscard]] double max() const noexcept { return moments_.max(); }
-  [[nodiscard]] double quantile(double q) const { return sketch_.quantile(q); }
-  [[nodiscard]] double median() const { return sketch_.quantile(0.5); }
-  [[nodiscard]] double hp_time(double q) const { return sketch_.hp_time(q); }
+  /// stats::quantile_sorted over a sorted copy of values(); NaN when empty
+  /// (shards may own zero blocks of a configuration).
+  [[nodiscard]] double quantile(double q) const;
+  [[nodiscard]] double median() const { return quantile(0.5); }
+  /// The paper's T_q = quantile(1 - q) (cf. SpreadingTimeSample::hp_time).
+  [[nodiscard]] double hp_time(double q) const { return quantile(1.0 - q); }
 
   /// Percentile-bootstrap CI for the mean, resampling the reservoir (the
   /// reservoir is itself a uniform subsample, so the interval is computed
@@ -247,7 +251,7 @@ class StreamingSummary {
 
  private:
   RunningMoments moments_;
-  QuantileSketch sketch_;
+  std::vector<double> values_;
   ReservoirSample reservoir_;
 };
 

@@ -25,12 +25,14 @@ inline rumor::sim::CampaignSpec parse(const std::string& text) {
   return rumor::sim::parse_campaign_spec(*doc);
 }
 
-/// All reported statistics of one result, for exact cross-run comparison.
+/// All reported statistics of one result, its trial values and its
+/// reservoir, for exact cross-run comparison.
 inline std::vector<double> fingerprint(const rumor::sim::CampaignResult& r) {
   const auto& s = r.summary;
   std::vector<double> out = {s.mean(),   s.stddev(),        s.min(),
                              s.max(),    s.median(),        s.quantile(0.95),
                              s.hp_time(r.hp_q)};
+  out.insert(out.end(), s.values().begin(), s.values().end());
   for (const auto& [tag, value] : s.reservoir().entries()) {
     out.push_back(static_cast<double>(tag));
     out.push_back(value);

@@ -309,7 +309,6 @@ sim::CampaignConfig batch_config(std::shared_ptr<const graph::Graph> g, std::uin
   cfg.lanes = lanes;
   cfg.trials = trials;
   cfg.seed = 417;
-  cfg.reservoir_capacity = trials;  // retain every (trial, value) pair
   return cfg;
 }
 
@@ -318,8 +317,8 @@ sim::CampaignConfig batch_config(std::shared_ptr<const graph::Graph> g, std::uin
 TEST(BatchCampaign, PerTrialResultsMatchDirectBatches) {
   // The scheduler's seeding contract: the block starting at trial b is one
   // lane batch on derive_stream(seed, b), including the ragged 36-lane tail
-  // at trials = 100. A full-capacity reservoir in tag order is the
-  // per-trial vector of the direct loop, bitwise.
+  // at trials = 100. The summary's values are the per-trial vector of the
+  // direct loop, bitwise.
   const auto g = shared(graph::hypercube(6));
   const auto cfg = batch_config(g, 100, core::kMaxBatchLanes);
   const auto results = sim::run_campaign({cfg}, {});
@@ -329,7 +328,7 @@ TEST(BatchCampaign, PerTrialResultsMatchDirectBatches) {
   EXPECT_EQ(results[0].engine, "batch_sync");
 
   const auto direct = batch_samples(*g, core::Mode::kPushPull, 0.0, cfg.seed, 100);
-  EXPECT_EQ(results[0].summary.reservoir().values(), direct);
+  EXPECT_EQ(results[0].summary.values(), direct);
 }
 
 TEST(BatchCampaign, BitDeterministicAcrossThreadsAndBlockSizes) {
@@ -355,7 +354,7 @@ TEST(BatchCampaign, BitDeterministicAcrossThreadsAndBlockSizes) {
 
 TEST(BatchCampaign, MatchesSyncCampaignDistribution) {
   // End to end: a batch cell and a sync cell over the same graph sample the
-  // same law through the whole scheduler/reservoir path.
+  // same law through the whole scheduler/summary path.
   const auto g = shared(graph::hypercube(6));
   auto batch = batch_config(g, 256, core::kMaxBatchLanes);
   sim::CampaignConfig sync = batch;
@@ -364,8 +363,7 @@ TEST(BatchCampaign, MatchesSyncCampaignDistribution) {
   sync.seed = 519;
   const auto results = sim::run_campaign({batch, sync}, {});
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(
-      dist::ks_gate(results[0].summary.reservoir().values(), results[1].summary.reservoir().values()));
+  EXPECT_TRUE(dist::ks_gate(results[0].summary.values(), results[1].summary.values()));
 }
 
 TEST(BatchCampaign, DisconnectedPrebuiltGraphFailsWithTheRoundCapError) {

@@ -1,8 +1,8 @@
 // Campaign-scheduler tests: the batched multi-configuration work queue of
 // sim/campaign.hpp, its determinism contract, its parity with the
-// per-configuration harness, the JSON spec front end, and the bounded-memory
-// behavior that lets thousand-configuration sweeps run without holding
-// sample vectors.
+// per-configuration harness, the JSON spec front end, exact quantiles, and
+// the bounded-memory behavior that lets thousand-configuration sweeps run
+// with their graphs and partials freed as each configuration finishes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,8 +36,7 @@ using namespace rumor;
 namespace {
 
 /// A small mixed campaign: three topologies, sync and async engines.
-std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials,
-                                               std::size_t reservoir_capacity = 0) {
+std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials) {
   static const auto kHypercube = shared(graph::hypercube(6));
   static const auto kStar = shared(graph::star(128));
   static const auto kCycle = shared(graph::cycle(96));
@@ -51,7 +50,6 @@ std::vector<sim::CampaignConfig> mixed_configs(std::uint64_t trials,
       cfg.engine = engine;
       cfg.trials = trials;
       cfg.seed = ++seed;
-      cfg.reservoir_capacity = reservoir_capacity;
       configs.push_back(std::move(cfg));
     }
     ++seed;
@@ -70,7 +68,6 @@ TEST(Campaign, MatchesHarnessStatistics) {
   cfg.prebuilt = g;
   cfg.trials = 64;
   cfg.seed = 99;
-  cfg.reservoir_capacity = 64;  // retain all samples for the exact check
 
   const auto results = sim::run_campaign({cfg}, {});
   ASSERT_EQ(results.size(), 1u);
@@ -85,17 +82,16 @@ TEST(Campaign, MatchesHarnessStatistics) {
   EXPECT_NEAR(summary.mean(), exact.mean(), 1e-12 * exact.mean());
   EXPECT_EQ(summary.min(), exact.min());
   EXPECT_EQ(summary.max(), exact.max());
-  // 64 trials sit inside the sketch capacity: quantiles are exact.
   EXPECT_EQ(summary.median(), exact.median());
   EXPECT_EQ(summary.quantile(0.95), exact.quantile(0.95));
 
-  // A full-capacity reservoir, ordered by trial tag, is the per-trial
-  // result vector of the harness, bitwise.
+  // The summary's values are the per-trial result vector of the harness,
+  // bitwise.
   sim::TrialConfig raw_config = trial_config;
   const auto raw = sim::run_trials(raw_config, [&](std::uint64_t, rng::Engine& eng) {
     return static_cast<double>(core::run_sync(*g, 0, eng).rounds);
   });
-  EXPECT_EQ(summary.reservoir().values(), raw);
+  EXPECT_EQ(summary.values(), raw);
 }
 
 // --- Determinism contract ----------------------------------------------------
@@ -115,43 +111,44 @@ TEST(Campaign, BitDeterministicAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), configs.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     // Block partials merge in slot order, so every statistic — including
-    // the sketch state behind the quantiles — is bit-identical.
+    // the value list behind the quantiles — is bit-identical.
     EXPECT_EQ(fingerprint(serial[i]), fingerprint(two[i])) << serial[i].id;
     EXPECT_EQ(fingerprint(serial[i]), fingerprint(eight[i])) << serial[i].id;
   }
 }
 
 TEST(Campaign, PerTrialResultsBitIdenticalAcrossBlockSizes) {
-  // Full-capacity reservoirs recover exact (trial, value) pairs; those must
-  // not depend on block size, thread count, or interleaving.
+  // The summaries' values are the per-trial results in trial order; they
+  // must not depend on block size, thread count, or interleaving.
   const std::uint64_t trials = 48;
-  const auto configs = mixed_configs(trials, /*reservoir_capacity=*/trials);
+  const auto configs = mixed_configs(trials);
 
-  std::vector<std::vector<std::vector<std::pair<std::uint64_t, double>>>> runs;
+  std::vector<std::vector<std::vector<double>>> runs;
   for (const std::uint64_t block_size : {4u, 16u, 64u}) {
     sim::CampaignOptions options;
     options.block_size = block_size;
     options.threads = 8;
     const auto results = sim::run_campaign(configs, options);
-    std::vector<std::vector<std::pair<std::uint64_t, double>>> entries;
-    entries.reserve(results.size());
-    for (const auto& r : results) entries.push_back(r.summary.reservoir().entries());
-    runs.push_back(std::move(entries));
+    std::vector<std::vector<double>> values;
+    values.reserve(results.size());
+    for (const auto& r : results) values.push_back(r.summary.values());
+    runs.push_back(std::move(values));
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
 
   // And they equal a serial harness re-run of each configuration.
   for (std::size_t c = 0; c < configs.size(); ++c) {
-    for (const auto& [tag, value] : runs[0][c]) {
-      auto eng = rng::derive_stream(configs[c].seed, tag);
+    ASSERT_EQ(runs[0][c].size(), trials) << configs[c].id;
+    for (std::uint64_t t = 0; t < trials; ++t) {
+      auto eng = rng::derive_stream(configs[c].seed, t);
       double expected = 0.0;
       if (configs[c].engine == sim::EngineKind::kSync) {
         expected = static_cast<double>(core::run_sync(*configs[c].prebuilt, 0, eng).rounds);
       } else {
         expected = core::run_async(*configs[c].prebuilt, 0, eng).time;
       }
-      EXPECT_EQ(value, expected) << configs[c].id << " trial " << tag;
+      EXPECT_EQ(runs[0][c][t], expected) << configs[c].id << " trial " << t;
     }
   }
 }
@@ -765,6 +762,18 @@ TEST(CampaignSpecParsing, RejectsUnknownAndMisplacedDefaultsKeys) {
   EXPECT_NE(spec.error.find("configs[0]"), std::string::npos) << spec.error;
 }
 
+TEST(CampaignSpecParsing, RejectsTheRetiredReservoirCapacityKey) {
+  // Summaries keep every trial value, so no configuration sizes its own
+  // reservoir any more; the key is refused by name wherever it appears.
+  for (const char* text :
+       {R"({"defaults": {"reservoir_capacity": 100}, "configs": [{"graph": "star", "n": 64}]})",
+        R"({"configs": [{"graph": "star", "n": 64, "reservoir_capacity": 100}]})"}) {
+    const auto spec = parse(text);
+    EXPECT_NE(spec.error.find("unknown key 'reservoir_capacity'"), std::string::npos)
+        << spec.error;
+  }
+}
+
 TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
   // campaign_fingerprint covers every CampaignConfig field, so a pinned
   // fingerprint proves a spec still parses to the same configuration list.
@@ -781,8 +790,8 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
     std::string text;
     const char* fingerprint;
   } corpus[] = {
-      {"ci smoke", read_file("bench/ci_smoke_campaign.json"), "3e6c2472089514a4"},
-      {"ci curves", read_file("bench/ci_curves_campaign.json"), "9b6c31e15f47d4ce"},
+      {"ci smoke", read_file("bench/ci_smoke_campaign.json"), "8c4d47dbae9ae194"},
+      {"ci curves", read_file("bench/ci_curves_campaign.json"), "0db0534b33ee3b9a"},
       // perfbench/workloads.py at seed 1.
       {"paper_sweep",
        R"({"configs": [{"engine": ["sync", "async"], "graph": "hypercube", "n": 16384},
@@ -796,7 +805,7 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
           "defaults": {"graph_seed": 360672369, "mode": "push-pull", "seed": 1921680141,
                        "source": 0, "trials": 256},
           "name": "paper_sweep"})",
-       "1cc189647da4c5bc"},
+       "328960b59c014914"},
       {"checkpointed_grid",
        R"({"configs": [
           {"engine": ["sync", "async"], "graph": "cycle", "mode": ["push", "pull", "push-pull"],
@@ -815,45 +824,45 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
            "p": 0.1}],
           "defaults": {"seed": 861003673, "source": 0, "trials": 64},
           "name": "checkpointed_grid"})",
-       "1f1b32cfb286e1cd"},
+       "c3b06e3f21eedd35"},
       {"defaults merge under entry overrides",
        R"({"name": "merge",
           "defaults": {"trials": 50, "seed": 9, "engine": "async", "mode": "push", "source": 3,
-                       "hp_q": 0.05, "message_loss": 0.1, "reservoir_capacity": 100,
+                       "hp_q": 0.05, "message_loss": 0.1,
                        "view": "per-node"},
           "configs": [{"graph": "star", "n": [16, 32]},
                       {"graph": "cycle", "n": 20, "engine": "sync", "mode": ["pull", "push-pull"],
                        "trials": 7, "seed": 2, "view": "global-clock"}]})",
-       "27241fac46ef432f"},
+       "99edca0427268c5d"},
       {"flat race keys",
        R"({"configs": [{"graph": "star", "n": 64, "source": "race", "screen_trials": 6,
                         "finalists": 3, "final_trials": 20, "max_candidates": 10}]})",
-       "b13098d0c6dc8961"},
+       "7b5b812b766ca435"},
       {"flat race keys win over the race block",
        R"({"defaults": {"race": {"screen_trials": 5, "finalists": 2}, "final_trials": 9},
           "configs": [{"graph": "star", "n": 64, "source": "race", "screen_trials": 3,
                        "race": {"screen_trials": 7, "max_candidates": 0}},
                       {"graph": "wheel", "n": 30, "source": "race", "finalists": 5,
                        "race": {"finalists": 1}}]})",
-       "e13352aff3a53fac"},
+       "ef6c2481dbd3cb6c"},
       {"flat generator keys in defaults and entries",
        R"({"defaults": {"degree": 4, "graph_seed": 11, "p": 0.2, "beta": 2.2,
                         "average_degree": 5},
           "configs": [{"graph": "random_regular", "n": 64},
                       {"graph": "erdos_renyi", "n": 50, "p": 0.3}]})",
-       "2e7f13c617d19a2c"},
+       "1eeb8f5cf728d334"},
       {"the graph object wins over flat generator keys",
        R"({"configs": [
           {"graph": {"kind": "random_regular", "degree": 8, "graph_seed": 5}, "n": 64,
            "degree": 4, "graph_seed": 99},
           {"graph": {"kind": "chung_lu", "beta": 2.1, "average_degree": 6}, "n": 500, "beta": 3},
           {"graph": {"kind": "watts_strogatz", "p": 0.05}, "n": 100, "p": 0.5, "degree": 6}]})",
-       "775d5e710e1516f7"},
+       "f1a3d0c179bd64db"},
       {"engine names and objects",
        R"({"configs": [{"graph": "hypercube", "n": 64, "mode": ["push", "pull"],
                         "engine": ["sync", {"kind": "batch_sync", "lanes": 8},
                                    {"kind": "batch_sync"}, {"kind": "async"}]}]})",
-       "4a7ea3bf5e691d91"},
+       "78cec8a6162e0339"},
       {"dynamics merged key by key",
        R"({"defaults": {"dynamics": {"churn": "markov", "birth": 0.05, "death": 0.05,
                                      "period": 2}},
@@ -865,43 +874,43 @@ TEST(CampaignSpecParsing, AcceptedSpecsKeepTheirFingerprints) {
                        "dynamics": {"churn": "rewire", "rewire_p": 0.2, "weights": "degree"}},
                       {"graph": "path", "n": 32,
                        "dynamics": {"churn": "none", "weights": "uniform"}}]})",
-       "855eff330bf2be0c"},
+       "edb74b01eba40c6c"},
       {"curves",
        R"({"configs": [{"graph": "hypercube", "n": 64, "engine": ["sync", "async"],
                         "curves": {"points": 96, "time_bucket": 0.25}},
                        {"graph": "star", "n": 32, "curves": {}}]})",
-       "ed134d8573f4bd6a"},
+       "97d5a2f800b8233e"},
       {"auto-derived and explicit ids",
        R"({"name": "ids",
           "configs": [{"graph": "star", "n": [8, 9], "engine": "aux", "aux": "ppy"},
                       {"id": "explicit", "graph": "path", "n": 10},
                       {"id": "", "graph": "torus", "n": 25, "source": "race"},
                       {"graph": "hypercube", "n": 16, "dynamics": {"weights": "uniform"}}]})",
-       "36833aabdb89c8cd"},
+       "7fd170f60242a171"},
       {"source forms",
        R"({"defaults": {"source": "race"},
           "configs": [{"graph": "star", "n": 40, "source": "fixed"},
                       {"graph": "star", "n": 41, "source": 5},
                       {"graph": "star", "n": 42}]})",
-       "2ac29634a929c3f1"},
+       "31d38671be7fc03d"},
       {"views, aux kinds, loss and hp_q",
        R"({"configs": [{"graph": "complete", "n": 16, "engine": "async", "view": "per-edge",
                         "message_loss": 0.3, "hp_q": 0.01},
                        {"graph": "complete", "n": 17, "engine": "async", "view": "global-clock"},
                        {"graph": "double_star", "n": 18, "engine": "aux", "aux": "ppx",
                         "view": "per-node"}]})",
-       "4599b5f15b76d712"},
+       "7398508b863b3016"},
       {"empty model names keep the inherited value",
        R"({"defaults": {"view": "per-node", "aux": "ppy",
                         "dynamics": {"churn": "markov", "weights": "uniform"}},
           "configs": [{"graph": "star", "n": 64, "view": "", "aux": "",
                        "dynamics": {"churn": "", "weights": ""}}]})",
-       "7c248b41df4aa4b3"},
+       "b520bfe97ebd0fd7"},
       {"integers at the edge of their field",
        R"({"configs": [{"graph": "star", "n": 64, "trials": 1, "source": 4294967295,
                         "seed": 9007199254740992, "graph_seed": 18446744073709549568,
                         "degree": 4294967295, "max_candidates": 4294967295}]})",
-       "58dfbeae459552d4"},
+       "5cb2d3b9053693e0"},
   };
   for (const auto& c : corpus) {
     const auto spec = parse(c.text);
@@ -916,8 +925,8 @@ TEST(CampaignScale, ThousandConfigurationsReduceToConstantSizeSummaries) {
   // 1000 configurations x 2 trials on small graphs. The point is not the
   // statistics but the mechanics: one shared queue schedules every block,
   // each configuration's graph is built lazily and freed on completion, and
-  // what survives is ~1000 constant-size summaries (reservoir <= capacity,
-  // sketch buffers bounded) rather than 1000 sample vectors.
+  // what survives is ~1000 summaries of two values each, with reservoirs
+  // bounded by their capacity.
   const char* families[] = {"path", "star", "cycle", "complete"};
   std::vector<sim::CampaignConfig> configs;
   configs.reserve(1000);
@@ -940,7 +949,7 @@ TEST(CampaignScale, ThousandConfigurationsReduceToConstantSizeSummaries) {
     EXPECT_EQ(r.summary.count(), 2u);
     EXPECT_GT(r.summary.mean(), 0.0);
     EXPECT_LE(r.summary.reservoir().size(), 16u);
-    EXPECT_LE(r.summary.sketch().stored(), 2u);
+    EXPECT_EQ(r.summary.values().size(), 2u);
     EXPECT_GE(r.n, 8u);
   }
 }
@@ -1325,6 +1334,47 @@ TEST(CampaignGraphTable, EntriesKeyBySpecAsBuildGraphReadsIt) {
        table_cell("rr", table_spec("random_regular", 64, 9), sim::EngineKind::kSync, 1),
        table_cell("rr6", table_spec("random_regular", 64, 9, 6), sim::EngineKind::kSync, 1)},
       2);
+}
+
+TEST(CampaignGraphTable, RoundedSizesAndFamilyAliasesShareEntries) {
+  // build_graph rounds hypercube n to a power of 2 and reads `tree` as
+  // `complete_binary_tree`, so these four cells are two graphs.
+  const auto spec = parse(R"({"name": "key", "defaults": {"trials": 8, "seed": 3},
+      "configs": [{"graph": "hypercube", "n": [64, 65]},
+                  {"graph": "tree", "n": 63},
+                  {"graph": "complete_binary_tree", "n": 63}]})");
+  ASSERT_TRUE(spec.error.empty()) << spec.error;
+  ASSERT_EQ(spec.configs.size(), 4u);
+  expect_distinct_builds(spec.configs, 2);
+}
+
+TEST(CampaignGraphTable, EveryRoundedFamilySharesOneBuildPerSize) {
+  // Each pair is two n that build_graph rounds to one graph; every cell
+  // still gets the graph its own spec builds.
+  const std::vector<sim::CampaignConfig> configs = {
+      table_cell("torus63", table_spec("torus", 63), sim::EngineKind::kSync, 1),
+      table_cell("torus64", table_spec("torus", 64), sim::EngineKind::kSync, 1),
+      table_cell("torus3d27", table_spec("torus3d", 27), sim::EngineKind::kSync, 1),
+      table_cell("torus3d28", table_spec("torus3d", 28), sim::EngineKind::kSync, 1),
+      table_cell("stars16", table_spec("chain_of_stars", 16), sim::EngineKind::kSync, 1),
+      table_cell("stars17", table_spec("chain_of_stars", 17), sim::EngineKind::kSync, 1),
+      table_cell("bundle16", table_spec("bundle_chain", 16), sim::EngineKind::kSync, 1),
+      table_cell("bundle17", table_spec("bundle_chain", 17), sim::EngineKind::kSync, 1),
+      table_cell("rr63", table_spec("random_regular", 63, 9, 3), sim::EngineKind::kSync, 1),
+      table_cell("rr64", table_spec("random_regular", 64, 9, 3), sim::EngineKind::kSync, 1),
+      table_cell("hc3", table_spec("hypercube", 3), sim::EngineKind::kSync, 1),
+      table_cell("hc4", table_spec("hypercube", 4), sim::EngineKind::kSync, 1)};
+  expect_distinct_builds(configs, 6);
+  const auto results = sim::run_campaign(configs, {});
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const graph::Graph g = sim::build_graph(configs[c].graph, configs[c].seed);
+    EXPECT_EQ(results[c].graph_name, g.name()) << configs[c].id;
+    EXPECT_EQ(results[c].n, g.num_nodes()) << configs[c].id;
+  }
+  EXPECT_EQ(results[1].n, 64u);   // torus side 8
+  EXPECT_EQ(results[3].n, 27u);   // torus3d side 3
+  EXPECT_EQ(results[9].n, 64u);   // random_regular: 63 * 3 is odd
+  EXPECT_EQ(results[11].n, 4u);   // hypercube dimension 2
 }
 
 TEST(CampaignGraphTable, ResolvedDefaultsShareEntries) {

@@ -102,6 +102,7 @@ std::vector<double> result_stats(const sim::CampaignResult& r) {
                              s.median(),
                              s.quantile(0.95),
                              s.hp_time(r.hp_q)};
+  out.insert(out.end(), s.values().begin(), s.values().end());
   for (const auto& [tag, value] : s.reservoir().entries()) {
     out.push_back(static_cast<double>(tag));
     out.push_back(value);
@@ -1487,4 +1488,90 @@ TEST(WriteFileAtomic, FailuresNameTheTempPathAndLeaveNoTempFile) {
   ::chmod(locked.c_str(), 0700);
   std::filesystem::remove_all(locked);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignCheckpoint, PreviousSnapshotVersionIsRefusedNamingVersion) {
+  // Version 1 snapshots stored a quantile sketch where summaries now store
+  // their values; a run must refuse one at the header, naming the version,
+  // not fail later on a missing key.
+  const auto configs = snapshot_configs();
+  auto options = snapshot_options(2);
+  options.stop_after_blocks = 2;
+  sim::Json old = sim::run_campaign_resumable(configs, options, "snap").snapshot;
+  ASSERT_TRUE(old.is_object());
+  old.set("version", sim::kSnapshotVersion - 1);
+  const std::string want = "unsupported checkpoint version " +
+                           std::to_string(sim::kSnapshotVersion - 1) + " (this build reads " +
+                           std::to_string(sim::kSnapshotVersion) + ")";
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, snapshot_options(2), "snap", &old); },
+      want);
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", {old}); }, want);
+}
+
+// --- Exact quantiles past the old sketch capacity -----------------------------
+
+TEST(CampaignExactQuantiles, ThousandAsyncTrialsAreExactEverywhere) {
+  // One async cell of 1,000 trials, four times the 256 items a sketch level
+  // holds: its values are the serial run_trial loop in trial order, and its
+  // median, p95 and T_{1/trials} are the sorted order statistics — at any
+  // thread count and block size, after a resume, and after a shard merge.
+  sim::CampaignConfig cfg;
+  cfg.id = "exact";
+  cfg.prebuilt = shared(graph::hypercube(6));
+  cfg.engine = sim::EngineKind::kAsync;
+  cfg.trials = 1000;
+  cfg.seed = 77;
+  const std::vector<sim::CampaignConfig> configs = {cfg};
+
+  std::vector<double> serial;
+  for (std::uint64_t t = 0; t < cfg.trials; ++t) {
+    rng::Engine eng = rng::derive_stream(cfg.seed, t);
+    serial.push_back(
+        core::run_trial(cfg.engine, *cfg.prebuilt, cfg.source, eng, {}, {}).value);
+  }
+  std::vector<double> sorted = serial;
+  std::sort(sorted.begin(), sorted.end());
+
+  auto expect_exact = [&](const std::vector<sim::CampaignResult>& results,
+                          const std::string& what) {
+    ASSERT_EQ(results.size(), 1u) << what;
+    const sim::CampaignResult& r = results.front();
+    EXPECT_EQ(r.summary.values(), serial) << what;
+    EXPECT_EQ(r.hp_q, 1.0 / 1000.0) << what;
+    EXPECT_EQ(r.summary.median(), stats::quantile_sorted(sorted, 0.5)) << what;
+    EXPECT_EQ(r.summary.quantile(0.95), stats::quantile_sorted(sorted, 0.95)) << what;
+    EXPECT_EQ(r.summary.hp_time(r.hp_q), stats::quantile_sorted(sorted, 1.0 - r.hp_q)) << what;
+  };
+  // Through the snapshot text, as a checkpoint file or shard output is read.
+  auto through_text = [](const sim::Json& doc) { return *sim::Json::parse(doc.dump()); };
+
+  for (const std::uint64_t batch : {std::uint64_t{7}, std::uint64_t{32}}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      sim::CampaignOptions options;
+      options.threads = threads;
+      options.block_size = batch;
+      const std::string at =
+          " at threads " + std::to_string(threads) + ", batch " + std::to_string(batch);
+      expect_exact(sim::run_campaign(configs, options), "plain" + at);
+
+      sim::CampaignOptions stop = options;
+      stop.stop_after_blocks = 9;
+      const auto stopped = sim::run_campaign_resumable(configs, stop, "exact");
+      ASSERT_FALSE(stopped.complete) << at;
+      const sim::Json mid = through_text(stopped.snapshot);
+      const auto resumed = sim::run_campaign_resumable(configs, options, "exact", &mid);
+      ASSERT_TRUE(resumed.complete) << at;
+      expect_exact(resumed.results, "resumed" + at);
+
+      std::vector<sim::Json> shards;
+      for (std::uint32_t shard = 1; shard <= 2; ++shard) {
+        sim::CampaignOptions part = options;
+        part.shard_index = shard;
+        part.shard_count = 2;
+        shards.push_back(through_text(sim::run_campaign_resumable(configs, part, "exact").snapshot));
+      }
+      expect_exact(sim::merge_campaign_snapshots(configs, "exact", shards), "merged" + at);
+    }
+  }
 }

@@ -277,8 +277,7 @@ namespace {
 
 /// A mixed dynamics campaign: churn-only, weights-only, churn+weights, and
 /// an async cell, over two topologies.
-std::vector<sim::CampaignConfig> dynamics_configs(std::uint64_t trials,
-                                                  std::size_t reservoir_capacity = 0) {
+std::vector<sim::CampaignConfig> dynamics_configs(std::uint64_t trials) {
   static const auto kHypercube = shared(graph::hypercube(6));
   static const auto kRegular = [] {
     rng::Engine gen = rng::derive_stream(61, 0);
@@ -318,7 +317,6 @@ std::vector<sim::CampaignConfig> dynamics_configs(std::uint64_t trials,
     for (auto* cfg : {&churned, &weighted, &both, &async_churned}) {
       cfg->trials = trials;
       cfg->seed = ++seed;
-      cfg->reservoir_capacity = reservoir_capacity;
       configs.push_back(std::move(*cfg));
     }
   }
@@ -347,20 +345,20 @@ TEST(DynamicsCampaign, BitDeterministicAcrossThreadCounts) {
 }
 
 TEST(DynamicsCampaign, PerTrialResultsBitIdenticalAcrossBlockSizes) {
-  // Full-capacity reservoirs expose exact (trial, value) pairs; under
+  // The summaries' values are the per-trial results in trial order; under
   // dynamics they must still be independent of block size and threading —
   // the churn stream of trial t is a pure function of (config, trial).
   const std::uint64_t trials = 24;
-  const auto configs = dynamics_configs(trials, /*reservoir_capacity=*/trials);
-  std::vector<std::vector<std::vector<std::pair<std::uint64_t, double>>>> runs;
+  const auto configs = dynamics_configs(trials);
+  std::vector<std::vector<std::vector<double>>> runs;
   for (const std::uint64_t block_size : {3u, 8u, 32u}) {
     sim::CampaignOptions options;
     options.block_size = block_size;
     options.threads = 8;
     const auto results = sim::run_campaign(configs, options);
-    std::vector<std::vector<std::pair<std::uint64_t, double>>> entries;
-    for (const auto& r : results) entries.push_back(r.summary.reservoir().entries());
-    runs.push_back(std::move(entries));
+    std::vector<std::vector<double>> values;
+    for (const auto& r : results) values.push_back(r.summary.values());
+    runs.push_back(std::move(values));
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);

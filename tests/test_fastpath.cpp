@@ -771,7 +771,6 @@ TEST(FastpathCampaign, SummariesBitIdenticalAtThreads128) {
   for (auto& cell : cells) {
     cell.trials = 48;
     cell.seed = 21;
-    cell.reservoir_capacity = 64;  // retain every trial exactly
   }
 
   sim::CampaignOptions options;
@@ -791,6 +790,7 @@ TEST(FastpathCampaign, SummariesBitIdenticalAtThreads128) {
       EXPECT_EQ(a.min(), b.min()) << cells[c].id;
       EXPECT_EQ(a.max(), b.max()) << cells[c].id;
       EXPECT_EQ(a.quantile(0.5), b.quantile(0.5)) << cells[c].id;
+      EXPECT_EQ(a.values(), b.values()) << cells[c].id;
       EXPECT_EQ(a.reservoir().entries(), b.reservoir().entries()) << cells[c].id;
     }
   }

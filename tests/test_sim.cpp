@@ -136,8 +136,9 @@ TEST(SpreadingTimeSample, MeanCiContainsMean) {
 TEST(MeasureFunctions, AgreeWithDirectRuns) {
   // Every wrapper against core::run_trial on derive_stream(seed, t), trial
   // by trial. 16 and more trials reach the trial lanes where the CPU has
-  // them, 300 passes the quantile sketch's k = 256, and 600 the default
-  // reservoir of 512: the sample must still hold every trial exactly.
+  // them, and 300 and 600 pass the 256 items a quantile sketch level holds
+  // and the default reservoir of 512: the sample, read from the summary's
+  // values, must still hold every trial exactly.
   const auto g = graph::hypercube(5);
   const graph::NodeId source = 3;
   struct Wrapper {

@@ -1,9 +1,11 @@
-// Streaming-accumulator tests: the mergeable fixed-memory reductions that
-// campaign sweeps use in place of full sample vectors (stats/streaming.hpp).
+// Streaming-accumulator tests: the mergeable reductions campaign sweeps
+// fold their trial blocks with (stats/streaming.hpp).
 //
 // Error tolerances asserted here are the module's documented contract:
 //   * RunningMoments merge — exact up to floating-point associativity
 //     (asserted to 1e-12 relative against the sequential pass);
+//   * StreamingSummary quantiles — bit-equal to stats::quantile_sorted of
+//     every added value, whatever the block sizes and merge order;
 //   * QuantileSketch (k = 256) — rank error under 2% of n for n up to 5e4,
 //     including after 8-way merges (the deterministic alternating compactor
 //     does far better than its worst-case bound; 2% is the asserted
@@ -193,12 +195,12 @@ TEST(StreamingReservoir, SampleIsRoughlyUniform) {
 // --- StreamingSummary --------------------------------------------------------
 
 TEST(StreamingSummaryTest, AgreesWithExactSummaryOnSmallStreams) {
-  // Under both sketch and reservoir capacity, every statistic the campaign
-  // reports must coincide with the exact full-sample computation.
+  // Under the reservoir capacity, every statistic the campaign reports,
+  // the bootstrap CI included, must coincide with the exact full-sample
+  // computation.
   auto samples = exponential_samples(250, 28);
 
   StreamingSummary::Options options;
-  options.sketch_capacity = 256;
   options.reservoir_capacity = 512;
   StreamingSummary summary(options);
   for (std::size_t i = 0; i < samples.size(); ++i) summary.add(samples[i], i);
@@ -242,12 +244,62 @@ TEST(StreamingSummaryTest, MergePreservesEveryComponent) {
   EXPECT_EQ(merged.max(), whole.max());
   // Same multiset of (tag, value): identical bottom-k reservoir contents.
   EXPECT_EQ(merged.reservoir().entries(), whole.reservoir().entries());
-  // Sketch states differ (different compaction history) but both stay
-  // within the documented rank tolerance of the exact quantile.
+  // The value lists hold one multiset in two orders, so every quantile is
+  // the same exact order statistic.
   std::vector<double> sorted = samples;
   std::sort(sorted.begin(), sorted.end());
   for (double q : {0.25, 0.5, 0.9}) {
-    EXPECT_NEAR(rank_of(sorted, merged.quantile(q)), q, kRankTolerance);
+    EXPECT_EQ(merged.quantile(q), stats::quantile_sorted(sorted, q));
+    EXPECT_EQ(whole.quantile(q), stats::quantile_sorted(sorted, q));
+  }
+}
+
+TEST(StreamingSummaryTest, EveryQuantileIsTheSortedOrderStatistic) {
+  // 5,000 Exp(1) values cut into blocks of 1, 7 and 64, each block folded
+  // into its own summary, then merged front to back, back to front, and by
+  // pairs: every merge order reads the same order statistics, including the
+  // extremes and the paper's 1/n tails.
+  const auto samples = exponential_samples(5'000, 30);
+  const double n = static_cast<double>(samples.size());
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const double qs[] = {0.0, 1.0 / n, 0.5, 0.95, 1.0 - 1.0 / n, 1.0};
+
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    std::vector<StreamingSummary> parts;
+    for (std::size_t b = 0; b < samples.size(); b += block) {
+      StreamingSummary& part = parts.emplace_back();
+      for (std::size_t i = b; i < std::min(b + block, samples.size()); ++i) {
+        part.add(samples[i], i);
+      }
+    }
+    StreamingSummary forward;
+    for (const StreamingSummary& p : parts) forward.merge(p);
+    StreamingSummary backward;
+    for (auto it = parts.rbegin(); it != parts.rend(); ++it) backward.merge(*it);
+    std::vector<StreamingSummary> level = parts;
+    while (level.size() > 1) {
+      std::vector<StreamingSummary> next;
+      for (std::size_t i = 0; i < level.size(); i += 2) {
+        next.push_back(level[i]);
+        if (i + 1 < level.size()) next.back().merge(level[i + 1]);
+      }
+      level = std::move(next);
+    }
+    EXPECT_EQ(forward.values(), samples) << "block " << block;
+    EXPECT_EQ(level.front().values(), samples) << "block " << block;
+    for (const StreamingSummary* s : {&forward, &backward, &level.front()}) {
+      ASSERT_EQ(s->count(), samples.size());
+      for (const double q : qs) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s->quantile(q)),
+                  std::bit_cast<std::uint64_t>(stats::quantile_sorted(sorted, q)))
+            << "block " << block << " q " << q;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s->median()),
+                std::bit_cast<std::uint64_t>(stats::quantile_sorted(sorted, 0.5)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s->hp_time(1.0 / n)),
+                std::bit_cast<std::uint64_t>(stats::quantile_sorted(sorted, 1.0 - 1.0 / n)));
+    }
   }
 }
 
@@ -274,14 +326,9 @@ void expect_same_state(const StreamingSummary::State& a, const StreamingSummary:
   EXPECT_EQ(bits(a.moments.m2), bits(b.moments.m2));
   EXPECT_EQ(bits(a.moments.min), bits(b.moments.min));
   EXPECT_EQ(bits(a.moments.max), bits(b.moments.max));
-  EXPECT_EQ(a.sketch.count, b.sketch.count);
-  ASSERT_EQ(a.sketch.levels.size(), b.sketch.levels.size());
-  for (std::size_t l = 0; l < a.sketch.levels.size(); ++l) {
-    EXPECT_EQ(a.sketch.levels[l].keep_odd, b.sketch.levels[l].keep_odd) << "level " << l;
-    ASSERT_EQ(a.sketch.levels[l].items.size(), b.sketch.levels[l].items.size()) << "level " << l;
-    for (std::size_t i = 0; i < a.sketch.levels[l].items.size(); ++i) {
-      EXPECT_EQ(bits(a.sketch.levels[l].items[i]), bits(b.sketch.levels[l].items[i]));
-    }
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t i = 0; i < a.values.size(); ++i) {
+    EXPECT_EQ(bits(a.values[i]), bits(b.values[i])) << "value " << i;
   }
   EXPECT_EQ(a.reservoir.count, b.reservoir.count);
   EXPECT_EQ(a.reservoir.entries, b.reservoir.entries);
@@ -292,7 +339,6 @@ void expect_same_state(const StreamingSummary::State& a, const StreamingSummary:
 TEST(StreamingEmptyState, QuantilesAndBootstrapAreNaNOnZeroSamples) {
   const QuantileSketch sketch(256);
   EXPECT_TRUE(std::isnan(sketch.quantile(0.5)));
-  EXPECT_TRUE(std::isnan(sketch.hp_time(0.05)));
 
   const StreamingSummary summary;
   EXPECT_EQ(summary.count(), 0u);
@@ -314,7 +360,7 @@ TEST(StreamingEmptyState, MergingAnEmptyOperandIsAnExactIdentityBothWays) {
   const auto before = full.state();
 
   // nonempty.merge(empty): bit-identical state afterwards — in particular
-  // the sketch must not grow levels and the reservoir must keep capacity.
+  // the reservoir must keep its capacity.
   full.merge(StreamingSummary(options));
   expect_same_state(full.state(), before);
 
@@ -325,11 +371,10 @@ TEST(StreamingEmptyState, MergingAnEmptyOperandIsAnExactIdentityBothWays) {
 }
 
 TEST(StreamingEmptyState, StateRoundTripsBitExactlyThroughRestore) {
-  // Push well past both capacities so levels, compaction selectors, and the
-  // reservoir heap all carry non-trivial state.
+  // Push well past the reservoir capacity so its heap carries non-trivial
+  // state.
   const auto samples = exponential_samples(5'000, 33);
   StreamingSummary::Options options;
-  options.sketch_capacity = 128;
   options.reservoir_capacity = 64;
   options.reservoir_salt = 17;
   StreamingSummary original(options);
@@ -531,26 +576,39 @@ TEST(StreamingCodec, MomentsRoundTripTheExtremesBitExactly) {
 
 TEST(StreamingCodec, SketchReservoirAndSummaryRoundTripBitExactly) {
   StreamingSummary::Options options;
-  options.sketch_capacity = 16;
   options.reservoir_capacity = 8;
   StreamingSummary summary(options);
   const auto samples = exponential_samples(300, 5);
   for (std::size_t i = 0; i < samples.size(); ++i) summary.add(samples[i], i);
   StreamingSummary::State s = summary.state();
   // The extremes a double and a count hold, beside the real state.
-  s.moments.count = kTwoTo53;
-  s.sketch.count = kTwoTo53;
-  s.sketch.levels.push_back({{-0.0, 0.0, kSubnormal, -DBL_MAX, DBL_MAX}, true});
+  for (const double x : {-0.0, 0.0, kSubnormal, -DBL_MAX, DBL_MAX}) s.values.push_back(x);
+  s.moments.count = s.values.size();
   s.reservoir.count = kTwoTo53;
   s.reservoir.entries.emplace_back(kTwoTo53, -0.0);
   s.reservoir.entries.emplace_back(kTwoTo53 - 1, kSubnormal);
 
   expect_same_state(through_json(s), s);
-  const QuantileSketch::State sketch = through_json(s.sketch);
-  expect_same_state({s.moments, sketch, s.reservoir}, s);
   const ReservoirSample::State reservoir = through_json(s.reservoir);
-  expect_same_state({s.moments, s.sketch, reservoir}, s);
+  expect_same_state({s.moments, s.values, reservoir}, s);
   expect_same_state(through_json(StreamingSummary::State{}), StreamingSummary::State{});
+
+  // The curve sketches' codec (stats/curves.hpp), past compaction.
+  QuantileSketch sketch(16);
+  for (const double x : samples) sketch.add(x);
+  QuantileSketch::State k = sketch.state();
+  k.count = kTwoTo53;
+  k.levels.push_back({{-0.0, 0.0, kSubnormal, -DBL_MAX, DBL_MAX}, true});
+  const QuantileSketch::State back = through_json(k);
+  EXPECT_EQ(back.count, k.count);
+  ASSERT_EQ(back.levels.size(), k.levels.size());
+  for (std::size_t l = 0; l < k.levels.size(); ++l) {
+    EXPECT_EQ(back.levels[l].keep_odd, k.levels[l].keep_odd) << "level " << l;
+    ASSERT_EQ(back.levels[l].items.size(), k.levels[l].items.size()) << "level " << l;
+    for (std::size_t i = 0; i < k.levels[l].items.size(); ++i) {
+      EXPECT_EQ(bits(back.levels[l].items[i]), bits(k.levels[l].items[i]));
+    }
+  }
 }
 
 TEST(StreamingCodec, DecodersNameWhatIsWrong) {
@@ -563,20 +621,34 @@ TEST(StreamingCodec, DecodersNameWhatIsWrong) {
     return std::string("no throw");
   };
   const std::string ok_moments = R"("moments": {"count": 1, "mean": 1, "m2": 0, "min": 1, "max": 1})";
-  const std::string ok_sketch = R"("sketch": {"count": 1, "levels": [{"items": [1], "keep_odd": false}]})";
+  const std::string ok_values = R"("values": [1])";
   EXPECT_EQ(what(R"({"moments": {"count": 9007199254740994}})"),
             "ctx: key 'count' must be a non-negative integer at most 9007199254740992, got "
             "9007199254740994");
-  EXPECT_EQ(what(("{" + ok_moments + "}").c_str()), "ctx: missing key 'sketch'");
-  EXPECT_EQ(what(("{" + ok_moments + R"(, "sketch": {"count": 1, "levels": [{"items": ["x"]}]}})")
-                     .c_str()),
-            "ctx: sketch items must be numbers");
-  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_sketch +
+  EXPECT_EQ(what(("{" + ok_moments + "}").c_str()), "ctx: missing key 'values'");
+  EXPECT_EQ(what(("{" + ok_moments + R"(, "values": 1})").c_str()),
+            "ctx: key 'values' must be an array");
+  // The value list must hold exactly moments.count numbers.
+  EXPECT_EQ(what(("{" + ok_moments + R"(, "values": ["x"]})").c_str()),
+            "ctx: key 'values' must be an array of moments.count = 1 numbers; it holds \"x\"");
+  EXPECT_EQ(what(("{" + ok_moments + R"(, "values": [1, 2]})").c_str()),
+            "ctx: key 'values' must be an array of moments.count = 1 numbers; it holds 2");
+  EXPECT_EQ(what(("{" + ok_moments + R"(, "values": []})").c_str()),
+            "ctx: key 'values' must be an array of moments.count = 1 numbers; it holds 0");
+  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_values +
                   R"(, "reservoir": {"count": 1, "entries": [[1.5, 2]]}})")
                      .c_str()),
             "ctx: reservoir tags must be non-negative integers");
-  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_sketch +
+  EXPECT_EQ(what(("{" + ok_moments + ", " + ok_values +
                   R"(, "reservoir": {"count": 1, "entries": [[1]]}})")
                      .c_str()),
             "ctx: reservoir entries must be [tag, value] number pairs");
+  // The curve sketches' decoder.
+  try {
+    (void)QuantileSketch::State::from_json(
+        *json::Json::parse(R"({"count": 1, "levels": [{"items": ["x"]}]})"), "ctx");
+    ADD_FAILURE() << "a non-number sketch item decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "ctx: sketch items must be numbers");
+  }
 }

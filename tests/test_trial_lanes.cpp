@@ -358,7 +358,6 @@ TEST_F(TrialLanes, SmokeCampaignCellsMatchRunTrialLoop) {
   text << file.rdbuf();
   auto spec = sim::parse_campaign_spec(*sim::Json::parse(text.str()));
   ASSERT_TRUE(spec.error.empty()) << spec.error;
-  for (auto& cfg : spec.configs) cfg.reservoir_capacity = cfg.trials + 64;
   sim::CampaignOptions options;
   options.threads = 2;
   const auto results = sim::run_campaign(spec.configs, options);
@@ -380,18 +379,18 @@ TEST_F(TrialLanes, SmokeCampaignCellsMatchRunTrialLoop) {
     const bool race = cfg.source_policy == sim::SourcePolicy::kRace;
     const NodeId source = race ? results[c].source : cfg.source;
     const std::uint64_t seed = race ? cfg.seed + 1 + kSourceStride * source : cfg.seed;
-    // The campaign's values, recovered in trial order from a full reservoir.
-    const auto entries = results[c].summary.reservoir().entries();
-    ASSERT_FALSE(entries.empty()) << results[c].id;
+    // The campaign's values, in trial order.
+    const std::vector<double>& values = results[c].summary.values();
+    ASSERT_FALSE(values.empty()) << results[c].id;
     std::vector<rng::Engine> engines;
-    for (const auto& entry : entries) engines.push_back(rng::derive_stream(seed, entry.first));
+    for (std::size_t t = 0; t < values.size(); ++t) engines.push_back(rng::derive_stream(seed, t));
     const auto lanes = core::run_trial_lanes(cfg.engine, g, source, engines, trial_options,
                                              extras);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      rng::Engine eng = rng::derive_stream(seed, entries[i].first);
+    for (std::size_t t = 0; t < values.size(); ++t) {
+      rng::Engine eng = rng::derive_stream(seed, t);
       const auto scalar = core::run_trial(cfg.engine, g, source, eng, trial_options, extras);
-      EXPECT_EQ(entries[i].second, scalar.value) << results[c].id << " trial " << entries[i].first;
-      EXPECT_EQ(lanes[i].value, scalar.value) << results[c].id << " trial " << entries[i].first;
+      EXPECT_EQ(values[t], scalar.value) << results[c].id << " trial " << t;
+      EXPECT_EQ(lanes[t].value, scalar.value) << results[c].id << " trial " << t;
     }
     ++checked;
   }
